@@ -1,10 +1,12 @@
 /**
  * @file
- * Golden-trace regression tests: three canonical tunnel missions (SoC
- * configs A, B, C from Table 2) with checked-in FNV-1a hashes of their
- * trajectory CSVs. Silent physics/timing drift — a changed integrator
- * constant, a reordered RNG draw, an off-by-one sync period — fails
- * here instead of quietly corrupting every number in EXPERIMENTS.md.
+ * Golden-trace regression tests: the canonical tunnel mission on SoC
+ * configs A, B, C from Table 2, once with the static ResNet14 runtime
+ * and once with the Section 5.3 dynamic ResNet14/ResNet6 runtime, with
+ * checked-in FNV-1a hashes of their trajectory CSVs. Silent
+ * physics/timing drift — a changed integrator constant, a reordered RNG
+ * draw, an off-by-one sync period — fails here instead of quietly
+ * corrupting every number in EXPERIMENTS.md.
  *
  * When a change *intentionally* alters simulation behavior, regenerate
  * the goldens: run this binary with ROSE_REGEN_GOLDEN=1 and paste the
@@ -20,23 +22,30 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.hh"
+#include "runtime/control_app.hh"
 #include "util/hash.hh"
 
 using namespace rose;
 
 namespace {
 
+using runtime::RuntimeMode;
+
 /** The canonical mission: tunnel, ResNet14 @ 3 m/s, +20 degree initial
  *  heading (exercises the correction transient), seed 1, 10 simulated
- *  seconds. Only the SoC config varies. */
+ *  seconds. Only the SoC config, the runtime mode and the velocity
+ *  vary. */
 core::MissionSpec
-canonicalSpec(const std::string &socName)
+canonicalSpec(const std::string &socName,
+              RuntimeMode mode = RuntimeMode::Static,
+              double velocity = 3.0)
 {
     core::MissionSpec spec;
     spec.world = "tunnel";
     spec.socName = socName;
+    spec.mode = mode;
     spec.modelDepth = 14;
-    spec.velocity = 3.0;
+    spec.velocity = velocity;
     spec.initialYawDeg = 20.0;
     spec.seed = 1;
     spec.maxSimSeconds = 10.0;
@@ -46,17 +55,33 @@ canonicalSpec(const std::string &socName)
 struct Golden
 {
     const char *socName;
+    RuntimeMode mode;
+    double velocity;
     uint64_t trajectoryHash; ///< fnv1a(trajectoryCsvString(result))
     size_t trajectorySamples;
     uint64_t collisions;
 };
 
 // Regenerate with ROSE_REGEN_GOLDEN=1 (see file header).
+//
+// The dynamic rows leave 3 m/s where the Equation 5 deadline never
+// forces a switch: at 3 m/s A and B always fit ResNet14 and C never
+// does. 6 m/s makes A and B fall back to ResNet6 near the walls; C's
+// CPU-only ResNet14 fits the budget only at walking pace.
 constexpr Golden kGolden[] = {
-    {"A", 0x2b24ad514f06c3cbULL, 1000, 0},
-    {"B", 0x02771540364e358fULL, 1000, 0},
-    {"C", 0x0e337585f9a29f6aULL, 1000, 27},
+    {"A", RuntimeMode::Static, 3.0, 0x2b24ad514f06c3cbULL, 1000, 0},
+    {"B", RuntimeMode::Static, 3.0, 0x02771540364e358fULL, 1000, 0},
+    {"C", RuntimeMode::Static, 3.0, 0x0e337585f9a29f6aULL, 1000, 27},
+    {"A", RuntimeMode::Dynamic, 6.0, 0x1fbdc1290899c590ULL, 911, 0},
+    {"B", RuntimeMode::Dynamic, 6.0, 0x363ece69e58dc178ULL, 970, 0},
+    {"C", RuntimeMode::Dynamic, 0.3, 0x9cc8dbbd0aa604b7ULL, 1000, 1},
 };
+
+const char *
+modeName(RuntimeMode mode)
+{
+    return mode == RuntimeMode::Dynamic ? "Dynamic" : "Static";
+}
 
 } // namespace
 
@@ -67,18 +92,32 @@ TEST(GoldenTrace, CanonicalTunnelMissions)
         std::printf("// Regenerated goldens — paste over kGolden:\n");
 
     for (const Golden &g : kGolden) {
-        SCOPED_TRACE(std::string("config ") + g.socName);
-        core::MissionResult r =
-            core::runMission(canonicalSpec(g.socName));
+        SCOPED_TRACE(std::string("config ") + g.socName + " " +
+                     modeName(g.mode));
+        core::MissionResult r = core::runMission(
+            canonicalSpec(g.socName, g.mode, g.velocity));
         std::string csv = core::trajectoryCsvString(r);
         uint64_t hash = fnv1a(csv);
 
         if (regen) {
-            std::printf("    {\"%s\", 0x%016llxULL, %zu, %llu},\n",
-                        g.socName, (unsigned long long)hash,
-                        r.trajectory.size(),
+            std::printf("    {\"%s\", RuntimeMode::%s, %.1f, "
+                        "0x%016llxULL, %zu, %llu},\n",
+                        g.socName, modeName(g.mode), g.velocity,
+                        (unsigned long long)hash, r.trajectory.size(),
                         (unsigned long long)r.collisions);
             continue;
+        }
+
+        // A dynamic row only pins the runtime switch if the mission
+        // really ran both the big and the small model.
+        if (g.mode == RuntimeMode::Dynamic) {
+            bool saw_big = false, saw_small = false;
+            for (const runtime::InferenceRecord &rec : r.inferenceLog) {
+                saw_big |= rec.modelDepth == 14;
+                saw_small |= rec.modelDepth == 6;
+            }
+            EXPECT_TRUE(saw_big) << "dynamic row never ran ResNet14";
+            EXPECT_TRUE(saw_small) << "dynamic row never ran ResNet6";
         }
 
         // Coarse goldens first: when these differ the drift is
