@@ -39,9 +39,9 @@
 using namespace rose;
 
 // --------------------------------------------------------------------
-// Process-wide allocation counter, used by the hot-path report to
-// verify the zero-steady-state-allocation contract of the workspace
-// inference path (same technique as tests/test_hotpath.cc).
+// Process-wide allocation counter, used by the hot-path report to count
+// the heap allocations of a steady-state mission frame (same technique
+// as tests/test_hotpath.cc).
 
 static std::atomic<uint64_t> g_allocCount{0};
 
@@ -173,7 +173,7 @@ BM_PoseEstimateScratch(benchmark::State &state)
 BENCHMARK(BM_PoseEstimateScratch);
 
 static void
-BM_GemmNaive(benchmark::State &state)
+BM_Gemm(benchmark::State &state)
 {
     const int m = int(state.range(0)), k = int(state.range(1)),
               n = int(state.range(2));
@@ -186,36 +186,12 @@ BM_GemmNaive(benchmark::State &state)
     for (float &v : b)
         v = float(rng.uniform(-1, 1));
     for (auto _ : state) {
-        g.matmulNaive(m, k, n, a.data(), b.data(), c.data());
+        g.matmul(m, k, n, a.data(), b.data(), c.data());
         benchmark::DoNotOptimize(c.data());
     }
     state.SetItemsProcessed(int64_t(state.iterations()) * 2 * m * k * n);
 }
-BENCHMARK(BM_GemmNaive)->Args({2500, 9, 8})->Args({625, 72, 16})
-    ->Args({144, 144, 32});
-
-static void
-BM_GemmBlockedPacked(benchmark::State &state)
-{
-    const int m = int(state.range(0)), k = int(state.range(1)),
-              n = int(state.range(2));
-    gemmini::Gemmini g;
-    Rng rng(3);
-    std::vector<float> a(size_t(m) * k), b(size_t(k) * n),
-        c(size_t(m) * n);
-    for (float &v : a)
-        v = float(rng.uniform(-1, 1));
-    for (float &v : b)
-        v = float(rng.uniform(-1, 1));
-    gemmini::PackedB pb;
-    gemmini::Gemmini::packB(k, n, b.data(), pb);
-    for (auto _ : state) {
-        g.matmulPacked(m, a.data(), pb, c.data());
-        benchmark::DoNotOptimize(c.data());
-    }
-    state.SetItemsProcessed(int64_t(state.iterations()) * 2 * m * k * n);
-}
-BENCHMARK(BM_GemmBlockedPacked)->Args({2500, 9, 8})->Args({625, 72, 16})
+BENCHMARK(BM_Gemm)->Args({2500, 9, 8})->Args({625, 72, 16})
     ->Args({144, 144, 32});
 
 static void
@@ -227,39 +203,15 @@ BM_Im2col(benchmark::State &state)
     Rng rng(5);
     for (float &v : in.data())
         v = float(rng.uniform(0, 1));
-    int gm, gk, gn;
-    spec.gemmDims(gm, gk, gn);
-    std::vector<float> out(size_t(gm) * gk);
+    int64_t bytes = 0;
     for (auto _ : state) {
-        dnn::im2colInto(spec, in, out.data());
+        std::vector<float> out = dnn::im2col(spec, in);
         benchmark::DoNotOptimize(out.data());
+        bytes = int64_t(out.size() * sizeof(float));
     }
-    state.SetBytesProcessed(int64_t(state.iterations()) *
-                            int64_t(out.size() * sizeof(float)));
+    state.SetBytesProcessed(int64_t(state.iterations()) * bytes);
 }
 BENCHMARK(BM_Im2col);
-
-static void
-BM_ForwardWorkspace(benchmark::State &state)
-{
-    const int depth = int(state.range(0));
-    std::shared_ptr<const dnn::Model> m = dnn::sharedResNet(depth);
-    std::shared_ptr<const dnn::Weights> w = dnn::sharedWeights(depth, 7);
-    std::shared_ptr<const dnn::PackedWeights> pw =
-        dnn::sharedPackedWeights(depth, 7);
-    dnn::Tensor in(1, dnn::kDnnInputH, dnn::kDnnInputW);
-    Rng rng(9);
-    for (float &v : in.data())
-        v = float(rng.uniform(0, 1));
-    dnn::ForwardWorkspace ws;
-    dnn::ForwardResult out;
-    dnn::runForward(*m, *w, *pw, in, ws, out); // warm the buffers
-    for (auto _ : state) {
-        dnn::runForward(*m, *w, *pw, in, ws, out);
-        benchmark::DoNotOptimize(out.angularProbs.data());
-    }
-}
-BENCHMARK(BM_ForwardWorkspace)->Arg(6)->Arg(14);
 
 static void
 BM_GemminiTilingModel(benchmark::State &state)
@@ -353,37 +305,17 @@ BM_CosimPeriod(benchmark::State &state)
 BENCHMARK(BM_CosimPeriod)->Arg(10)->Arg(100);
 
 // --------------------------------------------------------------------
-// Hot-path perf report (--hotpath): times the blocked GEMM microkernel
-// against the naive reference on every distinct GEMM shape of the
-// ResNet mission models, the cached-vs-fresh sensor/estimator paths,
-// and the steady-state per-frame E2E latency; verifies the
-// zero-allocation contract; emits BENCH_hotpath.json. With --baseline
-// FILE it fails (exit 1) when any tracked latency regresses by more
-// than 2x against the recorded values — the CI perf-smoke gate.
-// --write-baseline FILE records the current machine's numbers.
+// Hot-path perf report (--hotpath): times the work one mission frame
+// executes — camera render, the bridge's image encode/decode, and pose
+// estimation — on the allocating paths and on the cached, buffer-
+// reusing paths missions run, plus each stage on its own; counts the
+// heap allocations of a steady-state frame; emits BENCH_hotpath.json.
+// With --baseline FILE it fails (exit 1) when any tracked latency
+// regresses by more than 2x against the recorded values — the CI
+// perf-smoke gate. --write-baseline FILE records the current machine's
+// numbers.
 
 namespace hotpath {
-
-struct ShapeResult
-{
-    std::string layer;
-    bool conv = false;
-    int m = 0, k = 0, n = 0;
-    double naiveNs = 0.0;
-    double blockedNs = 0.0; ///< blocked kernel, scalar tier
-    double simdNs = 0.0;    ///< blocked kernel, dispatched tier
-
-    double speedup() const
-    { return blockedNs > 0 ? naiveNs / blockedNs : 0.0; }
-    double simdSpeedup() const
-    { return simdNs > 0 ? blockedNs / simdNs : 0.0; }
-    double gflops() const
-    {
-        return simdNs > 0
-                   ? 2.0 * m * k * n / simdNs
-                   : 0.0;
-    }
-};
 
 double
 nowNs()
@@ -394,9 +326,8 @@ nowNs()
                       .count());
 }
 
-/** Best-of-reps wall time of one call, in ns: back-to-back comparisons
- *  within one process are what make the naive/blocked ratio robust on
- *  shared machines. */
+/** Best-of-reps wall time of one call, in ns: best-of filters the
+ *  interference of other load on shared machines. */
 template <typename F>
 double
 timeKernel(F &&fn, double targetNs = 3e7, int reps = 5)
@@ -438,105 +369,31 @@ int
 run(const std::string &jsonPath, const std::string &baselinePath,
     const std::string &writeBaselinePath)
 {
-    Rng rng(1234);
-    gemmini::Gemmini gem;
-
-    // Every distinct GEMM shape of the mission models (the dynamic
-    // runtime's big/small pair), measured on dense random operands.
-    std::vector<ShapeResult> shapes;
-    for (int depth : {6, 14}) {
-        dnn::Model model = dnn::makeResNet(depth);
-        for (const dnn::LayerSpec &l : model.layers) {
-            if (!l.weighted())
-                continue;
-            int m, k, n;
-            l.gemmDims(m, k, n);
-            bool seen = false;
-            for (const ShapeResult &s : shapes)
-                seen |= s.m == m && s.k == k && s.n == n;
-            if (seen)
-                continue;
-            ShapeResult s;
-            s.layer = model.name + "." + l.name;
-            s.conv = l.kind == dnn::LayerKind::Conv;
-            s.m = m;
-            s.k = k;
-            s.n = n;
-            shapes.push_back(s);
-        }
-    }
-
-    const gemmini::GemmIsa isa = gemmini::activeGemmIsa();
-    const char *isaName = gemmini::gemmIsaName(isa);
-    std::printf("hot-path GEMM: blocked microkernel (scalar and "
-                "dispatched '%s' tiers) vs naive reference (dense "
-                "operands)\n\n",
-                isaName);
-    std::printf("%-22s %-16s %12s %12s %12s %9s %8s\n", "layer",
-                "m*k*n", "naive[ns]", "scalar[ns]", "simd[ns]",
-                "simd-up", "GFLOP/s");
-    for (ShapeResult &s : shapes) {
-        std::vector<float> a(size_t(s.m) * s.k), b(size_t(s.k) * s.n),
-            c(size_t(s.m) * s.n);
-        for (float &v : a)
-            v = float(rng.uniform(-1, 1));
-        for (float &v : b)
-            v = float(rng.uniform(-1, 1));
-        gemmini::PackedB pb;
-        gemmini::Gemmini::packB(s.k, s.n, b.data(), pb);
-        s.naiveNs = timeKernel([&] {
-            gem.matmulNaive(s.m, s.k, s.n, a.data(), b.data(),
-                            c.data());
-        });
-        gemmini::setGemmIsa(gemmini::GemmIsa::Scalar);
-        s.blockedNs = timeKernel(
-            [&] { gem.matmulPacked(s.m, a.data(), pb, c.data()); });
-        gemmini::setGemmIsa(isa);
-        s.simdNs = timeKernel(
-            [&] { gem.matmulPacked(s.m, a.data(), pb, c.data()); });
-        char dims[32];
-        std::snprintf(dims, sizeof(dims), "%dx%dx%d", s.m, s.k, s.n);
-        std::printf("%-22s %-16s %12.0f %12.0f %12.0f %8.2fx %8.2f\n",
-                    s.layer.c_str(), dims, s.naiveNs, s.blockedNs,
-                    s.simdNs, s.simdSpeedup(), s.gflops());
-    }
-
-    // Per-frame E2E: sensor rendering + pose estimation + the full
-    // functional forward pass, classic (allocating) path vs hot path.
+    // One mission frame: the synchronizer renders the camera image and
+    // encodes it for the bridge; the control app decodes it and runs
+    // the pose estimator behind Classifier::infer. Its DNN latency is
+    // a memoized schedule lookup, so no forward pass runs here.
     env::TunnelWorld world;
     env::Drone drone;
     drone.setPose({10, 0.3, 1.5}, Quat::fromEuler(0, 0, 0.1));
     env::Camera cam(env::CameraConfig{}, Rng(1));
     dnn::EstimatorConfig ecfg;
-    const int depth = 14;
-    std::shared_ptr<const dnn::Model> model = dnn::sharedResNet(depth);
-    std::shared_ptr<const dnn::Weights> w = dnn::sharedWeights(depth, 7);
-    std::shared_ptr<const dnn::PackedWeights> pw =
-        dnn::sharedPackedWeights(depth, 7);
-    dnn::Tensor in(1, dnn::kDnnInputH, dnn::kDnnInputW);
-    Rng irng(9);
-    for (float &v : in.data())
-        v = float(irng.uniform(0, 1));
 
     auto classicFrame = [&] {
         env::Image img =
             cam.render(world, drone.position(), drone.attitude());
-        dnn::PoseEstimate est = dnn::estimatePose(img, ecfg);
+        env::Image rx =
+            bridge::decodeImageResp(bridge::encodeImageResp(img));
+        dnn::PoseEstimate est = dnn::estimatePose(rx, ecfg);
         benchmark::DoNotOptimize(est.headingRad);
-        dnn::ForwardResult r =
-            dnn::runForward(*model, *w, in, /*use_gemm=*/true);
-        benchmark::DoNotOptimize(r.angularProbs.data());
     };
-    env::Image img;
+    env::Image img, rx;
     dnn::PoseScratch scratch;
-    dnn::ForwardWorkspace ws;
-    dnn::ForwardResult fr;
     auto hotFrame = [&] {
         cam.renderInto(world, drone.position(), drone.attitude(), img);
-        dnn::PoseEstimate est = dnn::estimatePose(img, ecfg, scratch);
+        bridge::decodeImageRespInto(bridge::encodeImageResp(img), rx);
+        dnn::PoseEstimate est = dnn::estimatePose(rx, ecfg, scratch);
         benchmark::DoNotOptimize(est.headingRad);
-        dnn::runForward(*model, *w, *pw, in, ws, fr);
-        benchmark::DoNotOptimize(fr.angularProbs.data());
     };
 
     // Interleave the two variants rep by rep (best-of across reps):
@@ -547,84 +404,62 @@ run(const std::string &jsonPath, const std::string &baselinePath,
     double classicNs = 1e300, hotNs = 1e300;
     for (int rep = 0; rep < 9; ++rep) {
         double s = nowNs();
-        for (int i = 0; i < 3; ++i)
+        for (int i = 0; i < 20; ++i)
             classicFrame();
-        classicNs = std::min(classicNs, (nowNs() - s) / 3);
+        classicNs = std::min(classicNs, (nowNs() - s) / 20);
         s = nowNs();
-        for (int i = 0; i < 3; ++i)
+        for (int i = 0; i < 20; ++i)
             hotFrame();
-        hotNs = std::min(hotNs, (nowNs() - s) / 3);
+        hotNs = std::min(hotNs, (nowNs() - s) / 20);
     }
 
-    // Zero-allocation contract of the steady-state frame.
+    // Heap allocations of the steady-state frame: render, decode and
+    // pose reuse their buffers; the encoded image packet is built
+    // fresh every frame, as the synchronizer builds it.
     uint64_t allocsBefore = g_allocCount.load();
-    for (int i = 0; i < 10; ++i) {
-        cam.renderInto(world, drone.position(), drone.attitude(), img);
-        dnn::estimatePose(img, ecfg, scratch);
-        dnn::runForward(*model, *w, *pw, in, ws, fr);
-    }
+    for (int i = 0; i < 10; ++i)
+        hotFrame();
     uint64_t allocsPerTenFrames = g_allocCount.load() - allocsBefore;
 
-    std::printf("\nper-frame E2E (render + pose + ResNet%d forward):\n"
+    std::printf("per-frame E2E (render + image codec + pose):\n"
                 "  classic %8.0f ns/frame\n"
                 "  hotpath %8.0f ns/frame  (%.2fx, %llu allocs per 10 "
                 "steady frames)\n",
-                depth, classicNs, hotNs, classicNs / hotNs,
+                classicNs, hotNs, classicNs / hotNs,
                 (unsigned long long)allocsPerTenFrames);
 
-    // Per-stage breakdown of the hot frame, plus the bridge's image
-    // codec (the wire hop a co-simulated frame also pays). Stages are
-    // timed in isolation, so their sum can differ slightly from the
-    // E2E number above.
+    // Per-stage breakdown of the hot frame. Stages are timed in
+    // isolation, so their sum can differ slightly from the E2E number
+    // above.
     double renderNs = timeKernel([&] {
         cam.renderInto(world, drone.position(), drone.attitude(), img);
     });
+    double decodeNs = timeKernel([&] {
+        bridge::decodeImageRespInto(bridge::encodeImageResp(img), rx);
+        benchmark::DoNotOptimize(rx.pixels.data());
+    });
     double poseNs = timeKernel([&] {
-        dnn::PoseEstimate est = dnn::estimatePose(img, ecfg, scratch);
+        dnn::PoseEstimate est = dnn::estimatePose(rx, ecfg, scratch);
         benchmark::DoNotOptimize(est.headingRad);
     });
-    double forwardNs = timeKernel(
-        [&] { dnn::runForward(*model, *w, *pw, in, ws, fr); });
-    double decodeNs = timeKernel([&] {
-        bridge::Packet p = bridge::encodeImageResp(img);
-        env::Image rt = bridge::decodeImageResp(p);
-        benchmark::DoNotOptimize(rt.pixels.data());
-    });
 
-    std::printf("\nhot-frame stage breakdown (gemm_isa=%s):\n"
+    std::printf("\nhot-frame stage breakdown:\n"
                 "  render  %8.0f ns\n"
-                "  pose    %8.0f ns\n"
-                "  forward %8.0f ns\n"
-                "  decode  %8.0f ns (image codec round trip)\n",
-                isaName, renderNs, poseNs, forwardNs, decodeNs);
+                "  decode  %8.0f ns (image encode + decode)\n"
+                "  pose    %8.0f ns\n",
+                renderNs, decodeNs, poseNs);
 
     // ---- JSON report ----
     if (!jsonPath.empty()) {
         std::ofstream js(jsonPath);
-        js << "{\n  \"report\": \"hotpath\",\n  \"gemm_isa\": \""
-           << isaName << "\",\n  \"gemm\": [\n";
-        for (size_t i = 0; i < shapes.size(); ++i) {
-            const ShapeResult &s = shapes[i];
-            js << "    {\"layer\": \"" << s.layer << "\", \"kind\": \""
-               << (s.conv ? "conv" : "dense") << "\", \"m\": " << s.m
-               << ", \"k\": " << s.k << ", \"n\": " << s.n
-               << ", \"naive_ns\": " << s.naiveNs
-               << ", \"blocked_ns\": " << s.blockedNs
-               << ", \"simd_ns\": " << s.simdNs
-               << ", \"speedup\": " << s.speedup()
-               << ", \"simd_speedup\": " << s.simdSpeedup()
-               << ", \"gflops\": " << s.gflops() << "}"
-               << (i + 1 < shapes.size() ? "," : "") << "\n";
-        }
-        js << "  ],\n";
+        js << "{\n  \"report\": \"hotpath\",\n";
         js << "  \"frame_classic_ns\": " << classicNs << ",\n";
         js << "  \"frame_hotpath_ns\": " << hotNs << ",\n";
         js << "  \"frame_speedup\": " << classicNs / hotNs << ",\n";
         js << "  \"frame_stages\": {\n";
         js << "    \"render_ns\": " << renderNs << ",\n";
-        js << "    \"pose_ns\": " << poseNs << ",\n";
-        js << "    \"forward_ns\": " << forwardNs << ",\n";
-        js << "    \"decode_ns\": " << decodeNs << "\n  },\n";
+        js << "    \"decode_ns\": " << decodeNs << ",\n";
+        js << "    \"pose_ns\": " << poseNs << "\n  },\n";
         js << "  \"steady_allocs_per_10_frames\": "
            << allocsPerTenFrames << "\n}\n";
         std::printf("wrote %s\n", jsonPath.c_str());
@@ -632,17 +467,9 @@ run(const std::string &jsonPath, const std::string &baselinePath,
 
     // ---- baseline bookkeeping ----
     std::map<std::string, double> current;
-    for (const ShapeResult &s : shapes) {
-        std::string shape = std::to_string(s.m) + "x" +
-                            std::to_string(s.k) + "x" +
-                            std::to_string(s.n);
-        current["gemm_" + shape + "_blocked_ns"] = s.blockedNs;
-        current["gemm_" + shape + "_simd_ns"] = s.simdNs;
-    }
     current["frame_hotpath_ns"] = hotNs;
     current["frame_render_ns"] = renderNs;
     current["frame_pose_ns"] = poseNs;
-    current["frame_forward_ns"] = forwardNs;
     current["frame_decode_ns"] = decodeNs;
 
     if (!writeBaselinePath.empty()) {

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI entry point: build and test the default (RelWithDebInfo) tree and
-# the ASan+UBSan tree. The sanitizer pass is what keeps the wire-framing
-# and transport robustness tests honest — a buffer overread or UB in the
-# decode path fails the build here even when the plain run passes.
+# the ASan+UBSan tree, then the threaded tests under TSan. The ASan
+# pass is what keeps the wire-framing and transport robustness tests
+# honest — a buffer overread or UB in the decode path fails the build
+# here even when the plain run passes.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -36,10 +37,12 @@ run_preset() {
     "$builddir/tests/test_supervisor" \
         --gtest_filter='BatchIsolation.*:Supervisor.RecoversMissionThatAbortsUnsupervised'
 
-    # Hot-path engine: blocked-GEMM bit-identity, zero-steady-state
-    # allocation, cached sensor/pose paths. The allocation-counting
-    # assertions skip themselves under the sanitizer preset.
-    echo "==== [$preset] hot-path bit-identity + zero-alloc ===="
+    # Mission-frame caches: renderInto and the pose scratch stay
+    # bit-identical to the allocating paths, the pose estimator runs
+    # allocation-free in steady state, and weights and schedules are
+    # memoized. The allocation-counting assertions skip themselves
+    # under the sanitizer preset.
+    echo "==== [$preset] mission-frame caches (bit-identity + zero-alloc) ===="
     "$builddir/tests/test_hotpath"
 
     # Serve smoke: boot rosed on an ephemeral port, submit the golden
@@ -89,19 +92,18 @@ run_preset() {
 run_preset default build
 run_preset asan build-asan
 
-# ISA-dispatch parity gate: the whole suite must also pass with the
-# GEMM dispatcher pinned to the scalar kernel (ROSE_GEMM_ISA=scalar).
-# The plain ctest above ran under auto — the best bit-exact SIMD tier
-# the host supports — so together the two passes prove the golden
-# hashes and every bit-identity contract hold on BOTH sides of the
-# dispatch. (avx2fma is never forced here: it is opt-in precisely
-# because it is not bit-identical.)
-echo "==== [default] scalar-forced ctest (dispatch parity) ===="
-ROSE_GEMM_ISA=scalar ctest --preset default
+# ThreadSanitizer pass over the tests that run missions on several
+# threads: the batch runner, the supervisor, the shared caches and
+# rosed's IO loop and worker pool. The preset builds and runs only
+# these four binaries.
+echo "==== [tsan] configure + build + test (batch, supervisor, hotpath, serve) ===="
+cmake --preset tsan
+cmake --build --preset tsan -j "$jobs"
+ctest --preset tsan
 
-# Perf smoke (default preset only): re-measure the hot-path kernels —
-# scalar and SIMD GEMM tiers plus the per-stage frame breakdown — and
-# fail on a >2x latency regression against the recorded baseline.
+# Perf smoke (default preset only): re-measure one mission frame —
+# render, image codec and pose, end to end and per stage — and fail on
+# a >2x latency regression against the recorded baseline.
 # Refresh the baseline with:
 #   build/bench/bench_microbench --hotpath --write-baseline=ci/perf_baseline.txt
 echo "==== [default] perf-smoke (hot-path regression gate) ===="

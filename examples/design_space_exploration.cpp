@@ -16,21 +16,33 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/batch.hh"
 #include "core/experiment.hh"
 #include "dnn/engine.hh"
+#include "env/world.hh"
 
 int
 main(int argc, char **argv)
 {
     using namespace rose;
 
-    core::BatchCli cli = core::parseBatchCli(argc, argv);
+    core::BatchCli cli =
+        core::parseBatchCli(argc, argv, "[world] [velocity]");
     std::string world = argc > 1 ? argv[1] : "s-shape";
     double velocity = argc > 2 ? std::atof(argv[2]) : 9.0;
+
+    // Every slot of the sweep flies the same world: reject a bad name
+    // once here instead of failing all of them.
+    try {
+        env::makeWorld(world);
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+        return 2;
+    }
 
     std::printf("RoSE design-space exploration: %s @ %.1f m/s\n\n",
                 world.c_str(), velocity);

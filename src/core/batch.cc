@@ -1,6 +1,8 @@
 #include "batch.hh"
 
+#include <charconv>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -58,31 +60,72 @@ runMissionBatch(const std::vector<MissionSpec> &specs, int jobs)
     return runner.run(specs);
 }
 
+namespace {
+
+[[noreturn]] void
+batchUsage(const char *argv0, const char *positionals, int status)
+{
+    std::FILE *out = status == 0 ? stdout : stderr;
+    std::fprintf(out,
+                 "usage: %s [--jobs N] [--batch-json PATH] %s\n"
+                 "  --jobs N, -j N     worker threads (0 = hardware "
+                 "concurrency; default 1)\n"
+                 "  --batch-json PATH  batch timing report (default "
+                 "BENCH_batch.json; \"\" disables)\n"
+                 "  --help, -h         print this message\n",
+                 argv0, positionals);
+    std::exit(status);
+}
+
+/** Whole-string non-negative decimal, or -1 if @p text is not one. */
+int
+parseJobs(const char *text)
+{
+    const char *end = text + std::strlen(text);
+    int value = -1;
+    auto [ptr, ec] = std::from_chars(text, end, value);
+    if (ec != std::errc() || ptr != end || value < 0)
+        return -1;
+    return value;
+}
+
+} // namespace
+
 BatchCli
-parseBatchCli(int &argc, char **argv)
+parseBatchCli(int &argc, char **argv, const char *positionals)
 {
     BatchCli cli;
     int out = 1;
+    auto reject = [&](const char *what, const char *arg) {
+        std::fprintf(stderr, "%s: %s '%s'\n", argv[0], what, arg);
+        batchUsage(argv[0], positionals, 2);
+    };
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         auto takeValue = [&](const char *flag) -> const char * {
             if (i + 1 >= argc)
-                rose_fatal(flag, " requires a value");
+                reject("missing value for", flag);
             return argv[++i];
         };
-        if (std::strcmp(arg, "--jobs") == 0 ||
-            std::strcmp(arg, "-j") == 0) {
-            cli.jobs = std::atoi(takeValue(arg));
+        auto setJobs = [&](const char *text) {
+            cli.jobs = parseJobs(text);
             if (cli.jobs < 0)
-                rose_fatal("--jobs must be >= 0, got ", cli.jobs);
+                reject("--jobs needs a non-negative integer, got", text);
+        };
+        if (std::strcmp(arg, "--help") == 0 ||
+            std::strcmp(arg, "-h") == 0) {
+            batchUsage(argv[0], positionals, 0);
+        } else if (std::strcmp(arg, "--jobs") == 0 ||
+                   std::strcmp(arg, "-j") == 0) {
+            setJobs(takeValue(arg));
         } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
-            cli.jobs = std::atoi(arg + 7);
-            if (cli.jobs < 0)
-                rose_fatal("--jobs must be >= 0, got ", cli.jobs);
+            setJobs(arg + 7);
         } else if (std::strcmp(arg, "--batch-json") == 0) {
             cli.jsonPath = takeValue(arg);
         } else if (std::strncmp(arg, "--batch-json=", 13) == 0) {
             cli.jsonPath = arg + 13;
+        } else if (std::strncmp(arg, "--", 2) == 0) {
+            reject("unknown option", arg);
         } else {
             argv[out++] = argv[i];
         }

@@ -154,6 +154,11 @@ runMissionBatch(const std::vector<MissionSpec> &specs, int jobs = 1);
  *   --jobs N | -j N   worker threads (0 = hardware concurrency)
  *   --batch-json PATH batch timing report path
  *                     (default BENCH_batch.json; "" disables)
+ *   --help | -h       print usage and exit 0
+ *
+ * Input is validated strictly: an unrecognized --flag, a missing
+ * value, or a --jobs value that is not a whole non-negative number
+ * prints a message and the usage to stderr and exits 2.
  */
 struct BatchCli
 {
@@ -163,7 +168,12 @@ struct BatchCli
     BatchOptions options() const { return BatchOptions{jobs}; }
 };
 
-BatchCli parseBatchCli(int &argc, char **argv);
+/**
+ * @param positionals synopsis of the caller's own positional
+ *        arguments for the usage line, e.g. "[world] [velocity]".
+ */
+BatchCli parseBatchCli(int &argc, char **argv,
+                       const char *positionals = "");
 
 /**
  * Machine-readable perf trajectory of a bench run. Each converted

@@ -53,13 +53,14 @@ initWeights(const Model &model, uint64_t seed)
     return w;
 }
 
-void
-im2colInto(const LayerSpec &spec, const Tensor &input, float *out)
+std::vector<float>
+im2col(const LayerSpec &spec, const Tensor &input)
 {
     rose_assert(spec.kind == LayerKind::Conv, "im2col needs a conv");
     int m, k, n;
     spec.gemmDims(m, k, n);
     Shape os = spec.outShape();
+    std::vector<float> mat(size_t(m) * k);
 
     // Each kx run is a contiguous slice of one input row; copy the
     // in-bounds middle with memcpy and zero the padded edges instead of
@@ -70,7 +71,7 @@ im2colInto(const LayerSpec &spec, const Tensor &input, float *out)
     size_t row = 0;
     for (int oy = 0; oy < os.h; ++oy) {
         for (int ox = 0; ox < os.w; ++ox, ++row) {
-            float *dst = out + row * size_t(k);
+            float *dst = mat.data() + row * size_t(k);
             int iy0 = oy * spec.stride - spec.pad;
             int ix0 = ox * spec.stride - spec.pad;
             int x_lo = std::max(0, -ix0);       // first in-bounds kx
@@ -94,15 +95,6 @@ im2colInto(const LayerSpec &spec, const Tensor &input, float *out)
             }
         }
     }
-}
-
-std::vector<float>
-im2col(const LayerSpec &spec, const Tensor &input)
-{
-    int m, k, n;
-    spec.gemmDims(m, k, n);
-    std::vector<float> mat(size_t(m) * k);
-    im2colInto(spec, input, mat.data());
     return mat;
 }
 
@@ -214,29 +206,9 @@ runForward(const Model &model, const Weights &w, const Tensor &input,
     return result;
 }
 
-// ------------------------------------------------------ hot-path engine
-
-PackedWeights
-packWeights(const Model &model, const Weights &w)
-{
-    PackedWeights pw;
-    for (const LayerSpec &l : model.layers) {
-        if (!l.weighted())
-            continue;
-        int m, k, n;
-        l.gemmDims(m, k, n);
-        // Conv OIHW [outC][inC*k*k] and dense [outF][in] are both the
-        // transpose of the GEMM's B; one pack covers both.
-        gemmini::Gemmini::packWeightsTransposed(
-            k, n, w.weights.at(l.name).data(), pw.layers[l.name]);
-    }
-    return pw;
-}
-
 namespace {
 
 MemoCache<std::pair<int, uint64_t>, Weights> g_weights_cache;
-MemoCache<std::pair<int, uint64_t>, PackedWeights> g_packed_cache;
 
 } // namespace
 
@@ -247,145 +219,6 @@ sharedWeights(int depth, uint64_t seed)
         std::shared_ptr<const Model> model = sharedResNet(depth);
         return std::make_shared<Weights>(initWeights(*model, seed));
     });
-}
-
-std::shared_ptr<const PackedWeights>
-sharedPackedWeights(int depth, uint64_t seed)
-{
-    return g_packed_cache.getOrBuild({depth, seed}, [&] {
-        std::shared_ptr<const Model> model = sharedResNet(depth);
-        std::shared_ptr<const Weights> w = sharedWeights(depth, seed);
-        return std::make_shared<PackedWeights>(packWeights(*model, *w));
-    });
-}
-
-namespace {
-
-/**
- * Conv through the packed-weights path: im2col and GEMM output live in
- * arena slots, the packed panels are read shared, and the result lands
- * in a caller-reused tensor. Bit-identical to convViaGemm: the same
- * panels feed the same kernel (packB of the transposed matrix equals
- * packWeightsTransposed of the OIHW weights), and the bias+ReLU
- * epilogue is the same arithmetic.
- */
-void
-convPackedInto(const LayerSpec &spec, const Tensor &input,
-               const gemmini::PackedB &pb, const std::vector<float> &bias,
-               const gemmini::Gemmini &gem, bool relu,
-               ForwardWorkspace &ws, Tensor &out)
-{
-    int m, k, n;
-    spec.gemmDims(m, k, n);
-    rose_assert(pb.k == k && pb.n == n, "packed weight shape mismatch");
-
-    std::vector<float> &a =
-        ws.arena.floats(ForwardWorkspace::kSlotIm2col, size_t(m) * k);
-    im2colInto(spec, input, a.data());
-
-    std::vector<float> &c =
-        ws.arena.floats(ForwardWorkspace::kSlotGemmOut, size_t(m) * n);
-    gem.matmulPacked(m, a.data(), pb, c.data(), ws.gemmThreads);
-
-    // Epilogue walks the GEMM output row-contiguously (one row per
-    // spatial site, oc innermost) instead of striding through it once
-    // per channel; elementwise, so the bias+ReLU arithmetic per element
-    // is unchanged.
-    Shape os = spec.outShape();
-    out.reshape(os.c, os.h, os.w);
-    const int hw = os.h * os.w;
-    float *o = out.data().data();
-    const float *bp = bias.empty() ? nullptr : bias.data();
-    for (int xy = 0; xy < hw; ++xy) {
-        const float *crow = c.data() + size_t(xy) * n;
-        if (relu) {
-            for (int oc = 0; oc < n; ++oc) {
-                float v = crow[oc] + (bp ? bp[oc] : 0.0f);
-                o[size_t(oc) * hw + xy] = std::max(0.0f, v);
-            }
-        } else {
-            for (int oc = 0; oc < n; ++oc)
-                o[size_t(oc) * hw + xy] =
-                    crow[oc] + (bp ? bp[oc] : 0.0f);
-        }
-    }
-}
-
-} // namespace
-
-void
-runForward(const Model &model, const Weights &w, const PackedWeights &pw,
-           const Tensor &input, ForwardWorkspace &ws,
-           ForwardResult &result)
-{
-    rose_assert(input.height() == kDnnInputH &&
-                    input.width() == kDnnInputW && input.channels() == 1,
-                "input must be (1, ", kDnnInputH, ", ", kDnnInputW, ")");
-
-    gemmini::Gemmini gem;
-    ws.cur = input; // vector copy-assign: reuses capacity
-    bool have_proj = false;
-
-    auto conv = [&](const LayerSpec &l, const Tensor &x, bool relu,
-                    Tensor &out) {
-        convPackedInto(l, x, pw.layers.at(l.name), w.biases.at(l.name),
-                       gem, relu, ws, out);
-    };
-
-    for (const LayerSpec &l : model.layers) {
-        switch (l.kind) {
-          case LayerKind::Conv: {
-            if (endsWith(l.name, ".conv1")) {
-                ws.blockInput = ws.cur;
-                have_proj = false;
-                conv(l, ws.cur, /*relu=*/true, ws.tmp);
-                std::swap(ws.cur, ws.tmp);
-            } else if (endsWith(l.name, ".conv2")) {
-                // ReLU is applied after the residual add.
-                conv(l, ws.cur, /*relu=*/false, ws.tmp);
-                std::swap(ws.cur, ws.tmp);
-            } else if (endsWith(l.name, ".proj")) {
-                conv(l, ws.blockInput, /*relu=*/false, ws.projOutput);
-                have_proj = true;
-            } else {
-                // Stem.
-                conv(l, ws.cur, /*relu=*/true, ws.tmp);
-                std::swap(ws.cur, ws.tmp);
-            }
-            break;
-          }
-          case LayerKind::MaxPool:
-            maxPoolInto(l, ws.cur, ws.tmp);
-            std::swap(ws.cur, ws.tmp);
-            break;
-          case LayerKind::Residual:
-            residualAddInto(ws.cur,
-                            have_proj ? ws.projOutput : ws.blockInput,
-                            ws.tmp);
-            std::swap(ws.cur, ws.tmp);
-            break;
-          case LayerKind::AvgPool:
-            globalAvgPoolInto(ws.cur, ws.pooled);
-            break;
-          case LayerKind::Dense:
-            // The dense heads keep the direct dot-product loop: its
-            // accumulator seeds with the bias, a different FP order
-            // than GEMM-then-bias, and bit-identity with the reference
-            // pass wins over lowering a 1x256x3 GEMM.
-            denseInto(l, ws.pooled, w.weights.at(l.name),
-                      w.biases.at(l.name), ws.logits);
-            break;
-          case LayerKind::Softmax:
-            if (endsWith(l.name, "angular.softmax"))
-                softmaxInto(ws.logits, result.angularProbs);
-            else
-                softmaxInto(ws.logits, result.lateralProbs);
-            break;
-        }
-    }
-    rose_assert(result.angularProbs.size() == 3 &&
-                    result.lateralProbs.size() == 3,
-                "forward pass did not produce both heads");
 }
 
 } // namespace rose::dnn

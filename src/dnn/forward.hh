@@ -22,7 +22,6 @@
 #include "dnn/resnet.hh"
 #include "dnn/tensor.hh"
 #include "gemmini/gemmini.hh"
-#include "util/arena.hh"
 #include "util/rng.hh"
 
 namespace rose::dnn {
@@ -76,69 +75,12 @@ struct ForwardResult
 ForwardResult runForward(const Model &model, const Weights &w,
                          const Tensor &input, bool use_gemm = false);
 
-// ------------------------------------------------------ hot-path engine
-
 /**
- * Per-layer weight matrices pre-packed into the GEMM kernel's
- * panel-major layout (the OIHW->B transpose folded into the pack).
- * Immutable once built; shared read-only across batch workers via
- * sharedPackedWeights().
- */
-struct PackedWeights
-{
-    std::map<std::string, gemmini::PackedB> layers;
-};
-
-/** Pack every weighted layer of @p model (convs and dense heads). */
-PackedWeights packWeights(const Model &model, const Weights &w);
-
-/**
- * Process-wide shared weights / packed weights for a zoo model, keyed
- * by (depth, seed): built once, shared read-only across all missions
- * and BatchRunner workers. Thread-safe (util/memo.hh).
+ * Process-wide shared weights for a zoo model, keyed by (depth, seed):
+ * built once, shared read-only across callers. Thread-safe
+ * (util/memo.hh).
  */
 std::shared_ptr<const Weights> sharedWeights(int depth, uint64_t seed);
-std::shared_ptr<const PackedWeights> sharedPackedWeights(int depth,
-                                                         uint64_t seed);
-
-/**
- * Reusable per-caller state of the zero-allocation forward path: the
- * im2col/GEMM scratch slots and the ping-pong layer tensors. The first
- * frame sizes every buffer; later frames run with zero steady-state
- * heap allocation (arena.growthEvents() stays flat — asserted by
- * tests/test_hotpath.cc and the microbench allocation counter).
- * Single-owner, not thread-safe; batch workers each carry their own.
- */
-struct ForwardWorkspace
-{
-    ScratchArena arena;
-    Tensor cur;        ///< activations flowing through the graph
-    Tensor tmp;        ///< layer output before ping-pong swap
-    Tensor blockInput; ///< shortcut source for the current block
-    Tensor projOutput; ///< projected shortcut, when present
-    Tensor pooled;
-    std::vector<float> logits;
-
-    /** Arena slot of the im2col matrix. */
-    static constexpr size_t kSlotIm2col = 0;
-    /** Arena slot of the raw GEMM output. */
-    static constexpr size_t kSlotGemmOut = 1;
-
-    /** Row-parallelism handed to the GEMM (1 = inline). */
-    int gemmThreads = 1;
-};
-
-/** Lower a conv input into a caller-owned im2col buffer (m*k floats). */
-void im2colInto(const LayerSpec &spec, const Tensor &input, float *out);
-
-/**
- * Steady-state forward pass: packed weights, reused workspace buffers,
- * results written into @p result (whose vectors are reused too).
- * Bit-identical to runForward(model, w, input, use_gemm = true).
- */
-void runForward(const Model &model, const Weights &w,
-                const PackedWeights &pw, const Tensor &input,
-                ForwardWorkspace &ws, ForwardResult &result);
 
 } // namespace rose::dnn
 

@@ -210,53 +210,11 @@ std::vector<float>
 dense(const LayerSpec &spec, const Tensor &input,
       const std::vector<float> &weights, const std::vector<float> &bias)
 {
-    std::vector<float> out;
-    denseInto(spec, input, weights, bias, out);
-    return out;
-}
-
-Tensor
-maxPool(const LayerSpec &spec, const Tensor &input)
-{
-    Tensor out;
-    maxPoolInto(spec, input, out);
-    return out;
-}
-
-Tensor
-globalAvgPool(const Tensor &input)
-{
-    Tensor out;
-    globalAvgPoolInto(input, out);
-    return out;
-}
-
-Tensor
-residualAdd(const Tensor &a, const Tensor &b)
-{
-    Tensor out;
-    residualAddInto(a, b, out);
-    return out;
-}
-
-std::vector<float>
-softmax(const std::vector<float> &logits)
-{
-    std::vector<float> out;
-    softmaxInto(logits, out);
-    return out;
-}
-
-void
-denseInto(const LayerSpec &spec, const Tensor &input,
-          const std::vector<float> &weights, const std::vector<float> &bias,
-          std::vector<float> &out)
-{
     rose_assert(spec.kind == LayerKind::Dense, "not a dense spec");
     size_t in_n = input.size();
     rose_assert(weights.size() == size_t(spec.outFeatures) * in_n,
                 "dense weight count mismatch");
-    out.resize(size_t(spec.outFeatures));
+    std::vector<float> out(size_t(spec.outFeatures));
     for (int o = 0; o < spec.outFeatures; ++o) {
         float acc = bias.empty() ? 0.0f : bias[o];
         const float *wrow = &weights[size_t(o) * in_n];
@@ -264,14 +222,15 @@ denseInto(const LayerSpec &spec, const Tensor &input,
             acc += wrow[i] * input.data()[i];
         out[o] = acc;
     }
+    return out;
 }
 
-void
-maxPoolInto(const LayerSpec &spec, const Tensor &input, Tensor &out)
+Tensor
+maxPool(const LayerSpec &spec, const Tensor &input)
 {
     rose_assert(spec.kind == LayerKind::MaxPool, "not a pool spec");
     Shape os = spec.outShape();
-    out.reshape(os.c, os.h, os.w);
+    Tensor out(os.c, os.h, os.w);
     for (int c = 0; c < os.c; ++c) {
         for (int oy = 0; oy < os.h; ++oy) {
             for (int ox = 0; ox < os.w; ++ox) {
@@ -287,12 +246,13 @@ maxPoolInto(const LayerSpec &spec, const Tensor &input, Tensor &out)
             }
         }
     }
+    return out;
 }
 
-void
-globalAvgPoolInto(const Tensor &input, Tensor &out)
+Tensor
+globalAvgPool(const Tensor &input)
 {
-    out.reshape(input.channels(), 1, 1);
+    Tensor out(input.channels(), 1, 1);
     double denom = double(input.height()) * input.width();
     for (int c = 0; c < input.channels(); ++c) {
         double sum = 0.0;
@@ -301,25 +261,27 @@ globalAvgPoolInto(const Tensor &input, Tensor &out)
                 sum += input.at(c, y, x);
         out.at(c, 0, 0) = float(sum / denom);
     }
+    return out;
 }
 
-void
-residualAddInto(const Tensor &a, const Tensor &b, Tensor &out)
+Tensor
+residualAdd(const Tensor &a, const Tensor &b)
 {
     rose_assert(a.channels() == b.channels() &&
                     a.height() == b.height() && a.width() == b.width(),
                 "residual shape mismatch");
-    out.reshape(a.channels(), a.height(), a.width());
+    Tensor out(a.channels(), a.height(), a.width());
     for (size_t i = 0; i < a.size(); ++i)
         out.data()[i] = std::max(0.0f, a.data()[i] + b.data()[i]);
+    return out;
 }
 
-void
-softmaxInto(const std::vector<float> &logits, std::vector<float> &out)
+std::vector<float>
+softmax(const std::vector<float> &logits)
 {
     rose_assert(!logits.empty(), "softmax of empty vector");
     float mx = *std::max_element(logits.begin(), logits.end());
-    out.resize(logits.size());
+    std::vector<float> out(logits.size());
     double sum = 0.0;
     for (size_t i = 0; i < logits.size(); ++i) {
         out[i] = std::exp(logits[i] - mx);
@@ -327,6 +289,7 @@ softmaxInto(const std::vector<float> &logits, std::vector<float> &out)
     }
     for (float &v : out)
         v = float(v / sum);
+    return out;
 }
 
 } // namespace rose::dnn

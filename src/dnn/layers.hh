@@ -118,20 +118,6 @@ Tensor residualAdd(const Tensor &a, const Tensor &b);
 /** Numerically-stable softmax. */
 std::vector<float> softmax(const std::vector<float> &logits);
 
-// Allocation-free variants: identical arithmetic, but the caller owns
-// the output buffer (reshaped/resized in place, so a reused buffer at
-// steady-state size never allocates). The value-returning functions
-// above are thin wrappers over these; results are bit-identical.
-
-void denseInto(const LayerSpec &spec, const Tensor &input,
-               const std::vector<float> &weights,
-               const std::vector<float> &bias, std::vector<float> &out);
-void maxPoolInto(const LayerSpec &spec, const Tensor &input, Tensor &out);
-void globalAvgPoolInto(const Tensor &input, Tensor &out);
-void residualAddInto(const Tensor &a, const Tensor &b, Tensor &out);
-void softmaxInto(const std::vector<float> &logits,
-                 std::vector<float> &out);
-
 } // namespace rose::dnn
 
 #endif // ROSE_DNN_LAYERS_HH

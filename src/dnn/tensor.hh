@@ -34,20 +34,6 @@ class Tensor
     std::vector<float> &data() { return data_; }
     const std::vector<float> &data() const { return data_; }
 
-    /**
-     * Re-dimension in place, preserving allocated capacity: a reused
-     * tensor that has seen its steady-state size never reallocates.
-     * Newly exposed elements are value-initialized; callers overwrite.
-     */
-    void
-    reshape(int c, int h, int w)
-    {
-        c_ = c;
-        h_ = h;
-        w_ = w;
-        data_.resize(size_t(c) * h * w);
-    }
-
     void fill(float v);
 
     std::string shapeString() const;

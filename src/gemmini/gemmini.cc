@@ -1,164 +1,10 @@
 #include "gemmini.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-#include <thread>
 
-#include "gemmini/gemm_kernels.hh"
-#include "util/cpufeat.hh"
 #include "util/logging.hh"
 
 namespace rose::gemmini {
-
-// ------------------------------------------------------- ISA dispatch
-
-const char *
-gemmIsaName(GemmIsa isa)
-{
-    switch (isa) {
-      case GemmIsa::Scalar: return "scalar";
-      case GemmIsa::Avx2: return "avx2";
-      case GemmIsa::Avx2Fma: return "avx2fma";
-    }
-    return "?";
-}
-
-bool
-parseGemmIsa(const std::string &text, bool &is_auto, GemmIsa &out)
-{
-    if (text == "auto") {
-        is_auto = true;
-        return true;
-    }
-    for (GemmIsa isa :
-         {GemmIsa::Scalar, GemmIsa::Avx2, GemmIsa::Avx2Fma}) {
-        if (text == gemmIsaName(isa)) {
-            is_auto = false;
-            out = isa;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-gemmIsaSupported(GemmIsa isa)
-{
-    switch (isa) {
-      case GemmIsa::Scalar:
-        return true;
-      case GemmIsa::Avx2:
-#if ROSE_GEMM_HAVE_X86_KERNELS
-        return cpuFeatures().avx2;
-#else
-        return false;
-#endif
-      case GemmIsa::Avx2Fma:
-#if ROSE_GEMM_HAVE_X86_KERNELS
-        return cpuFeatures().avx2 && cpuFeatures().fma;
-#else
-        return false;
-#endif
-    }
-    return false;
-}
-
-namespace {
-
-/** Best supported tier; FMA only when explicitly allowed. */
-GemmIsa
-bestSupported(bool allow_fma)
-{
-    if (allow_fma && gemmIsaSupported(GemmIsa::Avx2Fma))
-        return GemmIsa::Avx2Fma;
-    if (gemmIsaSupported(GemmIsa::Avx2))
-        return GemmIsa::Avx2;
-    return GemmIsa::Scalar;
-}
-
-/** Degrade an unsupported request down the tier chain. */
-GemmIsa
-clampSupported(GemmIsa want)
-{
-    if (gemmIsaSupported(want))
-        return want;
-    GemmIsa got = bestSupported(false);
-    rose_warn("ROSE_GEMM_ISA tier '", gemmIsaName(want),
-              "' is not supported on this host/build; using '",
-              gemmIsaName(got), "'");
-    return got;
-}
-
-/** Env-driven resolution (no explicit override in play). */
-GemmIsa
-resolveFromEnv()
-{
-    const char *env = std::getenv("ROSE_GEMM_ISA");
-    if (env && *env) {
-        bool is_auto = false;
-        GemmIsa want{};
-        if (!parseGemmIsa(env, is_auto, want)) {
-            rose_warn("unrecognized ROSE_GEMM_ISA value '", env,
-                      "' (expected auto|scalar|avx2|avx2fma); "
-                      "using auto");
-        } else if (!is_auto) {
-            return clampSupported(want);
-        }
-    }
-    const char *fma = std::getenv("ROSE_GEMM_FMA");
-    bool allow_fma =
-        fma && (std::strcmp(fma, "1") == 0 ||
-                std::strcmp(fma, "true") == 0);
-    return bestSupported(allow_fma);
-}
-
-/** Resolved tier, -1 while unresolved (first use / after reset). */
-std::atomic<int> g_isa{-1};
-
-detail::GemmRowsFn
-kernelFor(GemmIsa isa)
-{
-    switch (isa) {
-#if ROSE_GEMM_HAVE_X86_KERNELS
-      case GemmIsa::Avx2:
-        return detail::gemmRowsAvx2;
-      case GemmIsa::Avx2Fma:
-        return detail::gemmRowsAvx2Fma;
-#endif
-      default:
-        return detail::gemmRowsScalar;
-    }
-}
-
-} // namespace
-
-GemmIsa
-activeGemmIsa()
-{
-    int cur = g_isa.load(std::memory_order_acquire);
-    if (cur < 0) {
-        GemmIsa isa = resolveFromEnv();
-        // Last resolver wins; every candidate value is valid, so a
-        // race at first use is benign.
-        g_isa.store(int(isa), std::memory_order_release);
-        return isa;
-    }
-    return GemmIsa(cur);
-}
-
-void
-setGemmIsa(GemmIsa isa)
-{
-    g_isa.store(int(clampSupported(isa)), std::memory_order_release);
-}
-
-void
-resetGemmIsa()
-{
-    g_isa.store(-1, std::memory_order_release);
-}
 
 Gemmini::Gemmini(const GemminiConfig &cfg) : cfg_(cfg)
 {
@@ -233,210 +79,9 @@ Gemmini::gemmCycles(int m, int k, int n) const
     return cost;
 }
 
-// --------------------------------------------------- functional kernel
-//
-// Determinism / bit-identity argument (vs. the naive reference):
-//
-//  * Every output element accumulates a[i,kk] * b[kk,j] over kk in
-//    ascending order starting from +0.0f — the same per-element op
-//    sequence as matmulNaive. Blocking, packing, and row parallelism
-//    only change *which* element is worked on next, never the order of
-//    adds within an element.
-//
-//  * matmulNaive additionally skips terms whose a-value is exactly
-//    zero. The microkernel does not (branches inside a register tile
-//    defeat it), which is still bit-identical for any finite B: under
-//    round-to-nearest a sum that starts at +0.0 can never become -0.0
-//    (x + y is -0.0 only when both operands are -0.0; exact-zero sums
-//    round to +0.0), and adding the skipped term — av * b == +/-0.0 —
-//    to an accumulator that is not -0.0 is a bitwise no-op. Non-finite
-//    B would break this (0 * inf == NaN); weights in this codebase are
-//    finite by construction, and tests/test_hotpath.cc fuzzes the
-//    equality over signed zeros and denormals to pin the contract.
-//
-//  * Tail panels are stored zero-padded to the full panel width; the
-//    padded lanes accumulate garbage that is never stored back.
-
-namespace {
-
-constexpr int kPW = Gemmini::kPanelWidth;
-constexpr int kMR = Gemmini::kRowTile;
-
-/**
- * Full register tile: kMR rows against one packed panel, complete k
- * sweep with all kMR x kPW accumulators live in registers. The k loop
- * is unrolled by two to give the scheduler independent mul/add chains.
- * Stores only the first @p nr columns (tail panels are padded).
- */
-inline void
-tileFull(int k, const float *a, size_t lda, const float *bp, float *c,
-         size_t ldc, int nr)
-{
-    float acc[kMR][kPW] = {};
-    int kk = 0;
-    for (; kk + 2 <= k; kk += 2) {
-        const float *br0 = bp + size_t(kk) * kPW;
-        const float *br1 = br0 + kPW;
-        for (int r = 0; r < kMR; ++r) {
-            float av0 = a[size_t(r) * lda + kk];
-            float av1 = a[size_t(r) * lda + kk + 1];
-            for (int j = 0; j < kPW; ++j)
-                acc[r][j] += av0 * br0[j];
-            for (int j = 0; j < kPW; ++j)
-                acc[r][j] += av1 * br1[j];
-        }
-    }
-    for (; kk < k; ++kk) {
-        const float *br = bp + size_t(kk) * kPW;
-        for (int r = 0; r < kMR; ++r) {
-            float av = a[size_t(r) * lda + kk];
-            for (int j = 0; j < kPW; ++j)
-                acc[r][j] += av * br[j];
-        }
-    }
-    for (int r = 0; r < kMR; ++r)
-        for (int j = 0; j < nr; ++j)
-            c[size_t(r) * ldc + j] = acc[r][j];
-}
-
-/** Row-tail tile: mr < kMR rows; identical per-element order. */
-inline void
-tileTail(int mr, int k, const float *a, size_t lda, const float *bp,
-         float *c, size_t ldc, int nr)
-{
-    float acc[kMR][kPW] = {};
-    for (int kk = 0; kk < k; ++kk) {
-        const float *br = bp + size_t(kk) * kPW;
-        for (int r = 0; r < mr; ++r) {
-            float av = a[size_t(r) * lda + kk];
-            for (int j = 0; j < kPW; ++j)
-                acc[r][j] += av * br[j];
-        }
-    }
-    for (int r = 0; r < mr; ++r)
-        for (int j = 0; j < nr; ++j)
-            c[size_t(r) * ldc + j] = acc[r][j];
-}
-
-} // namespace
-
-/**
- * The blocked schedule over C rows [m0, m1) against panel-major packed
- * B: m is blocked so a slab of A rows stays cache-hot across all B
- * panels; within a (block, panel) pair rows advance by the register
- * tile height. Rows in [m0, m1) are written exactly once. The SIMD
- * tiers (gemm_kernel_x86.inc) replicate this schedule instruction for
- * instruction; this portable version doubles as the dispatch fallback.
- */
-void
-detail::gemmRowsScalar(int m0, int m1, int k, int n, const float *a,
-                       const float *packed, float *c)
-{
-    const int npanels = (n + kPW - 1) / kPW;
-    for (int ib = m0; ib < m1; ib += Gemmini::kRowBlock) {
-        int ie = std::min(ib + Gemmini::kRowBlock, m1);
-        for (int p = 0; p < npanels; ++p) {
-            const float *pan = packed + size_t(p) * k * kPW;
-            int j0 = p * kPW;
-            int nr = std::min(kPW, n - j0);
-            int i = ib;
-            for (; i + kMR <= ie; i += kMR)
-                tileFull(k, a + size_t(i) * k, size_t(k), pan,
-                         c + size_t(i) * n + j0, size_t(n), nr);
-            if (i < ie)
-                tileTail(ie - i, k, a + size_t(i) * k, size_t(k), pan,
-                         c + size_t(i) * n + j0, size_t(n), nr);
-        }
-    }
-}
-
-namespace {
-
-/**
- * Optional deterministic row parallelism: rows are split into disjoint
- * contiguous chunks aligned to the row block, one thread each. Every
- * output element is still produced by the identical k-sequential
- * accumulation, so results are bit-identical at any thread count — and
- * (outside the opt-in FMA tier) at any dispatched ISA tier, since the
- * SIMD kernels vectorize across the n-panel only.
- */
-void
-gemmParallel(int m, int k, int n, const float *a, const float *packed,
-             float *c, int threads)
-{
-    // Panel-wide vector ops don't pay off on tiny shapes (the dense
-    // classifier heads): under this work bound the scalar kernel wins
-    // outright, and falling back to it only ever moves a tier closer
-    // to the oracle, so degrade silently.
-    const detail::GemmRowsFn rows =
-        uint64_t(m) * k * n < (1u << 14)
-            ? detail::gemmRowsScalar
-            : kernelFor(activeGemmIsa());
-    // Too small to amortize thread startup: run inline.
-    if (threads < 2 || m < 2 * Gemmini::kRowBlock ||
-        uint64_t(m) * k * n < (1u << 20)) {
-        rows(0, m, k, n, a, packed, c);
-        return;
-    }
-    int blocks = (m + Gemmini::kRowBlock - 1) / Gemmini::kRowBlock;
-    int t = std::min(threads, blocks);
-    std::vector<std::thread> pool;
-    pool.reserve(size_t(t));
-    int done = 0;
-    for (int i = 0; i < t; ++i) {
-        int nblk = (blocks - i * blocks / t) -
-                   (blocks - (i + 1) * blocks / t);
-        int r0 = done;
-        int r1 = std::min(m, done + nblk * Gemmini::kRowBlock);
-        done = r1;
-        if (r0 >= r1)
-            continue;
-        pool.emplace_back(
-            [=] { rows(r0, r1, k, n, a, packed, c); });
-    }
-    for (std::thread &th : pool)
-        th.join();
-}
-
-} // namespace
-
 void
 Gemmini::matmul(int m, int k, int n, const float *a, const float *b,
-                float *c, int threads) const
-{
-    rose_assert(m > 0 && k > 0 && n > 0, "bad GEMM shape");
-    // One-shot path: pack B locally, then run the packed kernel. The
-    // pack is O(k*n) against O(m*k*n) compute and pays for itself in
-    // panel locality; steady-state callers memoize a PackedB instead
-    // (see matmulPacked / dnn::sharedPackedWeights).
-    PackedB packed;
-    packB(k, n, b, packed);
-    gemmParallel(m, k, n, a, packed.data.data(), c, threads);
-}
-
-void
-Gemmini::matmul(int m, int k, int n, const std::vector<float> &a,
-                const std::vector<float> &b, std::vector<float> &c,
-                int threads) const
-{
-    rose_assert(int(a.size()) == m * k, "A shape mismatch");
-    rose_assert(int(b.size()) == k * n, "B shape mismatch");
-    c.resize(size_t(m) * n);
-    matmul(m, k, n, a.data(), b.data(), c.data(), threads);
-}
-
-void
-Gemmini::matmulPacked(int m, const float *a, const PackedB &b, float *c,
-                      int threads) const
-{
-    rose_assert(m > 0 && b.k > 0 && b.n > 0, "bad GEMM shape");
-    rose_assert(!b.empty(), "B not packed");
-    gemmParallel(m, b.k, b.n, a, b.data.data(), c, threads);
-}
-
-void
-Gemmini::matmulNaive(int m, int k, int n, const float *a, const float *b,
-                     float *c) const
+                float *c) const
 {
     rose_assert(m > 0 && k > 0 && n > 0, "bad GEMM shape");
     std::fill(c, c + size_t(m) * n, 0.0f);
@@ -455,40 +100,13 @@ Gemmini::matmulNaive(int m, int k, int n, const float *a, const float *b,
 }
 
 void
-Gemmini::packB(int k, int n, const float *b, PackedB &out)
+Gemmini::matmul(int m, int k, int n, const std::vector<float> &a,
+                const std::vector<float> &b, std::vector<float> &c) const
 {
-    rose_assert(k > 0 && n > 0, "bad pack shape");
-    out.k = k;
-    out.n = n;
-    const int npanels = (n + kPW - 1) / kPW;
-    out.data.resize(size_t(npanels) * k * kPW);
-    float *dst = out.data.data();
-    for (int p = 0; p < npanels; ++p) {
-        int j0 = p * kPW;
-        int w = std::min(kPW, n - j0);
-        for (int kk = 0; kk < k; ++kk)
-            for (int j = 0; j < kPW; ++j)
-                *dst++ = j < w ? b[size_t(kk) * n + j0 + j] : 0.0f;
-    }
-}
-
-void
-Gemmini::packWeightsTransposed(int k, int n, const float *w, PackedB &out)
-{
-    rose_assert(k > 0 && n > 0, "bad pack shape");
-    out.k = k;
-    out.n = n;
-    // w is [n][k]; panel element (kk, j) of panel p is w[p*kPW+j][kk].
-    const int npanels = (n + kPW - 1) / kPW;
-    out.data.resize(size_t(npanels) * k * kPW);
-    float *dst = out.data.data();
-    for (int p = 0; p < npanels; ++p) {
-        int j0 = p * kPW;
-        int w_cols = std::min(kPW, n - j0);
-        for (int kk = 0; kk < k; ++kk)
-            for (int j = 0; j < kPW; ++j)
-                *dst++ = j < w_cols ? w[size_t(j0 + j) * k + kk] : 0.0f;
-    }
+    rose_assert(int(a.size()) == m * k, "A shape mismatch");
+    rose_assert(int(b.size()) == k * n, "B shape mismatch");
+    c.resize(size_t(m) * n);
+    matmul(m, k, n, a.data(), b.data(), c.data());
 }
 
 } // namespace rose::gemmini

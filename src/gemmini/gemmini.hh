@@ -10,29 +10,9 @@
  *    over the memory bus, weight-load ramp, and accumulator writeback
  *    (compute and data movement overlap double-buffered, so a tile
  *    costs max(compute, memory)).
- *  - functional: matmul() computes the same GEMM numerically for the
- *    per-frame inference hot path, tests, and end-to-end checks.
- *
- * The functional path is a cache-blocked, register-tiled microkernel
- * (see matmul()). Its determinism contract: for every output element
- * the FP accumulation runs over k in ascending order, starting from
- * +0.0f. For any finite B this is bit-identical to the naive reference
- * triple-loop (matmulNaive()) — including its exact-zero skip, since
- * adding a +/-0.0 term to an accumulator that started at +0.0 is a
- * bitwise no-op under round-to-nearest (see gemmini.cc for the full
- * argument) — so golden-trace hashes are preserved. Blocking reorders
- * only *which element* is worked on next (m/n), never the k order
- * within an element.
- *
- * The microkernel is runtime-dispatched over ISA tiers (GemmIsa):
- * the portable scalar kernel, an AVX2 kernel vectorized across the
- * 8-wide n-panel (same per-element k order, bit-identical — vector
- * mul/add are per-lane IEEE mul/add), and an opt-in AVX2+FMA kernel
- * whose fused multiply-adds round once per term and are therefore
- * *not* bit-identical (tolerance-verified, never auto-selected). The
- * tier is chosen at first use from cpuid (util/cpufeat.hh) and the
- * ROSE_GEMM_ISA / ROSE_GEMM_FMA environment overrides, or explicitly
- * via setGemmIsa() (rosed --gemm-isa, tests).
+ *  - functional: matmul() computes the same GEMM numerically, the
+ *    reference the im2col lowering and the DNN forward pass are tested
+ *    against.
  */
 
 #ifndef ROSE_GEMMINI_GEMMINI_HH
@@ -40,57 +20,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "util/aligned.hh"
 #include "util/units.hh"
 
 namespace rose::gemmini {
-
-/**
- * ISA tier of the functional GEMM microkernel. Scalar and Avx2 are
- * bit-identical to the naive oracle; Avx2Fma fuses the multiply-add
- * (one rounding per term instead of two) and is opt-in only.
- */
-enum class GemmIsa : uint8_t
-{
-    Scalar = 0,
-    Avx2 = 1,
-    Avx2Fma = 2,
-};
-
-/** Human-readable tier name ("scalar", "avx2", "avx2fma"). */
-const char *gemmIsaName(GemmIsa isa);
-
-/**
- * Parse a tier name as accepted by ROSE_GEMM_ISA / --gemm-isa:
- * "auto" sets @p is_auto; the explicit names set @p out.
- * @return false on an unrecognized string (outputs untouched).
- */
-bool parseGemmIsa(const std::string &text, bool &is_auto, GemmIsa &out);
-
-/** True when @p isa is both compiled into this binary and supported
- *  by the running CPU. Scalar is always supported. */
-bool gemmIsaSupported(GemmIsa isa);
-
-/**
- * The tier the dispatcher is currently using. Resolved on first use:
- * an explicit setGemmIsa() override wins, else ROSE_GEMM_ISA
- * ({auto, scalar, avx2, avx2fma}), else auto — the best supported
- * bit-exact tier, upgraded to Avx2Fma only when ROSE_GEMM_FMA=1.
- * Unsupported requests degrade (avx2fma -> avx2 -> scalar) with a
- * warning rather than failing.
- */
-GemmIsa activeGemmIsa();
-
-/** Explicitly select a tier (CLI flag, tests). Degrades with a
- *  warning when unsupported. Affects every Gemmini instance. */
-void setGemmIsa(GemmIsa isa);
-
-/** Drop any explicit override and re-resolve from the environment on
- *  next use (tests). */
-void resetGemmIsa();
 
 /** Static accelerator configuration (defaults match the paper). */
 struct GemminiConfig
@@ -133,37 +67,10 @@ struct GemmCost
     }
 };
 
-/**
- * B matrix pre-packed into panel-major layout for the blocked kernel:
- * column panels of width kPanelWidth, each stored as k contiguous rows
- * of the panel's columns; a ragged last panel is zero-padded to the
- * full width (padded lanes are computed but never stored). Weights are
- * immutable per layer, so packing happens once and is shared read-only
- * (see dnn::sharedPackedWeights). Storage is kSimdAlign-aligned so
- * every panel row (kPanelWidth floats = 32 bytes) is one aligned
- * vector load for the SIMD kernels.
- */
-struct PackedB
-{
-    int k = 0;
-    int n = 0;
-    AlignedVec<float> data;
-
-    bool empty() const { return data.empty(); }
-    size_t bytes() const { return data.size() * sizeof(float); }
-};
-
 /** The accelerator model. */
 class Gemmini
 {
   public:
-    /** Column-panel width of the packed layout / microkernel. */
-    static constexpr int kPanelWidth = 8;
-    /** Row-block height of the register tile. */
-    static constexpr int kRowTile = 8;
-    /** m-blocking factor (rows of A kept hot per panel sweep). */
-    static constexpr int kRowBlock = 128;
-
     explicit Gemmini(const GemminiConfig &cfg = {});
 
     const GemminiConfig &config() const { return cfg_; }
@@ -175,53 +82,20 @@ class Gemmini
     GemmCost gemmCycles(int m, int k, int n) const;
 
     /**
-     * Functional GEMM: C = A * B (row major, dense), blocked kernel.
-     * Packs B internally per call; steady-state callers should memoize
-     * a PackedB and use matmulPacked() instead.
+     * Functional GEMM: C = A * B (row major, dense). The same arithmetic
+     * the mesh performs: each output element accumulates over k in
+     * ascending order from +0.0f, skipping exact-zero A terms.
      *
      * @param a M*K values, row major.
      * @param b K*N values, row major.
      * @param c caller-provided output span of M*N values, overwritten.
-     * @param threads optional deterministic row parallelism: C rows are
-     *        split into disjoint contiguous chunks, one thread each, so
-     *        the per-element FP order is unchanged. Values < 2, or
-     *        GEMMs too small to amortize a thread, run inline.
      */
     void matmul(int m, int k, int n, const float *a, const float *b,
-                float *c, int threads = 1) const;
+                float *c) const;
 
-    /** Convenience overload for tests: resizes @p c to M*N. */
+    /** Convenience overload: resizes @p c to M*N. */
     void matmul(int m, int k, int n, const std::vector<float> &a,
-                const std::vector<float> &b, std::vector<float> &c,
-                int threads = 1) const;
-
-    /**
-     * Functional GEMM against a pre-packed B (see packB): the per-layer
-     * steady state of the inference hot path — no packing, no
-     * allocation, just the microkernel.
-     */
-    void matmulPacked(int m, const float *a, const PackedB &b, float *c,
-                      int threads = 1) const;
-
-    /**
-     * Reference naive triple-loop (the pre-blocking kernel), kept as
-     * the bit-exactness oracle for tests and the speedup baseline for
-     * the microbench. @p c must hold M*N values; overwritten.
-     */
-    void matmulNaive(int m, int k, int n, const float *a, const float *b,
-                     float *c) const;
-
-    /** Pack a row-major B[K,N] into panel-major layout. */
-    static void packB(int k, int n, const float *b, PackedB &out);
-
-    /**
-     * Pack conv/dense weights W[N,K] (OIHW outer-major, i.e. the
-     * *transpose* of the GEMM's B) directly into panel-major layout,
-     * folding the transpose into the pack so callers never materialize
-     * the K*N transposed matrix.
-     */
-    static void packWeightsTransposed(int k, int n, const float *w,
-                                      PackedB &out);
+                const std::vector<float> &b, std::vector<float> &c) const;
 
     /** Largest tile dimensions that fit the scratchpad/accumulator. */
     void tileShape(int m, int k, int n, int &tm, int &tk, int &tn) const;

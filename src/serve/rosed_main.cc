@@ -24,7 +24,6 @@
 #include <string>
 #include <thread>
 
-#include "gemmini/gemmini.hh"
 #include "serve/server.hh"
 #include "util/logging.hh"
 
@@ -59,10 +58,7 @@ usage(const char *argv0)
         "                   restart on the same DIR to recover\n"
         "  --journal-fsync  fsync every journal append (power-loss\n"
         "                   durability; slower)\n"
-        "  --port-file P    write the bound port to file P\n"
-        "  --gemm-isa T     GEMM kernel tier: auto|scalar|avx2|\n"
-        "                   avx2fma (default auto; overrides the\n"
-        "                   ROSE_GEMM_ISA environment variable)\n",
+        "  --port-file P    write the bound port to file P\n",
         argv0);
 }
 
@@ -100,21 +96,6 @@ main(int argc, char **argv)
             cfg.journalFsync = true;
         } else if (arg == "--port-file") {
             portFile = next("--port-file");
-        } else if (arg == "--gemm-isa") {
-            std::string tier = next("--gemm-isa");
-            bool is_auto = false;
-            gemmini::GemmIsa isa{};
-            if (!gemmini::parseGemmIsa(tier, is_auto, isa)) {
-                std::fprintf(stderr,
-                             "--gemm-isa: unknown tier '%s' (expected "
-                             "auto|scalar|avx2|avx2fma)\n",
-                             tier.c_str());
-                return 2;
-            }
-            if (is_auto)
-                gemmini::resetGemmIsa(); // re-resolve from env/cpuid
-            else
-                gemmini::setGemmIsa(isa);
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;
@@ -137,10 +118,9 @@ main(int argc, char **argv)
         serve::MissionServer server(cfg);
         server.start();
         std::printf("rosed: listening on 127.0.0.1:%u "
-                    "(workers=%d queue=%zu client-cap=%u gemm=%s%s%s)\n",
+                    "(workers=%d queue=%zu client-cap=%u%s%s)\n",
                     unsigned(server.port()), cfg.workers,
                     cfg.maxQueueDepth, cfg.perClientInFlight,
-                    gemmini::gemmIsaName(gemmini::activeGemmIsa()),
                     cfg.supervise ? ", supervised" : "",
                     cfg.journalDir.empty() ? "" : ", journaled");
         std::fflush(stdout);

@@ -257,6 +257,70 @@ TEST(Batch, CliEqualsForms)
     EXPECT_EQ(argc, 1);
 }
 
+namespace {
+
+/** Run parseBatchCli over @p args (argv[0] included). */
+core::BatchCli
+parseArgs(std::vector<const char *> args, int *argcOut = nullptr)
+{
+    std::vector<char *> argv;
+    for (const char *a : args)
+        argv.push_back(const_cast<char *>(a));
+    int argc = int(argv.size());
+    core::BatchCli cli = core::parseBatchCli(argc, argv.data());
+    if (argcOut)
+        *argcOut = argc;
+    return cli;
+}
+
+} // namespace
+
+TEST(BatchCliDeathTest, HelpPrintsUsageAndExitsZero)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    for (const char *flag : {"--help", "-h"})
+        EXPECT_EXIT(parseArgs({"bench", "--jobs", "2", flag}),
+                    ::testing::ExitedWithCode(0), "")
+            << flag;
+}
+
+TEST(BatchCliDeathTest, UnknownFlagExitsNonzero)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(parseArgs({"bench", "tunnel", "--frobnicate"}),
+                ::testing::ExitedWithCode(2),
+                "unknown option '--frobnicate'");
+    EXPECT_EXIT(parseArgs({"bench", "--jobs"}),
+                ::testing::ExitedWithCode(2),
+                "missing value for '--jobs'");
+}
+
+TEST(BatchCliDeathTest, MalformedJobsExitsNonzero)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    for (const char *bad : {"abc", "4x", "-3", "", " 4", "99999999999"}) {
+        EXPECT_EXIT(parseArgs({"bench", "--jobs", bad}),
+                    ::testing::ExitedWithCode(2),
+                    "--jobs needs a non-negative integer")
+            << "'" << bad << "'";
+    }
+    EXPECT_EXIT(parseArgs({"bench", "--jobs=4x"}),
+                ::testing::ExitedWithCode(2),
+                "--jobs needs a non-negative integer, got '4x'");
+    EXPECT_EXIT(parseArgs({"bench", "-j", "-1"}),
+                ::testing::ExitedWithCode(2),
+                "--jobs needs a non-negative integer, got '-1'");
+}
+
+TEST(Batch, CliKeepsSingleDashPositionals)
+{
+    // Only --flags are options: a negative number is a positional.
+    int argc = 0;
+    core::BatchCli cli = parseArgs({"bench", "-j", "0", "-1.5"}, &argc);
+    EXPECT_EQ(cli.jobs, 0);
+    EXPECT_EQ(argc, 2);
+}
+
 TEST(Batch, ReportJsonShape)
 {
     core::BatchStats s;
