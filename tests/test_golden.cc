@@ -2,8 +2,9 @@
  * @file
  * Golden-trace regression tests: the canonical tunnel mission on SoC
  * configs A, B, C from Table 2, once with the static ResNet14 runtime
- * and once with the Section 5.3 dynamic ResNet14/ResNet6 runtime, with
- * checked-in FNV-1a hashes of their trajectory CSVs. Silent
+ * and once with the Section 5.3 dynamic ResNet14/ResNet6 runtime, plus
+ * the canonical mission on the s-shape map, with checked-in FNV-1a
+ * hashes of their trajectory CSVs. Silent
  * physics/timing drift — a changed integrator constant, a reordered RNG
  * draw, an off-by-one sync period — fails here instead of quietly
  * corrupting every number in EXPERIMENTS.md.
@@ -33,15 +34,15 @@ using runtime::RuntimeMode;
 
 /** The canonical mission: tunnel, ResNet14 @ 3 m/s, +20 degree initial
  *  heading (exercises the correction transient), seed 1, 10 simulated
- *  seconds. Only the SoC config, the runtime mode and the velocity
- *  vary. */
+ *  seconds. Only the SoC config, the runtime mode, the velocity and
+ *  the map vary. */
 core::MissionSpec
 canonicalSpec(const std::string &socName,
               RuntimeMode mode = RuntimeMode::Static,
-              double velocity = 3.0)
+              double velocity = 3.0, const std::string &world = "tunnel")
 {
     core::MissionSpec spec;
-    spec.world = "tunnel";
+    spec.world = world;
     spec.socName = socName;
     spec.mode = mode;
     spec.modelDepth = 14;
@@ -54,6 +55,7 @@ canonicalSpec(const std::string &socName,
 
 struct Golden
 {
+    const char *world;
     const char *socName;
     RuntimeMode mode;
     double velocity;
@@ -68,13 +70,18 @@ struct Golden
 // forces a switch: at 3 m/s A and B always fit ResNet14 and C never
 // does. 6 m/s makes A and B fall back to ResNet6 near the walls; C's
 // CPU-only ResNet14 fits the budget only at walking pace.
+//
+// The s-shape row is the only one whose corridor bends, so it is the
+// one that pins the raycaster against a non-constant centerline.
 constexpr Golden kGolden[] = {
-    {"A", RuntimeMode::Static, 3.0, 0x2b24ad514f06c3cbULL, 1000, 0},
-    {"B", RuntimeMode::Static, 3.0, 0x02771540364e358fULL, 1000, 0},
-    {"C", RuntimeMode::Static, 3.0, 0x0e337585f9a29f6aULL, 1000, 27},
-    {"A", RuntimeMode::Dynamic, 6.0, 0x1fbdc1290899c590ULL, 911, 0},
-    {"B", RuntimeMode::Dynamic, 6.0, 0x363ece69e58dc178ULL, 970, 0},
-    {"C", RuntimeMode::Dynamic, 0.3, 0x9cc8dbbd0aa604b7ULL, 1000, 1},
+    {"tunnel", "A", RuntimeMode::Static, 3.0, 0x2b24ad514f06c3cbULL, 1000, 0},
+    {"tunnel", "B", RuntimeMode::Static, 3.0, 0x02771540364e358fULL, 1000, 0},
+    {"tunnel", "C", RuntimeMode::Static, 3.0, 0x0e337585f9a29f6aULL, 1000, 27},
+    {"tunnel", "A", RuntimeMode::Dynamic, 6.0, 0x1fbdc1290899c590ULL, 911, 0},
+    {"tunnel", "B", RuntimeMode::Dynamic, 6.0, 0x363ece69e58dc178ULL, 970, 0},
+    {"tunnel", "C", RuntimeMode::Dynamic, 0.3, 0x9cc8dbbd0aa604b7ULL, 1000, 1},
+    {"s-shape", "A", RuntimeMode::Static, 3.0, 0x6f0fd34ac7ad97b9ULL,
+     1000, 0},
 };
 
 const char *
@@ -92,17 +99,17 @@ TEST(GoldenTrace, CanonicalTunnelMissions)
         std::printf("// Regenerated goldens — paste over kGolden:\n");
 
     for (const Golden &g : kGolden) {
-        SCOPED_TRACE(std::string("config ") + g.socName + " " +
-                     modeName(g.mode));
+        SCOPED_TRACE(std::string(g.world) + " config " + g.socName +
+                     " " + modeName(g.mode));
         core::MissionResult r = core::runMission(
-            canonicalSpec(g.socName, g.mode, g.velocity));
+            canonicalSpec(g.socName, g.mode, g.velocity, g.world));
         std::string csv = core::trajectoryCsvString(r);
         uint64_t hash = fnv1a(csv);
 
         if (regen) {
-            std::printf("    {\"%s\", RuntimeMode::%s, %.1f, "
+            std::printf("    {\"%s\", \"%s\", RuntimeMode::%s, %.1f, "
                         "0x%016llxULL, %zu, %llu},\n",
-                        g.socName, modeName(g.mode), g.velocity,
+                        g.world, g.socName, modeName(g.mode), g.velocity,
                         (unsigned long long)hash, r.trajectory.size(),
                         (unsigned long long)r.collisions);
             continue;
