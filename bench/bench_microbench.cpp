@@ -71,9 +71,10 @@ BM_PacketImageRoundTrip(benchmark::State &state)
     env::Image img(64, 48);
     for (size_t i = 0; i < img.pixels.size(); ++i)
         img.pixels[i] = float(i % 251) / 251.0f;
+    env::Image out;
     for (auto _ : state) {
         bridge::Packet p = bridge::encodeImageResp(img);
-        env::Image out = bridge::decodeImageResp(p);
+        bridge::decodeImageRespInto(p, out);
         benchmark::DoNotOptimize(out.pixels.data());
     }
     state.SetBytesProcessed(int64_t(state.iterations()) *
@@ -382,8 +383,8 @@ run(const std::string &jsonPath, const std::string &baselinePath,
     auto classicFrame = [&] {
         env::Image img =
             cam.render(world, drone.position(), drone.attitude());
-        env::Image rx =
-            bridge::decodeImageResp(bridge::encodeImageResp(img));
+        env::Image rx;
+        bridge::decodeImageRespInto(bridge::encodeImageResp(img), rx);
         dnn::PoseEstimate est = dnn::estimatePose(rx, ecfg);
         benchmark::DoNotOptimize(est.headingRad);
     };

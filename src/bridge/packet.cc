@@ -246,12 +246,15 @@ encodeImageResp(const env::Image &img)
 {
     Packet p;
     p.type = PacketType::ImageResp;
+    p.payload.reserve(4 + img.pixels.size());
     ByteWriter w(p.payload);
     w.u16(static_cast<uint16_t>(img.width));
     w.u16(static_cast<uint16_t>(img.height));
+    p.payload.resize(4 + img.pixels.size());
+    uint8_t *dst = p.payload.data() + 4;
     for (float v : img.pixels) {
         double c = clampd(double(v), 0.0, 1.0);
-        w.u8(static_cast<uint8_t>(c * 255.0 + 0.5));
+        *dst++ = static_cast<uint8_t>(c * 255.0 + 0.5);
     }
     return p;
 }
@@ -274,16 +277,10 @@ decodeImageRespInto(const Packet &p, env::Image &img)
     img.width = w;
     img.height = h;
     img.pixels.resize(size_t(w) * size_t(h));
+    // Validated above: exactly one payload byte per pixel remains.
+    const uint8_t *src = p.payload.data() + 4;
     for (float &v : img.pixels)
-        v = r.u8() / 255.0f;
-}
-
-env::Image
-decodeImageResp(const Packet &p)
-{
-    env::Image img;
-    decodeImageRespInto(p, img);
-    return img;
+        v = *src++ / 255.0f;
 }
 
 Packet

@@ -167,8 +167,11 @@ env::ImuSample decodeImuResp(const Packet &p);
 Packet encodeImageReq();
 /** Image payload is quantized to 8 bits per pixel for transport. */
 Packet encodeImageResp(const env::Image &img);
-env::Image decodeImageResp(const Packet &p);
-/** Decode into a caller-reused image (no steady-state allocation). */
+/**
+ * Decode into a caller-reused image (no steady-state allocation).
+ * Throws PayloadError, leaving @p img untouched, when the header is
+ * truncated or the dimensions disagree with the pixel bytes.
+ */
 void decodeImageRespInto(const Packet &p, env::Image &img);
 
 Packet encodeDepthReq();

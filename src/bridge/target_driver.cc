@@ -1,5 +1,7 @@
 #include "target_driver.hh"
 
+#include <algorithm>
+
 #include "bridge/rose_bridge.hh"
 
 namespace rose::bridge {
@@ -33,11 +35,13 @@ TargetDriver::rxPop()
     Packet p;
     p.type = static_cast<PacketType>(mmioRead(reg::kRxType) & 0xff);
     uint32_t len = mmioRead(reg::kRxLen);
-    p.payload.reserve(len);
+    p.payload.resize(len);
+    uint8_t *dst = p.payload.data();
     for (uint32_t off = 0; off < len; off += 4) {
         uint32_t word = mmioRead(reg::kRxData);
-        for (int b = 0; b < 4 && off + b < len; ++b)
-            p.payload.push_back((word >> (8 * b)) & 0xff);
+        uint32_t n = std::min<uint32_t>(4, len - off);
+        for (uint32_t b = 0; b < n; ++b)
+            dst[off + b] = uint8_t(word >> (8 * b));
     }
     mmioWrite(reg::kRxConsume, 1);
     return p;

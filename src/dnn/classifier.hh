@@ -96,9 +96,12 @@ struct PoseEstimate
  *    view azimuths and the full template bank — one expected column
  *    profile per (candidate distance, column). These depend only on
  *    geometry, not pixels, so they are computed once and invalidated
- *    when the key changes;
- *  - *per-call scratch* (fitted ray distances, open flags), reused
- *    across frames.
+ *    when the key changes. The bank is stored [col][row][lane]: one
+ *    lane per candidate, one for the open-corridor template, then
+ *    zero templates up to a multiple of 8 lanes, so one column's
+ *    sweep reads every template's row r side by side;
+ *  - *per-call scratch* (fitted ray distances, open flags, the
+ *    column's SSD per lane), reused across frames.
  *
  * After the first frame at a given image size, estimatePose performs
  * zero heap allocations. Single-owner, not thread-safe; each
@@ -115,8 +118,7 @@ struct PoseScratch
     // Cached geometry (valid while the key matches).
     std::vector<double> alpha;       ///< per-column azimuth [rad]
     std::vector<double> candidates;  ///< log-spaced wall distances
-    std::vector<float> profiles;     ///< [cand][col][row] templates
-    std::vector<float> openProfile;  ///< [row] open-corridor template
+    std::vector<float> profiles;     ///< [col][row][lane] templates
 
     // Per-call scratch.
     std::vector<double> rayDist;
@@ -125,6 +127,9 @@ struct PoseScratch
      *  (exact conversion) so the SSD sweeps don't re-stride the image
      *  once per candidate. */
     std::vector<double> colBuf;
+    /** Current column's SSD per lane: candidates, then the open
+     *  template; the zero-padding lanes' sums are ignored. */
+    std::vector<double> sums;
 };
 
 /**

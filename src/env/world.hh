@@ -93,12 +93,16 @@ class World
      * azimuth (world yaw) until it exits the corridor through a wall
      * or strikes a pillar obstacle, whichever is closer.
      *
+     * Every world implements this with the same march over its own
+     * concrete type, so the ~80 centerY/halfWidth evaluations of one
+     * ray are direct, inlinable calls behind a single virtual one.
+     *
      * @param origin ray start; only x/y are used for wall intersection.
      * @param azimuth world-frame heading of the ray [rad].
      * @param max_range give up after this distance [m].
      */
-    RayHit raycast(const Vec3 &origin, double azimuth,
-                   double max_range = 60.0) const;
+    virtual RayHit raycast(const Vec3 &origin, double azimuth,
+                           double max_range = 60.0) const = 0;
 
     /** Add a pillar obstacle. */
     void addObstacle(const Obstacle &o) { obstacles_.push_back(o); }
@@ -111,7 +115,7 @@ class World
 };
 
 /** Straight 50 m corridor, 3.2 m wide (walls at y = +-1.6 m). */
-class TunnelWorld : public World
+class TunnelWorld final : public World
 {
   public:
     std::string name() const override { return "tunnel"; }
@@ -119,6 +123,8 @@ class TunnelWorld : public World
     double centerY(double) const override { return 0.0; }
     double halfWidth(double) const override { return 1.6; }
     double centerSlope(double) const override { return 0.0; }
+    RayHit raycast(const Vec3 &origin, double azimuth,
+                   double max_range = 60.0) const override;
 };
 
 /**
@@ -126,7 +132,7 @@ class TunnelWorld : public World
  * period each way), wider than the tunnel so there is room for error
  * but constant correction is required.
  */
-class SShapeWorld : public World
+class SShapeWorld final : public World
 {
   public:
     std::string name() const override { return "s-shape"; }
@@ -147,6 +153,9 @@ class SShapeWorld : public World
                std::cos(2.0 * kPi * x / length());
     }
 
+    RayHit raycast(const Vec3 &origin, double azimuth,
+                   double max_range = 60.0) const override;
+
   private:
     double amplitude_ = 8.0;
 };
@@ -157,7 +166,7 @@ class SShapeWorld : public World
  * s-shape's smooth sine, stressing the controller's correction rate
  * (smoothed corners keep the slope continuous for the raycaster).
  */
-class ZigzagWorld : public World
+class ZigzagWorld final : public World
 {
   public:
     std::string name() const override { return "zigzag"; }
@@ -165,6 +174,8 @@ class ZigzagWorld : public World
     double halfWidth(double) const override { return 2.2; }
     double centerY(double x) const override;
     double centerSlope(double x) const override;
+    RayHit raycast(const Vec3 &origin, double azimuth,
+                   double max_range = 60.0) const override;
 
   private:
     static constexpr double kSegment = 15.0; ///< segment length [m]

@@ -103,7 +103,7 @@ MpcApp::next(const soc::SocContext &ctx)
         current_.requestCycle = ctx.now;
         if (!driver_.txSend(bridge::encodeImageReq()))
             rose_warn("mpc app: image request backpressured");
-        image_.reset();
+        haveImage_ = false;
         state_ = State::AwaitResponse;
         return ioAction("sensor-request");
 
@@ -113,10 +113,12 @@ MpcApp::next(const soc::SocContext &ctx)
 
       case State::ReadAndSolve: {
         while (auto p = driver_.rxPop()) {
-            if (p->type == bridge::PacketType::ImageResp)
-                image_ = bridge::decodeImageResp(*p);
+            if (p->type == bridge::PacketType::ImageResp) {
+                bridge::decodeImageRespInto(*p, image_);
+                haveImage_ = true;
+            }
         }
-        if (!image_) {
+        if (!haveImage_) {
             state_ = State::AwaitResponse;
             return ioAction("sensor-poll");
         }
@@ -124,7 +126,7 @@ MpcApp::next(const soc::SocContext &ctx)
         // Visual front end + iterative solve. The cycle charge is
         // data-dependent through the iteration count.
         dnn::PoseEstimate pose =
-            dnn::estimatePose(*image_, cfg_.estimator);
+            dnn::estimatePose(image_, cfg_.estimator);
         current_.offsetEstimate = pose.valid ? pose.offsetM : 0.0;
         current_.headingEstimate = pose.valid ? pose.headingRad : 0.0;
 

@@ -25,7 +25,6 @@
 #ifndef ROSE_RUNTIME_MPC_APP_HH
 #define ROSE_RUNTIME_MPC_APP_HH
 
-#include <optional>
 #include <vector>
 
 #include "bridge/target_driver.hh"
@@ -126,7 +125,9 @@ class MpcApp : public soc::Workload
     MpcConfig cfg_;
 
     State state_ = State::Boot;
-    std::optional<env::Image> image_;
+    /** Last decoded camera frame (buffer reused across requests). */
+    env::Image image_;
+    bool haveImage_ = false;
     MpcRecord current_;
     Cycles solveCycles_ = 0;
     std::vector<MpcRecord> records_;

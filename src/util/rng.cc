@@ -1,7 +1,5 @@
 #include "rng.hh"
 
-#include <cmath>
-
 #include "serde.hh"
 
 namespace rose {
@@ -18,12 +16,6 @@ splitmix64(uint64_t &x)
     return z ^ (z >> 31);
 }
 
-uint64_t
-rotl(uint64_t v, int k)
-{
-    return (v << k) | (v >> (64 - k));
-}
-
 } // namespace
 
 void
@@ -36,62 +28,10 @@ Rng::reseed(uint64_t seed)
 }
 
 uint64_t
-Rng::next()
-{
-    uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 high bits -> double in [0,1).
-    return (next() >> 11) * (1.0 / 9007199254740992.0);
-}
-
-double
-Rng::uniform(double lo, double hi)
-{
-    return lo + (hi - lo) * uniform();
-}
-
-uint64_t
 Rng::uniformInt(uint64_t n)
 {
     // Rejection-free modulo is fine for simulation noise streams.
     return next() % n;
-}
-
-double
-Rng::gaussian()
-{
-    if (haveSpare_) {
-        haveSpare_ = false;
-        return spare_;
-    }
-    double u1 = 0.0;
-    do {
-        u1 = uniform();
-    } while (u1 <= 1e-300);
-    double u2 = uniform();
-    double r = std::sqrt(-2.0 * std::log(u1));
-    double theta = 2.0 * 3.14159265358979323846 * u2;
-    spare_ = r * std::sin(theta);
-    haveSpare_ = true;
-    return r * std::cos(theta);
-}
-
-double
-Rng::gaussian(double mean, double stddev)
-{
-    return mean + stddev * gaussian();
 }
 
 bool

@@ -12,6 +12,7 @@
 #ifndef ROSE_UTIL_RNG_HH
 #define ROSE_UTIL_RNG_HH
 
+#include <cmath>
 #include <cstdint>
 
 namespace rose {
@@ -21,7 +22,10 @@ class StateReader;
 
 /**
  * xoshiro256** generator seeded via SplitMix64. Small, fast, and good
- * enough statistically for simulation noise.
+ * enough statistically for simulation noise. The per-draw calls are
+ * defined inline below: the camera draws one Gaussian per pixel and
+ * the physics three per substep, so call overhead would otherwise be
+ * a visible share of a mission frame.
  */
 class Rng
 {
@@ -61,10 +65,68 @@ class Rng
     void restoreState(StateReader &r);
 
   private:
+    static uint64_t
+    rotl(uint64_t v, int k)
+    {
+        return (v << k) | (v >> (64 - k));
+    }
+
     uint64_t s_[4] = {};
     bool haveSpare_ = false;
     double spare_ = 0.0;
 };
+
+inline uint64_t
+Rng::next()
+{
+    uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+}
+
+inline double
+Rng::uniform()
+{
+    // 53 high bits -> double in [0,1).
+    return (next() >> 11) * (1.0 / 9007199254740992.0);
+}
+
+inline double
+Rng::uniform(double lo, double hi)
+{
+    return lo + (hi - lo) * uniform();
+}
+
+inline double
+Rng::gaussian()
+{
+    if (haveSpare_) {
+        haveSpare_ = false;
+        return spare_;
+    }
+    double u1 = 0.0;
+    do {
+        u1 = uniform();
+    } while (u1 <= 1e-300);
+    double u2 = uniform();
+    double r = std::sqrt(-2.0 * std::log(u1));
+    double theta = 2.0 * 3.14159265358979323846 * u2;
+    spare_ = r * std::sin(theta);
+    haveSpare_ = true;
+    return r * std::cos(theta);
+}
+
+inline double
+Rng::gaussian(double mean, double stddev)
+{
+    return mean + stddev * gaussian();
+}
 
 } // namespace rose
 

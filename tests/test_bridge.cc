@@ -50,7 +50,8 @@ TEST(Packet, ImageRoundTripQuantized)
     env::Image img(8, 4);
     for (size_t i = 0; i < img.pixels.size(); ++i)
         img.pixels[i] = float(i) / float(img.pixels.size());
-    env::Image r = decodeImageResp(encodeImageResp(img));
+    env::Image r;
+    decodeImageRespInto(encodeImageResp(img), r);
     EXPECT_EQ(r.width, 8);
     EXPECT_EQ(r.height, 4);
     for (size_t i = 0; i < img.pixels.size(); ++i)
@@ -63,8 +64,11 @@ TEST(Packet, ImageDecodeIntoMatchesAndReusesBuffer)
     for (size_t i = 0; i < img.pixels.size(); ++i)
         img.pixels[i] = float(i) / float(img.pixels.size());
     Packet p = encodeImageResp(img);
-    env::Image fresh = decodeImageResp(p);
-    env::Image reused;
+    env::Image fresh;
+    decodeImageRespInto(p, fresh);
+    // A buffer that last held a different-size frame decodes the same.
+    env::Image reused(16, 16);
+    reused.pixels.assign(reused.pixels.size(), 0.75f);
     decodeImageRespInto(p, reused);
     EXPECT_EQ(fresh.width, reused.width);
     EXPECT_EQ(fresh.height, reused.height);
@@ -218,7 +222,8 @@ TEST(TcpTransport, LoopbackRoundTrip)
     server->send(encodeImageResp(img));
     spins = 0;
     while (!client->recv(p) && spins++ < 10000) {}
-    env::Image r = decodeImageResp(p);
+    env::Image r;
+    decodeImageRespInto(p, r);
     EXPECT_EQ(r.width, 64);
     EXPECT_NEAR(r.pixels[100], 0.5f, 1.0 / 255.0);
 }
@@ -448,7 +453,8 @@ TEST(TargetDriver, RoundTripThroughBridge)
     EXPECT_EQ(drv.rxCount(), 1u);
     auto rx = drv.rxPop();
     ASSERT_TRUE(rx.has_value());
-    env::Image out = decodeImageResp(*rx);
+    env::Image out;
+    decodeImageRespInto(*rx, out);
     EXPECT_EQ(out.width, 16);
     EXPECT_NEAR(out.pixels[7], 0.25f, 1.0 / 255.0);
     EXPECT_FALSE(drv.rxPop().has_value());

@@ -157,7 +157,9 @@ TEST(Supervisor, WallClockBudgetCutsMissionOff)
     CosimConfig cfg = canonicalSpec("A").toConfig();
     cfg.maxSimSeconds = 60.0;
     SupervisorConfig sup;
-    sup.wallClockBudgetSeconds = 0.05;
+    // Well under the mission's own wall time (~40 ms on a 4-core VM),
+    // so the budget, not mission completion, ends the run.
+    sup.wallClockBudgetSeconds = 0.01;
     MissionSupervisor supervisor(cfg, sup);
     MissionResult r = supervisor.run();
 

@@ -140,7 +140,8 @@ TEST(Synchronizer, ImageRequestAnsweredNextPeriod)
         auto p = h.driver->rxPop();
         ASSERT_TRUE(p.has_value());
         EXPECT_EQ(p->type, PacketType::ImageResp);
-        env::Image img = decodeImageResp(*p);
+        env::Image img;
+        decodeImageRespInto(*p, img);
         EXPECT_EQ(img.width, h.envCfg.camera.width);
         got = true;
     });
