@@ -90,6 +90,16 @@ run_preset() {
 }
 
 run_preset default build
+
+# glibc picks its libm variants at load time (ifunc); masking AVX2,
+# FMA and AVX-512 makes it fall back to the non-FMA ones, which return
+# different last bits for some log/sin/cos/atan2 inputs. The physics
+# and the render's exact path call libm, so this pass pins that no
+# golden trajectory depends on which variant glibc chose.
+echo "==== [default] goldens under glibc's non-FMA libm ===="
+GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA,-AVX512F \
+    build/tests/test_golden
+
 run_preset asan build-asan
 
 # ThreadSanitizer pass over the tests that run missions on several

@@ -3,8 +3,9 @@
  * Golden-trace regression tests: the canonical tunnel mission on SoC
  * configs A, B, C from Table 2, once with the static ResNet14 runtime
  * and once with the Section 5.3 dynamic ResNet14/ResNet6 runtime, plus
- * the canonical mission on the s-shape map, with checked-in FNV-1a
- * hashes of their trajectory CSVs. Silent
+ * the canonical mission on the s-shape map and a straight-ahead (yaw
+ * 0) tunnel mission, with checked-in FNV-1a hashes of their trajectory
+ * CSVs. Silent
  * physics/timing drift — a changed integrator constant, a reordered RNG
  * draw, an off-by-one sync period — fails here instead of quietly
  * corrupting every number in EXPERIMENTS.md.
@@ -34,12 +35,13 @@ using runtime::RuntimeMode;
 
 /** The canonical mission: tunnel, ResNet14 @ 3 m/s, +20 degree initial
  *  heading (exercises the correction transient), seed 1, 10 simulated
- *  seconds. Only the SoC config, the runtime mode, the velocity and
- *  the map vary. */
+ *  seconds. The SoC config, the runtime mode, the velocity, the map,
+ *  the initial heading and the seed vary per row. */
 core::MissionSpec
 canonicalSpec(const std::string &socName,
               RuntimeMode mode = RuntimeMode::Static,
-              double velocity = 3.0, const std::string &world = "tunnel")
+              double velocity = 3.0, const std::string &world = "tunnel",
+              double yawDeg = 20.0, uint64_t seed = 1)
 {
     core::MissionSpec spec;
     spec.world = world;
@@ -47,8 +49,8 @@ canonicalSpec(const std::string &socName,
     spec.mode = mode;
     spec.modelDepth = 14;
     spec.velocity = velocity;
-    spec.initialYawDeg = 20.0;
-    spec.seed = 1;
+    spec.initialYawDeg = yawDeg;
+    spec.seed = seed;
     spec.maxSimSeconds = 10.0;
     return spec;
 }
@@ -59,6 +61,8 @@ struct Golden
     const char *socName;
     RuntimeMode mode;
     double velocity;
+    double yaw;    ///< initial heading [deg]
+    uint64_t seed;
     uint64_t trajectoryHash; ///< fnv1a(trajectoryCsvString(result))
     size_t trajectorySamples;
     uint64_t collisions;
@@ -73,15 +77,29 @@ struct Golden
 //
 // The s-shape row is the only one whose corridor bends, so it is the
 // one that pins the raycaster against a non-constant centerline.
+//
+// The yaw-0 row flies straight down the tunnel, where the heading
+// state stays near zero for the whole mission and the CSV prints the
+// last bits of values like yaw = -5.7e-12. That makes it the row that
+// catches a compiler fusing a*b+c into an FMA under an FMA-capable
+// -march (the build pins -ffp-contract=off for exactly this reason).
 constexpr Golden kGolden[] = {
-    {"tunnel", "A", RuntimeMode::Static, 3.0, 0x2b24ad514f06c3cbULL, 1000, 0},
-    {"tunnel", "B", RuntimeMode::Static, 3.0, 0x02771540364e358fULL, 1000, 0},
-    {"tunnel", "C", RuntimeMode::Static, 3.0, 0x0e337585f9a29f6aULL, 1000, 27},
-    {"tunnel", "A", RuntimeMode::Dynamic, 6.0, 0x1fbdc1290899c590ULL, 911, 0},
-    {"tunnel", "B", RuntimeMode::Dynamic, 6.0, 0x363ece69e58dc178ULL, 970, 0},
-    {"tunnel", "C", RuntimeMode::Dynamic, 0.3, 0x9cc8dbbd0aa604b7ULL, 1000, 1},
-    {"s-shape", "A", RuntimeMode::Static, 3.0, 0x6f0fd34ac7ad97b9ULL,
-     1000, 0},
+    {"tunnel", "A", RuntimeMode::Static, 3.0, 20.0, 1,
+     0x2b24ad514f06c3cbULL, 1000, 0},
+    {"tunnel", "B", RuntimeMode::Static, 3.0, 20.0, 1,
+     0x02771540364e358fULL, 1000, 0},
+    {"tunnel", "C", RuntimeMode::Static, 3.0, 20.0, 1,
+     0x0e337585f9a29f6aULL, 1000, 27},
+    {"tunnel", "A", RuntimeMode::Dynamic, 6.0, 20.0, 1,
+     0x1fbdc1290899c590ULL, 911, 0},
+    {"tunnel", "B", RuntimeMode::Dynamic, 6.0, 20.0, 1,
+     0x363ece69e58dc178ULL, 970, 0},
+    {"tunnel", "C", RuntimeMode::Dynamic, 0.3, 20.0, 1,
+     0x9cc8dbbd0aa604b7ULL, 1000, 1},
+    {"s-shape", "A", RuntimeMode::Static, 3.0, 20.0, 1,
+     0x6f0fd34ac7ad97b9ULL, 1000, 0},
+    {"tunnel", "A", RuntimeMode::Static, 3.0, 0.0, 2,
+     0x5cef5ccc941df9abULL, 1000, 0},
 };
 
 const char *
@@ -100,16 +118,19 @@ TEST(GoldenTrace, CanonicalTunnelMissions)
 
     for (const Golden &g : kGolden) {
         SCOPED_TRACE(std::string(g.world) + " config " + g.socName +
-                     " " + modeName(g.mode));
-        core::MissionResult r = core::runMission(
-            canonicalSpec(g.socName, g.mode, g.velocity, g.world));
+                     " " + modeName(g.mode) + " yaw " +
+                     std::to_string(g.yaw) + " seed " +
+                     std::to_string(g.seed));
+        core::MissionResult r = core::runMission(canonicalSpec(
+            g.socName, g.mode, g.velocity, g.world, g.yaw, g.seed));
         std::string csv = core::trajectoryCsvString(r);
         uint64_t hash = fnv1a(csv);
 
         if (regen) {
             std::printf("    {\"%s\", \"%s\", RuntimeMode::%s, %.1f, "
-                        "0x%016llxULL, %zu, %llu},\n",
+                        "%.1f, %llu,\n     0x%016llxULL, %zu, %llu},\n",
                         g.world, g.socName, modeName(g.mode), g.velocity,
+                        g.yaw, (unsigned long long)g.seed,
                         (unsigned long long)hash, r.trajectory.size(),
                         (unsigned long long)r.collisions);
             continue;

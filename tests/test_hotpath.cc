@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <new>
 #include <string>
@@ -27,6 +28,7 @@
 #include "env/world.hh"
 #include "util/geometry.hh"
 #include "util/rng.hh"
+#include "util/serde.hh"
 
 using namespace rose;
 using namespace rose::dnn;
@@ -726,4 +728,267 @@ TEST(HotpathOracle, RaycastMatchesVirtualMarchReference)
     EXPECT_GT(starts_in_wall, 0);
     EXPECT_GT(misses, 0);
     EXPECT_GT(pillar_hits, 0);
+}
+
+// --------------------------------------------------- render oracle
+//
+// A verbatim frozen copy of the camera render as it was while every
+// transcendental in it was a libm call: the column-major fused
+// raycast/shade/noise loop, the std::sin texture hash and the scalar
+// Box-Muller Gaussian with its spare carried across columns and
+// frames. The noise stream is a copy of xoshiro256** that loads and
+// stores the camera's serialized state, so the production camera must
+// match it in every float pixel and in every checkpointed state byte
+// (the stale Box-Muller spare included).
+
+namespace ref {
+
+struct NoiseRng
+{
+    uint64_t s[4] = {};
+    bool haveSpare = false;
+    double spare = 0.0;
+
+    static uint64_t
+    rotl(uint64_t v, int k)
+    {
+        return (v << k) | (v >> (64 - k));
+    }
+
+    uint64_t
+    next()
+    {
+        uint64_t result = rotl(s[1] * 5, 7) * 9;
+        uint64_t t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = rotl(s[3], 45);
+        return result;
+    }
+
+    double
+    uniform()
+    {
+        return (next() >> 11) * (1.0 / 9007199254740992.0);
+    }
+
+    double
+    gaussian()
+    {
+        if (haveSpare) {
+            haveSpare = false;
+            return spare;
+        }
+        double u1 = 0.0;
+        do {
+            u1 = uniform();
+        } while (u1 <= 1e-300);
+        double u2 = uniform();
+        double r = std::sqrt(-2.0 * std::log(u1));
+        double theta = 2.0 * 3.14159265358979323846 * u2;
+        spare = r * std::sin(theta);
+        haveSpare = true;
+        return r * std::cos(theta);
+    }
+
+    double
+    gaussian(double mean, double stddev)
+    {
+        return mean + stddev * gaussian();
+    }
+
+    void
+    save(StateWriter &w) const
+    {
+        for (uint64_t v : s)
+            w.u64(v);
+        w.boolean(haveSpare);
+        w.f64(spare);
+    }
+
+    void
+    restore(StateReader &r)
+    {
+        for (uint64_t &v : s)
+            v = r.u64();
+        haveSpare = r.boolean();
+        spare = r.f64();
+    }
+};
+
+double
+textureAt(double x, double z, int side)
+{
+    double u = x * 2.7 + z * 1.3 + side * 17.0;
+    double v = std::sin(u) * 43758.5453;
+    return v - std::floor(v); // [0,1)
+}
+
+struct Camera
+{
+    env::CameraConfig cfg;
+    NoiseRng rng;
+
+    void
+    renderInto(const env::World &world, const Vec3 &position,
+               const Quat &attitude, env::Image &img)
+    {
+        img.width = cfg.width;
+        img.height = cfg.height;
+        img.pixels.resize(size_t(cfg.width) * cfg.height);
+        double yaw = attitude.yaw();
+        double hfov = deg2rad(cfg.horizontalFovDeg);
+        double focal = (cfg.width / 2.0) / std::tan(hfov / 2.0);
+        std::vector<double> colAlpha(size_t(cfg.width));
+        for (int c = 0; c < cfg.width; ++c) {
+            double u = (cfg.width / 2.0 - 0.5 - c);
+            colAlpha[size_t(c)] = std::atan2(u, focal);
+        }
+        double cam_z = position.z;
+        double wall_h = world.wallHeight();
+        const int H = cfg.height;
+        const double mid = H / 2.0 - 0.5;
+
+        std::vector<float> floorShade(static_cast<size_t>(H));
+        for (int r = 0; r < H; ++r) {
+            double floor_d =
+                focal * cam_z / std::max(0.5, double(r) - mid);
+            floorShade[size_t(r)] =
+                float(0.10 + 0.25 / (1.0 + 0.2 * floor_d));
+        }
+        const int horizon = std::clamp(int(std::ceil(mid)), 0, H);
+        std::vector<float> colShade(static_cast<size_t>(H));
+
+        for (int c = 0; c < cfg.width; ++c) {
+            double az = yaw + colAlpha[size_t(c)];
+            env::RayHit hit = world.raycast(position, az);
+            double d = std::max(0.05, hit.distance * std::cos(az - yaw));
+            double top_row = mid - focal * (wall_h - cam_z) / d;
+            double bot_row = mid + focal * cam_z / d;
+
+            float *shade = colShade.data();
+            if (!hit.hit) {
+                for (int r = 0; r < horizon; ++r)
+                    shade[r] = 0.85f;
+                for (int r = horizon; r < H; ++r)
+                    shade[r] = 0.15f;
+            } else {
+                int sky_end =
+                    int(std::clamp(std::ceil(top_row), 0.0, double(H)));
+                int floor_begin = std::max(
+                    sky_end,
+                    int(std::clamp(std::floor(bot_row) + 1.0, 0.0,
+                                   double(H))));
+                double shade_base =
+                    0.25 + 0.6 / (1.0 + 0.12 * hit.distance);
+                double span = std::max(1.0, bot_row - top_row);
+                double tex_u = hit.point.x + hit.point.y;
+                for (int r = 0; r < sky_end; ++r)
+                    shade[r] = 0.85f;
+                for (int r = sky_end; r < floor_begin; ++r) {
+                    double frac = (bot_row - r) / span;
+                    double tex =
+                        textureAt(tex_u, frac * wall_h, hit.side);
+                    shade[r] = float(
+                        shade_base *
+                        (1.0 + cfg.textureAmplitude * (tex - 0.5)));
+                }
+                for (int r = floor_begin; r < H; ++r)
+                    shade[r] = floorShade[size_t(r)];
+            }
+
+            for (int r = 0; r < H; ++r) {
+                float v =
+                    shade[r] + float(rng.gaussian(0.0, cfg.noiseStd));
+                img.at(r, c) = float(clampd(v, 0.0, 1.0));
+            }
+        }
+    }
+};
+
+} // namespace ref
+
+namespace {
+
+std::vector<uint8_t>
+cameraState(const env::Camera &cam)
+{
+    StateWriter w;
+    cam.saveState(w);
+    return w.data();
+}
+
+/**
+ * Render seeded in-corridor poses in every world, split evenly over
+ * four camera configurations, with the production camera and the
+ * frozen reference, requiring bit-identical float pixels and
+ * serialized camera state after every frame. @p scale multiplies the
+ * per-world frame counts (~5.6k frames at scale 1). Zigzag gets few
+ * frames: its centerline is integrated per call, which makes one of
+ * its renders ~40x a tunnel render.
+ */
+void
+expectRenderMatchesReference(int scale)
+{
+    const int kFramesPerWorld[] = {3200, 2400, 40};
+    const env::CameraConfig cfgs[] = {
+        {64, 48, 90.0, 0.01, 0.15}, // the mission camera
+        {63, 47, 90.0, 0.01, 0.15}, // odd pixel count: spare carried
+        {64, 48, 90.0, 0.0, 0.15},  // noise off, draws still made
+        {63, 47, 90.0, 0.05, 0.15},
+    };
+    uint64_t seed = 0x0a11ce;
+    for (int wi = 0; wi < 3; ++wi) {
+        const char *name = kWorlds[wi];
+        const int n = kFramesPerWorld[wi] * scale;
+        for (const env::CameraConfig &cfg : cfgs) {
+            SCOPED_TRACE(std::string(name) + " " +
+                         std::to_string(cfg.width) + "x" +
+                         std::to_string(cfg.height) + " std " +
+                         std::to_string(cfg.noiseStd));
+            Rng rng(++seed);
+            std::unique_ptr<env::World> world =
+                worldWithPillars(name, rng);
+            env::Camera cam(cfg, Rng(rng.next()));
+            ref::Camera want{cfg, {}};
+            std::vector<uint8_t> state = cameraState(cam);
+            StateReader in(state);
+            want.rng.restore(in);
+
+            env::Image got, expect;
+            for (int i = 0; i < n / int(std::size(cfgs)); ++i) {
+                double x = rng.uniform(0.5, world->length() - 0.5);
+                double y = world->centerY(x) +
+                           rng.uniform(-0.9, 0.9) * world->halfWidth(x);
+                double yaw =
+                    world->tangentAngle(x) + rng.uniform(-0.7, 0.7);
+                Vec3 pos{x, y, rng.uniform(0.8, 2.5)};
+                Quat att = Quat::fromEuler(0, 0, yaw);
+                cam.renderInto(*world, pos, att, got);
+                want.renderInto(*world, pos, att, expect);
+                ASSERT_TRUE(bitIdentical(got.pixels, expect.pixels))
+                    << "frame " << i;
+                StateWriter w;
+                want.rng.save(w);
+                ASSERT_EQ(cameraState(cam), w.data()) << "frame " << i;
+            }
+        }
+    }
+}
+
+} // namespace
+
+TEST(HotpathOracle, RenderMatchesLibmReference)
+{
+    expectRenderMatchesReference(1);
+}
+
+// The long differential run, ~1.1x10^5 frames (run it with
+// --gtest_also_run_disabled_tests; about a minute).
+TEST(HotpathOracle, DISABLED_RenderMatchesLibmReferenceLong)
+{
+    expectRenderMatchesReference(20);
 }

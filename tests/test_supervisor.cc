@@ -156,16 +156,22 @@ TEST(Supervisor, WallClockBudgetCutsMissionOff)
 {
     CosimConfig cfg = canonicalSpec("A").toConfig();
     cfg.maxSimSeconds = 60.0;
+
+    // Size the budget from this host: the same mission, unbudgeted,
+    // flies the whole tunnel. A quarter of its wall time ends the
+    // budgeted run well before completion however fast the host is.
+    MissionResult full = MissionSupervisor(cfg, SupervisorConfig{}).run();
+    ASSERT_EQ(full.status, MissionStatus::Completed);
+    ASSERT_GT(full.wallSeconds, 0.0);
+
     SupervisorConfig sup;
-    // Well under the mission's own wall time (~40 ms on a 4-core VM),
-    // so the budget, not mission completion, ends the run.
-    sup.wallClockBudgetSeconds = 0.01;
+    sup.wallClockBudgetSeconds = full.wallSeconds / 4.0;
     MissionSupervisor supervisor(cfg, sup);
     MissionResult r = supervisor.run();
 
     EXPECT_EQ(r.status, MissionStatus::TimedOut);
     EXPECT_NE(r.failureReason.find("wall-clock"), std::string::npos);
-    EXPECT_LT(r.missionTime, 60.0);
+    EXPECT_LT(r.missionTime, full.missionTime);
 }
 
 TEST(Supervisor, DiskResumeMatchesUninterruptedRun)
