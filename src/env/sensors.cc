@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/detmath.hh"
 #include "util/serde.hh"
 
 namespace rose::env {
@@ -46,17 +47,59 @@ Imu::sample(const Drone &drone, double time_s)
                   time_s);
 }
 
+namespace pixel {
+
+float
+noise(double g, double stddev)
+{
+    return float(0.0 + stddev * g);
+}
+
+bool
+noiseIfBracketed(double g, double stddev, float &out)
+{
+    out = noise(g - kGaussianBracket, stddev);
+    return out == noise(g + kGaussianBracket, stddev);
+}
+
+float
+wall(double s, double base, double amp)
+{
+    double v = s * 43758.5453;
+    double tex = v - std::floor(v); // [0,1)
+    return float(base * (1.0 + amp * (tex - 0.5)));
+}
+
+bool
+wallIfBracketed(double s, double base, double amp, float &out)
+{
+    // frac() is monotone only between integers: both ends must share
+    // the floor as well as the float.
+    double lo = s - kSinBracket;
+    double hi = s + kSinBracket;
+    out = wall(lo, base, amp);
+    return std::floor(lo * 43758.5453) == std::floor(hi * 43758.5453) &&
+           out == wall(hi, base, amp);
+}
+
+} // namespace pixel
+
 namespace {
 
-/** Deterministic texture hash: smooth-ish brightness jitter keyed on the
- *  wall-hit position, standing in for Unreal's randomized textures. */
+/** Deterministic texture hash argument: the wall shade jitters with
+ *  sin() of it (pixel::wall), keyed on the wall-hit position, standing
+ *  in for Unreal's randomized textures. */
 double
-textureAt(double x, double z, int side)
+textureArg(double x, double z, int side)
 {
-    double u = x * 2.7 + z * 1.3 + side * 17.0;
-    double v = std::sin(u) * 43758.5453;
-    return v - std::floor(v); // [0,1)
+    return x * 2.7 + z * 1.3 + side * 17.0;
 }
+
+/** Box-Muller pairs transformed per batch: 256 bytes of stack per
+ *  array. */
+constexpr int kNoisePairs = 32;
+/** Wall-band rows per texture batch. */
+constexpr int kWallRows = 16;
 
 } // namespace
 
@@ -88,12 +131,85 @@ Camera::render(const World &world, const Vec3 &position,
 }
 
 void
+Camera::drawNoise(float *px)
+{
+    const int H = cfg_.height;
+    const size_t W = size_t(cfg_.width);
+    const double sd = cfg_.noiseStd;
+    // Draw i lands in column i / H, row i % H.
+    int row = 0;
+    size_t col = 0;
+    auto put = [&](float v) {
+        px[size_t(row) * W + col] = v;
+        if (++row == H) {
+            row = 0;
+            ++col;
+        }
+    };
+
+    int left = int(W) * H;
+    if (left > 0 && rng_.hasSpare()) {
+        put(pixel::noise(rng_.gaussian(), sd));
+        --left;
+    }
+    // Every pair but the frame's last goes through the fast kernels.
+    const int fastPairs = std::max(0, (left + 1) / 2 - 1);
+    for (int p = 0; p < fastPairs; p += kNoisePairs) {
+        const int n = std::min(kNoisePairs, fastPairs - p);
+        double u1[kNoisePairs], u2[kNoisePairs];
+        double gc[kNoisePairs], gs[kNoisePairs];
+        for (int k = 0; k < n; ++k)
+            rng_.boxMullerUniforms(u1[k], u2[k]);
+        for (int k = n; k < kNoisePairs; ++k) {
+            u1[k] = 0.5; // padding lanes, never read back
+            u2[k] = 0.0;
+        }
+        // Fixed-count loops without calls, so GCC runs them two lanes
+        // wide at the baseline ISA. The sqrt sits in its own scalar
+        // loop: its errno branch would keep a loop scalar.
+        double r[kNoisePairs];
+        for (int k = 0; k < kNoisePairs; ++k)
+            r[k] = -2.0 * detmath::log(u1[k]);
+        for (int k = 0; k < kNoisePairs; ++k)
+            r[k] = std::sqrt(r[k]);
+        for (int k = 0; k < kNoisePairs; ++k) {
+            double s, c;
+            detmath::sincos2pi(u2[k], s, c);
+            gc[k] = r[k] * c;
+            gs[k] = r[k] * s;
+        }
+        for (int k = 0; k < n; ++k) {
+            float a, b;
+            if (!pixel::noiseIfBracketed(gc[k], sd, a) ||
+                !pixel::noiseIfBracketed(gs[k], sd, b)) {
+                double sinPart;
+                a = pixel::noise(Rng::boxMuller(u1[k], u2[k], sinPart),
+                                 sd);
+                b = pixel::noise(sinPart, sd);
+            }
+            put(a);
+            put(b);
+        }
+    }
+    left -= 2 * fastPairs;
+    // The last pair goes through gaussian() itself: its sine part stays
+    // behind as the spare that checkpoints serialize (live when one
+    // draw is left, stale when two are), so it must be the libm value.
+    if (left > 0)
+        put(pixel::noise(rng_.gaussian(), sd));
+    if (left > 1)
+        put(pixel::noise(rng_.gaussian(), sd));
+}
+
+void
 Camera::renderInto(const World &world, const Vec3 &position,
                    const Quat &attitude, Image &img)
 {
     img.width = cfg_.width;
     img.height = cfg_.height;
     img.pixels.resize(size_t(cfg_.width) * cfg_.height);
+    // Noise first, into the image itself; the shade pass adds to it.
+    drawNoise(img.pixels.data());
     double yaw = attitude.yaw();
     double hfov = deg2rad(cfg_.horizontalFovDeg);
     // Pinhole focal length in pixels (same for both axes).
@@ -154,27 +270,40 @@ Camera::renderInto(const World &world, const Vec3 &position,
                 0.25 + 0.6 / (1.0 + 0.12 * hit.distance);
             double span = std::max(1.0, bot_row - top_row);
             double tex_u = hit.point.x + hit.point.y;
+            const double amp = cfg_.textureAmplitude;
 
             for (int r = 0; r < sky_end; ++r)
                 shade[r] = 0.85f; // sky above the wall
-            for (int r = sky_end; r < floor_begin; ++r) {
-                // Wall: distance shading plus texture jitter keyed on
-                // the hit position and row height.
-                double frac = (bot_row - r) / span;
-                double tex = textureAt(tex_u, frac * wall_h, hit.side);
-                shade[r] = float(shade_base *
-                                 (1.0 +
-                                  cfg_.textureAmplitude * (tex - 0.5)));
+            // Wall: distance shading plus texture jitter keyed on the
+            // hit position and row height, one batch of sines per
+            // column.
+            for (int r0 = sky_end; r0 < floor_begin; r0 += kWallRows) {
+                const int n = std::min(kWallRows, floor_begin - r0);
+                // Whole batches (rows past the band are computed and
+                // dropped), so the loops vectorize at -O2.
+                double u[kWallRows], sn[kWallRows];
+                for (int k = 0; k < kWallRows; ++k) {
+                    double frac = (bot_row - (r0 + k)) / span;
+                    u[k] = textureArg(tex_u, frac * wall_h, hit.side);
+                }
+                for (int k = 0; k < kWallRows; ++k)
+                    sn[k] = detmath::sin(u[k]);
+                for (int k = 0; k < n; ++k) {
+                    float v;
+                    if (!(std::abs(u[k]) <= detmath::kSinDomain) ||
+                        !pixel::wallIfBracketed(sn[k], shade_base, amp,
+                                                v))
+                        v = pixel::wall(std::sin(u[k]), shade_base, amp);
+                    shade[r0 + k] = v;
+                }
             }
             for (int r = floor_begin; r < H; ++r)
                 shade[r] = floorShade_[size_t(r)];
         }
 
-        // Noise pass: same row-ascending draw order as the fused loop.
         for (int r = 0; r < H; ++r) {
-            float v =
-                shade[r] + float(rng_.gaussian(0.0, cfg_.noiseStd));
-            img.at(r, c) = float(clampd(v, 0.0, 1.0));
+            float &px = img.at(r, c);
+            px = float(clampd(shade[r] + px, 0.0, 1.0));
         }
     }
 }

@@ -103,10 +103,39 @@ struct CameraConfig
 };
 
 /**
+ * The camera's two per-pixel float chains, and their bracket checks
+ * (DESIGN.md §5e). Each chain is a monotone sequence of correctly
+ * rounded operations, so when it yields the same float at both ends of
+ * a bracket around a fast transcendental value, it yields that float
+ * at the libm value inside the bracket too. The *IfBracketed forms
+ * return false when the ends differ; the render then recomputes the
+ * pixel with libm.
+ */
+namespace pixel {
+
+/** Half-width around a fast Box-Muller value: 256x its measured
+ *  worst-case distance from the libm value. */
+inline constexpr double kGaussianBracket = 0x1p-40;
+/** Half-width around a fast texture sine: 128x its worst-case error. */
+inline constexpr double kSinBracket = 0x1p-46;
+
+/** The noise float a Gaussian draw @p g adds to a pixel. */
+float noise(double g, double stddev);
+bool noiseIfBracketed(double g, double stddev, float &out);
+
+/** The wall shade at texture sine @p s: the distance shade @p base
+ *  jittered by frac(s * 43758.5453), with amplitude @p amp. */
+float wall(double s, double base, double amp);
+bool wallIfBracketed(double s, double base, double amp, float &out);
+
+} // namespace pixel
+
+/**
  * FPV camera. Renders the corridor by casting one ray per image column
  * (the walls are vertical, so a column shares one wall hit), then fills
  * each column with sky / wall / floor bands using a pinhole projection
- * of the wall's top and bottom edges.
+ * of the wall's top and bottom edges, plus one Gaussian noise draw per
+ * pixel in column-major order.
  */
 class Camera
 {
@@ -138,6 +167,10 @@ class Camera
     /** Rebuild the per-column direction table when the key changes. */
     void ensureDirections(double focal);
 
+    /** Write the frame's noise floats into @p px (row-major), drawing
+     *  them in gaussian()'s column-major order. */
+    void drawNoise(float *px);
+
     CameraConfig cfg_;
     Rng rng_;
     /**
@@ -158,8 +191,8 @@ class Camera
      * per row instead of per floor pixel).
      */
     std::vector<float> floorShade_;
-    /** Per-column shade staging buffer (noise applied in a second
-     *  pass, preserving the row-ascending RNG draw order). */
+    /** Per-column shade staging buffer, added to the noise floats
+     *  drawNoise() left in the image. */
     std::vector<float> colShade_;
 };
 

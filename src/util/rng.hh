@@ -50,6 +50,18 @@ class Rng
     /** Standard normal draw (Box-Muller, cached pair). */
     double gaussian();
 
+    /** True when the next gaussian() returns the cached spare without
+     *  drawing. */
+    bool hasSpare() const { return haveSpare_; }
+
+    /** Draw one Box-Muller uniform pair exactly as gaussian() does:
+     *  u1 in (1e-300, 1) by rejection, then u2 in [0, 1). */
+    void boxMullerUniforms(double &u1, double &u2);
+
+    /** The Box-Muller transform gaussian() applies to a uniform pair:
+     *  returns r cos(theta) and stores r sin(theta) in @p sinPart. */
+    static double boxMuller(double u1, double u2, double &sinPart);
+
     /** Normal draw with the given mean and standard deviation. */
     double gaussian(double mean, double stddev);
 
@@ -103,6 +115,24 @@ Rng::uniform(double lo, double hi)
     return lo + (hi - lo) * uniform();
 }
 
+inline void
+Rng::boxMullerUniforms(double &u1, double &u2)
+{
+    do {
+        u1 = uniform();
+    } while (u1 <= 1e-300);
+    u2 = uniform();
+}
+
+inline double
+Rng::boxMuller(double u1, double u2, double &sinPart)
+{
+    double r = std::sqrt(-2.0 * std::log(u1));
+    double theta = 2.0 * 3.14159265358979323846 * u2;
+    sinPart = r * std::sin(theta);
+    return r * std::cos(theta);
+}
+
 inline double
 Rng::gaussian()
 {
@@ -110,16 +140,10 @@ Rng::gaussian()
         haveSpare_ = false;
         return spare_;
     }
-    double u1 = 0.0;
-    do {
-        u1 = uniform();
-    } while (u1 <= 1e-300);
-    double u2 = uniform();
-    double r = std::sqrt(-2.0 * std::log(u1));
-    double theta = 2.0 * 3.14159265358979323846 * u2;
-    spare_ = r * std::sin(theta);
+    double u1 = 0.0, u2 = 0.0;
+    boxMullerUniforms(u1, u2);
     haveSpare_ = true;
-    return r * std::cos(theta);
+    return boxMuller(u1, u2, spare_);
 }
 
 inline double

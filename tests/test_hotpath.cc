@@ -1,11 +1,12 @@
 /**
  * @file
- * Tests for the caches a mission frame runs through: bit-identity and
- * buffer reuse of the camera render path, bit-identity and zero
- * steady-state allocation of the cached pose estimator, and the
- * memoized weights and inference schedules. The oracle tests at the
- * end hold the pose scorer and the raycaster to frozen reference
- * copies, bit for bit, in every world.
+ * Tests for the caches and kernels a mission frame runs through:
+ * bit-identity and zero steady-state allocation of the render and the
+ * cached pose estimator, and the memoized weights and inference
+ * schedules. The oracle tests at the end hold the pose scorer, the
+ * raycaster and the camera render to frozen reference copies, bit for
+ * bit, in every world; the detmath tests check the error bounds and
+ * bracket decisions the render's fast transcendental path rests on.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dnn/classifier.hh"
@@ -26,6 +28,7 @@
 #include "dnn/forward.hh"
 #include "env/sensors.hh"
 #include "env/world.hh"
+#include "util/detmath.hh"
 #include "util/geometry.hh"
 #include "util/rng.hh"
 #include "util/serde.hh"
@@ -112,35 +115,6 @@ TEST(HotpathShared, WeightsAndSchedulesAreMemoized)
     EXPECT_EQ(s1->layers.size(), direct.layers.size());
 }
 
-// ------------------------------------------------------ camera hot path
-
-TEST(HotpathCamera, RenderIntoBitIdenticalAndReusesBuffer)
-{
-    env::TunnelWorld world;
-    env::Camera a(env::CameraConfig{}, Rng(7));
-    env::Camera b(env::CameraConfig{}, Rng(7));
-    env::Drone drone;
-    env::Image reused;
-    Rng rng(3);
-    const float *pixels = nullptr;
-    for (int frame = 0; frame < 6; ++frame) {
-        drone.setPose({rng.uniform(5, 45), rng.uniform(-1, 1), 1.5},
-                      Quat::fromEuler(0, 0, rng.uniform(-0.3, 0.3)));
-        env::Image fresh =
-            a.render(world, drone.position(), drone.attitude());
-        b.renderInto(world, drone.position(), drone.attitude(), reused);
-        ASSERT_EQ(fresh.width, reused.width);
-        ASSERT_EQ(fresh.height, reused.height);
-        EXPECT_TRUE(bitIdentical(fresh.pixels, reused.pixels))
-            << "frame " << frame;
-        if (frame == 0)
-            pixels = reused.pixels.data();
-        else
-            EXPECT_EQ(reused.pixels.data(), pixels)
-                << "image buffer was reallocated";
-    }
-}
-
 // ----------------------------------------------------- pose-scratch path
 
 TEST(HotpathPose, ScratchOverloadBitIdentical)
@@ -182,9 +156,12 @@ TEST(HotpathPose, ScratchSteadyStateZeroAllocation)
     EstimatorConfig cfg;
     PoseScratch scratch;
     estimatePose(img, cfg, scratch); // sizes the cache + scratch
+    // The render and the pose estimate of a steady-state frame.
     uint64_t before = g_allocCount.load();
-    for (int i = 0; i < 5; ++i)
+    for (int i = 0; i < 5; ++i) {
+        cam.renderInto(world, drone.position(), drone.attitude(), img);
         estimatePose(img, cfg, scratch);
+    }
     EXPECT_EQ(g_allocCount.load() - before, 0u);
 }
 
@@ -959,6 +936,7 @@ expectRenderMatchesReference(int scale)
             want.rng.restore(in);
 
             env::Image got, expect;
+            const float *buffer = nullptr;
             for (int i = 0; i < n / int(std::size(cfgs)); ++i) {
                 double x = rng.uniform(0.5, world->length() - 0.5);
                 double y = world->centerY(x) +
@@ -969,8 +947,14 @@ expectRenderMatchesReference(int scale)
                 Quat att = Quat::fromEuler(0, 0, yaw);
                 cam.renderInto(*world, pos, att, got);
                 want.renderInto(*world, pos, att, expect);
+                ASSERT_EQ(got.width, cfg.width);
+                ASSERT_EQ(got.height, cfg.height);
                 ASSERT_TRUE(bitIdentical(got.pixels, expect.pixels))
                     << "frame " << i;
+                if (i == 0)
+                    buffer = got.pixels.data();
+                ASSERT_EQ(got.pixels.data(), buffer)
+                    << "image buffer was reallocated";
                 StateWriter w;
                 want.rng.save(w);
                 ASSERT_EQ(cameraState(cam), w.data()) << "frame " << i;
@@ -991,4 +975,174 @@ TEST(HotpathOracle, RenderMatchesLibmReference)
 TEST(HotpathOracle, DISABLED_RenderMatchesLibmReferenceLong)
 {
     expectRenderMatchesReference(20);
+}
+
+// ------------------------------------------------ detmath and brackets
+//
+// The render keeps a fast transcendental value only when a bracket
+// around it decides the pixel (DESIGN.md §5e). That is sound while the
+// libm value lies inside the bracket: the property tests measure the
+// fast kernels against libm over 10^7 seeded inputs in the render's
+// ranges and require 64x headroom. The bracket tests construct the
+// values where the decision is close, the rounding boundaries of the
+// pixel chains and the floor crossings of the texture hash, and
+// require the exact path there.
+
+TEST(Detmath, BoxMullerWithinBracketOverSeededDraws)
+{
+    // 5x10^6 uniform pairs drawn as the camera draws them, so 10^7
+    // Gaussian values, plus the extremes of u1 and the quadrant edges
+    // of u2.
+    auto worstError = [](double u1, double u2) {
+        double r = std::sqrt(-2.0 * detmath::log(u1));
+        double s, c;
+        detmath::sincos2pi(u2, s, c);
+        double sinPart;
+        double cosPart = Rng::boxMuller(u1, u2, sinPart);
+        return std::max(std::abs(r * c - cosPart),
+                        std::abs(r * s - sinPart));
+    };
+    double worst = 0.0;
+    Rng rng(0xde7);
+    for (int i = 0; i < 5000000; ++i) {
+        double u1, u2;
+        rng.boxMullerUniforms(u1, u2);
+        worst = std::max(worst, worstError(u1, u2));
+    }
+    const double ulp = 0x1p-53; // the uniform grid
+    for (double u1 : {ulp, 2 * ulp, 0.5, 1.0 - ulp}) {
+        for (double u2 : {0.0, ulp, 0.125, 0.25 - ulp, 0.25, 0.375, 0.5,
+                          0.625, 0.75, 0.875 + ulp, 1.0 - ulp}) {
+            worst = std::max(worst, worstError(u1, u2));
+        }
+    }
+    EXPECT_LE(worst, env::pixel::kGaussianBracket / 64) << worst;
+}
+
+TEST(Detmath, SinWithinBracketOverTextureArguments)
+{
+    // Texture arguments stay within |u| < 300 in every corridor; draw
+    // 10^7 from [-512, 512], then a sparser sweep of the whole domain
+    // and the multiples of pi/2 where the reduction cancels most.
+    double worst = 0.0;
+    auto check = [&](double u) {
+        worst = std::max(worst, std::abs(detmath::sin(u) - std::sin(u)));
+    };
+    Rng rng(0x51e);
+    for (int i = 0; i < 10000000; ++i)
+        check(rng.uniform(-512.0, 512.0));
+    for (int i = 0; i < 100000; ++i)
+        check(rng.uniform(-detmath::kSinDomain, detmath::kSinDomain));
+    for (int k = -2000; k <= 2000; ++k) {
+        double u = k * (kPi / 2);
+        check(std::nextafter(u, -1e300));
+        check(u);
+        check(std::nextafter(u, 1e300));
+    }
+    EXPECT_LE(worst, env::pixel::kSinBracket / 64) << worst;
+}
+
+namespace {
+
+/**
+ * Adjacent doubles a < b in [lo, hi] where the monotone chain f
+ * changes value: f(a) == f(lo) != f(b). Needs f(lo) != f(hi).
+ */
+template <typename F>
+std::pair<double, double>
+changePoint(F f, double lo, double hi)
+{
+    const float at = f(lo);
+    while (std::nextafter(lo, hi) != hi) {
+        double mid = lo + 0.5 * (hi - lo);
+        (f(mid) == at ? lo : hi) = mid;
+    }
+    return {lo, hi};
+}
+
+} // namespace
+
+TEST(RenderBracket, NoiseTakesExactPathAtRoundingBoundaries)
+{
+    using env::pixel::kGaussianBracket;
+    for (double sd : {0.01, 0.05, 0.5}) {
+        auto noise = [sd](double g) { return env::pixel::noise(g, sd); };
+        Rng rng(0xb0 + uint64_t(sd * 100));
+        for (int i = 0; i < 500; ++i) {
+            double g = rng.uniform(-5.0, 5.0);
+            // The next float's preimage lies past the next boundary.
+            float f = noise(g);
+            double hi = double(std::nextafter(f, g < 0 ? -1.f : 1.f)) / sd;
+            ASSERT_NE(noise(hi), f);
+            auto [a, b] = changePoint(noise, g, hi);
+            SCOPED_TRACE("sd " + std::to_string(sd) + " g " +
+                         std::to_string(g));
+            float out;
+            for (double x : {a, b, a - kGaussianBracket / 2,
+                             b + kGaussianBracket / 2})
+                EXPECT_FALSE(env::pixel::noiseIfBracketed(x, sd, out));
+            // Far from any boundary the fast value decides the float.
+            double centre = double(f) / sd;
+            if (noise(centre) == f) {
+                ASSERT_TRUE(env::pixel::noiseIfBracketed(centre, sd, out));
+                EXPECT_EQ(out, f);
+            }
+        }
+    }
+}
+
+TEST(RenderBracket, WallShadeTakesExactPathAtFloorCrossings)
+{
+    using env::pixel::kSinBracket;
+    const double base = 0.6, amp = 0.15;
+    auto cell = [](double s) { return float(std::floor(s * 43758.5453)); };
+    for (double k : {-43758.0, -20000.0, -1.0, 0.0, 1.0, 777.0, 43758.0}) {
+        SCOPED_TRACE("crossing " + std::to_string(k));
+        double s = k / 43758.5453;
+        auto [a, b] = changePoint(cell, s - 1e-9, s + 1e-9);
+        ASSERT_NE(cell(a), cell(b));
+        float out;
+        for (double x : {a, b, a - kSinBracket / 2, b + kSinBracket / 2})
+            EXPECT_FALSE(env::pixel::wallIfBracketed(x, base, amp, out));
+        // With no texture the shade is flat across the crossing, but
+        // the floor check alone still sends it down the exact path.
+        EXPECT_EQ(env::pixel::wall(a, base, 0.0),
+                  env::pixel::wall(b, base, 0.0));
+        EXPECT_FALSE(env::pixel::wallIfBracketed(a, base, 0.0, out));
+    }
+}
+
+TEST(RenderBracket, WallShadeTakesExactPathAtRoundingBoundaries)
+{
+    using env::pixel::kSinBracket;
+    Rng rng(0x7e);
+    int decided = 0;
+    for (int i = 0; i < 500; ++i) {
+        double base = rng.uniform(0.25, 0.85);
+        double amp = rng.bernoulli(0.5) ? 0.15 : -0.3;
+        auto wall = [&](double s) {
+            return env::pixel::wall(s, base, amp);
+        };
+        double s = rng.uniform(-1.0, 1.0);
+        // ~1e-10 spans several float steps of the shade but almost
+        // never a floor crossing (one per 2.3e-5).
+        double hi = s + 1e-10;
+        if (std::floor(s * 43758.5453) != std::floor(hi * 43758.5453))
+            continue;
+        ASSERT_NE(wall(s), wall(hi));
+        auto [a, b] = changePoint(wall, s, hi);
+        SCOPED_TRACE("s " + std::to_string(s));
+        float out;
+        for (double x : {a, b, a - kSinBracket / 2, b + kSinBracket / 2})
+            EXPECT_FALSE(env::pixel::wallIfBracketed(x, base, amp, out));
+        // Midway between two boundaries the fast value decides.
+        double c = changePoint(wall, b, hi).first;
+        double mid = b + 0.5 * (c - b);
+        if (c - b > 4 * kSinBracket) {
+            ASSERT_TRUE(env::pixel::wallIfBracketed(mid, base, amp, out));
+            EXPECT_EQ(out, wall(mid));
+            ++decided;
+        }
+    }
+    EXPECT_GT(decided, 100);
 }
