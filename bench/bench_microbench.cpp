@@ -111,27 +111,14 @@ BM_RaycastTunnel(benchmark::State &state)
 BENCHMARK(BM_RaycastTunnel);
 
 static void
-BM_CameraRender(benchmark::State &state)
-{
-    env::TunnelWorld w;
-    env::Drone d;
-    d.setPose({10, 0.3, 1.5}, Quat::fromEuler(0, 0, 0.1));
-    env::Camera cam(env::CameraConfig{}, Rng(1));
-    for (auto _ : state) {
-        env::Image img = cam.render(w, d);
-        benchmark::DoNotOptimize(img.pixels.data());
-    }
-}
-BENCHMARK(BM_CameraRender);
-
-static void
 BM_ClassifierInference(benchmark::State &state)
 {
     env::TunnelWorld w;
     env::Drone d;
     d.setPose({10, 0.3, 1.5}, Quat::fromEuler(0, 0, 0.1));
     env::Camera cam(env::CameraConfig{}, Rng(1));
-    env::Image img = cam.render(w, d);
+    env::Image img;
+    cam.renderInto(w, d.position(), d.attitude(), img);
     dnn::Model m = dnn::makeResNet(14);
     dnn::Classifier cls(m, Rng(2));
     for (auto _ : state) {
@@ -163,7 +150,8 @@ BM_PoseEstimateScratch(benchmark::State &state)
     env::Drone d;
     d.setPose({10, 0.3, 1.5}, Quat::fromEuler(0, 0, 0.1));
     env::Camera cam(env::CameraConfig{}, Rng(1));
-    env::Image img = cam.render(w, d);
+    env::Image img;
+    cam.renderInto(w, d.position(), d.attitude(), img);
     dnn::EstimatorConfig cfg;
     dnn::PoseScratch scratch;
     for (auto _ : state) {
@@ -308,9 +296,9 @@ BENCHMARK(BM_CosimPeriod)->Arg(10)->Arg(100);
 // --------------------------------------------------------------------
 // Hot-path perf report (--hotpath): times the work one mission frame
 // executes — camera render, the bridge's image encode/decode, and pose
-// estimation — on the allocating paths and on the cached, buffer-
-// reusing paths missions run, plus each stage on its own; counts the
-// heap allocations of a steady-state frame; emits BENCH_hotpath.json.
+// estimation — on the cached, buffer-reusing paths missions run, end
+// to end and each stage on its own; counts the heap allocations of a
+// steady-state frame; emits BENCH_hotpath.json.
 // With --baseline FILE it fails (exit 1) when any tracked latency
 // regresses by more than 2x against the recorded values — the CI
 // perf-smoke gate. --write-baseline FILE records the current machine's
@@ -380,14 +368,6 @@ run(const std::string &jsonPath, const std::string &baselinePath,
     env::Camera cam(env::CameraConfig{}, Rng(1));
     dnn::EstimatorConfig ecfg;
 
-    auto classicFrame = [&] {
-        env::Image img =
-            cam.render(world, drone.position(), drone.attitude());
-        env::Image rx;
-        bridge::decodeImageRespInto(bridge::encodeImageResp(img), rx);
-        dnn::PoseEstimate est = dnn::estimatePose(rx, ecfg);
-        benchmark::DoNotOptimize(est.headingRad);
-    };
     env::Image img, rx;
     dnn::PoseScratch scratch;
     auto hotFrame = [&] {
@@ -397,18 +377,12 @@ run(const std::string &jsonPath, const std::string &baselinePath,
         benchmark::DoNotOptimize(est.headingRad);
     };
 
-    // Interleave the two variants rep by rep (best-of across reps):
-    // frame-scale work on a shared machine drifts over seconds, and
-    // back-to-back pairs cancel that drift out of the ratio.
-    classicFrame();
+    // Best of 9 reps of 20 frames: the best rep filters the
+    // interference of other load on shared machines.
     hotFrame();
-    double classicNs = 1e300, hotNs = 1e300;
+    double hotNs = 1e300;
     for (int rep = 0; rep < 9; ++rep) {
         double s = nowNs();
-        for (int i = 0; i < 20; ++i)
-            classicFrame();
-        classicNs = std::min(classicNs, (nowNs() - s) / 20);
-        s = nowNs();
         for (int i = 0; i < 20; ++i)
             hotFrame();
         hotNs = std::min(hotNs, (nowNs() - s) / 20);
@@ -423,11 +397,9 @@ run(const std::string &jsonPath, const std::string &baselinePath,
     uint64_t allocsPerTenFrames = g_allocCount.load() - allocsBefore;
 
     std::printf("per-frame E2E (render + image codec + pose):\n"
-                "  classic %8.0f ns/frame\n"
-                "  hotpath %8.0f ns/frame  (%.2fx, %llu allocs per 10 "
-                "steady frames)\n",
-                classicNs, hotNs, classicNs / hotNs,
-                (unsigned long long)allocsPerTenFrames);
+                "  hotpath %8.0f ns/frame  (%llu allocs per 10 steady "
+                "frames)\n",
+                hotNs, (unsigned long long)allocsPerTenFrames);
 
     // Per-stage breakdown of the hot frame. Stages are timed in
     // isolation, so their sum can differ slightly from the E2E number
@@ -454,9 +426,7 @@ run(const std::string &jsonPath, const std::string &baselinePath,
     if (!jsonPath.empty()) {
         std::ofstream js(jsonPath);
         js << "{\n  \"report\": \"hotpath\",\n";
-        js << "  \"frame_classic_ns\": " << classicNs << ",\n";
         js << "  \"frame_hotpath_ns\": " << hotNs << ",\n";
-        js << "  \"frame_speedup\": " << classicNs / hotNs << ",\n";
         js << "  \"frame_stages\": {\n";
         js << "    \"render_ns\": " << renderNs << ",\n";
         js << "    \"decode_ns\": " << decodeNs << ",\n";

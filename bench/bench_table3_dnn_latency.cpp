@@ -36,12 +36,13 @@ validationAccuracy(const rose::dnn::Model &model, int samples)
     Rng rng(31);
 
     int correct = 0;
+    env::Image img;
     for (int i = 0; i < samples; ++i) {
         double y = rng.uniform(-1.2, 1.2);
         double psi = rng.uniform(-0.35, 0.35);
         double x = rng.uniform(5.0, 45.0);
         drone.setPose({x, y, 1.5}, Quat::fromEuler(0, 0, psi));
-        env::Image img = cam.render(world, drone);
+        cam.renderInto(world, drone.position(), drone.attitude(), img);
         dnn::ClassifierOutput out = cls.infer(img);
 
         int true_ang = psi > ec.headingClassRad

@@ -48,6 +48,7 @@ generateDataset(const env::World &world, const DatasetConfig &cfg)
     Rng rng(cfg.seed);
     env::Camera cam(env::CameraConfig{}, rng.split());
     env::Drone drone;
+    env::Image img;
 
     const EstimatorConfig &th = cfg.thresholds;
     for (int i = 0; i < cfg.samples; ++i) {
@@ -58,7 +59,7 @@ generateDataset(const env::World &world, const DatasetConfig &cfg)
         drone.setPose({x, world.centerY(x) + y, th.camAltitude},
                       Quat::fromEuler(0, 0,
                                       world.tangentAngle(x) + psi));
-        env::Image img = cam.render(world, drone);
+        cam.renderInto(world, drone.position(), drone.attitude(), img);
 
         Example ex;
         ex.features = extractFeatures(img);

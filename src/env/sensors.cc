@@ -121,15 +121,6 @@ Camera::ensureDirections(double focal)
     dirFocal_ = focal;
 }
 
-Image
-Camera::render(const World &world, const Vec3 &position,
-               const Quat &attitude)
-{
-    Image img;
-    renderInto(world, position, attitude, img);
-    return img;
-}
-
 void
 Camera::drawNoise(float *px)
 {
@@ -306,12 +297,6 @@ Camera::renderInto(const World &world, const Vec3 &position,
             px = float(clampd(shade[r] + px, 0.0, 1.0));
         }
     }
-}
-
-Image
-Camera::render(const World &world, const Drone &drone)
-{
-    return render(world, drone.position(), drone.attitude());
 }
 
 double

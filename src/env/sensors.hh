@@ -142,20 +142,13 @@ class Camera
   public:
     Camera(const CameraConfig &cfg, Rng rng);
 
-    /** Render the view from a pose. */
-    Image render(const World &world, const Vec3 &position,
-                 const Quat &attitude);
-
     /**
-     * Render into a caller-reused image buffer: resized to the camera
-     * dimensions, every pixel overwritten, no steady-state allocation.
-     * Bit-identical to render() (which wraps this).
+     * Render the view from a pose into a caller-reused image buffer:
+     * resized to the camera dimensions, every pixel overwritten, no
+     * steady-state allocation.
      */
     void renderInto(const World &world, const Vec3 &position,
                     const Quat &attitude, Image &out);
-
-    /** Convenience overload for bare Drone tests. */
-    Image render(const World &world, const Drone &drone);
 
     const CameraConfig &config() const { return cfg_; }
 

@@ -292,6 +292,7 @@ measureAccuracy(int depth, int samples)
     env::TunnelWorld world;
     env::Camera cam(env::CameraConfig{}, Rng(41));
     env::Drone drone;
+    env::Image img;
     Classifier cls(makeResNet(depth), Rng(43));
     EstimatorConfig ec;
     Rng rng(47);
@@ -301,7 +302,8 @@ measureAccuracy(int depth, int samples)
         double psi = rng.uniform(-0.35, 0.35);
         double x = rng.uniform(5.0, 45.0);
         drone.setPose({x, y, 1.5}, Quat::fromEuler(0, 0, psi));
-        ClassifierOutput out = cls.infer(cam.render(world, drone));
+        cam.renderInto(world, drone.position(), drone.attitude(), img);
+        ClassifierOutput out = cls.infer(img);
         int ta = psi > ec.headingClassRad ? 0
                  : psi < -ec.headingClassRad ? 2 : 1;
         int tl = y > ec.offsetClassM ? 0 : y < -ec.offsetClassM ? 2 : 1;
@@ -319,6 +321,7 @@ TEST(Classifier, PoseEstimateAccurate)
     env::TunnelWorld world;
     env::Camera cam(env::CameraConfig{}, Rng(11));
     env::Drone drone;
+    env::Image img;
     Rng rng(13);
     double se_h = 0.0, se_o = 0.0;
     const int n = 100;
@@ -327,7 +330,8 @@ TEST(Classifier, PoseEstimateAccurate)
         double psi = rng.uniform(-0.3, 0.3);
         drone.setPose({rng.uniform(5, 45), y, 1.5},
                       Quat::fromEuler(0, 0, psi));
-        PoseEstimate est = estimatePose(cam.render(world, drone));
+        cam.renderInto(world, drone.position(), drone.attitude(), img);
+        PoseEstimate est = estimatePose(img);
         ASSERT_TRUE(est.valid);
         se_h += (est.headingRad - psi) * (est.headingRad - psi);
         se_o += (est.offsetM - y) * (est.offsetM - y);
@@ -343,7 +347,9 @@ TEST(Classifier, ProbabilitiesNormalized)
     env::Drone drone;
     drone.setPose({10, 0.5, 1.5}, Quat::fromEuler(0, 0, 0.1));
     Classifier cls(makeResNet(14), Rng(19));
-    ClassifierOutput out = cls.infer(cam.render(world, drone));
+    env::Image img;
+    cam.renderInto(world, drone.position(), drone.attitude(), img);
+    ClassifierOutput out = cls.infer(img);
     ASSERT_TRUE(out.valid);
     double sa = out.angular.probs[0] + out.angular.probs[1] +
                 out.angular.probs[2];
@@ -362,12 +368,15 @@ TEST(Classifier, CorrectClassOnClearPoses)
 
     // Strongly yawed left, centered: angular head must say left.
     drone.setPose({10, 0.0, 1.5}, Quat::fromEuler(0, 0, 0.35));
-    ClassifierOutput out = cls.infer(cam.render(world, drone));
+    env::Image img;
+    cam.renderInto(world, drone.position(), drone.attitude(), img);
+    ClassifierOutput out = cls.infer(img);
     EXPECT_EQ(out.angular.argmax(), 0);
 
     // Strongly offset right, straight: lateral head must say right.
     drone.setPose({10, -1.1, 1.5}, Quat{});
-    out = cls.infer(cam.render(world, drone));
+    cam.renderInto(world, drone.position(), drone.attitude(), img);
+    out = cls.infer(img);
     EXPECT_EQ(out.lateral.argmax(), 2);
 }
 
@@ -379,7 +388,8 @@ TEST(Classifier, ConfidenceGrowsWithCapacity)
     env::Camera cam(env::CameraConfig{}, Rng(31));
     env::Drone drone;
     drone.setPose({10, 0.0, 1.5}, Quat::fromEuler(0, 0, 0.3));
-    env::Image img = cam.render(world, drone);
+    env::Image img;
+    cam.renderInto(world, drone.position(), drone.attitude(), img);
 
     double margin6 = 0.0, margin34 = 0.0;
     const int reps = 50;

@@ -268,7 +268,8 @@ TEST(Camera, ImageDimensionsAndRange)
     Drone d;
     d.setPose({5, 0, 1.5}, Quat{});
     Camera cam(CameraConfig{}, Rng(7));
-    Image img = cam.render(w, d);
+    Image img;
+    cam.renderInto(w, d.position(), d.attitude(), img);
     EXPECT_EQ(img.width, 64);
     EXPECT_EQ(img.height, 48);
     ASSERT_EQ(img.pixels.size(), size_t(64) * 48);
@@ -288,7 +289,8 @@ TEST(Camera, OffsetSkewsBrightness)
 
     Drone d;
     d.setPose({5, 1.0, 1.5}, Quat{}); // near left wall
-    Image img = cam.render(w, d);
+    Image img;
+    cam.renderInto(w, d.position(), d.attitude(), img);
 
     auto col_mean = [&](int c) {
         double s = 0;
@@ -309,8 +311,9 @@ TEST(Camera, DeterministicGivenSeed)
     d.setPose({5, 0.3, 1.5}, Quat::fromEuler(0, 0, 0.1));
     Camera a(CameraConfig{}, Rng(11));
     Camera b(CameraConfig{}, Rng(11));
-    Image ia = a.render(w, d);
-    Image ib = b.render(w, d);
+    Image ia, ib;
+    a.renderInto(w, d.position(), d.attitude(), ia);
+    b.renderInto(w, d.position(), d.attitude(), ib);
     EXPECT_EQ(ia.pixels, ib.pixels);
 }
 
@@ -499,8 +502,9 @@ TEST(Obstacles, CameraRendersPillar)
     d.setPose({10, 0, 1.5}, Quat{});
     Camera cam_a(CameraConfig{}, Rng(73));
     Camera cam_b(CameraConfig{}, Rng(73));
-    Image a = cam_a.render(clear_world, d);
-    Image b = cam_b.render(blocked, d);
+    Image a, b;
+    cam_a.renderInto(clear_world, d.position(), d.attitude(), a);
+    cam_b.renderInto(blocked, d.position(), d.attitude(), b);
     int mid = a.width / 2;
     double diff = 0.0;
     for (int r = 0; r < a.height; ++r)

@@ -125,10 +125,11 @@ TEST(HotpathPose, ScratchOverloadBitIdentical)
     Rng rng(23);
     EstimatorConfig cfg;
     PoseScratch scratch;
+    env::Image img;
     for (int frame = 0; frame < 8; ++frame) {
         drone.setPose({rng.uniform(5, 45), rng.uniform(-1, 1), 1.5},
                       Quat::fromEuler(0, 0, rng.uniform(-0.3, 0.3)));
-        env::Image img = cam.render(world, drone);
+        cam.renderInto(world, drone.position(), drone.attitude(), img);
         PoseEstimate fresh = estimatePose(img, cfg);
         PoseEstimate cached = estimatePose(img, cfg, scratch);
         EXPECT_EQ(fresh.valid, cached.valid);
@@ -171,7 +172,8 @@ TEST(HotpathPose, ScratchRebuildsOnConfigChange)
     env::Camera cam(env::CameraConfig{}, Rng(41));
     env::Drone drone;
     drone.setPose({12, -0.4, 1.5}, Quat::fromEuler(0, 0, -0.15));
-    env::Image img = cam.render(world, drone);
+    env::Image img;
+    cam.renderInto(world, drone.position(), drone.attitude(), img);
 
     PoseScratch scratch;
     EstimatorConfig cfg;
@@ -548,9 +550,9 @@ TEST(HotpathOracle, PoseMatchesSequentialSsdReference)
                        rng.uniform(-0.9, 0.9) * world->halfWidth(x);
             double yaw =
                 world->tangentAngle(x) + rng.uniform(-0.7, 0.7);
-            env::Image img = cam.render(
-                *world, Vec3{x, y, rng.uniform(0.8, 2.5)},
-                Quat::fromEuler(0, 0, yaw));
+            env::Image img;
+            cam.renderInto(*world, Vec3{x, y, rng.uniform(0.8, 2.5)},
+                           Quat::fromEuler(0, 0, yaw), img);
             expectPoseMatchesReference(
                 img, cfg, scratch,
                 std::string(name) + " image " + std::to_string(i));
@@ -587,8 +589,9 @@ TEST(HotpathOracle, PoseMatchesReferenceOnSyntheticImages)
     // A smaller camera re-keys the bank (different width and height).
     env::Camera small(env::CameraConfig{40, 30}, Rng(9));
     env::TunnelWorld tunnel;
-    env::Image img = small.render(tunnel, Vec3{10, 0.3, 1.5},
-                                  Quat::fromEuler(0, 0, 0.2));
+    env::Image img;
+    small.renderInto(tunnel, Vec3{10, 0.3, 1.5},
+                     Quat::fromEuler(0, 0, 0.2), img);
     expectPoseMatchesReference(img, cfg, scratch, "40x30");
 }
 

@@ -146,6 +146,7 @@ struct AppHarness
     env::TunnelWorld world;
     env::Camera cam{env::CameraConfig{}, Rng(61)};
     env::Drone drone;
+    env::Image frame;
 
     explicit AppHarness(AppConfig cfg = {},
                         soc::SocConfig scfg = soc::configA())
@@ -171,8 +172,9 @@ struct AppHarness
         while (hostEnd->recv(p)) {
             switch (p.type) {
               case bridge::PacketType::ImageReq:
-                hostEnd->send(bridge::encodeImageResp(
-                    cam.render(world, drone)));
+                cam.renderInto(world, drone.position(), drone.attitude(),
+                               frame);
+                hostEnd->send(bridge::encodeImageResp(frame));
                 break;
               case bridge::PacketType::DepthReq:
                 hostEnd->send(bridge::encodeDepthResp(depth));
@@ -240,9 +242,11 @@ TEST(ControlApp, StaticModeNeverRequestsDepth)
         while (h.hostEnd->recv(p)) {
             if (p.type == bridge::PacketType::DepthReq)
                 saw_depth = true;
-            if (p.type == bridge::PacketType::ImageReq)
-                h.hostEnd->send(bridge::encodeImageResp(
-                    h.cam.render(h.world, h.drone)));
+            if (p.type == bridge::PacketType::ImageReq) {
+                h.cam.renderInto(h.world, h.drone.position(),
+                                 h.drone.attitude(), h.frame);
+                h.hostEnd->send(bridge::encodeImageResp(h.frame));
+            }
         }
     }
     EXPECT_FALSE(saw_depth);

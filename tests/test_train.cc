@@ -155,7 +155,9 @@ TEST(Training, InferOnImagesEndToEnd)
     env::Camera cam(env::CameraConfig{}, Rng(53));
     env::Drone drone;
     drone.setPose({10, 1.0, 1.5}, Quat{});
-    ClassifierOutput out = model.infer(cam.render(world, drone));
+    env::Image img;
+    cam.renderInto(world, drone.position(), drone.attitude(), img);
+    ClassifierOutput out = model.infer(img);
     ASSERT_TRUE(out.valid);
     EXPECT_EQ(out.lateral.argmax(), 0); // offset left
 }
