@@ -113,7 +113,7 @@ struct CameraConfig
  */
 namespace pixel {
 
-/** Half-width around a fast Box-Muller value: 256x its measured
+/** Half-width around a fast Box-Muller value: ~290x its measured
  *  worst-case distance from the libm value. */
 inline constexpr double kGaussianBracket = 0x1p-40;
 /** Half-width around a fast texture sine: 128x its worst-case error. */
