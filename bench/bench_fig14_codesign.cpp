@@ -82,7 +82,7 @@ main(int argc, char **argv)
                 act_sum += r.accelActivityFactor;
                 lat_sum += r.avgInferenceLatency;
                 coll_sum += r.collisions;
-                completed += r.completed ? 1 : 0;
+                completed += r.completed() ? 1 : 0;
             }
             double n = double(std::size(kSeeds));
             std::printf("  %-10s %6.2fs %2d/%d %-6llu %-10.2f %-10.3f "

@@ -24,12 +24,13 @@
  * queue wait. Results land in BENCH_serve.json.
  *
  * A second sweep measures result streaming: multi-megabyte
- * trajectories fetched through the chunked ResultChunk/ResultEnd
- * protocol across chunk size {64 KiB, 256 KiB, 1 MiB} x clients
- * {1, 4} x encoding {csv, binary}. Reported per cell: p50 fetch
- * latency, p50 reassembled MB/s per client, and the actual wire
- * payload moved (the binary encoding's ~1.8x size win over CSV shows
- * up directly in wire_bytes).
+ * trajectories fetched as binary records through the chunked
+ * ResultChunk/ResultEnd protocol across chunk size {64 KiB, 256 KiB,
+ * 1 MiB} x clients {1, 4}, after one discarded warm-up cell.
+ * Reported per cell: p50 fetch latency, p50
+ * MB/s per client (of the canonical CSV the fetch delivers, rendered
+ * outside the timed window), and the record payload actually moved
+ * (wire_bytes).
  *
  * A third sweep quantifies the write-ahead job journal's overhead:
  * the same submit->waitResult loop run with journaling off, on
@@ -184,8 +185,9 @@ runCell(int clients, size_t queue_depth)
 
 // ------------------------------------------------------- streaming
 
-/** Long-trajectory spec for the streaming sweep: ~4 MB of CSV per
- *  mission (one sample every 20k cycles for 1 simulated second). */
+/** Long-trajectory spec for the streaming sweep: 50,000 samples, ~4 MB
+ *  of CSV or 2.2 MB of records per mission (one sample every 20k
+ *  cycles for 1 simulated second). */
 core::MissionSpec
 streamSpec(uint64_t seed)
 {
@@ -199,17 +201,15 @@ struct StreamCell
 {
     size_t chunkBytes = 0;
     int clients = 0;
-    TrajectoryEncoding encoding = TrajectoryEncoding::Csv;
-    size_t payloadBytes = 0; ///< reassembled CSV bytes (p50 client)
-    uint64_t wireBytes = 0;  ///< chunk payload actually sent
+    size_t payloadBytes = 0; ///< canonical CSV bytes (first client)
+    uint64_t wireBytes = 0;  ///< record payload actually sent
     uint64_t chunks = 0;
     double fetchP50Ms = 0.0;
     double mbPerSecP50 = 0.0;
 };
 
 StreamCell
-runStreamCell(size_t chunk_bytes, int clients,
-              TrajectoryEncoding encoding)
+runStreamCell(size_t chunk_bytes, int clients)
 {
     ServerConfig cfg;
     cfg.workers = kWorkers;
@@ -244,21 +244,16 @@ runStreamCell(size_t chunk_bytes, int clients,
                 Clock::time_point f0 = Clock::now();
                 ServedResult r;
                 JobState st = JobState::Unknown;
-                client.tryFetchResult(out.jobId, r, &st, encoding);
+                client.tryFetchResult(out.jobId, r, &st);
                 FetchTally t;
                 t.ms = std::chrono::duration<double, std::milli>(
                            Clock::now() - f0)
                            .count();
-                // Same numerator for both encodings (the canonical
-                // CSV the fetch logically delivers) so MB/s compares
-                // delivery of identical data; a Binary fetch leaves
-                // trajectoryCsv empty, so render it here, outside
-                // the timed window.
-                t.bytes = !r.trajectoryCsv.empty()
-                              ? r.trajectoryCsv.size()
-                              : core::trajectoryCsvString(
-                                    r.trajectory)
-                                    .size();
+                // MB/s counts the canonical CSV the fetch logically
+                // delivers, rendered here outside the timed window,
+                // so cells stay comparable with earlier CSV-payload
+                // measurements.
+                t.bytes = core::trajectoryCsvString(r.trajectory).size();
                 return t;
             });
     ServerStatsSnapshot stats = server.stats();
@@ -267,7 +262,6 @@ runStreamCell(size_t chunk_bytes, int clients,
     StreamCell cell;
     cell.chunkBytes = chunk_bytes;
     cell.clients = clients;
-    cell.encoding = encoding;
     cell.wireBytes = stats.streamedPayloadBytes;
     cell.chunks = stats.streamedChunks;
     std::vector<double> ms, mbps;
@@ -397,30 +391,28 @@ main()
         }
     }
 
-    std::printf("\nresult streaming (chunk size x clients x "
-                "encoding; ~4 MB trajectory per fetch)\n\n");
-    std::printf("%-10s %-8s %-9s %-11s %-11s %-8s %-12s %-12s\n",
-                "chunk", "clients", "encoding", "payload[B]",
-                "wire[B]", "chunks", "fetch p50[ms]", "MB/s p50");
+    std::printf("\nresult streaming (chunk size x clients; ~4 MB "
+                "CSV-equivalent trajectory per fetch)\n\n");
+    std::printf("%-10s %-8s %-11s %-11s %-8s %-12s %-12s\n", "chunk",
+                "clients", "payload[B]", "wire[B]", "chunks",
+                "fetch p50[ms]", "MB/s p50");
+    // One discarded cell first: a process's first multi-megabyte
+    // fetches pay glibc's mmap-threshold warm-up (fresh pages for every
+    // large buffer until a free raises the threshold), which would
+    // otherwise land on whichever cell the sweep happens to run first.
+    runStreamCell(size_t(64) * 1024, 1);
     std::vector<StreamCell> streamCells;
     for (size_t chunk : {size_t(64) * 1024, size_t(256) * 1024,
                          size_t(1024) * 1024}) {
         for (int clients : {1, 4}) {
-            for (TrajectoryEncoding enc :
-                 {TrajectoryEncoding::Csv,
-                  TrajectoryEncoding::Binary}) {
-                StreamCell c = runStreamCell(chunk, clients, enc);
-                std::printf(
-                    "%-10zu %-8d %-9s %-11zu %-11llu %-8llu "
-                    "%-12.2f %-12.2f\n",
-                    c.chunkBytes, c.clients,
-                    trajectoryEncodingName(c.encoding),
-                    c.payloadBytes,
-                    static_cast<unsigned long long>(c.wireBytes),
-                    static_cast<unsigned long long>(c.chunks),
-                    c.fetchP50Ms, c.mbPerSecP50);
-                streamCells.push_back(c);
-            }
+            StreamCell c = runStreamCell(chunk, clients);
+            std::printf("%-10zu %-8d %-11zu %-11llu %-8llu %-12.2f "
+                        "%-12.2f\n",
+                        c.chunkBytes, c.clients, c.payloadBytes,
+                        static_cast<unsigned long long>(c.wireBytes),
+                        static_cast<unsigned long long>(c.chunks),
+                        c.fetchP50Ms, c.mbPerSecP50);
+            streamCells.push_back(c);
         }
     }
 
@@ -463,9 +455,7 @@ main()
         const StreamCell &c = streamCells[i];
         js << (i ? ",\n    " : "\n    ") << "{\"chunk_bytes\": "
            << c.chunkBytes << ", \"clients\": " << c.clients
-           << ", \"encoding\": \""
-           << trajectoryEncodingName(c.encoding)
-           << "\", \"payload_bytes\": " << c.payloadBytes
+           << ", \"payload_bytes\": " << c.payloadBytes
            << ", \"wire_bytes\": " << c.wireBytes
            << ", \"chunks\": " << c.chunks
            << ", \"fetch_p50_ms\": " << c.fetchP50Ms

@@ -66,11 +66,12 @@ run_preset() {
         smoke --clients 4 --missions 8
 
     # Streaming smoke on the same daemon: one mission whose trajectory
-    # CSV exceeds 8 MiB (larger than any single protocol frame, so it
-    # necessarily crosses many ResultChunk frames), fetched in both
-    # CSV and binary encodings and hash-verified against a local run.
-    # Under ASan/UBSan this sweeps the chunked tx path, the binary
-    # quantizer, and the client-side reassembler.
+    # CSV exceeds 8 MiB (larger than any single protocol frame, so its
+    # binary records necessarily cross many ResultChunk frames),
+    # fetched once; the CSV rendered from the reassembled samples is
+    # hash-verified against a local run. Under ASan/UBSan this sweeps
+    # the chunked tx path, the record quantizer, and the client-side
+    # reassembler.
     echo "==== [$preset] serve streaming smoke (>8 MiB trajectory) ===="
     "$builddir/src/serve/rose_client" --port "$(cat "$portfile")" \
         stream-smoke 2> /dev/null

@@ -60,7 +60,7 @@ main()
         small += rec.modelDepth == cfg.app.smallModelDepth;
 
     std::printf("\nmission %s in %.2f s, collisions %llu\n",
-                r.completed ? "COMPLETED" : "TIMED OUT", r.missionTime,
+                r.completed() ? "COMPLETED" : "TIMED OUT", r.missionTime,
                 (unsigned long long)r.collisions);
     std::printf("inferences: %llu (%llu on the small model, %.0f%%)\n",
                 (unsigned long long)r.inferences,
@@ -69,5 +69,5 @@ main()
                              : 0.0);
     std::printf("accelerator activity factor: %.3f\n",
                 r.accelActivityFactor);
-    return r.completed ? 0 : 1;
+    return r.completed() ? 0 : 1;
 }

@@ -129,7 +129,7 @@ main(int argc, char **argv)
                     "avg_speed=%.2f inferences=%llu "
                     "infer_latency=%.0fms activity=%.3f "
                     "sim_rate=%.0fMHz\n",
-                    r.completed ? "completed" : "timeout",
+                    r.completed() ? "completed" : "timeout",
                     r.missionTime, (unsigned long long)r.collisions,
                     r.avgSpeed, (unsigned long long)r.inferences,
                     r.avgInferenceLatency * 1e3, r.accelActivityFactor,
@@ -139,5 +139,5 @@ main(int argc, char **argv)
     }
     if (stats)
         sim.printSummary(std::cout);
-    return r.completed ? 0 : 1;
+    return r.completed() ? 0 : 1;
 }

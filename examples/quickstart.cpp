@@ -39,7 +39,7 @@ main()
     core::MissionResult r = sim.run();
 
     std::printf("\nmission %s in %.2f s  (collisions: %llu)\n",
-                r.completed ? "COMPLETED" : "TIMED OUT", r.missionTime,
+                r.completed() ? "COMPLETED" : "TIMED OUT", r.missionTime,
                 (unsigned long long)r.collisions);
     std::printf("avg speed %.2f m/s, distance %.1f m\n", r.avgSpeed,
                 r.distanceTravelled);
@@ -63,5 +63,5 @@ main()
             next_t += 2.0;
         }
     }
-    return r.completed ? 0 : 1;
+    return r.completed() ? 0 : 1;
 }

@@ -36,7 +36,7 @@ main(int argc, char **argv)
     core::MissionResult r = core::runMission(spec);
 
     std::printf("mission %s in %.2f s (collisions: %llu)\n",
-                r.completed ? "COMPLETED" : "TIMED OUT", r.missionTime,
+                r.completed() ? "COMPLETED" : "TIMED OUT", r.missionTime,
                 (unsigned long long)r.collisions);
     std::printf("avg speed %.2f m/s, %llu inferences at %.0f ms "
                 "request->command\n",
@@ -53,5 +53,5 @@ main(int argc, char **argv)
             next_t += 3.0;
         }
     }
-    return r.completed ? 0 : 1;
+    return r.completed() ? 0 : 1;
 }

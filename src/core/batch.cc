@@ -36,7 +36,6 @@ BatchRunner::run(const std::vector<MissionSpec> &specs)
                     rose_warn("batch slot ", i, " (", specs[i].label(),
                               ") failed: ", e.what());
                     MissionResult r;
-                    r.completed = false;
                     r.status = MissionStatus::Crashed;
                     r.failureReason = e.what();
                     return r;

@@ -195,8 +195,7 @@ MissionResult
 CoSimulation::collectResult() const
 {
     MissionResult r;
-    r.completed = env_->missionComplete();
-    if (r.completed) {
+    if (env_->missionComplete()) {
         r.status = app_->degradedIntervals().empty()
                        ? MissionStatus::Completed
                        : MissionStatus::Degraded;
@@ -273,7 +272,6 @@ CoSimulation::run()
 
     MissionResult r = collectResult();
     if (crashed) {
-        r.completed = false;
         r.status = MissionStatus::Crashed;
         r.failureReason = failure;
         r.transportError = transport_error;

@@ -125,10 +125,15 @@ const char *missionStatusName(MissionStatus s);
 /** Mission outcome and metrics. */
 struct MissionResult
 {
-    bool completed = false;
-    /** Structured outcome; `completed` above is kept for callers that
-     *  predate it (Degraded also counts as completed). */
+    /** Structured outcome: the one field saying how the run ended. */
     MissionStatus status = MissionStatus::TimedOut;
+    /** Reached the goal (Degraded also counts as completed). */
+    bool
+    completed() const
+    {
+        return status == MissionStatus::Completed ||
+               status == MissionStatus::Degraded;
+    }
     /** Diagnostic for Crashed/TimedOut outcomes (empty otherwise). */
     std::string failureReason;
     /** The run aborted on a bridge::TransportError (dead peer, corrupt

@@ -199,7 +199,7 @@ runMpcMission(const MissionSpec &spec, const runtime::MpcConfig &mpc)
 std::string
 missionTimeString(const MissionResult &r)
 {
-    if (!r.completed)
+    if (!r.completed())
         return "DNF";
     std::ostringstream os;
     os.precision(2);

@@ -123,7 +123,6 @@ MissionSupervisor::run()
                     elapsed() > sup_.wallClockBudgetSeconds) {
                     note(sim_->periods(), "wall-clock budget exhausted");
                     MissionResult r = sim_->collectResult();
-                    r.completed = false;
                     r.status = MissionStatus::TimedOut;
                     r.failureReason =
                         "wall-clock budget exhausted (" +
@@ -182,7 +181,6 @@ MissionSupervisor::run()
                  "retries exhausted: " + last_failure);
             MissionResult r =
                 sim_ ? sim_->collectResult() : MissionResult{};
-            r.completed = false;
             r.status = MissionStatus::Crashed;
             r.failureReason = last_failure + " (after " +
                               std::to_string(stats_.retriesUsed) +
@@ -249,7 +247,6 @@ MissionSupervisor::run()
             // report what we know rather than throwing out of run().
             MissionResult r =
                 sim_ ? sim_->collectResult() : MissionResult{};
-            r.completed = false;
             r.status = MissionStatus::Crashed;
             r.failureReason = last_failure +
                               "; recovery failed: " + e.what();

@@ -265,13 +265,6 @@ estimatePose(const env::Image &img, const EstimatorConfig &cfg,
     return est;
 }
 
-PoseEstimate
-estimatePose(const env::Image &img, const EstimatorConfig &cfg)
-{
-    PoseScratch scratch;
-    return estimatePose(img, cfg, scratch);
-}
-
 // ------------------------------------------------------------ Classifier
 
 Classifier::Classifier(const Model &model, Rng rng,

@@ -105,8 +105,8 @@ struct PoseEstimate
  *
  * After the first frame at a given image size, estimatePose performs
  * zero heap allocations. Single-owner, not thread-safe; each
- * Classifier carries its own. Pure cache: never checkpointed, and
- * results are bit-identical to the scratch-free overload.
+ * Classifier and MpcApp carries its own. Pure cache: never
+ * checkpointed, and results are bit-identical to a fresh scratch's.
  */
 struct PoseScratch
 {
@@ -135,11 +135,9 @@ struct PoseScratch
 /**
  * Recover corridor-relative pose from a rendered camera image. Pure
  * vision: uses only pixel data plus the learned geometry constants.
+ * Reuses @p scratch across calls; a fresh scratch gives the same
+ * bits.
  */
-PoseEstimate estimatePose(const env::Image &img,
-                          const EstimatorConfig &cfg = {});
-
-/** Steady-state overload: reuses @p scratch, bit-identical results. */
 PoseEstimate estimatePose(const env::Image &img,
                           const EstimatorConfig &cfg,
                           PoseScratch &scratch);

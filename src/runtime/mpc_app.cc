@@ -126,7 +126,7 @@ MpcApp::next(const soc::SocContext &ctx)
         // Visual front end + iterative solve. The cycle charge is
         // data-dependent through the iteration count.
         dnn::PoseEstimate pose =
-            dnn::estimatePose(image_, cfg_.estimator);
+            dnn::estimatePose(image_, cfg_.estimator, poseScratch_);
         current_.offsetEstimate = pose.valid ? pose.offsetM : 0.0;
         current_.headingEstimate = pose.valid ? pose.headingRad : 0.0;
 

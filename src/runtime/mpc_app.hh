@@ -127,6 +127,9 @@ class MpcApp : public soc::Workload
     State state_ = State::Boot;
     /** Last decoded camera frame (buffer reused across requests). */
     env::Image image_;
+    /** Pose-estimator template bank and buffers, built on the first
+     *  frame and reused by every later one. */
+    dnn::PoseScratch poseScratch_;
     bool haveImage_ = false;
     MpcRecord current_;
     Cycles solveCycles_ = 0;

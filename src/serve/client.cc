@@ -265,23 +265,22 @@ ServeClient::status(uint64_t job_id)
 
 bool
 ServeClient::tryFetchResult(uint64_t job_id, ServedResult &out,
-                            JobState *state_out,
-                            TrajectoryEncoding encoding)
+                            JobState *state_out, TrajectoryEncoding)
 {
     // Resumable fetch: on connection loss mid-stream (reconnect
     // enabled) the assembled prefix is kept and the re-request
     // carries its byte offset; the server restarts chunk numbering
     // at 0 from there (rewindForResume matches). If the server
-    // refuses the resume (e.g. binary no longer servable), one
-    // restart from offset 0 with a fresh assembler is attempted.
+    // refuses the resume, or the resumed payload fails its hash
+    // check, one restart from offset 0 with a fresh assembler is
+    // attempted.
     ResultStreamAssembler assembler(job_id);
     bool restarted = false;
     int episodes = 0;
     for (;;) {
         try {
             Message resp = request(encodeFetchResult(
-                job_id, encoding,
-                uint64_t(assembler.payloadBytes())));
+                job_id, uint64_t(assembler.payloadBytes())));
             if (resp.type == MsgType::StatusReply) {
                 StatusInfo s = decodeStatusReply(resp);
                 if (state_out)
@@ -325,8 +324,8 @@ ServeClient::tryFetchResult(uint64_t job_id, ServedResult &out,
     if (state_out)
         *state_out = d.state;
     // The bytes are verified locally: release the server-side record
-    // (the ack carries the hash of the payload we assembled — CSV or
-    // binary — so the server only drops what we actually hold).
+    // (the ack carries the hash of the records we assembled, so the
+    // server only drops what we actually hold).
     ackVerified(job_id, payload_hash);
     return true;
 }
@@ -350,20 +349,19 @@ ServeClient::ackVerified(uint64_t job_id, uint64_t payload_hash)
         // the server holds different bytes than it streamed us.
         throw ProtocolError(detail::concat(
             "server refused ack of job ", job_id,
-            ": trajectory hash mismatch"));
+            ": payload hash mismatch"));
     // Released, or UnknownJob (an earlier ack already landed): done.
 }
 
 ServedResult
 ServeClient::waitResult(uint64_t job_id, int timeout_ms, int poll_ms,
-                        TrajectoryEncoding encoding,
                         JobState *state_out)
 {
     auto deadline = Clock::now() +
                     std::chrono::milliseconds(timeout_ms);
     for (;;) {
         ServedResult result;
-        if (tryFetchResult(job_id, result, state_out, encoding))
+        if (tryFetchResult(job_id, result, state_out))
             return result;
         if (Clock::now() >= deadline)
             throw TransportError(detail::concat(

@@ -11,10 +11,11 @@
  *  - Result streams: FetchResult of a finished job is answered with a
  *    sequence of ResultChunk frames closed by ResultEnd; the client
  *    reassembles them through ResultStreamAssembler, which verifies
- *    chunk ordering, the byte count, and the FNV-1a trajectory hash
- *    before handing back a ServedResult. Binary-encoded payloads are
- *    re-encoded to canonical CSV so the verified bytes are identical
- *    to a local runMission() of the same spec.
+ *    chunk ordering, the byte count, and the FNV-1a hash of the
+ *    binary records before decoding them into the ServedResult's
+ *    samples. Rendering those samples with core::trajectoryCsvString
+ *    reproduces the canonical CSV of a local runMission() of the
+ *    same spec byte for byte.
  *
  *  - Progress pushes: the server may interleave Progress frames
  *    (latest simulated time of a running job) anywhere between
@@ -135,14 +136,14 @@ class ServeClient
      * holds the result; false when it is still queued or running.
      * @p state_out (when non-null) receives the job's state — Done or
      * Failed on a true return, so success and failure are
-     * distinguishable without inspecting failureReason. @p encoding
-     * selects the trajectory wire encoding (the reassembled
-     * trajectoryCsv is byte-identical either way; Binary is smaller
-     * on the wire). After local verification the result is released
-     * server-side with a hash-verified AckResult; a second fetch of
-     * the same id then reports it Unknown. Under reconnect, a stream
-     * interrupted by connection loss is resumed from the byte offset
-     * already assembled instead of restarting. The receive deadline
+     * distinguishable without inspecting failureReason. The
+     * trailing TrajectoryEncoding is ignored (Binary is the only
+     * encoding; see TrajectoryEncoding). After local verification the
+     * result is released server-side with a hash-verified AckResult;
+     * a second fetch of the same id then reports it Unknown. Under
+     * reconnect, a stream interrupted by connection loss is resumed
+     * from the byte offset already assembled instead of restarting.
+     * The receive deadline
      * applies per frame, not to the whole stream, so arbitrarily
      * long results don't trip the timeout while frames keep
      * arriving.
@@ -152,8 +153,7 @@ class ServeClient
      */
     bool tryFetchResult(uint64_t job_id, ServedResult &out,
                         JobState *state_out = nullptr,
-                        TrajectoryEncoding encoding =
-                            TrajectoryEncoding::Csv);
+                        TrajectoryEncoding = TrajectoryEncoding::Binary);
 
     /**
      * Poll FetchResult until the job finishes. @p state_out (when
@@ -165,8 +165,6 @@ class ServeClient
      */
     ServedResult waitResult(uint64_t job_id, int timeout_ms = 120000,
                             int poll_ms = 10,
-                            TrajectoryEncoding encoding =
-                                TrajectoryEncoding::Csv,
                             JobState *state_out = nullptr);
 
     CancelInfo cancel(uint64_t job_id);

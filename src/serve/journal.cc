@@ -20,13 +20,15 @@ constexpr char kMagic[8] = {'R', 'O', 'S', 'E', 'J', 'R', 'N', 'L'};
 
 constexpr size_t kHeaderBytes = sizeof(kMagic) + 4 + 8;
 
-/** u8 type + u32 length before, u64 hash after the payload. */
+/** u8 type + u32 length before, u64 hash after the payload. The
+ *  hash covers type, length and payload, so no damaged byte can turn
+ *  a record into a different intact one. */
 constexpr size_t kRecordOverheadBytes = 1 + 4 + 8;
 
 /**
  * Sanity bound on one record's payload: the largest legitimate
- * record is a Terminal carrying a trajectory CSV, itself bounded by
- * the client-side reassembly guard.
+ * record is a Terminal carrying the trajectory records, themselves
+ * bounded by the client-side reassembly guard.
  */
 constexpr size_t kMaxRecordPayloadBytes =
     kMaxAssembledTrajectoryBytes + (1u << 20);
@@ -38,11 +40,16 @@ enum RecordType : uint8_t
     kRecReleased = 3,
 };
 
-uint64_t
-payloadHash(const uint8_t *data, size_t n)
+/** Append one framed record (see kRecordOverheadBytes). */
+void
+writeRecord(StateWriter &w, uint8_t type,
+            const std::vector<uint8_t> &payload)
 {
-    return fnv1a(std::string_view(
-        reinterpret_cast<const char *>(data), n));
+    size_t start = w.size();
+    w.u8(type);
+    w.u32(uint32_t(payload.size()));
+    w.bytes(payload.data(), payload.size());
+    w.u64(fnv1a(w.data().data() + start, w.size() - start));
 }
 
 std::vector<uint8_t>
@@ -59,7 +66,6 @@ headerBytes(uint64_t fingerprint)
 void
 writeServedResult(StateWriter &w, const ServedResult &s)
 {
-    w.boolean(s.completed);
     w.u8(s.status);
     w.str(s.failureReason);
     w.f64(s.missionTime);
@@ -76,7 +82,8 @@ writeServedResult(StateWriter &w, const ServedResult &s)
     w.u32(s.degradedIntervals);
     w.f64(s.queueWaitMs);
     w.f64(s.serviceMs);
-    w.str(s.trajectoryCsv);
+    w.u32(uint32_t(s.trajectoryRecords.size()));
+    w.bytes(s.trajectoryRecords.data(), s.trajectoryRecords.size());
     w.u64(s.trajectoryHash);
 }
 
@@ -84,7 +91,6 @@ ServedResult
 readServedResult(StateReader &r)
 {
     ServedResult s;
-    s.completed = r.boolean();
     s.status = r.u8();
     s.failureReason = r.str();
     s.missionTime = r.f64();
@@ -101,8 +107,19 @@ readServedResult(StateReader &r)
     s.degradedIntervals = r.u32();
     s.queueWaitMs = r.f64();
     s.serviceMs = r.f64();
-    s.trajectoryCsv = r.str();
+    uint32_t n = r.u32();
+    if (n > r.remaining() || n != uint64_t(s.trajectorySamples) *
+                                      kTrajectoryBinaryRecordBytes)
+        throw SerdeError("terminal record trajectory size disagrees "
+                         "with its sample count");
+    s.trajectoryRecords.resize(n);
+    r.bytes(s.trajectoryRecords.data(), n);
     s.trajectoryHash = r.u64();
+    // Recomputed, not stored: the record hash already covers these
+    // bytes, and a replayed job then streams, resumes and acks like
+    // any other.
+    s.payloadHash =
+        fnv1a(s.trajectoryRecords.data(), s.trajectoryRecords.size());
     return s;
 }
 
@@ -219,7 +236,7 @@ journalFingerprint(bool supervise)
     w.u32(core::Checkpoint::kVersion);
     w.boolean(supervise);
     const std::vector<uint8_t> &b = w.data();
-    return payloadHash(b.data(), b.size());
+    return fnv1a(b.data(), b.size());
 }
 
 JournalReplay
@@ -276,8 +293,8 @@ JobJournal::replayBytes(const std::vector<uint8_t> &bytes,
             break; // torn payload/hash
         const uint8_t *payload = bytes.data() + pos + 5;
         StateReader tail(payload + len, 8);
-        if (tail.u64() != payloadHash(payload, len))
-            break; // corrupt payload
+        if (tail.u64() != fnv1a(bytes.data() + pos, 5 + size_t(len)))
+            break; // corrupt record
         try {
             applyRecord(type, payload, len, rep);
         } catch (const std::exception &) {
@@ -331,20 +348,13 @@ JobJournal::JobJournal(std::string dir, uint64_t config_fingerprint,
     StateWriter w;
     w.bytes(headerBytes(fingerprint_).data(), kHeaderBytes);
     for (const RecoveredJob &job : replay_.jobs) {
-        std::vector<uint8_t> p = encodeSubmitPayload(
-            job.jobId, job.idempotencyKey, job.spec);
-        w.u8(kRecSubmit);
-        w.u32(uint32_t(p.size()));
-        w.bytes(p.data(), p.size());
-        w.u64(payloadHash(p.data(), p.size()));
-        if (job.terminal) {
-            p = encodeTerminalPayload(job.jobId, job.state,
-                                      job.result);
-            w.u8(kRecTerminal);
-            w.u32(uint32_t(p.size()));
-            w.bytes(p.data(), p.size());
-            w.u64(payloadHash(p.data(), p.size()));
-        }
+        writeRecord(w, kRecSubmit,
+                    encodeSubmitPayload(job.jobId, job.idempotencyKey,
+                                        job.spec));
+        if (job.terminal)
+            writeRecord(w, kRecTerminal,
+                        encodeTerminalPayload(job.jobId, job.state,
+                                              job.result));
     }
     const std::vector<uint8_t> &img = w.data();
     bool ok = std::fwrite(img.data(), 1, img.size(), out) ==
@@ -377,10 +387,7 @@ JobJournal::appendRecord(uint8_t type,
                          const std::vector<uint8_t> &payload)
 {
     StateWriter w;
-    w.u8(type);
-    w.u32(uint32_t(payload.size()));
-    w.bytes(payload.data(), payload.size());
-    w.u64(payloadHash(payload.data(), payload.size()));
+    writeRecord(w, type, payload);
     const std::vector<uint8_t> &rec = w.data();
 
     std::lock_guard<std::mutex> lk(mu_);

@@ -10,13 +10,15 @@
  *   - SubmitMission appends a Submit record (job id, idempotency key,
  *     the spec in its wire form) before the job enters the queue.
  *   - A terminal transition (Done / Failed / Cancelled) appends a
- *     Terminal record carrying the full scalar result, the canonical
- *     trajectory CSV, and its FNV-1a hash.
+ *     Terminal record carrying the full scalar result, the
+ *     trajectory's binary records (the bytes a fetch streams), and
+ *     the FNV-1a hash of its canonical CSV.
  *   - A hash-verified client ack (or retention eviction) appends a
  *     Released record.
  *
  * A restarted rosed replays the journal: released jobs vanish,
- * terminal jobs come back fetchable with bit-identical bytes, and
+ * terminal jobs come back fetchable — and resumable — with
+ * bit-identical bytes, and
  * jobs with no Terminal record re-enter the queue — warm-restored
  * from their per-job MissionSupervisor checkpoint
  * (`<dir>/job-<id>.ckpt`, ROSECKPT format) when one survives, cold
@@ -28,12 +30,13 @@
  *   header:  "ROSEJRNL" magic ·  u32 journal version ·
  *            u64 config fingerprint (journalFingerprint())
  *   record:  u8 type · u32 payload length · payload ·
- *            u64 FNV-1a(payload)
+ *            u64 FNV-1a(type · length · payload)
  *
  * Replay never aborts: a truncated tail or a record whose hash does
  * not match ends recovery at the last intact record (the file is
  * truncated back to that point — exactly what a crash mid-append
  * leaves behind). A header whose magic/version/fingerprint mismatch
+ * (a version-1 journal, which stored the CSV, included)
  * throws JournalError: that journal belongs to a different format or
  * configuration and silently reinterpreting it could replay wrong
  * results. Opening also compacts: surviving records are rewritten to
@@ -84,7 +87,7 @@ struct RecoveredJob
     bool terminal = false;
     /** Done / Failed / Cancelled when terminal. */
     JobState state = JobState::Queued;
-    /** The journaled result (samples empty; CSV + hash intact). */
+    /** The journaled result: scalars, records and both hashes. */
     ServedResult result;
 };
 
@@ -148,7 +151,10 @@ class JobJournal
     /** Journal file size after the last append [bytes]. */
     uint64_t bytesOnDisk() const;
 
-    static constexpr uint32_t kVersion = 1;
+    /** Version 2 stores binary records in Terminal records (version
+     *  1 stored the canonical CSV), drops the `completed` flag, and
+     *  extends each record hash over the type and length bytes. */
+    static constexpr uint32_t kVersion = 2;
 
     /**
      * Parse journal bytes (header included) into a replay. Exposed

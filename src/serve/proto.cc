@@ -98,16 +98,6 @@ jobStateName(JobState s)
 }
 
 const char *
-trajectoryEncodingName(TrajectoryEncoding e)
-{
-    switch (e) {
-      case TrajectoryEncoding::Csv: return "csv";
-      case TrajectoryEncoding::Binary: return "binary";
-    }
-    return "unknown";
-}
-
-const char *
 ackOutcomeName(AckOutcome o)
 {
     switch (o) {
@@ -294,18 +284,6 @@ readTerminalState(ByteReader &r, const char *where)
     return JobState(state);
 }
 
-TrajectoryEncoding
-readEncoding(ByteReader &r, const char *where)
-{
-    uint8_t enc = r.u8();
-    if (enc != uint8_t(TrajectoryEncoding::Csv) &&
-        enc != uint8_t(TrajectoryEncoding::Binary))
-        throw ProtocolError(detail::concat(
-            "invalid trajectory encoding byte ", unsigned(enc),
-            " in ", where));
-    return TrajectoryEncoding(enc);
-}
-
 void
 writeF32(ByteWriter &w, float f)
 {
@@ -335,14 +313,13 @@ canonicalTrajectoryF32(double v)
     return float(printed);
 }
 
-void
-encodeTrajectoryBinaryRecords(const core::TrajectorySample *samples,
-                              size_t count, std::vector<uint8_t> &out)
+std::vector<uint8_t>
+encodeTrajectoryBinary(const std::vector<core::TrajectorySample> &t)
 {
-    out.reserve(out.size() + count * kTrajectoryBinaryRecordBytes);
+    std::vector<uint8_t> out;
+    out.reserve(t.size() * kTrajectoryBinaryRecordBytes);
     ByteWriter w(out);
-    for (size_t i = 0; i < count; ++i) {
-        const core::TrajectorySample &s = samples[i];
+    for (const core::TrajectorySample &s : t) {
         if (s.collisions > UINT32_MAX)
             throw ProtocolError(detail::concat(
                 "collision count ", s.collisions,
@@ -359,13 +336,6 @@ encodeTrajectoryBinaryRecords(const core::TrajectorySample *samples,
         writeF32(w, canonicalTrajectoryF32(s.cmdLateral));
         writeF32(w, canonicalTrajectoryF32(s.cmdYawRate));
     }
-}
-
-std::vector<uint8_t>
-encodeTrajectoryBinary(const std::vector<core::TrajectorySample> &t)
-{
-    std::vector<uint8_t> out;
-    encodeTrajectoryBinaryRecords(t.data(), t.size(), out);
     return out;
 }
 
@@ -506,14 +476,12 @@ decodeQueryStatus(const Message &m)
 }
 
 Message
-encodeFetchResult(uint64_t job_id, TrajectoryEncoding enc,
-                  uint64_t resume_offset)
+encodeFetchResult(uint64_t job_id, uint64_t resume_offset)
 {
     Message m;
     m.type = MsgType::FetchResult;
     ByteWriter w(m.payload);
     w.u64(job_id);
-    w.u8(uint8_t(enc));
     w.u64(resume_offset);
     return m;
 }
@@ -525,19 +493,18 @@ decodeFetchResult(const Message &m)
     ByteReader r(m.payload);
     FetchRequest req;
     req.jobId = r.u64();
-    req.encoding = readEncoding(r, "FetchResult");
     req.resumeOffset = r.u64();
     return req;
 }
 
 Message
-encodeAckResult(uint64_t job_id, uint64_t trajectory_hash)
+encodeAckResult(uint64_t job_id, uint64_t payload_hash)
 {
     Message m;
     m.type = MsgType::AckResult;
     ByteWriter w(m.payload);
     w.u64(job_id);
-    w.u64(trajectory_hash);
+    w.u64(payload_hash);
     return m;
 }
 
@@ -548,7 +515,7 @@ decodeAckResult(const Message &m)
     ByteReader r(m.payload);
     AckRequest a;
     a.jobId = r.u64();
-    a.trajectoryHash = r.u64();
+    a.payloadHash = r.u64();
     return a;
 }
 
@@ -678,7 +645,6 @@ ServedResult
 marshalResult(const core::MissionResult &r)
 {
     ServedResult s;
-    s.completed = r.completed;
     s.status = uint8_t(r.status);
     s.failureReason = r.failureReason;
     s.missionTime = r.missionTime;
@@ -693,20 +659,13 @@ marshalResult(const core::MissionResult &r)
     s.simulatedCycles = r.simulatedCycles;
     s.trajectorySamples = uint32_t(r.trajectory.size());
     s.degradedIntervals = uint32_t(r.degradedIntervals.size());
-    s.trajectoryCsv = core::trajectoryCsvString(r);
-    s.trajectoryHash = fnv1a(s.trajectoryCsv);
-    // Quantize the binary payload once, here, instead of once per
-    // Binary fetch; a trajectory the record cannot represent (u32
-    // collision overflow) simply leaves the cache empty and fetches
-    // fall back to CSV.
-    try {
-        s.trajectoryBinary = encodeTrajectoryBinary(r.trajectory);
-        s.trajectoryBinaryHash =
-            fnv1a(s.trajectoryBinary.data(), s.trajectoryBinary.size());
-    } catch (const ProtocolError &) {
-        s.trajectoryBinary.clear();
-        s.trajectoryBinaryHash = 0;
-    }
+    // The canonical CSV exists here only long enough to be hashed:
+    // the golden hash rides every ResultEnd, while the records are
+    // the one retained, journaled and streamed copy.
+    s.trajectoryHash = fnv1a(core::trajectoryCsvString(r));
+    s.trajectoryRecords = encodeTrajectoryBinary(r.trajectory);
+    s.payloadHash =
+        fnv1a(s.trajectoryRecords.data(), s.trajectoryRecords.size());
     return s;
 }
 
@@ -753,13 +712,11 @@ encodeResultEnd(const ResultEndData &e)
     ByteWriter w(m.payload);
     w.u64(e.jobId);
     w.u8(uint8_t(e.state));
-    w.u8(uint8_t(e.encoding));
     w.u32(e.chunkCount);
     w.u64(e.payloadBytes);
     w.u64(e.trajectoryHash);
     w.u64(e.payloadHash);
     const ServedResult &s = e.result;
-    w.u8(s.completed ? 1 : 0);
     w.u8(s.status);
     writeString(w, s.failureReason, kMaxStringBytes);
     w.f64(s.missionTime);
@@ -787,13 +744,11 @@ decodeResultEnd(const Message &m)
     ResultEndData e;
     e.jobId = r.u64();
     e.state = readTerminalState(r, "ResultEnd");
-    e.encoding = readEncoding(r, "ResultEnd");
     e.chunkCount = r.u32();
     e.payloadBytes = r.u64();
     e.trajectoryHash = r.u64();
     e.payloadHash = r.u64();
     ServedResult &s = e.result;
-    s.completed = r.u8() != 0;
     s.status = r.u8();
     s.failureReason = readString(r, kMaxStringBytes);
     s.missionTime = r.f64();
@@ -902,44 +857,26 @@ ResultStreamAssembler::finish(const ResultEndData &end)
             end.payloadBytes, " payload bytes, received ",
             payload_.size()));
 
-    // Integrity is checked over the payload bytes as received — no
-    // decoding (and for Binary no CSV re-render) sits between the
-    // wire and the hash, so a corrupt stream is caught before any
-    // decode runs and a Binary fetch verifies at memory speed.
+    // Integrity is checked over the record bytes as received — no
+    // decoding (and no CSV re-render) sits between the wire and the
+    // hash, so a corrupt stream is caught before any decode runs.
     uint64_t h = fnv1a(payload_.data(), payload_.size());
     if (h != end.payloadHash)
         throw ProtocolError(detail::concat(
             "payload hash mismatch after reassembly of job ",
-            jobId_, " (", trajectoryEncodingName(end.encoding),
-            " encoding, ", payload_.size(), " payload bytes)"));
+            jobId_, " (", payload_.size(), " payload bytes)"));
 
     ResultData d;
     d.jobId = end.jobId;
     d.state = end.state;
     d.result = end.result;
     d.payloadHash = h;
-    switch (end.encoding) {
-      case TrajectoryEncoding::Csv:
-        // A Csv payload IS the canonical CSV, so the payload hash
-        // must coincide with the canonical-CSV hash the server
-        // advertises (and callers compare to goldens).
-        if (end.payloadHash != end.trajectoryHash)
-            throw ProtocolError(detail::concat(
-                "Csv stream payload hash disagrees with the "
-                "canonical trajectory hash for job ", jobId_));
-        d.result.trajectoryCsv.assign(payload_.begin(),
-                                      payload_.end());
-        break;
-      case TrajectoryEncoding::Binary:
-        // The records quantize every cell to its printed decimal, so
-        // core::trajectoryCsvString over these samples reproduces
-        // the server-side canonical CSV bit-for-bit (test_serve pins
-        // this); trajectoryCsv stays empty here — callers render it
-        // on demand instead of paying for it inside every fetch.
-        d.result.trajectory =
-            decodeTrajectoryBinary(payload_.data(), payload_.size());
-        break;
-    }
+    // The records quantize every cell to its printed decimal, so
+    // core::trajectoryCsvString over these samples reproduces the
+    // server-side canonical CSV bit-for-bit (test_serve pins this);
+    // callers render it on demand instead of inside every fetch.
+    d.result.trajectory =
+        decodeTrajectoryBinary(payload_.data(), payload_.size());
     payload_.clear();
     payload_.shrink_to_fit();
     result_ = std::move(d);

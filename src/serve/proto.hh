@@ -16,25 +16,26 @@
  * neither trigger an unbounded allocation nor an endless NeedMore
  * wait.
  *
- * Request/response pairing (protocol version 3): every request
+ * Request/response pairing (protocol version 5): every request
  * produces exactly one *logical* response on the same connection, in
  * request order — but two response kinds span multiple frames or
  * arrive unsolicited:
  *
  *  - A FetchResult of a terminal job answers with a *result stream*:
  *    zero or more ResultChunk frames (ordered, contiguous segments of
- *    the trajectory payload) closed by exactly one ResultEnd frame
- *    that carries the scalar result, the terminal JobState, and an
- *    FNV-1a hash of the canonical trajectory CSV so the client can
- *    verify reassembly bit-for-bit. No frame for a *different
- *    request on the same connection* is interleaved inside a stream.
- *    FetchResult carries a *resume byte offset*: a client whose
- *    connection died mid-stream reconnects and asks for the payload
- *    from where its assembler stopped, instead of restarting. In a
- *    resumed stream, chunk seq restarts at 0 and ResultEnd's
- *    chunkCount counts only the chunks of *this* stream, while
- *    payloadBytes is always the total payload size — the client's
- *    prefix plus the resumed tail must add up to it.
+ *    the trajectory's binary records) closed by exactly one ResultEnd
+ *    frame that carries the scalar result, the terminal JobState, the
+ *    FNV-1a of the record bytes (verified on reassembly) and the
+ *    FNV-1a of the canonical trajectory CSV (the golden hash). No
+ *    frame for a *different request on the same connection* is
+ *    interleaved inside a stream. FetchResult carries a record-aligned
+ *    *resume byte offset*: a client whose connection died mid-stream
+ *    reconnects and asks for the payload from where its assembler
+ *    stopped, instead of restarting. In a resumed stream, chunk seq
+ *    restarts at 0 and ResultEnd's chunkCount counts only the chunks
+ *    of *this* stream, while payloadBytes is always the total payload
+ *    size — the client's prefix plus the resumed tail must add up to
+ *    it.
  *
  *  - Progress frames are server-push events for *running* jobs owned
  *    by the connection. They may arrive between any two logical
@@ -85,13 +86,13 @@ class ProtocolError : public std::runtime_error
  * offset, and the one-shot release-at-stream-open moved to an
  * explicit hash-verified AckResult/AckReply exchange. Version 4
  * added a payload hash to ResultEnd — the FNV-1a of the stream's
- * payload bytes in their wire encoding — so a Binary stream is
- * verified over the bytes actually received instead of requiring the
- * client to re-render the canonical CSV inside the fetch; AckResult
- * correspondingly carries the payload hash of whichever encoding the
- * client assembled.
+ * payload bytes as received. Version 5 makes the binary records the
+ * only trajectory payload: FetchResult and ResultEnd lose their
+ * encoding byte, AckResult carries the record-payload hash alone, and
+ * ResultEnd drops the `completed` flag (`status` is the one outcome
+ * field).
  */
-constexpr uint8_t kServeProtocolVersion = 4;
+constexpr uint8_t kServeProtocolVersion = 5;
 
 /**
  * Version byte leading the SubmitMission payload (and the journal's
@@ -243,29 +244,25 @@ enum class JobState : uint8_t
 const char *jobStateName(JobState s);
 
 /**
- * How the trajectory payload of a result stream is encoded. Stream
- * integrity is verified over the payload bytes as received (FNV-1a,
- * ResultEnd.payloadHash) for both encodings. The canonical CSV hash
- * still rides ResultEnd.trajectoryHash: a Csv stream's payload IS
- * the canonical CSV (the two hashes coincide), and a Binary stream's
- * records quantize every cell to its printed decimal, so rendering
- * the decoded samples (core::trajectoryCsvString) reproduces the
- * canonical CSV bit-for-bit — golden hashes are preserved in both
- * encodings, without the client re-rendering CSV inside the fetch.
+ * The trajectory wire encoding. Binary records are the only payload;
+ * the enum survives solely as the trailing parameter of
+ * ServeClient::tryFetchResult, because perfbench/src/main.cc passes
+ * TrajectoryEncoding::Binary there and perfbench stays untouched in
+ * the revision that removed the CSV encoding. Drop both together with
+ * the next change that may edit perfbench.
  */
 enum class TrajectoryEncoding : uint8_t
 {
-    Csv = 1,    ///< the canonical CSV bytes themselves
     Binary = 2, ///< fixed-width records (kTrajectoryBinaryRecordBytes)
 };
-
-const char *trajectoryEncodingName(TrajectoryEncoding e);
 
 /**
  * One fixed-width binary trajectory record: the 10 float columns as
  * canonical f32 (7 before `collisions`, 3 command columns after) and
  * `collisions` as u32, little-endian. 44 bytes vs ~80 bytes/sample
- * measured for real CSV rows (~1.8x smaller).
+ * measured for real CSV rows (~1.8x smaller). These records are the
+ * trajectory payload everywhere in rosed: retained in memory,
+ * journaled, and streamed.
  *
  * "Canonical f32" makes the encoding lossless *with respect to the
  * canonical CSV*: each double is first pushed through its 6
@@ -283,20 +280,12 @@ float canonicalTrajectoryF32(double v);
 /**
  * Encode samples as fixed-width binary records.
  * @throws ProtocolError when a sample's collision count exceeds u32
- * (the record could no longer round-trip the CSV bit-for-bit).
+ * (the record could no longer round-trip the CSV bit-for-bit). rosed
+ * cannot admit such a mission: the count rises at most once per
+ * physics substep, ~2.2e6 times in the 3600 s maxSimSeconds cap.
  */
 std::vector<uint8_t>
 encodeTrajectoryBinary(const std::vector<core::TrajectorySample> &t);
-
-/**
- * Append @p count records starting at @p s to @p out. The building
- * block of encodeTrajectoryBinary, exposed so the server can
- * quantize a stream one chunk at a time instead of stalling its IO
- * loop on a whole multi-megabyte trajectory.
- */
-void encodeTrajectoryBinaryRecords(const core::TrajectorySample *s,
-                                   size_t count,
-                                   std::vector<uint8_t> &out);
 
 /**
  * Decode fixed-width binary records.
@@ -331,19 +320,15 @@ struct StatusInfo
 };
 
 /**
- * A mission result marshalled for the wire. The trajectory's
- * canonical form is the CSV string (core::trajectoryCsvString) — the
- * same bytes the golden-trace tests hash; `trajectoryHash` is its
- * FNV-1a and rides the ResultEnd frame so clients verify reassembly.
- * The server caches the quantized binary records alongside — encoded
- * once at mission end, so a Binary fetch slices ready bytes instead
- * of re-printing every cell through the canonical-f32 quantizer per
- * fetch (at 44 bytes/record the cache is also smaller than the raw
- * samples it replaces).
+ * A mission result marshalled for the wire. On the server the
+ * trajectory lives only as binary records (`trajectoryRecords`,
+ * encoded once at mission end) — the bytes a fetch streams and the
+ * journal stores. A client's fetch decodes them into `trajectory`;
+ * core::trajectoryCsvString over those samples reproduces the
+ * canonical CSV whose FNV-1a is `trajectoryHash`, the golden hash.
  */
 struct ServedResult
 {
-    bool completed = false;
     uint8_t status = 0; ///< core::MissionStatus
     std::string failureReason;
     double missionTime = 0.0;
@@ -358,30 +343,27 @@ struct ServedResult
     uint64_t simulatedCycles = 0;
     uint32_t trajectorySamples = 0;
     uint32_t degradedIntervals = 0;
-    /** Canonical trajectory CSV (hash target of test_golden.cc).
-     *  Client-side: filled by a Csv fetch; a Binary fetch leaves it
-     *  empty and fills `trajectory` instead — render on demand with
-     *  core::trajectoryCsvString(trajectory), which reproduces these
-     *  bytes exactly (the records are canonical-f32 quantized). */
-    std::string trajectoryCsv;
-    /** FNV-1a of trajectoryCsv (util/hash.hh). */
+    /** FNV-1a of the canonical trajectory CSV (the hash target of
+     *  test_golden.cc). */
     uint64_t trajectoryHash = 0;
-    /** Decoded samples (client-side reassembly of a Binary stream
-     *  fills this; the server does not retain raw samples). */
+    /** Server side: the trajectory as binary records, the stream
+     *  payload. Empty on the client. */
+    std::vector<uint8_t> trajectoryRecords;
+    /** FNV-1a of trajectoryRecords; streams carry it as
+     *  ResultEnd.payloadHash and AckResult must match it. */
+    uint64_t payloadHash = 0;
+    /** Client side: the decoded samples of a fetched stream. */
     std::vector<core::TrajectorySample> trajectory;
-    /** Pre-encoded binary records (server-side Binary stream source;
-     *  empty when the trajectory cannot ride the fixed-width record,
-     *  e.g. a collision count past u32 or a journal-replayed job). */
-    std::vector<uint8_t> trajectoryBinary;
-    /** FNV-1a of trajectoryBinary (0 when the cache is empty);
-     *  Binary streams carry it as ResultEnd.payloadHash. */
-    uint64_t trajectoryBinaryHash = 0;
     /** Server-side queueing telemetry for this job. */
     double queueWaitMs = 0.0;
     double serviceMs = 0.0;
 };
 
-/** Marshal a core result (trajectory rendered to canonical CSV). */
+/**
+ * Marshal a core result: scalars, the binary records and their hash,
+ * and the canonical-CSV hash (the CSV is rendered, hashed and
+ * dropped).
+ */
 ServedResult marshalResult(const core::MissionResult &r);
 
 /** ResultChunk payload: one ordered segment of a result stream. */
@@ -395,27 +377,23 @@ struct ResultChunkData
 
 /**
  * ResultEnd payload: closes a result stream. Carries everything
- * except the trajectory payload itself — terminal state, encoding,
- * stream totals for truncation detection, the verification hash, and
- * the scalar result fields.
+ * except the trajectory records themselves — terminal state, stream
+ * totals for truncation detection, both hashes, and the scalar result
+ * fields.
  */
 struct ResultEndData
 {
     uint64_t jobId = 0;
     /** Terminal lifecycle state (Done or Failed) of the job. */
     JobState state = JobState::Done;
-    TrajectoryEncoding encoding = TrajectoryEncoding::Csv;
     uint32_t chunkCount = 0;
     uint64_t payloadBytes = 0;
-    /** FNV-1a of the canonical trajectory CSV. */
+    /** FNV-1a of the canonical trajectory CSV (the golden hash). */
     uint64_t trajectoryHash = 0;
-    /** FNV-1a of the stream's payload bytes in their wire encoding:
-     *  equals trajectoryHash for a Csv stream (the payload IS the
-     *  canonical CSV) and the binary-record hash for Binary. The
-     *  assembler verifies reassembly against this, so no encoding
-     *  needs a client-side CSV re-render inside the fetch. */
+    /** FNV-1a of the record bytes: the assembler verifies reassembly
+     *  against it, with no CSV render inside the fetch. */
     uint64_t payloadHash = 0;
-    /** Scalar fields only; trajectoryCsv/trajectory stay empty. */
+    /** Scalar fields only; the record and sample vectors stay empty. */
     ServedResult result;
 };
 
@@ -447,9 +425,9 @@ struct ResultData
  * fuzzable: feed it decoded frames in arrival order and it enforces
  * every stream invariant — matching job id, strictly sequential
  * chunk seq, bounded accumulation, no frame after ResultEnd, totals
- * and chunk count matching, and the FNV-1a payload hash over the
- * assembled bytes in their wire encoding (so a Binary stream needs
- * no CSV re-render to verify).
+ * and chunk count matching, the FNV-1a payload hash over the
+ * assembled record bytes, and a whole number of records — then
+ * decodes the records into `result.trajectory`.
  */
 class ResultStreamAssembler
 {
@@ -574,34 +552,30 @@ core::MissionSpec decodeSubmitMission(const Message &m);
 Message encodeQueryStatus(uint64_t job_id);
 uint64_t decodeQueryStatus(const Message &m);
 
-/** FetchResult payload: job id + encoding + resume byte offset. */
+/** FetchResult payload: job id + resume byte offset. */
 struct FetchRequest
 {
     uint64_t jobId = 0;
-    TrajectoryEncoding encoding = TrajectoryEncoding::Csv;
     /**
-     * Payload bytes the client already holds from an interrupted
-     * stream of the same job + encoding; the server streams the rest.
-     * 0 = full stream. Binary resumes must be record-aligned.
+     * Record bytes the client already holds from an interrupted
+     * stream of the same job; the server streams the rest. 0 = full
+     * stream. Must be a multiple of kTrajectoryBinaryRecordBytes.
      */
     uint64_t resumeOffset = 0;
 };
 
-Message encodeFetchResult(
-    uint64_t job_id,
-    TrajectoryEncoding enc = TrajectoryEncoding::Csv,
-    uint64_t resume_offset = 0);
+Message encodeFetchResult(uint64_t job_id, uint64_t resume_offset = 0);
 FetchRequest decodeFetchResult(const Message &m);
 
 /** AckResult payload: releases a fetched result after verification. */
 struct AckRequest
 {
     uint64_t jobId = 0;
-    /** FNV-1a of the canonical CSV the client reassembled. */
-    uint64_t trajectoryHash = 0;
+    /** FNV-1a of the record bytes the client reassembled. */
+    uint64_t payloadHash = 0;
 };
 
-Message encodeAckResult(uint64_t job_id, uint64_t trajectory_hash);
+Message encodeAckResult(uint64_t job_id, uint64_t payload_hash);
 AckRequest decodeAckResult(const Message &m);
 
 Message encodeCancelMission(uint64_t job_id);

@@ -5,7 +5,7 @@
  *   rose_client --port N submit [spec flags] [--wait]
  *                               [--idem-key K] [--job-file P]
  *   rose_client --port N status JOB
- *   rose_client --port N fetch JOB [--csv PATH] [--binary]
+ *   rose_client --port N fetch JOB [--csv PATH]
  *   rose_client --port N cancel JOB
  *   rose_client --port N verify JOB [spec flags]
  *   rose_client --port N stats
@@ -18,7 +18,10 @@
  * `submit --wait` and `fetch` print server-pushed progress events
  * (simulated seconds so far) to stderr while the mission runs, and
  * exit 1 (printing the journaled failureReason) when the mission
- * terminal state is Failed. `--idem-key` makes the submission safe
+ * terminal state is Failed. `fetch --csv PATH` writes the canonical
+ * trajectory CSV rendered from the fetched samples; an unknown fetch
+ * flag, or `--csv` without a path, exits 2 with usage. `--idem-key`
+ * makes the submission safe
  * to retry across daemon restarts (the resubmit lands on the same
  * job); `--job-file` writes the bare job id for scripts. `verify`
  * fetches a finished job AND runs the same spec locally, exiting 0
@@ -36,9 +39,9 @@
  * `stream-smoke` is the long-mission streaming check: it submits one
  * mission whose trajectory CSV exceeds --min-bytes (default 8 MiB —
  * larger than any single protocol frame, so it necessarily crosses
- * many ResultChunk frames), fetches it in both CSV and binary
- * encodings, and verifies each reassembled trajectory hashes
- * bit-identically to the local runMission() of the same spec.
+ * many ResultChunk frames), fetches it once, and verifies that the
+ * CSV rendered from the reassembled samples hashes bit-identically
+ * to the local runMission() of the same spec.
  */
 
 #include <chrono>
@@ -74,8 +77,7 @@ usage(const char *argv0)
         " X\n"
         "          --yaw DEG --seed N --sim-seconds T --dynamic\n"
         "          --degraded] [--wait] [--idem-key K] [--job-file P]\n"
-        "  status JOB | fetch JOB [--csv PATH] [--binary] | cancel "
-        "JOB\n"
+        "  status JOB | fetch JOB [--csv PATH] | cancel JOB\n"
         "  verify JOB [spec flags]   (fetch + local re-run, compare "
         "hashes)\n"
         "  stats | shutdown [--no-drain]\n"
@@ -96,11 +98,19 @@ printProgress(const serve::ProgressEvent &p)
                  p.samples);
 }
 
+/** FNV-1a of the canonical CSV rendered from a fetched trajectory —
+ *  the value the golden hashes pin. */
+uint64_t
+servedHash(const serve::ServedResult &r)
+{
+    return fnv1a(core::trajectoryCsvString(r.trajectory));
+}
+
 void
 printResult(uint64_t job_id, const serve::ServedResult &r)
 {
     std::printf("job %" PRIu64 ": %s%s%s\n", job_id,
-                r.completed ? "completed" : "did not complete",
+                core::missionStatusName(core::MissionStatus(r.status)),
                 r.failureReason.empty() ? "" : " — ",
                 r.failureReason.c_str());
     std::printf("  mission_time=%.3fs collisions=%" PRIu64
@@ -113,7 +123,7 @@ printResult(uint64_t job_id, const serve::ServedResult &r)
     std::printf("  queue_wait=%.1f ms service=%.1f ms samples=%u "
                 "trajectory_fnv1a=0x%016" PRIx64 "\n",
                 r.queueWaitMs, r.serviceMs, r.trajectorySamples,
-                fnv1a(r.trajectoryCsv));
+                servedHash(r));
 }
 
 /** Consume one mission-spec flag at argv[i]; true when recognized. */
@@ -224,7 +234,7 @@ runSmoke(const std::string &host, uint16_t port, int timeout_ms,
             for (auto [id, soc] : jobs) {
                 serve::ServedResult r =
                     client.waitResult(id, timeout_ms);
-                uint64_t served = fnv1a(r.trajectoryCsv);
+                uint64_t served = servedHash(r);
                 uint64_t expect = localHash.at(soc);
                 std::lock_guard<std::mutex> lk(mu);
                 if (served != expect) {
@@ -295,42 +305,27 @@ runStreamSmoke(const std::string &host, uint16_t port, int timeout_ms,
         printProgress(p);
     });
 
-    static const serve::TrajectoryEncoding kEncodings[] = {
-        serve::TrajectoryEncoding::Csv,
-        serve::TrajectoryEncoding::Binary};
-    for (serve::TrajectoryEncoding enc : kEncodings) {
-        serve::SubmitOutcome out = client.submit(spec);
-        if (!out.accepted) {
-            std::fprintf(stderr, "stream-smoke: submit shed: %s\n",
-                         out.detail.c_str());
-            return 1;
-        }
-        serve::ServedResult r =
-            client.waitResult(out.jobId, timeout_ms, 10, enc);
-        // A Binary fetch delivers decoded samples, not CSV; render
-        // the canonical CSV here so the golden-hash comparison below
-        // proves both encodings carry bit-identical trajectories.
-        std::string servedCsv =
-            !r.trajectoryCsv.empty()
-                ? std::move(r.trajectoryCsv)
-                : core::trajectoryCsvString(r.trajectory);
-        uint64_t served = fnv1a(servedCsv);
-        std::printf("stream-smoke: job %" PRIu64 " (%s) %zu bytes, "
-                    "fnv1a 0x%016" PRIx64 "\n",
-                    out.jobId, serve::trajectoryEncodingName(enc),
-                    servedCsv.size(), served);
-        if (served != expect) {
-            std::fprintf(stderr,
-                         "stream-smoke: HASH MISMATCH (%s): served "
-                         "0x%016" PRIx64 " local 0x%016" PRIx64 "\n",
-                         serve::trajectoryEncodingName(enc), served,
-                         expect);
-            return 1;
-        }
+    serve::SubmitOutcome out = client.submit(spec);
+    if (!out.accepted) {
+        std::fprintf(stderr, "stream-smoke: submit shed: %s\n",
+                     out.detail.c_str());
+        return 1;
+    }
+    serve::ServedResult r = client.waitResult(out.jobId, timeout_ms);
+    std::string servedCsv = core::trajectoryCsvString(r.trajectory);
+    uint64_t served = fnv1a(servedCsv);
+    std::printf("stream-smoke: job %" PRIu64 " %zu bytes, fnv1a "
+                "0x%016" PRIx64 "\n",
+                out.jobId, servedCsv.size(), served);
+    if (served != expect) {
+        std::fprintf(stderr,
+                     "stream-smoke: HASH MISMATCH: served 0x%016" PRIx64
+                     " local 0x%016" PRIx64 "\n",
+                     served, expect);
+        return 1;
     }
     std::printf("stream-smoke: %zu-byte trajectory streamed "
-                "bit-identically in both encodings (%" PRIu64
-                " progress events)\n",
+                "bit-identically (%" PRIu64 " progress events)\n",
                 localCsv.size(), progressSeen);
     return 0;
 }
@@ -403,6 +398,21 @@ main(int argc, char **argv)
                                   sync_granularity, min_bytes);
         }
 
+        // fetch's flags (after the job id) are checked before dialing,
+        // so a typo exits 2 whether or not a daemon is listening.
+        std::string csvPath;
+        for (int k = i + 1; cmd == "fetch" && k < argc; ++k) {
+            std::string arg = argv[k];
+            if (arg == "--csv" && k + 1 < argc) {
+                csvPath = argv[++k];
+                continue;
+            }
+            std::fprintf(stderr, "fetch: unexpected argument %s\n",
+                         arg.c_str());
+            usage(argv[0]);
+            return 2;
+        }
+
         serve::ServeClient client(port, host, timeout_ms);
         client.onProgress(printProgress);
         if (reconnect)
@@ -445,9 +455,8 @@ main(int argc, char **argv)
             }
             if (wait) {
                 serve::JobState state = serve::JobState::Unknown;
-                serve::ServedResult r = client.waitResult(
-                    out.jobId, timeout_ms, 10,
-                    serve::TrajectoryEncoding::Csv, &state);
+                serve::ServedResult r =
+                    client.waitResult(out.jobId, timeout_ms, 10, &state);
                 printResult(out.jobId, r);
                 if (state == serve::JobState::Failed) {
                     std::fprintf(stderr,
@@ -470,16 +479,15 @@ main(int argc, char **argv)
             for (; i < argc; ++i)
                 parseSpecFlag(spec, argc, argv, i);
             serve::JobState state = serve::JobState::Unknown;
-            serve::ServedResult r = client.waitResult(
-                job, timeout_ms, 10, serve::TrajectoryEncoding::Csv,
-                &state);
+            serve::ServedResult r =
+                client.waitResult(job, timeout_ms, 10, &state);
             if (state == serve::JobState::Failed) {
                 std::fprintf(stderr,
                              "verify: job %" PRIu64 " FAILED: %s\n",
                              job, r.failureReason.c_str());
                 return 1;
             }
-            uint64_t served = fnv1a(r.trajectoryCsv);
+            uint64_t served = servedHash(r);
             core::MissionResult local = core::runMission(spec);
             uint64_t expect = fnv1a(core::trajectoryCsvString(local));
             std::printf("verify: job %" PRIu64 " served "
@@ -524,19 +532,9 @@ main(int argc, char **argv)
                            ? 1
                            : 0;
             }
-            std::string csvPath;
-            serve::TrajectoryEncoding enc =
-                serve::TrajectoryEncoding::Csv;
-            for (; i < argc; ++i) {
-                std::string arg = argv[i];
-                if (arg == "--csv" && i + 1 < argc)
-                    csvPath = argv[++i];
-                else if (arg == "--binary")
-                    enc = serve::TrajectoryEncoding::Binary;
-            }
             serve::JobState state = serve::JobState::Unknown;
             serve::ServedResult r =
-                client.waitResult(job, timeout_ms, 10, enc, &state);
+                client.waitResult(job, timeout_ms, 10, &state);
             printResult(job, r);
             if (!csvPath.empty()) {
                 std::FILE *f = std::fopen(csvPath.c_str(), "wb");
@@ -545,8 +543,8 @@ main(int argc, char **argv)
                                  csvPath.c_str());
                     return 1;
                 }
-                std::fwrite(r.trajectoryCsv.data(), 1,
-                            r.trajectoryCsv.size(), f);
+                std::string csv = core::trajectoryCsvString(r.trajectory);
+                std::fwrite(csv.data(), 1, csv.size(), f);
                 std::fclose(f);
             }
             if (state == serve::JobState::Failed) {

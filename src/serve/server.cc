@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstring>
@@ -45,19 +46,15 @@ jobRetainedBytes(const ServedResult *r)
 {
     if (!r)
         return 0;
-    return uint64_t(r->trajectoryCsv.size()) +
-           uint64_t(r->trajectoryBinary.size()) +
-           uint64_t(r->trajectory.size()) *
-               sizeof(core::TrajectorySample) +
+    return uint64_t(r->trajectoryRecords.size()) +
            uint64_t(r->failureReason.size());
 }
 
-/** Scalar-only copy of a result (no CSV / sample payload). */
+/** Scalar-only copy of a result (no record payload). */
 static ServedResult
 scalarResult(const ServedResult &r)
 {
     ServedResult s;
-    s.completed = r.completed;
     s.status = r.status;
     s.failureReason = r.failureReason;
     s.missionTime = r.missionTime;
@@ -87,10 +84,12 @@ MissionServer::MissionServer(const ServerConfig &cfg)
         cfg_.maxQueueDepth = 1;
     if (cfg_.maxRetainedResults < 1)
         cfg_.maxRetainedResults = 1;
-    if (cfg_.resultChunkBytes < 1)
-        cfg_.resultChunkBytes = 1;
-    if (cfg_.resultChunkBytes > kMaxResultChunkBytes)
-        cfg_.resultChunkBytes = kMaxResultChunkBytes;
+    // Whole records per chunk: every chunk boundary is then a valid
+    // (record-aligned) resume offset.
+    cfg_.resultChunkBytes =
+        std::clamp(cfg_.resultChunkBytes, kTrajectoryBinaryRecordBytes,
+                   kMaxResultChunkBytes) /
+        kTrajectoryBinaryRecordBytes * kTrajectoryBinaryRecordBytes;
     if (cfg_.streamBacklogBytes < 1)
         cfg_.streamBacklogBytes = 1;
     counters_.workers = uint32_t(cfg_.workers);
@@ -313,12 +312,13 @@ MissionServer::workerLoop(size_t)
         // missions checkpoint/restore + fault retry + degraded-mode
         // recovery; an unperturbed supervised run is bit-identical to
         // runMission(), which is what makes served results hash equal
-        // to local ones.
-        core::MissionResult result;
+        // to local ones. Marshalling sits inside the try too, so any
+        // throw becomes a Failed job rather than escaping the worker.
+        ServedResult served;
         bool threw = false;
         bool warm_restored = false;
-        std::string why;
         try {
+            core::MissionResult result;
             core::CosimConfig ccfg = spec.toConfig();
             const double max_sim = ccfg.maxSimSeconds;
             if (cfg_.progressIntervalPeriods > 0) {
@@ -374,16 +374,14 @@ MissionServer::workerLoop(size_t)
                 core::CoSimulation sim(ccfg);
                 result = sim.run();
             }
+            served = marshalResult(result);
         } catch (const std::exception &e) {
             threw = true;
-            why = e.what();
-        }
-        ServedResult served;
-        if (!threw) {
-            served = marshalResult(result);
-        } else {
-            served.failureReason = why;
-            served.trajectoryHash = fnv1a(served.trajectoryCsv);
+            served.status = uint8_t(core::MissionStatus::Crashed);
+            served.failureReason = e.what();
+            // No trajectory: both hashes are FNV-1a of zero bytes.
+            served.trajectoryHash = served.payloadHash =
+                fnv1a(std::string_view{});
         }
         double service_ms = msBetween(started, Clock::now());
         served.queueWaitMs = queue_wait_ms;
@@ -686,8 +684,10 @@ void
 MissionServer::pumpStream(Connection &conn)
 {
     ResultStream &st = *conn.stream;
+    const std::vector<uint8_t> &records = st.src->trajectoryRecords;
+    const uint64_t total = records.size();
     while (!conn.dead && conn.pendingTx() < cfg_.streamBacklogBytes) {
-        if (st.offset >= st.totalBytes) {
+        if (st.offset >= total) {
             sendMessage(conn, encodeResultEnd(st.end));
             conn.stream.reset();
             std::lock_guard<std::mutex> lk(mu_);
@@ -696,32 +696,17 @@ MissionServer::pumpStream(Connection &conn)
                 activeStreams_--;
             return;
         }
+        // Slice the records encoded once at mission end
+        // (marshalResult); the slice size is a whole number of
+        // records, so a resumed stream's bytes line up exactly.
         ResultChunkData c;
         c.jobId = st.end.jobId;
         c.seq = st.seq++;
-        if (st.encoding == TrajectoryEncoding::Csv) {
-            size_t n = size_t(std::min<uint64_t>(
-                cfg_.resultChunkBytes, st.totalBytes - st.offset));
-            const uint8_t *base =
-                reinterpret_cast<const uint8_t *>(
-                    st.src->trajectoryCsv.data()) +
-                st.offset;
-            c.bytes.assign(base, base + n);
-        } else {
-            // Slice the binary payload quantized once at mission end
-            // (marshalResult); chunks stay record-aligned so a
-            // resumed stream's byte sequence is identical.
-            size_t per_chunk = std::max<size_t>(
-                1, cfg_.resultChunkBytes /
-                       kTrajectoryBinaryRecordBytes) *
-                kTrajectoryBinaryRecordBytes;
-            size_t n = size_t(std::min<uint64_t>(
-                per_chunk, st.totalBytes - st.offset));
-            const uint8_t *base =
-                st.src->trajectoryBinary.data() + st.offset;
-            c.bytes.assign(base, base + n);
-        }
-        st.offset += c.bytes.size();
+        size_t n = size_t(std::min<uint64_t>(cfg_.resultChunkBytes,
+                                             total - st.offset));
+        const uint8_t *base = records.data() + st.offset;
+        c.bytes.assign(base, base + n);
+        st.offset += n;
         sendMessage(conn, encodeResultChunk(c));
         std::lock_guard<std::mutex> lk(mu_);
         counters_.streamedChunks++;
@@ -950,79 +935,34 @@ MissionServer::handleFetch(Connection &conn, const Message &req)
         std::shared_ptr<const ServedResult> src = job.result;
         if (!src) // Cancelled-at-shutdown records carry no payload
             return encodeErrorReply("job has no result payload");
-        TrajectoryEncoding enc = freq.encoding;
-        if (enc == TrajectoryEncoding::Binary) {
-            // Binary requires the payload cache marshalResult built
-            // at mission end: a result that never went through
-            // marshalResult (the worker threw) has no cache, a
-            // journal-replayed one retains only the CSV, and a
-            // collision count past u32 could not ride the fixed-width
-            // record so marshalResult left the cache empty — all fall
-            // back to the always-correct CSV payload.
-            bool encodable =
-                !src->trajectoryCsv.empty() &&
-                uint64_t(src->trajectoryBinary.size()) ==
-                    uint64_t(src->trajectorySamples) *
-                        kTrajectoryBinaryRecordBytes;
-            if (!encodable) {
-                if (freq.resumeOffset > 0)
-                    // A resumed binary stream must slice the exact
-                    // byte sequence the first attempt produced; if
-                    // binary is no longer servable the offsets would
-                    // disagree. The client restarts from 0 (in CSV).
-                    return encodeErrorReply(
-                        "binary resume unavailable for this job; "
-                        "restart from offset 0");
-                enc = TrajectoryEncoding::Csv;
-            }
-        }
+        const uint64_t total = src->trajectoryRecords.size();
 
-        auto stream = std::make_unique<ResultStream>();
-        stream->encoding = enc;
-        stream->src = src;
-        stream->totalBytes =
-            enc == TrajectoryEncoding::Binary
-                ? uint64_t(src->trajectoryBinary.size())
-                : uint64_t(src->trajectoryCsv.size());
-
-        // Resume: the client presents how many payload bytes it
+        // Resume: the client presents how many record bytes it
         // already holds; the stream restarts its chunk sequence at 0
         // from that offset. ResultEnd.payloadBytes stays the TOTAL
         // payload size so the assembler's final accounting (and the
         // FNV-1a hash check) is identical either way.
-        if (freq.resumeOffset > stream->totalBytes)
+        if (freq.resumeOffset > total)
             return encodeErrorReply(detail::concat(
                 "resume offset ", freq.resumeOffset,
-                " exceeds payload size ", stream->totalBytes));
-        if (enc == TrajectoryEncoding::Binary &&
-            freq.resumeOffset % kTrajectoryBinaryRecordBytes != 0)
+                " exceeds payload size ", total));
+        if (freq.resumeOffset % kTrajectoryBinaryRecordBytes != 0)
             return encodeErrorReply(detail::concat(
-                "binary resume offset must be a multiple of ",
+                "resume offset must be a multiple of ",
                 kTrajectoryBinaryRecordBytes));
-        stream->offset = freq.resumeOffset;
 
+        auto stream = std::make_unique<ResultStream>();
+        stream->src = src;
+        stream->offset = freq.resumeOffset;
         ResultEndData &end = stream->end;
         end.jobId = freq.jobId;
         end.state = job.state;
-        end.encoding = enc;
-        end.payloadBytes = stream->totalBytes;
-        uint64_t to_send = stream->totalBytes - freq.resumeOffset;
-        if (to_send > 0) {
-            uint64_t slice = cfg_.resultChunkBytes;
-            if (enc == TrajectoryEncoding::Binary)
-                slice = std::max<uint64_t>(
-                            1, cfg_.resultChunkBytes /
-                                   kTrajectoryBinaryRecordBytes) *
-                        kTrajectoryBinaryRecordBytes;
-            end.chunkCount = uint32_t((to_send + slice - 1) / slice);
-        }
+        end.payloadBytes = total;
+        const uint64_t slice = cfg_.resultChunkBytes;
+        end.chunkCount = uint32_t(
+            (total - freq.resumeOffset + slice - 1) / slice);
         end.trajectoryHash = src->trajectoryHash;
-        // Integrity hash over the payload bytes as they travel: the
-        // canonical-CSV hash for a Csv stream (the payload IS the
-        // CSV), the cached binary-record hash for Binary.
-        end.payloadHash = enc == TrajectoryEncoding::Binary
-                              ? src->trajectoryBinaryHash
-                              : src->trajectoryHash;
+        end.payloadHash = src->payloadHash;
         end.result = scalarResult(*src);
 
         // The job record stays retained (and fetchable) until the
@@ -1112,21 +1052,11 @@ MissionServer::handleAck(const Message &req)
         info.outcome = AckOutcome::UnknownJob;
         return encodeAckReply(info);
     }
-    // The ack carries the payload hash of whichever encoding the
-    // client assembled: the canonical-CSV hash (Csv stream) or the
-    // binary-record hash (Binary stream) both prove possession of
-    // the bytes we hold.
-    bool holds_our_bytes;
-    if (const auto &res = it->second.result) {
-        holds_our_bytes =
-            ack.trajectoryHash == res->trajectoryHash ||
-            (!res->trajectoryBinary.empty() &&
-             ack.trajectoryHash == res->trajectoryBinaryHash);
-    } else {
-        holds_our_bytes =
-            ack.trajectoryHash == fnv1a(std::string_view{});
-    }
-    if (!holds_our_bytes) {
+    // The ack carries the hash of the record bytes the client
+    // assembled: proof it holds exactly what we would stream.
+    const auto &res = it->second.result;
+    uint64_t ours = res ? res->payloadHash : fnv1a(std::string_view{});
+    if (ack.payloadHash != ours) {
         // The client assembled different bytes than we hold: keep
         // the record so it can refetch from offset 0.
         info.outcome = AckOutcome::HashMismatch;

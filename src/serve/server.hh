@@ -14,7 +14,8 @@
  *    machine; requests are decoded, answered synchronously, and
  *    submissions are handed to the job queue. A terminal job's
  *    FetchResult opens a *result stream* on its connection: the
- *    trajectory payload is sliced into ResultChunk frames generated
+ *    trajectory's binary records are sliced into ResultChunk frames
+ *    generated
  *    under a per-stream backlog cap and drained through the same
  *    POLLOUT tx-buffer machinery as every other reply, then closed
  *    with a ResultEnd carrying the scalar result and the FNV-1a
@@ -125,7 +126,9 @@ struct ServerConfig
     /** Drop a connection whose unflushed reply backlog exceeds this. */
     size_t maxTxBacklogBytes = 64 * 1024 * 1024;
     /** Result-stream slice size [bytes]; clamped to
-     *  [1, kMaxResultChunkBytes]. */
+     *  [kTrajectoryBinaryRecordBytes, kMaxResultChunkBytes] and
+     *  rounded down to whole records, so every chunk boundary is a
+     *  valid resume offset. */
     size_t resultChunkBytes = kDefaultResultChunkBytes;
     /**
      * Per-stream generation cap [bytes]: chunks are only produced
@@ -155,8 +158,8 @@ struct ServerConfig
      */
     size_t maxRetainedResults = 256;
     /**
-     * Byte bound on retained terminal results (trajectory CSV +
-     * samples + failure reason), enforced alongside
+     * Byte bound on retained terminal results (trajectory records +
+     * failure reason), enforced alongside
      * maxRetainedResults: oldest results are evicted until the total
      * fits. The newest terminal result is never evicted by the byte
      * bound (a single oversized result stays fetchable), so the
@@ -277,20 +280,17 @@ class MissionServer
 
     /**
      * One result stream in flight on a connection. Shares the
-     * payload source with the retained job record (the CSV string,
-     * or the raw samples quantized to binary records one chunk at a
-     * time) and owns the pre-built ResultEnd. The job stays
-     * fetchable until the client's hash-verified AckResult (or
-     * retention eviction) releases it, so a stream that dies with
-     * its connection costs nothing — the client reconnects and
-     * resumes from its byte offset.
+     * record bytes with the retained job record and owns the
+     * pre-built ResultEnd. The job stays fetchable until the
+     * client's hash-verified AckResult (or retention eviction)
+     * releases it, so a stream that dies with its connection costs
+     * nothing — the client reconnects and resumes from its byte
+     * offset.
      */
     struct ResultStream
     {
-        TrajectoryEncoding encoding = TrajectoryEncoding::Csv;
         /** Payload source, shared with the job record. */
         std::shared_ptr<const ServedResult> src;
-        uint64_t totalBytes = 0;
         uint64_t offset = 0; ///< payload bytes already framed
         uint32_t seq = 0;    ///< next chunk sequence number
         ResultEndData end;

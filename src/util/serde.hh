@@ -179,7 +179,8 @@ class StateReader
     void bytes(uint8_t *out, size_t n)
     {
         need(n);
-        std::memcpy(out, data_ + pos_, n);
+        if (n > 0) // an empty vector's data() may be null
+            std::memcpy(out, data_ + pos_, n);
         pos_ += n;
     }
 

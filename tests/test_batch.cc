@@ -80,7 +80,7 @@ expectSameResult(const core::MissionResult &a,
                  const core::MissionResult &b, const std::string &label)
 {
     SCOPED_TRACE(label);
-    EXPECT_EQ(a.completed, b.completed);
+    EXPECT_EQ(a.completed(), b.completed());
     EXPECT_EQ(a.transportError, b.transportError);
     EXPECT_EQ(a.missionTime, b.missionTime);
     EXPECT_EQ(a.collisions, b.collisions);

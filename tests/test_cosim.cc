@@ -38,7 +38,7 @@ tunnelSpec()
 TEST(Cosim, TunnelMissionCompletes)
 {
     MissionResult r = runMission(tunnelSpec());
-    EXPECT_TRUE(r.completed);
+    EXPECT_TRUE(r.completed());
     EXPECT_EQ(r.collisions, 0u);
     EXPECT_GT(r.missionTime, 10.0);
     EXPECT_LT(r.missionTime, 30.0);
@@ -54,7 +54,7 @@ TEST(Cosim, AngledStartsRecover)
         MissionSpec s = tunnelSpec();
         s.initialYawDeg = yaw;
         MissionResult r = runMission(s);
-        EXPECT_TRUE(r.completed) << "yaw " << yaw;
+        EXPECT_TRUE(r.completed()) << "yaw " << yaw;
         EXPECT_EQ(r.collisions, 0u) << "yaw " << yaw;
     }
 }
@@ -77,7 +77,7 @@ TEST(Cosim, DeterministicAcrossRuns)
     s.seed = 99;
     MissionResult a = runMission(s);
     MissionResult b = runMission(s);
-    EXPECT_EQ(a.completed, b.completed);
+    EXPECT_EQ(a.completed(), b.completed());
     EXPECT_DOUBLE_EQ(a.missionTime, b.missionTime);
     EXPECT_EQ(a.inferences, b.inferences);
     ASSERT_EQ(a.trajectory.size(), b.trajectory.size());
@@ -248,9 +248,9 @@ TEST(Experiment, TrajectoryCsvWritten)
 TEST(Experiment, MissionTimeString)
 {
     MissionResult r;
-    r.completed = false;
+    r.status = MissionStatus::TimedOut;
     EXPECT_EQ(missionTimeString(r), "DNF");
-    r.completed = true;
+    r.status = MissionStatus::Completed;
     r.missionTime = 12.345;
     EXPECT_EQ(missionTimeString(r), "12.35s");
 }
@@ -268,7 +268,7 @@ TEST(Cosim, RoverMorphologyEndToEnd)
     s.velocity = 4.0;
     s.maxSimSeconds = 40.0;
     MissionResult r = runMission(s);
-    EXPECT_TRUE(r.completed);
+    EXPECT_TRUE(r.completed());
     EXPECT_EQ(r.collisions, 0u);
     EXPECT_GT(r.avgSpeed, 3.0);
     // Ground vehicle: never leaves the mast height.

@@ -323,6 +323,7 @@ TEST(Classifier, PoseEstimateAccurate)
     env::Drone drone;
     env::Image img;
     Rng rng(13);
+    PoseScratch scratch;
     double se_h = 0.0, se_o = 0.0;
     const int n = 100;
     for (int i = 0; i < n; ++i) {
@@ -331,7 +332,7 @@ TEST(Classifier, PoseEstimateAccurate)
         drone.setPose({rng.uniform(5, 45), y, 1.5},
                       Quat::fromEuler(0, 0, psi));
         cam.renderInto(world, drone.position(), drone.attitude(), img);
-        PoseEstimate est = estimatePose(img);
+        PoseEstimate est = estimatePose(img, {}, scratch);
         ASSERT_TRUE(est.valid);
         se_h += (est.headingRad - psi) * (est.headingRad - psi);
         se_o += (est.offsetM - y) * (est.offsetM - y);

@@ -251,7 +251,7 @@ TEST(FaultMission, CompletesUnderFivePercentDrop)
     if (r.transportError)
         FAIL() << "unexpected transport error: "
                << r.transportErrorMessage;
-    EXPECT_TRUE(r.completed)
+    EXPECT_TRUE(r.completed())
         << "mission should survive 5% drop via sensor retries";
     EXPECT_GT(sim.app().sensorRetries(), 0u);
 }

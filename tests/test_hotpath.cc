@@ -130,7 +130,8 @@ TEST(HotpathPose, ScratchOverloadBitIdentical)
         drone.setPose({rng.uniform(5, 45), rng.uniform(-1, 1), 1.5},
                       Quat::fromEuler(0, 0, rng.uniform(-0.3, 0.3)));
         cam.renderInto(world, drone.position(), drone.attitude(), img);
-        PoseEstimate fresh = estimatePose(img, cfg);
+        PoseScratch freshScratch;
+        PoseEstimate fresh = estimatePose(img, cfg, freshScratch);
         PoseEstimate cached = estimatePose(img, cfg, scratch);
         EXPECT_EQ(fresh.valid, cached.valid);
         // Bitwise double equality, not near-equality: the cached
@@ -181,7 +182,8 @@ TEST(HotpathPose, ScratchRebuildsOnConfigChange)
     EstimatorConfig other = cfg;
     other.maxDepth *= 0.5;
     PoseEstimate b = estimatePose(img, other, scratch);
-    PoseEstimate bFresh = estimatePose(img, other);
+    PoseScratch freshScratch;
+    PoseEstimate bFresh = estimatePose(img, other, freshScratch);
     EXPECT_EQ(std::memcmp(&b.headingRad, &bFresh.headingRad,
                           sizeof(double)), 0);
     // Switching back re-keys again and still matches the fresh path.

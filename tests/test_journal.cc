@@ -7,8 +7,9 @@
  * a torn tail (crash mid-append) or a corrupt record must truncate
  * recovery at the last intact record — never abort — while a header
  * from a different format or config fingerprint must be refused
- * outright. These tests drive byte-level damage through replayBytes()
- * and full reopen cycles through JobJournal itself.
+ * outright. These tests drive byte-level damage (targeted and seeded)
+ * through replayBytes() and full reopen cycles through JobJournal
+ * itself.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 #include "serve/journal.hh"
 #include "util/backoff.hh"
 #include "util/hash.hh"
+#include "util/rng.hh"
 
 using namespace rose;
 using namespace rose::serve;
@@ -43,16 +45,24 @@ testSpec(uint64_t seed)
     return spec;
 }
 
+/** A marshalled result whose trajectory has @p samples samples. */
 ServedResult
-testResult(const std::string &csv)
+testResult(size_t samples)
 {
-    ServedResult r;
-    r.completed = true;
-    r.missionTime = 1.5;
-    r.collisions = 2;
-    r.trajectorySamples = 7;
-    r.trajectoryCsv = csv;
-    r.trajectoryHash = fnv1a(csv);
+    core::MissionResult m;
+    m.status = core::MissionStatus::TimedOut;
+    m.failureReason = "simulated-time limit reached";
+    m.missionTime = 1.5;
+    m.collisions = 2;
+    for (size_t i = 0; i < samples; ++i) {
+        core::TrajectorySample t;
+        t.time = 0.01 * double(i);
+        t.position = {0.3 * double(i), 0.125, 1.5};
+        t.speed = 3.0;
+        t.collisions = i / 4;
+        m.trajectory.push_back(t);
+    }
+    ServedResult r = marshalResult(m);
     r.queueWaitMs = 3.5;
     r.serviceMs = 42.0;
     return r;
@@ -105,8 +115,7 @@ buildSampleJournal(const std::string &name, uint64_t fp,
     JobJournal j(dir, fp);
     j.appendSubmit(1, "key-1", testSpec(1));
     j.appendSubmit(2, "key-2", testSpec(2));
-    j.appendTerminal(1, JobState::Done,
-                     testResult("t,x,y,z\n0,1,2,3\n"));
+    j.appendTerminal(1, JobState::Done, testResult(5));
     j.appendSubmit(3, "", testSpec(3));
     j.appendReleased(3);
     if (wal_out)
@@ -179,8 +188,7 @@ TEST(Journal, RoundTripAcrossReopen)
         JobJournal j(dir, fp);
         j.appendSubmit(1, "key-1", testSpec(1));
         j.appendSubmit(2, "key-2", testSpec(2));
-        j.appendTerminal(1, JobState::Done,
-                         testResult("t,x\n0,1\n"));
+        j.appendTerminal(1, JobState::Done, testResult(7));
         j.appendSubmit(3, "", testSpec(3));
         j.appendReleased(3);
     }
@@ -194,8 +202,15 @@ TEST(Journal, RoundTripAcrossReopen)
     EXPECT_EQ(done.idempotencyKey, "key-1");
     EXPECT_TRUE(done.terminal);
     EXPECT_EQ(done.state, JobState::Done);
-    EXPECT_EQ(done.result.trajectoryCsv, "t,x\n0,1\n");
-    EXPECT_EQ(done.result.trajectoryHash, fnv1a("t,x\n0,1\n"));
+    // The records come back byte for byte, with both hashes: the
+    // stored golden hash and the recomputed payload hash.
+    ServedResult want = testResult(7);
+    EXPECT_EQ(done.result.trajectoryRecords, want.trajectoryRecords);
+    EXPECT_EQ(done.result.trajectorySamples, 7u);
+    EXPECT_EQ(done.result.trajectoryHash, want.trajectoryHash);
+    EXPECT_EQ(done.result.payloadHash, want.payloadHash);
+    EXPECT_EQ(done.result.status, want.status);
+    EXPECT_EQ(done.result.failureReason, want.failureReason);
     EXPECT_DOUBLE_EQ(done.result.serviceMs, 42.0);
 
     const RecoveredJob &queued = rep.jobs[1];
@@ -213,7 +228,7 @@ TEST(Journal, CompactionDropsReleasedJobs)
     {
         JobJournal j(dir, fp);
         j.appendSubmit(1, "k", testSpec(1));
-        j.appendTerminal(1, JobState::Done, testResult("csv\n"));
+        j.appendTerminal(1, JobState::Done, testResult(3));
         j.appendReleased(1);
         before = j.bytesOnDisk();
     }
@@ -305,8 +320,77 @@ TEST(Journal, FingerprintMismatchIsRejected)
                  JournalError);
     // The right fingerprint still opens it (job 3 was released, so
     // two jobs survive).
-    JobJournal ok(dir, fp);
-    EXPECT_EQ(ok.takeReplay().jobs.size(), 2u);
+    {
+        JobJournal ok(dir, fp);
+        EXPECT_EQ(ok.takeReplay().jobs.size(), 2u);
+    }
+    // A version-1 header (the CSV-payload format) is refused too,
+    // even when its fingerprint would match.
+    std::vector<uint8_t> bytes = readFile(wal);
+    ASSERT_GT(bytes.size(), 12u);
+    bytes[8] = 1; // u32 version, little-endian, after the magic
+    bytes[9] = bytes[10] = bytes[11] = 0;
+    writeFile(wal, bytes);
+    EXPECT_THROW(JobJournal(dir, fp), JournalError);
+}
+
+TEST(Journal, SeededDamageStopsAtLastIntactRecord)
+{
+    // Random truncations and single-bit flips of a real journal: the
+    // header refuses (JournalError), a damaged record ends replay at
+    // its own start, and a truncation keeps every whole record before
+    // it — never a crash, never a record past the damage.
+    uint64_t fp = journalFingerprint(true);
+    const std::vector<uint8_t> clean = buildSampleJournal("fuzz", fp);
+    const size_t header = 20;
+    std::vector<size_t> bounds{header}; // record starts, then the end
+    while (bounds.back() < clean.size()) {
+        uint32_t len = 0;
+        std::memcpy(&len, clean.data() + bounds.back() + 1, 4);
+        bounds.push_back(bounds.back() + 1 + 4 + len + 8);
+    }
+    ASSERT_EQ(bounds.back(), clean.size());
+    // Records wholly inside the first n bytes.
+    auto recordsBefore = [&](size_t n) {
+        size_t k = 0;
+        while (k + 1 < bounds.size() && bounds[k + 1] <= n)
+            ++k;
+        return k;
+    };
+
+    for (uint64_t seed = 1; seed <= 400; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng rng(seed * 0x2545f4914f6cdd1dULL);
+        std::vector<uint8_t> bytes = clean;
+        size_t at = 0;
+        bool flip = rng.uniformInt(2) == 0;
+        if (flip) {
+            at = rng.uniformInt(bytes.size());
+            bytes[at] ^= uint8_t(1u << rng.uniformInt(8));
+        } else {
+            at = rng.uniformInt(bytes.size());
+            bytes.resize(at);
+        }
+        size_t keep = 0;
+        if (flip && at < header) {
+            EXPECT_THROW(JobJournal::replayBytes(bytes, fp, keep),
+                         JournalError);
+            continue;
+        }
+        JournalReplay rep;
+        if (!flip && at < header) {
+            // A torn header: nothing was journaled yet.
+            rep = JobJournal::replayBytes(bytes, fp, keep);
+            EXPECT_EQ(keep, 0u);
+            EXPECT_TRUE(rep.jobs.empty());
+            continue;
+        }
+        rep = JobJournal::replayBytes(bytes, fp, keep);
+        size_t intact = recordsBefore(at);
+        EXPECT_EQ(rep.recordsReplayed, intact);
+        EXPECT_EQ(keep, bounds[intact]);
+        EXPECT_EQ(rep.recoveredFromCorruption, keep < bytes.size());
+    }
 }
 
 TEST(Journal, GarbageFileIsRejected)

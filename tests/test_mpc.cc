@@ -141,7 +141,7 @@ TEST(MpcMission, FasterLoopThanDnn)
     core::MpcMissionResult mpc = core::runMpcMission(spec);
     core::MissionResult dnn = core::runMission(spec);
     ASSERT_TRUE(mpc.completed);
-    ASSERT_TRUE(dnn.completed);
+    ASSERT_TRUE(dnn.completed());
     EXPECT_GT(mpc.log.size(), 3 * dnn.inferences);
     EXPECT_LT(mpc.avgLatencySeconds(), dnn.avgInferenceLatency);
 }

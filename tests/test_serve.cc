@@ -4,9 +4,11 @@
  *
  * Five layers:
  *  - protocol codecs: every request/response round-trips byte-exactly,
- *    including the v2 result-stream frames (ResultChunk / ResultEnd /
- *    Progress) and the fixed-width binary trajectory encoding with
- *    its canonical-f32 CSV print-parity invariant;
+ *    including the result-stream frames (ResultChunk / ResultEnd /
+ *    Progress) and the fixed-width binary trajectory records with
+ *    their canonical-f32 CSV print-parity invariant, and seeded
+ *    truncations and bit flips of the stream-control payloads throw
+ *    cleanly;
  *  - framing: seeded fuzz of MessageBuffer (mirrors the bridge's
  *    test_framing_fuzz harness) — arbitrary bytes never crash, hang,
  *    or allocate past the payload bound, and poison sticks;
@@ -15,11 +17,10 @@
  *    ResultEnd, corrupted hashes — every violation is a clean
  *    ProtocolError, never a crash or a silent wrong result;
  *  - served-result determinism: a mission submitted over TCP returns
- *    a trajectory CSV whose FNV-1a hash is bit-identical to the same
- *    spec run locally via runMission(), including under 4 concurrent
- *    clients and for multi-megabyte trajectories streamed across many
- *    chunks in both encodings (the golden-trace acceptance
- *    criterion);
+ *    samples whose rendered CSV hashes (FNV-1a) bit-identically to
+ *    the same spec run locally via runMission(), including under 4
+ *    concurrent clients and for multi-megabyte trajectories streamed
+ *    across many chunks (the golden-trace acceptance criterion);
  *  - admission control & lifecycle: queue-full and per-client-cap
  *    shedding, cancellation, stalled readers and disconnects
  *    mid-stream, byte-bounded result retention, and clean shutdown
@@ -28,8 +29,9 @@
  *    job journal replayed across a daemon restart (terminal results
  *    fetchable bit-identically, interrupted jobs re-queued and
  *    warm-restored from their persisted checkpoint, idempotency keys
- *    deduplicated), hash-verified AckResult release, resume-offset
- *    result streams, and reconnect-enabled clients surviving severed
+ *    deduplicated, replayed results resumable), hash-verified
+ *    AckResult release, record-aligned resume offsets, the retained
+ *    bytes per result, and reconnect-enabled clients surviving severed
  *    connections (ci/chaos_smoke.sh adds the real SIGKILL
  *    dimension).
  */
@@ -102,6 +104,13 @@ localTrajectoryHash(const core::MissionSpec &spec)
 {
     core::MissionResult r = core::runMission(spec);
     return fnv1a(core::trajectoryCsvString(r));
+}
+
+/** FNV-1a of the canonical CSV rendered from a fetched result. */
+uint64_t
+servedHash(const ServedResult &r)
+{
+    return fnv1a(core::trajectoryCsvString(r.trajectory));
 }
 
 /** Poll a predicate over server stats until it holds or we time out. */
@@ -260,13 +269,12 @@ TEST(ServeProto, ReplyCodecsRoundTrip)
     EXPECT_EQ(decodeQueryStatus(encodeQueryStatus(77)), 77u);
     FetchRequest fr = decodeFetchResult(encodeFetchResult(78));
     EXPECT_EQ(fr.jobId, 78u);
-    EXPECT_EQ(fr.encoding, TrajectoryEncoding::Csv);
     EXPECT_EQ(fr.resumeOffset, 0u);
-    fr = decodeFetchResult(encodeFetchResult(
-        80, TrajectoryEncoding::Binary, 0x1234567890abcdefULL));
+    fr = decodeFetchResult(encodeFetchResult(80, 0x1234567890abcdefULL));
     EXPECT_EQ(fr.jobId, 80u);
-    EXPECT_EQ(fr.encoding, TrajectoryEncoding::Binary);
     EXPECT_EQ(fr.resumeOffset, 0x1234567890abcdefULL);
+    // Protocol 5: job id + resume offset, no encoding byte.
+    EXPECT_EQ(encodeFetchResult(80).payload.size(), 16u);
 
     // v3 additions: the idempotency key rides the submit payload, and
     // AckResult/AckReply close the fetch-verify-release handshake.
@@ -279,15 +287,11 @@ TEST(ServeProto, ReplyCodecsRoundTrip)
     AckRequest ar =
         decodeAckResult(encodeAckResult(55, 0xfeedfacecafef00dULL));
     EXPECT_EQ(ar.jobId, 55u);
-    EXPECT_EQ(ar.trajectoryHash, 0xfeedfacecafef00dULL);
+    EXPECT_EQ(ar.payloadHash, 0xfeedfacecafef00dULL);
     AckInfo ai{55, AckOutcome::HashMismatch};
     AckInfo ai2 = decodeAckReply(encodeAckReply(ai));
     EXPECT_EQ(ai2.jobId, 55u);
     EXPECT_EQ(ai2.outcome, AckOutcome::HashMismatch);
-    // An unknown encoding byte is rejected, not trusted.
-    Message badEnc = encodeFetchResult(81);
-    badEnc.payload[8] = 0x7f;
-    EXPECT_THROW(decodeFetchResult(badEnc), ProtocolError);
     EXPECT_EQ(decodeCancelMission(encodeCancelMission(79)), 79u);
     EXPECT_TRUE(decodeShutdown(encodeShutdown(true)));
     EXPECT_FALSE(decodeShutdown(encodeShutdown(false)));
@@ -301,8 +305,7 @@ ServedResult
 denseScalarResult()
 {
     ServedResult r;
-    r.completed = true;
-    r.status = 0;
+    r.status = uint8_t(core::MissionStatus::Degraded);
     r.missionTime = 9.99;
     r.collisions = 3;
     r.avgSpeed = 2.5;
@@ -347,35 +350,45 @@ randomSamples(Rng &rng, size_t n)
     return v;
 }
 
-/** Slice a trajectory payload into ResultChunk frames + ResultEnd,
+/** Slice @p payload into ResultChunk frames closed by @p end (whose
+ *  chunkCount, payloadBytes and payloadHash are filled in here),
  *  exactly as the server's stream pump does. */
 std::vector<Message>
-buildStream(uint64_t job_id, const std::string &csv,
-            size_t chunk_bytes, const ServedResult &scalars,
-            JobState state = JobState::Done)
+sliceStream(const std::vector<uint8_t> &payload, size_t chunk_bytes,
+            ResultEndData end)
 {
     std::vector<Message> frames;
     uint32_t seq = 0;
-    for (size_t off = 0; off < csv.size(); off += chunk_bytes) {
+    for (size_t off = 0; off < payload.size(); off += chunk_bytes) {
         ResultChunkData c;
-        c.jobId = job_id;
+        c.jobId = end.jobId;
         c.seq = seq++;
-        size_t n = std::min(chunk_bytes, csv.size() - off);
-        c.bytes.assign(csv.begin() + std::ptrdiff_t(off),
-                       csv.begin() + std::ptrdiff_t(off + n));
+        size_t n = std::min(chunk_bytes, payload.size() - off);
+        c.bytes.assign(payload.begin() + std::ptrdiff_t(off),
+                       payload.begin() + std::ptrdiff_t(off + n));
         frames.push_back(encodeResultChunk(c));
     }
+    end.chunkCount = seq;
+    end.payloadBytes = payload.size();
+    end.payloadHash = fnv1a(payload.data(), payload.size());
+    frames.push_back(encodeResultEnd(end));
+    return frames;
+}
+
+/** The full result stream of @p samples as binary records. */
+std::vector<Message>
+buildStream(uint64_t job_id,
+            const std::vector<core::TrajectorySample> &samples,
+            size_t chunk_bytes, const ServedResult &scalars,
+            JobState state = JobState::Done)
+{
     ResultEndData end;
     end.jobId = job_id;
     end.state = state;
-    end.encoding = TrajectoryEncoding::Csv;
-    end.chunkCount = seq;
-    end.payloadBytes = csv.size();
-    end.trajectoryHash = fnv1a(csv);
-    end.payloadHash = fnv1a(csv); // Csv payload IS the canonical CSV
+    end.trajectoryHash = fnv1a(core::trajectoryCsvString(samples));
     end.result = scalars;
-    frames.push_back(encodeResultEnd(end));
-    return frames;
+    return sliceStream(encodeTrajectoryBinary(samples), chunk_bytes,
+                       end);
 }
 
 } // namespace
@@ -394,7 +407,6 @@ TEST(ServeProto, ResultChunkAndEndRoundTrip)
     ResultEndData e;
     e.jobId = 21;
     e.state = JobState::Failed;
-    e.encoding = TrajectoryEncoding::Binary;
     e.chunkCount = 13;
     e.payloadBytes = 123456789;
     e.trajectoryHash = 0xabcdef0123456789ULL;
@@ -404,12 +416,12 @@ TEST(ServeProto, ResultChunkAndEndRoundTrip)
     ResultEndData e2 = decodeResultEnd(encodeResultEnd(e));
     EXPECT_EQ(e2.jobId, 21u);
     EXPECT_EQ(e2.state, JobState::Failed);
-    EXPECT_EQ(e2.encoding, TrajectoryEncoding::Binary);
     EXPECT_EQ(e2.chunkCount, 13u);
     EXPECT_EQ(e2.payloadBytes, 123456789u);
     EXPECT_EQ(e2.trajectoryHash, e.trajectoryHash);
     EXPECT_EQ(e2.payloadHash, e.payloadHash);
     EXPECT_EQ(e2.result.failureReason, "mission threw");
+    EXPECT_EQ(e2.result.status, e.result.status);
     EXPECT_EQ(e2.result.collisions, e.result.collisions);
     EXPECT_EQ(e2.result.simulatedCycles, e.result.simulatedCycles);
     EXPECT_EQ(e2.result.queueWaitMs, e.result.queueWaitMs);
@@ -514,16 +526,20 @@ TEST(ServeProto, BinaryTrajectoryCodecPreservesCsvBytes)
 
 TEST(ServeProto, AssemblerReassemblesMultiChunkStream)
 {
-    // CSV payload sliced at an awkward chunk size (not a divisor).
+    // Records sliced at an awkward chunk size (not a multiple of the
+    // record size): the assembler verifies the record bytes, decodes
+    // them, and rendering the samples reproduces the canonical CSV
+    // the stream's trajectoryHash names — no CSV inside the fetch.
     std::vector<core::TrajectorySample> samples;
     {
         Rng rng(0x5eed);
         samples = randomSamples(rng, 200);
     }
     std::string csv = core::trajectoryCsvString(samples);
+    std::vector<uint8_t> records = encodeTrajectoryBinary(samples);
     ServedResult scalars = denseScalarResult();
     scalars.failureReason.clear();
-    std::vector<Message> frames = buildStream(9, csv, 777, scalars);
+    std::vector<Message> frames = buildStream(9, samples, 777, scalars);
     ASSERT_GT(frames.size(), 3u);
 
     ResultStreamAssembler assembler(9);
@@ -534,54 +550,37 @@ TEST(ServeProto, AssemblerReassemblesMultiChunkStream)
     ResultData d = assembler.takeResult();
     EXPECT_EQ(d.jobId, 9u);
     EXPECT_EQ(d.state, JobState::Done);
-    EXPECT_EQ(d.result.trajectoryCsv, csv);
     EXPECT_EQ(d.result.collisions, scalars.collisions);
+    EXPECT_EQ(d.payloadHash, fnv1a(records.data(), records.size()));
+    EXPECT_EQ(d.result.trajectoryHash, fnv1a(csv));
+    EXPECT_EQ(core::trajectoryCsvString(d.result.trajectory), csv);
 
-    // Binary streams verify over the record bytes themselves and
-    // deliver decoded samples; no CSV is rendered inside the fetch,
-    // but rendering the samples reproduces the canonical CSV.
-    std::vector<uint8_t> bin = encodeTrajectoryBinary(samples);
-    std::string binStr(bin.begin(), bin.end());
-    std::vector<Message> binFrames =
-        buildStream(10, binStr, 555, scalars);
-    // Rewrite the end frame for binary semantics.
-    ResultEndData end;
-    end.jobId = 10;
-    end.state = JobState::Done;
-    end.encoding = TrajectoryEncoding::Binary;
-    end.chunkCount = uint32_t(binFrames.size() - 1);
-    end.payloadBytes = bin.size();
-    end.trajectoryHash = fnv1a(core::trajectoryCsvString(samples));
-    end.payloadHash = fnv1a(bin.data(), bin.size());
-    end.result = scalars;
-    binFrames.back() = encodeResultEnd(end);
-
-    ResultStreamAssembler binAssembler(10);
-    for (const Message &f : binFrames)
-        binAssembler.feed(f);
-    ASSERT_TRUE(binAssembler.complete());
-    ResultData bd = binAssembler.takeResult();
-    EXPECT_TRUE(bd.result.trajectoryCsv.empty())
-        << "Binary reassembly must not pay for a CSV render";
-    EXPECT_EQ(bd.payloadHash, end.payloadHash);
-    EXPECT_EQ(core::trajectoryCsvString(bd.result.trajectory),
-              core::trajectoryCsvString(samples));
-
-    // A corrupted binary payload is caught by the payload hash even
-    // though no CSV is rendered.
+    ResultEndData end = decodeResultEnd(frames.back());
+    // A corrupted record byte is caught by the payload hash before
+    // any decode runs.
     {
-        std::vector<uint8_t> evil = bin;
+        std::vector<uint8_t> evil = records;
         evil[evil.size() / 2] ^= 0x40;
-        std::string evilStr(evil.begin(), evil.end());
-        std::vector<Message> evilFrames =
-            buildStream(10, evilStr, 555, scalars);
-        evilFrames.back() = encodeResultEnd(end);
-        ResultStreamAssembler a(10);
-        size_t i = 0;
+        std::vector<Message> evilFrames = sliceStream(evil, 777, end);
+        evilFrames.back() = frames.back(); // the good bytes' hash
+        ResultStreamAssembler a(9);
         EXPECT_THROW(
             {
-                for (; i < evilFrames.size(); ++i)
-                    a.feed(evilFrames[i]);
+                for (const Message &f : evilFrames)
+                    a.feed(f);
+            },
+            ProtocolError);
+    }
+    // A payload that is not a whole number of records is refused even
+    // when its hash is consistent.
+    {
+        std::vector<uint8_t> ragged(records.begin(), records.end() - 1);
+        std::vector<Message> raggedFrames = sliceStream(ragged, 777, end);
+        ResultStreamAssembler a(9);
+        EXPECT_THROW(
+            {
+                for (const Message &f : raggedFrames)
+                    a.feed(f);
             },
             ProtocolError);
     }
@@ -593,17 +592,22 @@ TEST(ServeProto, AssemblerResumesAfterRewind)
     // mid-stream, rewindForResume() keeps the payload prefix and
     // expects the resumed stream's chunk numbering to restart at 0 —
     // exactly how the server numbers a stream resumed at
-    // payloadBytes(). The reassembled bytes must equal the
+    // payloadBytes(). The reassembled records must equal the
     // uninterrupted stream's, verified by the same full-payload hash.
     std::vector<core::TrajectorySample> samples;
     {
         Rng rng(0x7e5e7);
         samples = randomSamples(rng, 150);
     }
-    std::string csv = core::trajectoryCsvString(samples);
-    ServedResult scalars = denseScalarResult();
-    scalars.failureReason.clear();
-    std::vector<Message> first = buildStream(12, csv, 512, scalars);
+    std::vector<uint8_t> records = encodeTrajectoryBinary(samples);
+    ResultEndData end;
+    end.jobId = 12;
+    end.result = denseScalarResult();
+    end.result.failureReason.clear();
+    // Server chunks are whole records, so every boundary is a valid
+    // resume offset.
+    const size_t chunk = 12 * kTrajectoryBinaryRecordBytes;
+    std::vector<Message> first = sliceStream(records, chunk, end);
     ASSERT_GT(first.size(), 5u);
 
     ResultStreamAssembler a(12);
@@ -611,31 +615,36 @@ TEST(ServeProto, AssemblerResumesAfterRewind)
     for (size_t i = 0; i < 3; ++i)
         a.feed(first[i]);
     size_t resumeAt = a.payloadBytes();
-    ASSERT_EQ(resumeAt, 3u * 512);
+    ASSERT_EQ(resumeAt, 3u * chunk);
     a.rewindForResume();
     EXPECT_EQ(a.payloadBytes(), resumeAt); // prefix kept
 
     // The resumed stream: the byte suffix sliced fresh, seq from 0,
     // chunkCount covering only this stream's chunks, but payloadBytes
     // and the hash always describing the TOTAL payload.
-    std::string rest = csv.substr(resumeAt);
-    std::vector<Message> resumed = buildStream(12, rest, 700, scalars);
-    ResultEndData end = decodeResultEnd(resumed.back());
-    end.payloadBytes = csv.size();
-    end.trajectoryHash = fnv1a(csv);
-    end.payloadHash = fnv1a(csv);
-    resumed.back() = encodeResultEnd(end);
+    std::vector<uint8_t> rest(records.begin() + std::ptrdiff_t(resumeAt),
+                              records.end());
+    std::vector<Message> resumed = sliceStream(rest, chunk, end);
+    ResultEndData rend = decodeResultEnd(resumed.back());
+    rend.payloadBytes = records.size();
+    rend.payloadHash = fnv1a(records.data(), records.size());
+    resumed.back() = encodeResultEnd(rend);
     for (const Message &f : resumed)
         a.feed(f);
     ASSERT_TRUE(a.complete());
-    EXPECT_EQ(a.takeResult().result.trajectoryCsv, csv);
+    EXPECT_EQ(core::trajectoryCsvString(a.takeResult().result.trajectory),
+              core::trajectoryCsvString(samples));
 }
 
 TEST(ServeProto, AssemblerRejectsProtocolViolations)
 {
-    std::string csv = "t,x\n0.01,1\n0.02,2\n0.03,3\n";
+    std::vector<core::TrajectorySample> samples;
+    {
+        Rng rng(0xbad5);
+        samples = randomSamples(rng, 3);
+    }
     ServedResult scalars;
-    auto frames = [&] { return buildStream(5, csv, 8, scalars); };
+    auto frames = [&] { return buildStream(5, samples, 8, scalars); };
 
     { // chunk for the wrong job
         ResultStreamAssembler a(5);
@@ -663,22 +672,16 @@ TEST(ServeProto, AssemblerRejectsProtocolViolations)
         EXPECT_THROW(a.feed(fs.back()), ProtocolError);
         EXPECT_FALSE(a.complete());
     }
-    { // corrupted verification hash — flipping either the payload
-      // hash or the canonical-CSV hash must be caught (a Csv stream
-      // requires them to agree)
-        for (int which = 0; which < 2; ++which) {
-            ResultStreamAssembler a(5);
-            std::vector<Message> fs = frames();
-            ResultEndData end = decodeResultEnd(fs.back());
-            if (which == 0)
-                end.payloadHash ^= 1;
-            else
-                end.trajectoryHash ^= 1;
-            fs.back() = encodeResultEnd(end);
-            for (size_t i = 0; i + 1 < fs.size(); ++i)
-                a.feed(fs[i]);
-            EXPECT_THROW(a.feed(fs.back()), ProtocolError);
-        }
+    { // corrupted verification hash (the canonical-CSV hash is the
+      // caller's check: render the samples and compare)
+        ResultStreamAssembler a(5);
+        std::vector<Message> fs = frames();
+        ResultEndData end = decodeResultEnd(fs.back());
+        end.payloadHash ^= 1;
+        fs.back() = encodeResultEnd(end);
+        for (size_t i = 0; i + 1 < fs.size(); ++i)
+            a.feed(fs[i]);
+        EXPECT_THROW(a.feed(fs.back()), ProtocolError);
     }
     { // a Progress frame must never reach the assembler
         ResultStreamAssembler a(5);
@@ -710,9 +713,12 @@ TEST(ServeProto, StreamFuzzReassemblyNeverCrashes)
             randomSamples(rng, rng.uniformInt(120));
         std::string csv = core::trajectoryCsvString(samples);
         uint64_t jobId = 1 + rng.uniformInt(1000);
-        size_t chunkBytes = 1 + rng.uniformInt(csv.size() + 64);
+        size_t chunkBytes = 1 + rng.uniformInt(
+                                    samples.size() *
+                                        kTrajectoryBinaryRecordBytes +
+                                    64);
         std::vector<Message> frames =
-            buildStream(jobId, csv, chunkBytes, ServedResult{});
+            buildStream(jobId, samples, chunkBytes, ServedResult{});
 
         // Interleave Progress frames (legal anywhere in the byte
         // stream; the dispatch layer keeps them out of the
@@ -736,9 +742,9 @@ TEST(ServeProto, StreamFuzzReassemblyNeverCrashes)
             stream.push_back(
                 encodeResultChunk({jobId, 0, {0x41, 0x42}}));
         } else if (mutation == 3) {
-            // Corrupt one frame: flip the end-frame hash.
+            // Corrupt one frame: flip the end-frame payload hash.
             ResultEndData end = decodeResultEnd(stream.back());
-            end.trajectoryHash ^= (1ULL << rng.uniformInt(64));
+            end.payloadHash ^= (1ULL << rng.uniformInt(64));
             stream.back() = encodeResultEnd(end);
         }
 
@@ -780,7 +786,8 @@ TEST(ServeProto, StreamFuzzReassemblyNeverCrashes)
         if (expectOk) {
             ASSERT_FALSE(violated);
             ASSERT_TRUE(assembler.complete());
-            EXPECT_EQ(assembler.takeResult().result.trajectoryCsv,
+            EXPECT_EQ(core::trajectoryCsvString(
+                          assembler.takeResult().result.trajectory),
                       csv);
         } else if (mutation == 1) {
             // Truncation drops the ResultEnd: the stream must be
@@ -819,6 +826,51 @@ TEST(ServeProto, MalformedPayloadsThrowNotCrash)
     err.payload[2] = 0xff;
     err.payload[3] = 0x7f;
     EXPECT_THROW(decodeErrorReply(err), std::exception);
+
+    // Seeded damage to the stream-control payloads: a truncated one
+    // always throws (every field is read), a bit-flipped one either
+    // decodes or throws ProtocolError — never a crash or an over-read
+    // (the ASan preset makes over-reads fatal).
+    ResultEndData end;
+    end.jobId = 7;
+    end.chunkCount = 3;
+    end.payloadBytes = 3 * kTrajectoryBinaryRecordBytes;
+    end.trajectoryHash = 0x0123456789abcdefULL;
+    end.payloadHash = 0xfedcba9876543210ULL;
+    end.result = denseScalarResult();
+    end.result.failureReason = "simulated-time limit reached";
+    const Message valid[] = {
+        encodeFetchResult(7, 2 * kTrajectoryBinaryRecordBytes),
+        encodeResultEnd(end), encodeAckResult(7, end.payloadHash)};
+    auto decode = [](const Message &d) {
+        switch (d.type) {
+          case MsgType::FetchResult:
+            decodeFetchResult(d);
+            break;
+          case MsgType::ResultEnd:
+            decodeResultEnd(d);
+            break;
+          default:
+            decodeAckResult(d);
+            break;
+        }
+    };
+    for (uint64_t seed = 1; seed <= 600; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng rng(seed * 0x9e3779b97f4a7c15ULL);
+        Message d = valid[seed % 3];
+        if (rng.uniformInt(2) == 0) {
+            d.payload.resize(rng.uniformInt(d.payload.size()));
+            EXPECT_ANY_THROW(decode(d));
+        } else {
+            d.payload[rng.uniformInt(d.payload.size())] ^=
+                uint8_t(1u << rng.uniformInt(8));
+            try {
+                decode(d);
+            } catch (const ProtocolError &) {
+            }
+        }
+    }
 }
 
 // ============================================================= framing
@@ -897,7 +949,6 @@ TEST(ServeFraming, RoundTripSurvivesArbitraryFragmentation)
         ResultEndData end;
         end.jobId = chunk.jobId;
         end.state = JobState::Done;
-        end.encoding = TrajectoryEncoding::Binary;
         end.chunkCount = chunk.seq + 1;
         end.payloadBytes = chunk.bytes.size();
         end.trajectoryHash = rng.next();
@@ -907,10 +958,7 @@ TEST(ServeFraming, RoundTripSurvivesArbitraryFragmentation)
         std::vector<Message> sent{
             encodeSubmitMission(spec),
             encodeQueryStatus(rng.next()),
-            encodeFetchResult(rng.next(),
-                              rng.uniformInt(2) == 0
-                                  ? TrajectoryEncoding::Csv
-                                  : TrajectoryEncoding::Binary),
+            encodeFetchResult(rng.next(), rng.next()),
             encodeCancelMission(rng.next()),
             encodeServerStats(),
             encodeShutdown(rng.uniformInt(2) == 0),
@@ -1002,12 +1050,15 @@ TEST(ServeServer, GoldenParityOverTcp)
 
         core::MissionResult local = core::runMission(spec);
         std::string localCsv = core::trajectoryCsvString(local);
-        EXPECT_EQ(fnv1a(served.trajectoryCsv), fnv1a(localCsv))
+        std::string servedCsv =
+            core::trajectoryCsvString(served.trajectory);
+        EXPECT_EQ(fnv1a(servedCsv), fnv1a(localCsv))
             << "served trajectory bytes drifted from the local run";
-        EXPECT_EQ(served.trajectoryCsv, localCsv);
+        EXPECT_EQ(servedCsv, localCsv);
+        EXPECT_EQ(served.trajectoryHash, fnv1a(localCsv));
         EXPECT_EQ(served.collisions, local.collisions);
         EXPECT_EQ(served.trajectorySamples, local.trajectory.size());
-        EXPECT_EQ(served.completed, local.completed);
+        EXPECT_EQ(served.status, uint8_t(local.status));
         EXPECT_EQ(served.simulatedCycles, local.simulatedCycles);
     }
     server.stop();
@@ -1045,7 +1096,7 @@ TEST(ServeServer, FourConcurrentClientsStayBitIdentical)
             }
             for (auto [id, s] : jobs) {
                 ServedResult r = client.waitResult(id);
-                if (fnv1a(r.trajectoryCsv) != expect[s])
+                if (servedHash(r) != expect[s])
                     bad++;
             }
             return bad;
@@ -1159,15 +1210,15 @@ TEST(ServeServer, BadSpecsAreRejectedNotExecuted)
     server.stop();
 }
 
-TEST(ServeServer, LongMissionStreamsGoldenParityBothEncodings)
+TEST(ServeServer, LongMissionStreamsGoldenParity)
 {
     // The lifted mission-length limit, end to end: a spec whose
-    // trajectory CSV exceeds 8 MiB — larger than any single protocol
-    // frame, and rejected outright at admission before streaming —
-    // is admitted, executed (supervised, with the checkpoint-cadence
-    // cap keeping snapshot overhead bounded), streamed across many
-    // ResultChunk frames, and reassembles bit-identically to the
-    // local runMission() of the same spec in BOTH wire encodings.
+    // canonical trajectory CSV exceeds 8 MiB — larger than any single
+    // protocol frame — is admitted, executed (supervised, with the
+    // checkpoint-cadence cap keeping snapshot overhead bounded),
+    // streamed as binary records across many ResultChunk frames, and
+    // its samples render bit-identically to the local runMission() of
+    // the same spec.
     core::MissionSpec spec = canonicalSpec("A", 2.2);
     spec.syncGranularity = 20000; // one sample every 20k cycles
 
@@ -1182,38 +1233,31 @@ TEST(ServeServer, LongMissionStreamsGoldenParityBothEncodings)
     server.start();
     ServeClient client(server.port(), "127.0.0.1", 120000);
 
-    for (TrajectoryEncoding enc : {TrajectoryEncoding::Csv,
-                                   TrajectoryEncoding::Binary}) {
-        SCOPED_TRACE(trajectoryEncodingName(enc));
-        SubmitOutcome out = client.submit(spec);
-        ASSERT_TRUE(out.accepted) << out.detail;
-        ServedResult r =
-            client.waitResult(out.jobId, 120000, 10, enc);
-        // A Binary fetch delivers decoded samples (no CSV render on
-        // the fetch path); rendering them locally must reproduce the
-        // canonical CSV bit-for-bit.
-        std::string servedCsv =
-            !r.trajectoryCsv.empty()
-                ? std::move(r.trajectoryCsv)
-                : core::trajectoryCsvString(r.trajectory);
-        if (enc == TrajectoryEncoding::Binary) {
-            EXPECT_EQ(r.trajectory.size(), local.trajectory.size());
-        }
-        EXPECT_EQ(fnv1a(servedCsv), fnv1a(localCsv));
-        EXPECT_TRUE(servedCsv == localCsv)
-            << "streamed trajectory bytes drifted from the local run";
-        EXPECT_EQ(r.trajectorySamples, local.trajectory.size());
-    }
+    SubmitOutcome out = client.submit(spec);
+    ASSERT_TRUE(out.accepted) << out.detail;
+    ServedResult r = client.waitResult(out.jobId, 120000);
+    EXPECT_EQ(r.trajectory.size(), local.trajectory.size());
+    EXPECT_EQ(r.trajectorySamples, local.trajectory.size());
+    std::string servedCsv = core::trajectoryCsvString(r.trajectory);
+    EXPECT_EQ(fnv1a(servedCsv), fnv1a(localCsv));
+    EXPECT_TRUE(servedCsv == localCsv)
+        << "streamed trajectory bytes drifted from the local run";
 
     ServerStatsSnapshot s = server.stats();
-    EXPECT_EQ(s.streamsStarted, 2u);
-    EXPECT_EQ(s.streamsCompleted, 2u);
+    EXPECT_EQ(s.streamsStarted, 1u);
+    EXPECT_EQ(s.streamsCompleted, 1u);
     EXPECT_EQ(s.activeStreams, 0u);
-    // ~8.8 MiB at the default 256 KiB slice: dozens of chunks per
-    // stream, and the binary stream moves ~1.8x fewer payload bytes.
-    EXPECT_GT(s.streamedChunks, 40u);
-    EXPECT_GT(s.streamedPayloadBytes, localCsv.size());
-    EXPECT_LT(s.streamedPayloadBytes, 2u * localCsv.size());
+    // 44 bytes per sample (~1.8x fewer than the CSV) in whole-record
+    // slices of the default 256 KiB chunk: ~19 chunks.
+    const uint64_t payload =
+        uint64_t(local.trajectory.size()) * kTrajectoryBinaryRecordBytes;
+    const uint64_t slice = kDefaultResultChunkBytes /
+                           kTrajectoryBinaryRecordBytes *
+                           kTrajectoryBinaryRecordBytes;
+    EXPECT_EQ(s.streamedPayloadBytes, payload);
+    EXPECT_LT(s.streamedPayloadBytes, localCsv.size());
+    EXPECT_EQ(s.streamedChunks, (payload + slice - 1) / slice);
+    EXPECT_GT(s.streamedChunks, 15u);
     server.stop();
 }
 
@@ -1222,6 +1266,10 @@ TEST(ServeServer, ProgressEventsArriveWhileMissionRuns)
     ServerConfig cfg;
     cfg.workers = 1;
     cfg.progressIntervalPeriods = 10; // dense enough to observe
+    // Progress is pushed once per IO-loop tick; tick every 1 ms so a
+    // mission of a few tens of ms spans many ticks even on a loaded
+    // host.
+    cfg.pollIntervalMs = 1;
     MissionServer server(cfg);
     server.start();
     ServeClient client(server.port());
@@ -1275,7 +1323,8 @@ TEST(ServeServer, FailedJobReportsFailedStateOverTheWire)
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
     EXPECT_EQ(state, JobState::Failed);
-    EXPECT_FALSE(r.completed);
+    EXPECT_EQ(r.status, uint8_t(core::MissionStatus::Crashed));
+    EXPECT_TRUE(r.trajectory.empty());
     EXPECT_FALSE(r.failureReason.empty());
     EXPECT_EQ(server.stats().failed, 1u);
     server.stop();
@@ -1471,7 +1520,7 @@ TEST(ServeServer, DisconnectMidStreamKeepsJobFetchable)
     // the very same job and gets bit-identical bytes; its verified
     // ack is what finally releases the record.
     ServedResult refetched = observer.waitResult(1);
-    EXPECT_EQ(fnv1a(refetched.trajectoryCsv),
+    EXPECT_EQ(servedHash(refetched),
               localTrajectoryHash(canonicalSpec("A")));
     ASSERT_TRUE(eventually(server, [](const ServerStatsSnapshot &st) {
         return st.resultsAcked == 1 && st.retainedResultBytes == 0;
@@ -1589,7 +1638,7 @@ TEST(ServeServer, ClientDisconnectMidMissionDoesNotKillServer)
     // fetchable by job id with bit-identical bytes.
     ServeClient fresh(server.port());
     ServedResult r = fresh.waitResult(runningJob, 30000);
-    EXPECT_EQ(fnv1a(r.trajectoryCsv), localTrajectoryHash(spec));
+    EXPECT_EQ(servedHash(r), localTrajectoryHash(spec));
     EXPECT_EQ(fresh.status(queuedJob).state, JobState::Cancelled);
     EXPECT_TRUE(fresh.submit(quickSpec(8)).accepted);
     ASSERT_TRUE(eventually(server, [](const ServerStatsSnapshot &s) {
@@ -1677,7 +1726,9 @@ TEST(ServeServer, ImmediateShutdownShedsQueueButFinishesRunning)
     server.start();
 
     ServeClient client(server.port());
-    SubmitOutcome a = client.submit(quickSpec(1));
+    // A full-length mission, so it is still running when observed and
+    // when the second one is queued behind it.
+    SubmitOutcome a = client.submit(canonicalSpec("A"));
     ASSERT_TRUE(a.accepted);
     ASSERT_TRUE(eventually(server, [](const ServerStatsSnapshot &s) {
         return s.running == 1;
@@ -1838,21 +1889,28 @@ TEST(ServeDurability, AckProtocolVerifiesHashBeforeRelease)
     ASSERT_TRUE(eventually(server, [](const ServerStatsSnapshot &s) {
         return s.completed == 1;
     }));
-    uint64_t hash = localTrajectoryHash(spec);
+    std::vector<uint8_t> records =
+        encodeTrajectoryBinary(core::runMission(spec).trajectory);
+    uint64_t hash = fnv1a(records.data(), records.size());
 
     RawConn raw(server.port());
     ASSERT_GE(raw.fd, 0);
     // A wrong hash must NOT release: the client's copy is suspect, so
-    // the server keeps the record for a clean refetch.
-    AckInfo ack = decodeAckReply(
-        raw.request(encodeAckResult(out.jobId, hash ^ 1)));
-    EXPECT_EQ(ack.outcome, AckOutcome::HashMismatch);
-    EXPECT_EQ(client.status(out.jobId).state, JobState::Done);
+    // the server keeps the record for a clean refetch. The golden CSV
+    // hash is not a second accepted key either — only the hash of the
+    // record bytes proves possession of them.
+    for (uint64_t wrong : {hash ^ 1, localTrajectoryHash(spec)}) {
+        AckInfo ack = decodeAckReply(
+            raw.request(encodeAckResult(out.jobId, wrong)));
+        EXPECT_EQ(ack.outcome, AckOutcome::HashMismatch);
+        EXPECT_EQ(client.status(out.jobId).state, JobState::Done);
+    }
 
     // The right hash releases exactly once; a retried ack (the
     // reconnect case) reports UnknownJob, which clients treat as
     // success.
-    ack = decodeAckReply(raw.request(encodeAckResult(out.jobId, hash)));
+    AckInfo ack =
+        decodeAckReply(raw.request(encodeAckResult(out.jobId, hash)));
     EXPECT_EQ(ack.outcome, AckOutcome::Released);
     ack = decodeAckReply(raw.request(encodeAckResult(out.jobId, hash)));
     EXPECT_EQ(ack.outcome, AckOutcome::UnknownJob);
@@ -1878,38 +1936,46 @@ TEST(ServeDurability, ResumeOffsetStreamsExactSuffix)
     ASSERT_TRUE(eventually(server, [](const ServerStatsSnapshot &s) {
         return s.completed == 1;
     }));
-    std::string localCsv =
-        core::trajectoryCsvString(core::runMission(spec));
-    ASSERT_GT(localCsv.size(), 64u);
+    core::MissionResult local = core::runMission(spec);
+    std::vector<uint8_t> records = encodeTrajectoryBinary(local.trajectory);
+    ASSERT_GT(records.size(), 3 * kTrajectoryBinaryRecordBytes);
+
+    // A finished, un-acked job pins exactly its records and failure
+    // reason — no CSV copy and no sample vector.
+    EXPECT_EQ(server.stats().retainedResultBytes,
+              local.trajectory.size() * kTrajectoryBinaryRecordBytes +
+                  local.failureReason.size());
 
     RawConn raw(server.port());
     ASSERT_GE(raw.fd, 0);
 
-    // Resume from a mid-payload offset: the stream is exactly the
-    // byte suffix, numbered from 0, and ResultEnd still describes the
-    // TOTAL payload (size + full-payload hash) so the assembler's
-    // final verification covers prefix + suffix together.
-    uint64_t offset = localCsv.size() / 3;
-    raw.send(encodeFetchResult(out.jobId, TrajectoryEncoding::Csv,
-                               offset));
+    // Resume from a mid-payload record boundary: the stream is
+    // exactly the byte suffix, numbered from 0, and ResultEnd still
+    // describes the TOTAL payload (size + full-payload hash) so the
+    // assembler's final verification covers prefix + suffix together.
+    uint64_t offset = records.size() / kTrajectoryBinaryRecordBytes / 3 *
+                      kTrajectoryBinaryRecordBytes;
+    raw.send(encodeFetchResult(out.jobId, offset));
     ResultEndData end;
     std::string suffix = raw.drainStream(end);
-    EXPECT_EQ(suffix, localCsv.substr(offset));
-    EXPECT_EQ(end.payloadBytes, localCsv.size());
-    EXPECT_EQ(end.trajectoryHash, fnv1a(localCsv));
+    EXPECT_EQ(suffix, std::string(records.begin() + std::ptrdiff_t(offset),
+                                  records.end()));
+    EXPECT_EQ(end.payloadBytes, records.size());
+    EXPECT_EQ(end.payloadHash, fnv1a(records.data(), records.size()));
+    EXPECT_EQ(end.trajectoryHash,
+              fnv1a(core::trajectoryCsvString(local)));
     EXPECT_EQ(end.state, JobState::Done);
 
     // An offset beyond the payload is a client bug: explicit error,
     // job untouched.
     Message reply = raw.request(encodeFetchResult(
-        out.jobId, TrajectoryEncoding::Csv, localCsv.size() + 1));
+        out.jobId, records.size() + kTrajectoryBinaryRecordBytes));
     EXPECT_EQ(reply.type, MsgType::ErrorReply);
     EXPECT_EQ(client.status(out.jobId).state, JobState::Done);
 
-    // A binary resume must be record-aligned.
-    reply = raw.request(encodeFetchResult(
-        out.jobId, TrajectoryEncoding::Binary,
-        kTrajectoryBinaryRecordBytes + 1));
+    // A resume must be record-aligned.
+    reply = raw.request(
+        encodeFetchResult(out.jobId, kTrajectoryBinaryRecordBytes + 1));
     EXPECT_EQ(reply.type, MsgType::ErrorReply);
 
     ServerStatsSnapshot s = server.stats();
@@ -1992,10 +2058,28 @@ TEST(ServeDurability, RestartReplaysResultsAndDedups)
     EXPECT_EQ(dup.jobId, jobId);
     EXPECT_EQ(server.stats().dedupedSubmits, 1u);
 
-    // ...and its bytes are exactly what the mission produced.
+    // ...the replayed job streams its journaled records and resumes
+    // at a record boundary like any other...
+    std::vector<uint8_t> records =
+        encodeTrajectoryBinary(core::runMission(spec).trajectory);
+    uint64_t offset = records.size() / kTrajectoryBinaryRecordBytes / 2 *
+                      kTrajectoryBinaryRecordBytes;
+    RawConn raw(server.port());
+    ASSERT_GE(raw.fd, 0);
+    raw.send(encodeFetchResult(jobId, offset));
+    ResultEndData end;
+    std::string suffix = raw.drainStream(end);
+    EXPECT_EQ(suffix, std::string(records.begin() + std::ptrdiff_t(offset),
+                                  records.end()));
+    EXPECT_EQ(end.payloadHash, fnv1a(records.data(), records.size()));
+    EXPECT_EQ(end.trajectoryHash, localTrajectoryHash(spec));
+
+    // ...and verifies: its bytes are exactly what the mission
+    // produced, and the client's ack of them releases it.
     ServedResult r = client.waitResult(jobId);
-    EXPECT_EQ(fnv1a(r.trajectoryCsv), localTrajectoryHash(spec));
+    EXPECT_EQ(servedHash(r), localTrajectoryHash(spec));
     EXPECT_GT(r.trajectorySamples, 0u);
+    EXPECT_EQ(server.stats().resultsAcked, 1u);
 
     // Fresh ids never collide with pre-restart ones.
     SubmitOutcome fresh = client.submit(quickSpec(2));
@@ -2038,7 +2122,7 @@ TEST(ServeDurability, InterruptedSubmissionRequeuesAndRuns)
     EXPECT_EQ(fresh.jobId, 2u);
 
     ServedResult r = client.waitResult(1);
-    EXPECT_EQ(fnv1a(r.trajectoryCsv), localTrajectoryHash(spec));
+    EXPECT_EQ(servedHash(r), localTrajectoryHash(spec));
     EXPECT_EQ(server.stats().warmRestoredJobs, 0u); // no checkpoint
     client.waitResult(2);
     server.stop();
@@ -2077,7 +2161,7 @@ TEST(ServeDurability, WarmRestoreResumesFromPersistedCheckpoint)
 
     ServeClient client(server.port());
     ServedResult r = client.waitResult(1);
-    EXPECT_EQ(fnv1a(r.trajectoryCsv), localTrajectoryHash(spec))
+    EXPECT_EQ(servedHash(r), localTrajectoryHash(spec))
         << "warm-restored trajectory drifted from the clean run";
     EXPECT_EQ(server.stats().warmRestoredJobs, 1u)
         << "checkpoint was ignored — the job ran cold";
@@ -2104,7 +2188,7 @@ TEST(ServeDurability, CorruptCheckpointFallsBackToColdRun)
     server.start();
     ServeClient client(server.port());
     ServedResult r = client.waitResult(1);
-    EXPECT_EQ(fnv1a(r.trajectoryCsv), localTrajectoryHash(spec));
+    EXPECT_EQ(servedHash(r), localTrajectoryHash(spec));
     EXPECT_EQ(server.stats().warmRestoredJobs, 0u);
     EXPECT_EQ(server.stats().completed, 1u);
     server.stop();
@@ -2150,7 +2234,7 @@ TEST(ServeDurability, ReconnectingClientSurvivesDroppedConnections)
     EXPECT_GE(client.reconnects(), 1u);
 
     ServedResult r = client.waitResult(out.jobId);
-    EXPECT_EQ(fnv1a(r.trajectoryCsv), localTrajectoryHash(spec));
+    EXPECT_EQ(servedHash(r), localTrajectoryHash(spec));
     EXPECT_EQ(client.status(out.jobId).state, JobState::Unknown);
     server.stop();
 }
@@ -2216,8 +2300,9 @@ TEST(ServeDurability, KillLoopStreamStaysBitIdentical)
 
     core::MissionResult local = core::runMission(spec);
     std::string localCsv = core::trajectoryCsvString(local);
-    EXPECT_EQ(fnv1a(r.trajectoryCsv), fnv1a(localCsv));
-    EXPECT_TRUE(r.trajectoryCsv == localCsv)
+    std::string servedCsv = core::trajectoryCsvString(r.trajectory);
+    EXPECT_EQ(fnv1a(servedCsv), fnv1a(localCsv));
+    EXPECT_TRUE(servedCsv == localCsv)
         << "bytes drifted across reconnect-resume";
     EXPECT_GE(client.reconnects(), 1u);
     server.stop();

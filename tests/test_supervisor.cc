@@ -276,7 +276,7 @@ TEST(DegradedMode, SensorStarvationTripsClassicalFallback)
     EXPECT_GT(d.endCycle, d.startCycle);
     // Degraded flight still makes forward progress.
     EXPECT_GT(r.distanceTravelled, 1.0);
-    if (r.completed) {
+    if (r.completed()) {
         EXPECT_EQ(r.status, MissionStatus::Degraded);
     }
 }
