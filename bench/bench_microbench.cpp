@@ -91,7 +91,8 @@ BM_WireFraming(benchmark::State &state)
         buf.clear();
         bridge::serializePacket(p, buf);
         bridge::Packet out;
-        bridge::deserializePacket(buf, out);
+        size_t consumed = 0;
+        tryDecodeFrame(buf.data(), buf.size(), consumed, out);
         benchmark::DoNotOptimize(out.payload.data());
     }
 }

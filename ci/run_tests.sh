@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: build and test the default (RelWithDebInfo) tree and
-# the ASan+UBSan tree, then the threaded tests under TSan. The ASan
+# the ASan+UBSan tree, then the threaded tests under TSan and the
+# goldens under -march=x86-64-v3. The ASan
 # pass is what keeps the wire-framing and transport robustness tests
 # honest — a buffer overread or UB in the decode path fails the build
 # here even when the plain run passes.
@@ -111,6 +112,24 @@ echo "==== [tsan] configure + build + test (batch, supervisor, hotpath, serve) =
 cmake --preset tsan
 cmake --build --preset tsan -j "$jobs"
 ctest --preset tsan
+
+# x86-64-v3 pass: the goldens and the batch parity must hash equal in a
+# build that lets the compiler use AVX2 and FMA (-ffp-contract=off is
+# what keeps a*b+c unfused). The preset builds and runs only
+# test_golden and test_batch. A host without the ISA cannot run the
+# binaries, so the step says why it skips instead.
+echo "==== [x86-64-v3] configure + build + test (golden, batch) ===="
+missing=""
+for flag in avx2 fma bmi2 movbe; do
+    grep -qw "$flag" /proc/cpuinfo 2>/dev/null || missing="$missing $flag"
+done
+if [ -n "$missing" ]; then
+    echo "skipping the x86-64-v3 pass: this CPU lacks:$missing"
+else
+    cmake --preset x86-64-v3
+    cmake --build --preset x86-64-v3 -j "$jobs"
+    ctest --preset x86-64-v3
+fi
 
 # Perf smoke (default preset only): re-measure one mission frame —
 # render, image codec and pose, end to end and per stage — and fail on

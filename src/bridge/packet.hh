@@ -25,12 +25,9 @@
 #include <vector>
 
 #include "env/sensors.hh"
+#include "util/frame.hh"
 #include "util/geometry.hh"
-
-namespace rose {
-class StateWriter;
-class StateReader;
-} // namespace rose
+#include "util/serde.hh"
 
 namespace rose::bridge {
 
@@ -40,7 +37,9 @@ namespace rose::bridge {
  * Such packets can reach the decoders through injected payload
  * corruption even when the wire framing survives; throwing — instead
  * of aborting — lets the mission supervisor treat a poisoned payload
- * like any other recoverable transport fault.
+ * like any other recoverable transport fault. Every payload decoder
+ * reads through BasicStateReader<PayloadError>, so a short payload
+ * throws this too.
  */
 class PayloadError : public std::runtime_error
 {
@@ -94,49 +93,17 @@ struct Packet
     std::vector<uint8_t> payload;
 
     /** Header bytes on the wire: 1 type byte + 4 length bytes. */
-    static constexpr size_t kHeaderBytes = 5;
+    static constexpr size_t kHeaderBytes = kFrameHeaderBytes;
 
     size_t wireSize() const { return kHeaderBytes + payload.size(); }
-};
 
-// --------------------------------------------------------------------
-// Byte-level serialization helpers.
-
-/** Little-endian byte appender. */
-class ByteWriter
-{
-  public:
-    explicit ByteWriter(std::vector<uint8_t> &out) : out_(out) {}
-
-    void u8(uint8_t v) { out_.push_back(v); }
-    void u16(uint16_t v);
-    void u32(uint32_t v);
-    void u64(uint64_t v);
-    void f64(double v);
-    void bytes(const uint8_t *data, size_t n);
-
-  private:
-    std::vector<uint8_t> &out_;
-};
-
-/** Little-endian byte consumer; throws PayloadError on underrun. */
-class ByteReader
-{
-  public:
-    explicit ByteReader(const std::vector<uint8_t> &in) : in_(in) {}
-
-    uint8_t u8();
-    uint16_t u16();
-    uint32_t u32();
-    uint64_t u64();
-    double f64();
-    void bytes(uint8_t *data, size_t n);
-
-    size_t remaining() const { return in_.size() - pos_; }
-
-  private:
-    const std::vector<uint8_t> &in_;
-    size_t pos_ = 0;
+    // Frame-codec traits (util/frame.hh).
+    using Type = PacketType;
+    static constexpr size_t kPayloadBound = kMaxPayloadBytes;
+    static constexpr const char *kKind = "packet";
+    static constexpr const char *kBoundName = "kMaxPayloadBytes";
+    static bool validType(uint8_t raw) { return isValidPacketType(raw); }
+    static std::string typeName(PacketType t) { return packetTypeName(t); }
 };
 
 // --------------------------------------------------------------------
@@ -181,76 +148,33 @@ double decodeDepthResp(const Packet &p);
 Packet encodeVelocityCmd(const VelocityCmdPayload &v);
 VelocityCmdPayload decodeVelocityCmd(const Packet &p);
 
+/** Receive-side frame accumulator over the bridge packet framing. */
+using FrameBuffer = BasicFrameBuffer<Packet>;
+
 /** Serialize a packet (header + payload) onto a byte stream. */
-void serializePacket(const Packet &p, std::vector<uint8_t> &out);
-
-/**
- * Checkpoint-state (de)serialization of a whole packet. Unlike the
- * wire form this is trusted input — it only ever round-trips through
- * StateWriter — but loadPacket still bounds-checks via StateReader.
- */
-void savePacket(StateWriter &w, const Packet &p);
-Packet loadPacket(StateReader &r);
-
-/** Outcome of attempting to decode one frame from a byte stream. */
-enum class FrameStatus : uint8_t
+inline void
+serializePacket(const Packet &p, std::vector<uint8_t> &out)
 {
-    Ok,        ///< a complete, valid frame was decoded
-    NeedMore,  ///< the buffer holds only a prefix of a valid frame
-    Malformed, ///< the header is invalid; the stream cannot be trusted
-};
+    serializeFrame(p, out);
+}
 
 /**
- * Validated frame decoder: parse one packet from the front of a byte
- * range. The header is checked before any payload allocation: an
- * unknown type byte or a length above kMaxPayloadBytes yields
- * Malformed (with a diagnostic in @p error), never an allocation or a
- * wait for bytes that can never legitimately arrive.
- *
- * @param consumed set to the bytes consumed (only nonzero on Ok).
+ * Checkpoint-state (de)serialization of a whole packet, in its wire
+ * frame form. loadPacket validates the type byte and bounds the
+ * length by kMaxPayloadBytes and the bytes present before it sizes
+ * the payload, throwing SerdeError.
  */
-FrameStatus tryDecodeFrame(const uint8_t *data, size_t size,
-                           size_t &consumed, Packet &out,
-                           std::string *error = nullptr);
-
-/**
- * Receive-side frame accumulator: append raw stream bytes, drain
- * complete packets. Consumption uses a read cursor with amortized
- * compaction, so draining N packets costs O(bytes), not the O(n²) a
- * per-packet vector erase would.
- */
-class FrameBuffer
+inline void
+savePacket(StateWriter &w, const Packet &p)
 {
-  public:
-    void append(const uint8_t *data, size_t n);
+    writeFrame(w, p);
+}
 
-    /** Decode the next frame; on Malformed the buffer is poisoned and
-     *  every later call returns Malformed (a byte stream cannot be
-     *  resynchronized once framing is lost). */
-    FrameStatus next(Packet &out, std::string *error = nullptr);
-
-    /** Bytes buffered but not yet decoded. */
-    size_t pendingBytes() const { return buf_.size() - pos_; }
-
-    void clear();
-
-  private:
-    std::vector<uint8_t> buf_;
-    size_t pos_ = 0;
-    bool poisoned_ = false;
-    std::string poisonError_;
-};
-
-/**
- * Try to deserialize one packet from the front of a byte buffer.
- *
- * Compatibility wrapper over tryDecodeFrame: consumed bytes are erased
- * on success; a malformed header drops the whole buffer with a warning
- * (an untyped byte stream cannot be resynchronized) and returns false.
- *
- * @return true when a complete, valid packet was available.
- */
-bool deserializePacket(std::vector<uint8_t> &buf, Packet &out);
+inline Packet
+loadPacket(StateReader &r)
+{
+    return readFrame<Packet>(r);
+}
 
 } // namespace rose::bridge
 

@@ -392,6 +392,7 @@ CoSimulation::restore(const Checkpoint &ck)
             "transport does not support checkpoint restore (TCP)");
 
     StateReader r(ck.state);
+    uint32_t seen = 0; // bit per restored section tag
     while (r.remaining() > 0) {
         auto tag = CkptSection(r.u8());
         uint32_t len = r.u32();
@@ -460,6 +461,24 @@ CoSimulation::restore(const Checkpoint &ck)
             break;
         }
         r.skip(len);
+        if (uint8_t(tag) < 32)
+            seen |= 1u << uint8_t(tag);
+    }
+
+    // A blob cut at a section boundary parses cleanly, so require
+    // every section checkpoint() always writes (Faults stays optional:
+    // a faults-disabled retry restores a faulty run's snapshot).
+    for (CkptSection need :
+         {CkptSection::Cosim, CkptSection::Env, CkptSection::Sync,
+          CkptSection::Soc, CkptSection::Bridge, CkptSection::App,
+          CkptSection::TransportSync, CkptSection::TransportBridge,
+          CkptSection::Background}) {
+        if (need == CkptSection::Background && !timeShared_)
+            continue;
+        if (!(seen & (1u << uint8_t(need))))
+            throw CheckpointError(
+                "checkpoint state lacks section " +
+                std::to_string(unsigned(need)));
     }
 }
 

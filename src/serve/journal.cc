@@ -63,25 +63,12 @@ headerBytes(uint64_t fingerprint)
     return w.take();
 }
 
+/** The Terminal record's result: ResultEnd's scalar block, then the
+ *  trajectory records and the golden CSV hash. */
 void
 writeServedResult(StateWriter &w, const ServedResult &s)
 {
-    w.u8(s.status);
-    w.str(s.failureReason);
-    w.f64(s.missionTime);
-    w.u64(s.collisions);
-    w.f64(s.avgSpeed);
-    w.f64(s.maxSpeed);
-    w.f64(s.distanceTravelled);
-    w.u64(s.inferences);
-    w.f64(s.avgInferenceLatency);
-    w.f64(s.energyJoules);
-    w.f64(s.avgPowerWatts);
-    w.u64(s.simulatedCycles);
-    w.u32(s.trajectorySamples);
-    w.u32(s.degradedIntervals);
-    w.f64(s.queueWaitMs);
-    w.f64(s.serviceMs);
+    writeResultScalars(w, s);
     w.u32(uint32_t(s.trajectoryRecords.size()));
     w.bytes(s.trajectoryRecords.data(), s.trajectoryRecords.size());
     w.u64(s.trajectoryHash);
@@ -91,29 +78,12 @@ ServedResult
 readServedResult(StateReader &r)
 {
     ServedResult s;
-    s.status = r.u8();
-    s.failureReason = r.str();
-    s.missionTime = r.f64();
-    s.collisions = r.u64();
-    s.avgSpeed = r.f64();
-    s.maxSpeed = r.f64();
-    s.distanceTravelled = r.f64();
-    s.inferences = r.u64();
-    s.avgInferenceLatency = r.f64();
-    s.energyJoules = r.f64();
-    s.avgPowerWatts = r.f64();
-    s.simulatedCycles = r.u64();
-    s.trajectorySamples = r.u32();
-    s.degradedIntervals = r.u32();
-    s.queueWaitMs = r.f64();
-    s.serviceMs = r.f64();
+    readResultScalars(r, s);
     uint32_t n = r.u32();
-    if (n > r.remaining() || n != uint64_t(s.trajectorySamples) *
-                                      kTrajectoryBinaryRecordBytes)
+    if (n != uint64_t(s.trajectorySamples) * kTrajectoryBinaryRecordBytes)
         throw SerdeError("terminal record trajectory size disagrees "
                          "with its sample count");
-    s.trajectoryRecords.resize(n);
-    r.bytes(s.trajectoryRecords.data(), n);
+    r.bytes(s.trajectoryRecords, n);
     s.trajectoryHash = r.u64();
     // Recomputed, not stored: the record hash already covers these
     // bytes, and a replayed job then streams, resumes and acks like
@@ -176,13 +146,9 @@ applyRecord(uint8_t type, const uint8_t *payload, size_t n,
         // included — so a restarted daemon never reuses an id a past
         // client may still reference.
         rep.maxJobId = std::max(rep.maxJobId, job.jobId);
-        uint32_t spec_len = r.u32();
-        if (spec_len > r.remaining())
-            throw SerdeError("submit record spec truncated");
         Message m;
         m.type = MsgType::SubmitMission;
-        m.payload.resize(spec_len);
-        r.bytes(m.payload.data(), spec_len);
+        r.bytes(m.payload, r.u32());
         SubmitRequest req = decodeSubmitRequest(m);
         job.spec = std::move(req.spec);
         job.idempotencyKey = std::move(req.idempotencyKey);
@@ -280,11 +246,9 @@ JobJournal::replayBytes(const std::vector<uint8_t> &bytes,
         size_t avail = bytes.size() - pos;
         if (avail < 1 + 4)
             break; // torn record header
-        uint8_t type = bytes[pos];
-        uint32_t len = uint32_t(bytes[pos + 1]) |
-                       uint32_t(bytes[pos + 2]) << 8 |
-                       uint32_t(bytes[pos + 3]) << 16 |
-                       uint32_t(bytes[pos + 4]) << 24;
+        StateReader head(bytes.data() + pos, 1 + 4);
+        uint8_t type = head.u8();
+        uint32_t len = head.u32();
         if (type < kRecSubmit || type > kRecReleased)
             break; // corrupt type byte
         if (len > kMaxRecordPayloadBytes)

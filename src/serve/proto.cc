@@ -1,16 +1,12 @@
 #include "proto.hh"
 
 #include <charconv>
-#include <cstring>
 
 #include "util/csv.hh"
 #include "util/hash.hh"
 #include "util/logging.hh"
 
 namespace rose::serve {
-
-using bridge::ByteReader;
-using bridge::ByteWriter;
 
 bool
 isValidMsgType(uint8_t raw)
@@ -108,142 +104,12 @@ ackOutcomeName(AckOutcome o)
     return "unknown";
 }
 
-// ------------------------------------------------------------- framing
-
-void
-serializeMessage(const Message &m, std::vector<uint8_t> &out)
-{
-    rose_assert(m.payload.size() <= kMaxServePayloadBytes,
-                "serve message payload exceeds wire bound");
-    out.reserve(out.size() + m.wireSize());
-    out.push_back(uint8_t(m.type));
-    uint32_t len = uint32_t(m.payload.size());
-    out.push_back(uint8_t(len));
-    out.push_back(uint8_t(len >> 8));
-    out.push_back(uint8_t(len >> 16));
-    out.push_back(uint8_t(len >> 24));
-    out.insert(out.end(), m.payload.begin(), m.payload.end());
-}
-
-FrameStatus
-tryDecodeMessage(const uint8_t *data, size_t size, size_t &consumed,
-                 Message &out, std::string *error)
-{
-    consumed = 0;
-    if (size < Message::kHeaderBytes)
-        return FrameStatus::NeedMore;
-
-    // Validate the header before touching (or allocating for) the
-    // payload — same rule as the bridge framing.
-    uint8_t raw_type = data[0];
-    if (!isValidMsgType(raw_type)) {
-        if (error)
-            *error = detail::concat("unknown serve message type 0x",
-                                    std::hex, unsigned(raw_type));
-        return FrameStatus::Malformed;
-    }
-    uint32_t len = uint32_t(data[1]) | uint32_t(data[2]) << 8 |
-                   uint32_t(data[3]) << 16 | uint32_t(data[4]) << 24;
-    if (len > kMaxServePayloadBytes) {
-        if (error)
-            *error = detail::concat("serve payload length ", len,
-                                    " exceeds bound ",
-                                    kMaxServePayloadBytes);
-        return FrameStatus::Malformed;
-    }
-    if (size < Message::kHeaderBytes + size_t(len))
-        return FrameStatus::NeedMore;
-
-    out.type = MsgType(raw_type);
-    out.payload.assign(data + Message::kHeaderBytes,
-                       data + Message::kHeaderBytes + len);
-    consumed = Message::kHeaderBytes + len;
-    return FrameStatus::Ok;
-}
-
-void
-MessageBuffer::append(const uint8_t *data, size_t n)
-{
-    buf_.insert(buf_.end(), data, data + n);
-}
-
-FrameStatus
-MessageBuffer::next(Message &out, std::string *error)
-{
-    if (poisoned_) {
-        if (error)
-            *error = poisonError_;
-        return FrameStatus::Malformed;
-    }
-    size_t consumed = 0;
-    std::string err;
-    FrameStatus st =
-        tryDecodeMessage(buf_.data() + pos_, buf_.size() - pos_,
-                         consumed, out, &err);
-    switch (st) {
-      case FrameStatus::Ok:
-        pos_ += consumed;
-        // Amortized compaction: only shift remaining bytes down once
-        // the dead prefix dominates, keeping the drain loop O(bytes).
-        if (pos_ > 4096 && pos_ >= buf_.size() / 2) {
-            buf_.erase(buf_.begin(),
-                       buf_.begin() + std::ptrdiff_t(pos_));
-            pos_ = 0;
-        }
-        if (buf_.size() == pos_) {
-            buf_.clear();
-            pos_ = 0;
-        }
-        return FrameStatus::Ok;
-      case FrameStatus::NeedMore:
-        return FrameStatus::NeedMore;
-      case FrameStatus::Malformed:
-        poisoned_ = true;
-        poisonError_ = err;
-        if (error)
-            *error = err;
-        return FrameStatus::Malformed;
-    }
-    return FrameStatus::Malformed;
-}
-
-void
-MessageBuffer::clear()
-{
-    buf_.clear();
-    pos_ = 0;
-    poisoned_ = false;
-    poisonError_.clear();
-}
-
 // ------------------------------------------------------------- helpers
 
 namespace {
 
 /** Hard bound on identifier-like strings in specs/replies. */
 constexpr size_t kMaxStringBytes = 4096;
-
-void
-writeString(ByteWriter &w, const std::string &s, size_t bound)
-{
-    rose_assert(s.size() <= bound, "serve string exceeds wire bound");
-    w.u32(uint32_t(s.size()));
-    w.bytes(reinterpret_cast<const uint8_t *>(s.data()), s.size());
-}
-
-std::string
-readString(ByteReader &r, size_t bound)
-{
-    uint32_t n = r.u32();
-    if (n > bound)
-        throw ProtocolError(detail::concat(
-            "string field length ", n, " exceeds bound ", bound));
-    if (n > r.remaining())
-        throw ProtocolError("string field truncated");
-    std::string s(n, '\0');
-    r.bytes(reinterpret_cast<uint8_t *>(s.data()), n);
-    return s;
-}
 
 void
 requireType(const Message &m, MsgType want)
@@ -257,23 +123,21 @@ requireType(const Message &m, MsgType want)
 Message
 makeJobIdMessage(MsgType t, uint64_t job_id)
 {
-    Message m;
-    m.type = t;
-    ByteWriter w(m.payload);
+    StateWriter w;
     w.u64(job_id);
-    return m;
+    return Message{t, w.take()};
 }
 
 uint64_t
 readJobIdMessage(const Message &m, MsgType want)
 {
     requireType(m, want);
-    ByteReader r(m.payload);
+    PayloadReader r(m.payload);
     return r.u64();
 }
 
 JobState
-readTerminalState(ByteReader &r, const char *where)
+readTerminalState(PayloadReader &r, const char *where)
 {
     uint8_t state = r.u8();
     if (state != uint8_t(JobState::Done) &&
@@ -282,14 +146,6 @@ readTerminalState(ByteReader &r, const char *where)
             "non-terminal job state byte ", unsigned(state), " in ",
             where));
     return JobState(state);
-}
-
-void
-writeF32(ByteWriter &w, float f)
-{
-    uint32_t bits = 0;
-    std::memcpy(&bits, &f, sizeof(bits));
-    w.u32(bits);
 }
 
 } // namespace
@@ -316,27 +172,26 @@ canonicalTrajectoryF32(double v)
 std::vector<uint8_t>
 encodeTrajectoryBinary(const std::vector<core::TrajectorySample> &t)
 {
-    std::vector<uint8_t> out;
-    out.reserve(t.size() * kTrajectoryBinaryRecordBytes);
-    ByteWriter w(out);
+    StateWriter w;
+    w.reserve(t.size() * kTrajectoryBinaryRecordBytes);
     for (const core::TrajectorySample &s : t) {
         if (s.collisions > UINT32_MAX)
             throw ProtocolError(detail::concat(
                 "collision count ", s.collisions,
                 " exceeds the u32 binary-record field"));
-        writeF32(w, canonicalTrajectoryF32(s.time));
-        writeF32(w, canonicalTrajectoryF32(s.position.x));
-        writeF32(w, canonicalTrajectoryF32(s.position.y));
-        writeF32(w, canonicalTrajectoryF32(s.position.z));
-        writeF32(w, canonicalTrajectoryF32(s.yaw));
-        writeF32(w, canonicalTrajectoryF32(s.speed));
-        writeF32(w, canonicalTrajectoryF32(s.lateralOffset));
+        w.f32(canonicalTrajectoryF32(s.time));
+        w.f32(canonicalTrajectoryF32(s.position.x));
+        w.f32(canonicalTrajectoryF32(s.position.y));
+        w.f32(canonicalTrajectoryF32(s.position.z));
+        w.f32(canonicalTrajectoryF32(s.yaw));
+        w.f32(canonicalTrajectoryF32(s.speed));
+        w.f32(canonicalTrajectoryF32(s.lateralOffset));
         w.u32(uint32_t(s.collisions));
-        writeF32(w, canonicalTrajectoryF32(s.cmdForward));
-        writeF32(w, canonicalTrajectoryF32(s.cmdLateral));
-        writeF32(w, canonicalTrajectoryF32(s.cmdYawRate));
+        w.f32(canonicalTrajectoryF32(s.cmdForward));
+        w.f32(canonicalTrajectoryF32(s.cmdLateral));
+        w.f32(canonicalTrajectoryF32(s.cmdYawRate));
     }
-    return out;
+    return w.take();
 }
 
 std::vector<core::TrajectorySample>
@@ -347,33 +202,21 @@ decodeTrajectoryBinary(const uint8_t *data, size_t size)
             "binary trajectory payload of ", size,
             " bytes is not a whole number of ",
             kTrajectoryBinaryRecordBytes, "-byte records"));
-    std::vector<core::TrajectorySample> t;
-    t.resize(size / kTrajectoryBinaryRecordBytes);
-    const uint8_t *p = data;
-    auto rd_u32 = [&p]() {
-        uint32_t v = uint32_t(p[0]) | uint32_t(p[1]) << 8 |
-                     uint32_t(p[2]) << 16 | uint32_t(p[3]) << 24;
-        p += 4;
-        return v;
-    };
-    auto rd_f32 = [&rd_u32]() {
-        uint32_t bits = rd_u32();
-        float f = 0.0f;
-        std::memcpy(&f, &bits, sizeof(f));
-        return double(f);
-    };
+    std::vector<core::TrajectorySample> t(size /
+                                          kTrajectoryBinaryRecordBytes);
+    PayloadReader r(data, size);
     for (core::TrajectorySample &s : t) {
-        s.time = rd_f32();
-        s.position.x = rd_f32();
-        s.position.y = rd_f32();
-        s.position.z = rd_f32();
-        s.yaw = rd_f32();
-        s.speed = rd_f32();
-        s.lateralOffset = rd_f32();
-        s.collisions = rd_u32();
-        s.cmdForward = rd_f32();
-        s.cmdLateral = rd_f32();
-        s.cmdYawRate = rd_f32();
+        s.time = r.f32();
+        s.position.x = r.f32();
+        s.position.y = r.f32();
+        s.position.z = r.f32();
+        s.yaw = r.f32();
+        s.speed = r.f32();
+        s.lateralOffset = r.f32();
+        s.collisions = r.u32();
+        s.cmdForward = r.f32();
+        s.cmdLateral = r.f32();
+        s.cmdYawRate = r.f32();
     }
     return t;
 }
@@ -384,14 +227,12 @@ Message
 encodeSubmitMission(const core::MissionSpec &spec,
                     const std::string &idempotency_key)
 {
-    Message m;
-    m.type = MsgType::SubmitMission;
-    ByteWriter w(m.payload);
+    StateWriter w;
     w.u8(kSpecCodecVersion);
-    writeString(w, idempotency_key, kMaxIdempotencyKeyBytes);
-    writeString(w, spec.world, kMaxStringBytes);
-    writeString(w, spec.vehicle, kMaxStringBytes);
-    writeString(w, spec.socName, kMaxStringBytes);
+    w.str(idempotency_key);
+    w.str(spec.world);
+    w.str(spec.vehicle);
+    w.str(spec.socName);
     w.u32(uint32_t(spec.modelDepth));
     w.f64(spec.velocity);
     w.f64(spec.initialYawDeg);
@@ -410,14 +251,14 @@ encodeSubmitMission(const core::MissionSpec &spec,
     w.u64(f.delayOpsMax);
     w.u8(f.protectSyncPackets ? 1 : 0);
     w.u64(f.seed);
-    return m;
+    return Message{MsgType::SubmitMission, w.take()};
 }
 
 SubmitRequest
 decodeSubmitRequest(const Message &m)
 {
     requireType(m, MsgType::SubmitMission);
-    ByteReader r(m.payload);
+    PayloadReader r(m.payload);
     uint8_t version = r.u8();
     // Version 1 predates the idempotency key; still accepted (the
     // journal replays v1-era records through this same decoder).
@@ -427,11 +268,11 @@ decodeSubmitRequest(const Message &m)
             unsigned(version)));
     SubmitRequest req;
     if (version >= 2)
-        req.idempotencyKey = readString(r, kMaxIdempotencyKeyBytes);
+        req.idempotencyKey = r.str(kMaxIdempotencyKeyBytes);
     core::MissionSpec &spec = req.spec;
-    spec.world = readString(r, kMaxStringBytes);
-    spec.vehicle = readString(r, kMaxStringBytes);
-    spec.socName = readString(r, kMaxStringBytes);
+    spec.world = r.str(kMaxStringBytes);
+    spec.vehicle = r.str(kMaxStringBytes);
+    spec.socName = r.str(kMaxStringBytes);
     spec.modelDepth = int(r.u32());
     spec.velocity = r.f64();
     spec.initialYawDeg = r.f64();
@@ -478,19 +319,17 @@ decodeQueryStatus(const Message &m)
 Message
 encodeFetchResult(uint64_t job_id, uint64_t resume_offset)
 {
-    Message m;
-    m.type = MsgType::FetchResult;
-    ByteWriter w(m.payload);
+    StateWriter w;
     w.u64(job_id);
     w.u64(resume_offset);
-    return m;
+    return Message{MsgType::FetchResult, w.take()};
 }
 
 FetchRequest
 decodeFetchResult(const Message &m)
 {
     requireType(m, MsgType::FetchResult);
-    ByteReader r(m.payload);
+    PayloadReader r(m.payload);
     FetchRequest req;
     req.jobId = r.u64();
     req.resumeOffset = r.u64();
@@ -500,19 +339,17 @@ decodeFetchResult(const Message &m)
 Message
 encodeAckResult(uint64_t job_id, uint64_t payload_hash)
 {
-    Message m;
-    m.type = MsgType::AckResult;
-    ByteWriter w(m.payload);
+    StateWriter w;
     w.u64(job_id);
     w.u64(payload_hash);
-    return m;
+    return Message{MsgType::AckResult, w.take()};
 }
 
 AckRequest
 decodeAckResult(const Message &m)
 {
     requireType(m, MsgType::AckResult);
-    ByteReader r(m.payload);
+    PayloadReader r(m.payload);
     AckRequest a;
     a.jobId = r.u64();
     a.payloadHash = r.u64();
@@ -534,26 +371,22 @@ decodeCancelMission(const Message &m)
 Message
 encodeServerStats()
 {
-    Message m;
-    m.type = MsgType::ServerStats;
-    return m;
+    return Message{MsgType::ServerStats, {}};
 }
 
 Message
 encodeShutdown(bool drain)
 {
-    Message m;
-    m.type = MsgType::Shutdown;
-    ByteWriter w(m.payload);
+    StateWriter w;
     w.u8(drain ? 1 : 0);
-    return m;
+    return Message{MsgType::Shutdown, w.take()};
 }
 
 bool
 decodeShutdown(const Message &m)
 {
     requireType(m, MsgType::Shutdown);
-    ByteReader r(m.payload);
+    PayloadReader r(m.payload);
     return r.u8() != 0;
 }
 
@@ -562,19 +395,17 @@ decodeShutdown(const Message &m)
 Message
 encodeSubmitOk(const SubmitOkReply &reply)
 {
-    Message m;
-    m.type = MsgType::SubmitOk;
-    ByteWriter w(m.payload);
+    StateWriter w;
     w.u64(reply.jobId);
     w.u32(reply.queuePosition);
-    return m;
+    return Message{MsgType::SubmitOk, w.take()};
 }
 
 SubmitOkReply
 decodeSubmitOk(const Message &m)
 {
     requireType(m, MsgType::SubmitOk);
-    ByteReader r(m.payload);
+    PayloadReader r(m.payload);
     SubmitOkReply reply;
     reply.jobId = r.u64();
     reply.queuePosition = r.u32();
@@ -584,19 +415,17 @@ decodeSubmitOk(const Message &m)
 Message
 encodeRejected(const RejectedReply &reply)
 {
-    Message m;
-    m.type = MsgType::SubmitRejected;
-    ByteWriter w(m.payload);
+    StateWriter w;
     w.u8(uint8_t(reply.reason));
-    writeString(w, reply.detail, kMaxStringBytes);
-    return m;
+    w.str(reply.detail);
+    return Message{MsgType::SubmitRejected, w.take()};
 }
 
 RejectedReply
 decodeRejected(const Message &m)
 {
     requireType(m, MsgType::SubmitRejected);
-    ByteReader r(m.payload);
+    PayloadReader r(m.payload);
     RejectedReply reply;
     uint8_t reason = r.u8();
     if (reason < uint8_t(RejectReason::QueueFull) ||
@@ -604,29 +433,27 @@ decodeRejected(const Message &m)
         throw ProtocolError(detail::concat(
             "invalid reject reason byte ", unsigned(reason)));
     reply.reason = RejectReason(reason);
-    reply.detail = readString(r, kMaxStringBytes);
+    reply.detail = r.str(kMaxStringBytes);
     return reply;
 }
 
 Message
 encodeStatusReply(const StatusInfo &s)
 {
-    Message m;
-    m.type = MsgType::StatusReply;
-    ByteWriter w(m.payload);
+    StateWriter w;
     w.u64(s.jobId);
     w.u8(uint8_t(s.state));
     w.u32(s.queuePosition);
     w.f64(s.queueWaitMs);
     w.f64(s.serviceMs);
-    return m;
+    return Message{MsgType::StatusReply, w.take()};
 }
 
 StatusInfo
 decodeStatusReply(const Message &m)
 {
     requireType(m, MsgType::StatusReply);
-    ByteReader r(m.payload);
+    PayloadReader r(m.payload);
     StatusInfo s;
     s.jobId = r.u64();
     uint8_t state = r.u8();
@@ -669,56 +496,12 @@ marshalResult(const core::MissionResult &r)
     return s;
 }
 
-Message
-encodeResultChunk(const ResultChunkData &c)
+void
+writeResultScalars(StateWriter &w, const ServedResult &s)
 {
-    rose_assert(c.bytes.size() <= kMaxResultChunkBytes,
-                "result chunk exceeds the chunk bound");
-    Message m;
-    m.type = MsgType::ResultChunk;
-    ByteWriter w(m.payload);
-    w.u64(c.jobId);
-    w.u32(c.seq);
-    w.u32(uint32_t(c.bytes.size()));
-    w.bytes(c.bytes.data(), c.bytes.size());
-    return m;
-}
-
-ResultChunkData
-decodeResultChunk(const Message &m)
-{
-    requireType(m, MsgType::ResultChunk);
-    ByteReader r(m.payload);
-    ResultChunkData c;
-    c.jobId = r.u64();
-    c.seq = r.u32();
-    uint32_t n = r.u32();
-    if (n > kMaxResultChunkBytes)
-        throw ProtocolError(detail::concat(
-            "result chunk length ", n, " exceeds bound ",
-            kMaxResultChunkBytes));
-    if (n > r.remaining())
-        throw ProtocolError("result chunk truncated");
-    c.bytes.resize(n);
-    r.bytes(c.bytes.data(), n);
-    return c;
-}
-
-Message
-encodeResultEnd(const ResultEndData &e)
-{
-    Message m;
-    m.type = MsgType::ResultEnd;
-    ByteWriter w(m.payload);
-    w.u64(e.jobId);
-    w.u8(uint8_t(e.state));
-    w.u32(e.chunkCount);
-    w.u64(e.payloadBytes);
-    w.u64(e.trajectoryHash);
-    w.u64(e.payloadHash);
-    const ServedResult &s = e.result;
     w.u8(s.status);
-    writeString(w, s.failureReason, kMaxStringBytes);
+    // Clipped to the bound its reader enforces, like encodeErrorReply.
+    w.str(std::string_view(s.failureReason).substr(0, kMaxStringBytes));
     w.f64(s.missionTime);
     w.u64(s.collisions);
     w.f64(s.avgSpeed);
@@ -733,24 +516,14 @@ encodeResultEnd(const ResultEndData &e)
     w.u32(s.degradedIntervals);
     w.f64(s.queueWaitMs);
     w.f64(s.serviceMs);
-    return m;
 }
 
-ResultEndData
-decodeResultEnd(const Message &m)
+template <class Reader>
+void
+readResultScalars(Reader &r, ServedResult &s)
 {
-    requireType(m, MsgType::ResultEnd);
-    ByteReader r(m.payload);
-    ResultEndData e;
-    e.jobId = r.u64();
-    e.state = readTerminalState(r, "ResultEnd");
-    e.chunkCount = r.u32();
-    e.payloadBytes = r.u64();
-    e.trajectoryHash = r.u64();
-    e.payloadHash = r.u64();
-    ServedResult &s = e.result;
     s.status = r.u8();
-    s.failureReason = readString(r, kMaxStringBytes);
+    s.failureReason = r.str(kMaxStringBytes);
     s.missionTime = r.f64();
     s.collisions = r.u64();
     s.avgSpeed = r.f64();
@@ -765,28 +538,89 @@ decodeResultEnd(const Message &m)
     s.degradedIntervals = r.u32();
     s.queueWaitMs = r.f64();
     s.serviceMs = r.f64();
-    s.trajectoryHash = e.trajectoryHash;
+}
+
+template void readResultScalars(PayloadReader &, ServedResult &);
+template void readResultScalars(StateReader &, ServedResult &);
+
+Message
+encodeResultChunk(const ResultChunkData &c)
+{
+    rose_assert(c.bytes.size() <= kMaxResultChunkBytes,
+                "result chunk exceeds the chunk bound");
+    StateWriter w;
+    w.reserve(16 + c.bytes.size());
+    w.u64(c.jobId);
+    w.u32(c.seq);
+    w.u32(uint32_t(c.bytes.size()));
+    w.bytes(c.bytes.data(), c.bytes.size());
+    return Message{MsgType::ResultChunk, w.take()};
+}
+
+ResultChunkData
+decodeResultChunk(const Message &m)
+{
+    requireType(m, MsgType::ResultChunk);
+    PayloadReader r(m.payload);
+    ResultChunkData c;
+    c.jobId = r.u64();
+    c.seq = r.u32();
+    uint32_t n = r.u32();
+    if (n > kMaxResultChunkBytes)
+        throw ProtocolError(detail::concat(
+            "result chunk length ", n, " exceeds bound ",
+            kMaxResultChunkBytes));
+    r.bytes(c.bytes, n);
+    return c;
+}
+
+Message
+encodeResultEnd(const ResultEndData &e)
+{
+    StateWriter w;
+    w.u64(e.jobId);
+    w.u8(uint8_t(e.state));
+    w.u32(e.chunkCount);
+    w.u64(e.payloadBytes);
+    w.u64(e.trajectoryHash);
+    w.u64(e.payloadHash);
+    writeResultScalars(w, e.result);
+    return Message{MsgType::ResultEnd, w.take()};
+}
+
+ResultEndData
+decodeResultEnd(const Message &m)
+{
+    requireType(m, MsgType::ResultEnd);
+    PayloadReader r(m.payload);
+    ResultEndData e;
+    e.jobId = r.u64();
+    e.state = readTerminalState(r, "ResultEnd");
+    e.chunkCount = r.u32();
+    e.payloadBytes = r.u64();
+    e.trajectoryHash = r.u64();
+    e.payloadHash = r.u64();
+    readResultScalars(r, e.result);
+    e.result.trajectoryHash = e.trajectoryHash;
     return e;
 }
 
 Message
 encodeProgress(const ProgressEvent &p)
 {
-    Message m;
-    m.type = MsgType::Progress;
-    ByteWriter w(m.payload);
+    StateWriter w;
     w.u64(p.jobId);
     w.f64(p.simTimeSeconds);
     w.f64(p.maxSimSeconds);
     w.u64(p.samples);
-    return m;
+    return Message{MsgType::Progress, w.take()};
 }
 
 ProgressEvent
 decodeProgress(const Message &m)
 {
     requireType(m, MsgType::Progress);
-    ByteReader r(m.payload);
+    PayloadReader r(m.payload);
     ProgressEvent p;
     p.jobId = r.u64();
     p.simTimeSeconds = r.f64();
@@ -906,19 +740,17 @@ ResultStreamAssembler::rewindForResume()
 Message
 encodeCancelReply(const CancelInfo &c)
 {
-    Message m;
-    m.type = MsgType::CancelReply;
-    ByteWriter w(m.payload);
+    StateWriter w;
     w.u64(c.jobId);
     w.u8(uint8_t(c.outcome));
-    return m;
+    return Message{MsgType::CancelReply, w.take()};
 }
 
 CancelInfo
 decodeCancelReply(const Message &m)
 {
     requireType(m, MsgType::CancelReply);
-    ByteReader r(m.payload);
+    PayloadReader r(m.payload);
     CancelInfo c;
     c.jobId = r.u64();
     uint8_t outcome = r.u8();
@@ -933,19 +765,17 @@ decodeCancelReply(const Message &m)
 Message
 encodeAckReply(const AckInfo &a)
 {
-    Message m;
-    m.type = MsgType::AckReply;
-    ByteWriter w(m.payload);
+    StateWriter w;
     w.u64(a.jobId);
     w.u8(uint8_t(a.outcome));
-    return m;
+    return Message{MsgType::AckReply, w.take()};
 }
 
 AckInfo
 decodeAckReply(const Message &m)
 {
     requireType(m, MsgType::AckReply);
-    ByteReader r(m.payload);
+    PayloadReader r(m.payload);
     AckInfo a;
     a.jobId = r.u64();
     uint8_t outcome = r.u8();
@@ -960,9 +790,7 @@ decodeAckReply(const Message &m)
 Message
 encodeStatsReply(const ServerStatsData &s)
 {
-    Message m;
-    m.type = MsgType::StatsReply;
-    ByteWriter w(m.payload);
+    StateWriter w;
     w.u64(s.submitted);
     w.u64(s.accepted);
     w.u64(s.completed);
@@ -994,14 +822,14 @@ encodeStatsReply(const ServerStatsData &s)
     w.u64(s.warmRestoredJobs);
     w.u64(s.resultsAcked);
     w.u64(s.streamsResumed);
-    return m;
+    return Message{MsgType::StatsReply, w.take()};
 }
 
 ServerStatsData
 decodeStatsReply(const Message &m)
 {
     requireType(m, MsgType::StatsReply);
-    ByteReader r(m.payload);
+    PayloadReader r(m.payload);
     ServerStatsData s;
     s.submitted = r.u64();
     s.accepted = r.u64();
@@ -1040,30 +868,23 @@ decodeStatsReply(const Message &m)
 Message
 encodeShutdownReply()
 {
-    Message m;
-    m.type = MsgType::ShutdownReply;
-    return m;
+    return Message{MsgType::ShutdownReply, {}};
 }
 
 Message
 encodeErrorReply(const std::string &what)
 {
-    Message m;
-    m.type = MsgType::ErrorReply;
-    ByteWriter w(m.payload);
-    writeString(w, what.size() > kMaxStringBytes
-                       ? what.substr(0, kMaxStringBytes)
-                       : what,
-                kMaxStringBytes);
-    return m;
+    StateWriter w;
+    w.str(std::string_view(what).substr(0, kMaxStringBytes));
+    return Message{MsgType::ErrorReply, w.take()};
 }
 
 std::string
 decodeErrorReply(const Message &m)
 {
     requireType(m, MsgType::ErrorReply);
-    ByteReader r(m.payload);
-    return readString(r, kMaxStringBytes);
+    PayloadReader r(m.payload);
+    return r.str(kMaxStringBytes);
 }
 
 } // namespace rose::serve

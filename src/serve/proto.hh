@@ -7,8 +7,8 @@
  * long-lived service multiple clients can submit missions to. This
  * header defines the request/response message set and its framing.
  *
- * Framing deliberately mirrors the hardened bridge packet format
- * (bridge/packet.hh): a 1-byte type + 4-byte little-endian length
+ * Framing is the bridge packet format's, through the same codec
+ * (util/frame.hh): a 1-byte type + 4-byte little-endian length
  * header, with the type byte and length bound validated *before* any
  * payload allocation, and a poisoned-buffer rule — once framing is
  * lost the stream can never be trusted again. The payload bound is
@@ -54,14 +54,12 @@
 #include <string>
 #include <vector>
 
-#include "bridge/packet.hh"
 #include "core/cosim.hh"
 #include "core/experiment.hh"
+#include "util/frame.hh"
+#include "util/serde.hh"
 
 namespace rose::serve {
-
-/** Framing classification, shared with the bridge decoder. */
-using bridge::FrameStatus;
 
 /**
  * Semantically malformed payload inside a structurally valid frame
@@ -177,47 +175,38 @@ struct Message
     std::vector<uint8_t> payload;
 
     /** Header bytes on the wire: 1 type byte + 4 length bytes. */
-    static constexpr size_t kHeaderBytes = 5;
+    static constexpr size_t kHeaderBytes = kFrameHeaderBytes;
 
     size_t wireSize() const { return kHeaderBytes + payload.size(); }
+
+    // Frame-codec traits (util/frame.hh).
+    using Type = MsgType;
+    static constexpr size_t kPayloadBound = kMaxServePayloadBytes;
+    static constexpr const char *kKind = "serve message";
+    static constexpr const char *kBoundName = "kMaxServePayloadBytes";
+    static bool validType(uint8_t raw) { return isValidMsgType(raw); }
+    static const char *typeName(MsgType t) { return msgTypeName(t); }
 };
+
+/**
+ * Receive-side accumulator over the serve framing (util/frame.hh):
+ * O(bytes) to drain N messages, poisoned for good once Malformed.
+ */
+using MessageBuffer = BasicFrameBuffer<Message>;
 
 /** Serialize header + payload onto a byte stream. */
-void serializeMessage(const Message &m, std::vector<uint8_t> &out);
-
-/**
- * Validated frame decoder (mirrors bridge::tryDecodeFrame): parse one
- * message from the front of a byte range. Header checked before any
- * payload allocation; unknown type or oversized length is Malformed.
- */
-FrameStatus tryDecodeMessage(const uint8_t *data, size_t size,
-                             size_t &consumed, Message &out,
-                             std::string *error = nullptr);
-
-/**
- * Receive-side accumulator with a read cursor and amortized
- * compaction (O(bytes) to drain N messages). Once Malformed, the
- * buffer is poisoned and stays Malformed: a length-prefixed stream
- * cannot be resynchronized after framing is lost.
- */
-class MessageBuffer
+inline void
+serializeMessage(const Message &m, std::vector<uint8_t> &out)
 {
-  public:
-    void append(const uint8_t *data, size_t n);
-    FrameStatus next(Message &out, std::string *error = nullptr);
-    size_t pendingBytes() const { return buf_.size() - pos_; }
-    void clear();
-
-  private:
-    std::vector<uint8_t> buf_;
-    size_t pos_ = 0;
-    bool poisoned_ = false;
-    std::string poisonError_;
-};
+    serializeFrame(m, out);
+}
 
 // --------------------------------------------------------------------
-// Typed payload codecs. Decoders throw ProtocolError (or the
-// underlying bridge::PayloadError on byte underrun) on bad payloads.
+// Typed payload codecs. Decoders read through PayloadReader and throw
+// only ProtocolError on bad payloads, byte underrun included.
+
+/** Payload reader of every serve decoder: underrun is ProtocolError. */
+using PayloadReader = BasicStateReader<ProtocolError>;
 
 /** Why admission control refused a submission. */
 enum class RejectReason : uint8_t
@@ -365,6 +354,17 @@ struct ServedResult
  * dropped).
  */
 ServedResult marshalResult(const core::MissionResult &r);
+
+/**
+ * The ServedResult scalar fields, from `status` through `serviceMs`,
+ * in their one wire order. ResultEnd and the journal's Terminal record
+ * both carry exactly this block. The reader bounds failureReason like
+ * every other serve string; instantiated for PayloadReader and for
+ * the journal's StateReader.
+ */
+void writeResultScalars(StateWriter &w, const ServedResult &s);
+template <class Reader>
+void readResultScalars(Reader &r, ServedResult &s);
 
 /** ResultChunk payload: one ordered segment of a result stream. */
 struct ResultChunkData

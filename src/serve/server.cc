@@ -779,9 +779,6 @@ MissionServer::handleRequest(Connection &conn, const Message &req)
     } catch (const ProtocolError &e) {
         return encodeErrorReply(std::string("bad request: ") +
                                 e.what());
-    } catch (const bridge::PayloadError &e) {
-        return encodeErrorReply(std::string("bad request: ") +
-                                e.what());
     }
 }
 

@@ -1,13 +1,16 @@
 /**
  * @file
- * Minimal byte-stream serialization for co-simulation checkpoints.
+ * The repo's one little-endian byte codec.
  *
- * StateWriter/StateReader implement a fixed-width little-endian wire
+ * StateWriter/BasicStateReader implement a fixed-width little-endian
  * form with no alignment, no implicit framing, and no allocation
- * beyond the backing vector. Every stateful simulation component
- * exposes saveState(StateWriter&) / restoreState(StateReader&) built
- * on these primitives; core/cosim.cc adds the tagged section framing
- * and core/checkpoint.cc the integrity hash of the on-disk format.
+ * beyond the backing vector. Checkpoints, the rosed journal, bridge
+ * packet payloads, serve message payloads and the type + length frame
+ * header (util/frame.hh) are all written and read through them. Every
+ * stateful simulation component exposes saveState(StateWriter&) /
+ * restoreState(StateReader&); core/cosim.cc adds the tagged section
+ * framing and core/checkpoint.cc the integrity hash of the on-disk
+ * format.
  *
  * Doubles are serialized as their IEEE-754 bit pattern (bit_cast via
  * memcpy), so a round trip is bit-exact — which is what makes
@@ -29,6 +32,8 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace rose {
@@ -46,23 +51,18 @@ class SerdeError : public std::runtime_error
 class StateWriter
 {
   public:
+    StateWriter() = default;
+
+    /** Append to @p buf's existing bytes; take() hands it back. */
+    explicit StateWriter(std::vector<uint8_t> buf) : buf_(std::move(buf))
+    {}
+
+    void reserve(size_t n) { buf_.reserve(buf_.size() + n); }
+
     void u8(uint8_t v) { buf_.push_back(v); }
-
-    void u32(uint32_t v)
-    {
-        uint8_t b[4];
-        for (int i = 0; i < 4; ++i)
-            b[i] = uint8_t(v >> (8 * i));
-        buf_.insert(buf_.end(), b, b + 4);
-    }
-
-    void u64(uint64_t v)
-    {
-        uint8_t b[8];
-        for (int i = 0; i < 8; ++i)
-            b[i] = uint8_t(v >> (8 * i));
-        buf_.insert(buf_.end(), b, b + 8);
-    }
+    void u16(uint16_t v) { le<2>(v); }
+    void u32(uint32_t v) { le<4>(v); }
+    void u64(uint64_t v) { le<8>(v); }
 
     /** Overwrite the u32 at byte offset @p at: a length written as a
      *  placeholder before its payload was appended. */
@@ -92,7 +92,7 @@ class StateWriter
 
     void boolean(bool v) { u8(v ? 1 : 0); }
 
-    void str(const std::string &s)
+    void str(std::string_view s)
     {
         u32(uint32_t(s.size()));
         buf_.insert(buf_.end(), s.begin(), s.end());
@@ -108,18 +108,37 @@ class StateWriter
     size_t size() const { return buf_.size(); }
 
   private:
+    template <int N>
+    void le(uint64_t v)
+    {
+        uint8_t b[N];
+        for (int i = 0; i < N; ++i)
+            b[i] = uint8_t(v >> (8 * i));
+        buf_.insert(buf_.end(), b, b + N);
+    }
+
     std::vector<uint8_t> buf_;
 };
 
-/** Bounds-checked little-endian byte source; throws SerdeError. */
-class StateReader
+/**
+ * Bounds-checked little-endian byte source. Every read that would run
+ * past the end throws @p E, and every untrusted length is checked
+ * against the bytes present before anything is allocated for it. The
+ * error type is the decoder family's: SerdeError for checkpoints and
+ * the journal (StateReader), bridge::PayloadError for packet
+ * payloads, serve::ProtocolError for serve messages.
+ */
+template <class E>
+class BasicStateReader
 {
   public:
-    StateReader(const uint8_t *data, size_t size)
+    using Error = E;
+
+    BasicStateReader(const uint8_t *data, size_t size)
         : data_(data), size_(size)
     {}
 
-    explicit StateReader(const std::vector<uint8_t> &buf)
+    explicit BasicStateReader(const std::vector<uint8_t> &buf)
         : data_(buf.data()), size_(buf.size())
     {}
 
@@ -129,25 +148,9 @@ class StateReader
         return data_[pos_++];
     }
 
-    uint32_t u32()
-    {
-        need(4);
-        uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= uint32_t(data_[pos_ + i]) << (8 * i);
-        pos_ += 4;
-        return v;
-    }
-
-    uint64_t u64()
-    {
-        need(8);
-        uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= uint64_t(data_[pos_ + i]) << (8 * i);
-        pos_ += 8;
-        return v;
-    }
+    uint16_t u16() { return uint16_t(le<2>()); }
+    uint32_t u32() { return uint32_t(le<4>()); }
+    uint64_t u64() { return le<8>(); }
 
     double f64()
     {
@@ -167,9 +170,13 @@ class StateReader
 
     bool boolean() { return u8() != 0; }
 
-    std::string str()
+    /** A u32-length-prefixed string of at most @p bound bytes. */
+    std::string str(size_t bound = SIZE_MAX)
     {
         uint32_t n = u32();
+        if (n > bound)
+            throw E("string field length " + std::to_string(n) +
+                    " exceeds bound " + std::to_string(bound));
         need(n);
         std::string s(reinterpret_cast<const char *>(data_ + pos_), n);
         pos_ += n;
@@ -181,6 +188,14 @@ class StateReader
         need(n);
         if (n > 0) // an empty vector's data() may be null
             std::memcpy(out, data_ + pos_, n);
+        pos_ += n;
+    }
+
+    /** Replace @p out with the next @p n bytes (checked first). */
+    void bytes(std::vector<uint8_t> &out, size_t n)
+    {
+        need(n);
+        out.assign(data_ + pos_, data_ + pos_ + n);
         pos_ += n;
     }
 
@@ -198,14 +213,35 @@ class StateReader
     void need(size_t n) const
     {
         if (size_ - pos_ < n)
-            throw SerdeError("checkpoint state underrun (need " +
-                             std::to_string(n) + " bytes, have " +
-                             std::to_string(size_ - pos_) + ")");
+            throw E("byte stream underrun (need " + std::to_string(n) +
+                    " bytes, have " + std::to_string(size_ - pos_) +
+                    ")");
+    }
+
+    template <int N>
+    uint64_t le()
+    {
+        need(N);
+        uint64_t v = 0;
+        for (int i = 0; i < N; ++i)
+            v |= uint64_t(data_[pos_ + i]) << (8 * i);
+        pos_ += N;
+        return v;
     }
 
     const uint8_t *data_;
     size_t size_;
     size_t pos_ = 0;
+};
+
+/**
+ * The checkpoint and journal reader; throws SerdeError. A class, not
+ * an alias, so component headers can forward-declare it.
+ */
+class StateReader : public BasicStateReader<SerdeError>
+{
+  public:
+    using BasicStateReader::BasicStateReader;
 };
 
 } // namespace rose

@@ -99,37 +99,6 @@ TEST(Packet, DataPacketClassification)
     EXPECT_TRUE(isDataPacket(PacketType::VelocityCmd));
 }
 
-TEST(Packet, WireFramingRoundTrip)
-{
-    std::vector<uint8_t> wire;
-    serializePacket(encodeDepthResp(3.5), wire);
-    serializePacket(encodeImuReq(), wire);
-
-    Packet a, b, c;
-    EXPECT_TRUE(deserializePacket(wire, a));
-    EXPECT_EQ(a.type, PacketType::DepthResp);
-    EXPECT_DOUBLE_EQ(decodeDepthResp(a), 3.5);
-    EXPECT_TRUE(deserializePacket(wire, b));
-    EXPECT_EQ(b.type, PacketType::ImuReq);
-    EXPECT_FALSE(deserializePacket(wire, c));
-    EXPECT_TRUE(wire.empty());
-}
-
-TEST(Packet, PartialFramesNotConsumed)
-{
-    std::vector<uint8_t> wire;
-    serializePacket(encodeDepthResp(1.0), wire);
-    // Feed the buffer one byte at a time; only the complete frame parses.
-    std::vector<uint8_t> partial;
-    Packet p;
-    for (size_t i = 0; i + 1 < wire.size(); ++i) {
-        partial.push_back(wire[i]);
-        EXPECT_FALSE(deserializePacket(partial, p));
-    }
-    partial.push_back(wire.back());
-    EXPECT_TRUE(deserializePacket(partial, p));
-}
-
 TEST(Packet, WireSizeMatchesHeaderPlusPayload)
 {
     Packet p = encodeSyncGrant(1);
@@ -509,14 +478,17 @@ rawFrame(uint8_t type, uint32_t claimed_len,
 
 TEST(Framing, RejectsUnknownTypeByte)
 {
-    std::vector<uint8_t> wire = rawFrame(0x7f, 0, {});
-    Packet p;
-    size_t consumed = 0;
-    std::string err;
-    EXPECT_EQ(tryDecodeFrame(wire.data(), wire.size(), consumed, p, &err),
-              FrameStatus::Malformed);
-    EXPECT_EQ(consumed, 0u);
-    EXPECT_NE(err.find("unknown packet type"), std::string::npos);
+    for (const std::vector<uint8_t> &wire :
+         {rawFrame(0x7f, 0, {}), rawFrame(0xee, 3, {1, 2, 3})}) {
+        Packet p;
+        size_t consumed = 0;
+        std::string err;
+        EXPECT_EQ(tryDecodeFrame(wire.data(), wire.size(), consumed, p,
+                                 &err),
+                  FrameStatus::Malformed);
+        EXPECT_EQ(consumed, 0u);
+        EXPECT_NE(err.find("unknown packet type"), std::string::npos);
+    }
 }
 
 TEST(Framing, RejectsOversizedLengthWithoutAllocating)
@@ -554,14 +526,18 @@ TEST(Framing, TruncatedFrameIsNeedMoreNotHang)
     EXPECT_EQ(tryDecodeFrame(wire.data(), wire.size(), consumed, p),
               FrameStatus::Ok);
     EXPECT_EQ(consumed, wire.size());
-}
 
-TEST(Framing, LegacyWrapperDropsMalformedBuffer)
-{
-    std::vector<uint8_t> buf = rawFrame(0xee, 3, {1, 2, 3});
-    Packet p;
-    EXPECT_FALSE(deserializePacket(buf, p));
-    EXPECT_TRUE(buf.empty()); // unframeable stream is discarded
+    // Fed one byte at a time, a FrameBuffer holds the prefix and
+    // yields the frame only once its last byte arrives.
+    FrameBuffer fb;
+    for (size_t i = 0; i + 1 < wire.size(); ++i) {
+        fb.append(&wire[i], 1);
+        EXPECT_EQ(fb.next(p), FrameStatus::NeedMore);
+    }
+    fb.append(&wire.back(), 1);
+    ASSERT_EQ(fb.next(p), FrameStatus::Ok);
+    EXPECT_DOUBLE_EQ(decodeDepthResp(p), 2.5);
+    EXPECT_EQ(fb.pendingBytes(), 0u);
 }
 
 TEST(Framing, FrameBufferDrainsSplitStream)
@@ -596,7 +572,10 @@ TEST(Framing, FrameBufferDrainsSplitStream)
         EXPECT_EQ(got[i].type, sent[i].type) << "packet " << i;
         EXPECT_EQ(got[i].payload, sent[i].payload) << "packet " << i;
     }
+    EXPECT_DOUBLE_EQ(decodeDepthResp(got[8]), 4.25);
     EXPECT_EQ(fb.pendingBytes(), 0u);
+    Packet none;
+    EXPECT_EQ(fb.next(none), FrameStatus::NeedMore);
 }
 
 TEST(Framing, FrameBufferPoisonsOnMalformed)

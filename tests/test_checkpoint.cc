@@ -23,6 +23,7 @@
 #include "env/envsim.hh"
 #include "env/vehicle.hh"
 #include "util/hash.hh"
+#include "util/rng.hh"
 #include "util/serde.hh"
 
 using namespace rose;
@@ -474,6 +475,103 @@ TEST(CheckpointFile, DetectsCorruptionAndTruncation)
     EXPECT_THROW(readCheckpointFile(path + ".does-not-exist"),
                  CheckpointError);
     std::remove(path.c_str());
+}
+
+TEST(CheckpointFile, SeededDamageThrowsCheckpointError)
+{
+    CosimConfig cfg = canonicalSpec("A").toConfig();
+    CoSimulation sim(cfg);
+    for (int i = 0; i < 20; ++i)
+        sim.stepPeriod();
+    Checkpoint ck = sim.checkpoint();
+
+    std::string path = ::testing::TempDir() + "rose_ckpt_fuzz.bin";
+    writeCheckpointFile(path, ck);
+    std::vector<char> good;
+    {
+        std::ifstream in(path, std::ios::binary);
+        good.assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
+    }
+    // Header: magic 8, version 4, period 8, simTime 8, fingerprint 8,
+    // state hash 8, state length 4 (44 bytes), then the state blob.
+    constexpr size_t kHeader = 44;
+    ASSERT_GT(good.size(), kHeader);
+
+    for (uint64_t seed = 1; seed <= 400; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng rng(seed * 0x9e3779b97f4a7c15ULL);
+        std::vector<char> bad = good;
+        size_t at = 0;
+        const bool truncate = seed % 2 == 0;
+        if (truncate) {
+            bad.resize(rng.uniformInt(good.size()));
+        } else {
+            // Half the flips aim at the header, half anywhere.
+            at = rng.uniformInt(seed % 4 == 1 ? kHeader : good.size());
+            bad[at] = char(bad[at] ^ (1u << rng.uniformInt(8)));
+        }
+        {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out.write(bad.data(), std::streamsize(bad.size()));
+        }
+        if (!truncate && at >= 12 && at < 36) {
+            // period, simTime and the config fingerprint sit outside
+            // the state hash. The state still verifies; a damaged
+            // fingerprint is refused when the snapshot is restored.
+            Checkpoint back = readCheckpointFile(path);
+            EXPECT_EQ(back.state, ck.state);
+            if (at >= 28) {
+                CoSimulation fresh(cfg);
+                EXPECT_THROW(fresh.restore(back), CheckpointError);
+            }
+            continue;
+        }
+        EXPECT_THROW(readCheckpointFile(path), CheckpointError);
+    }
+    std::remove(path.c_str());
+}
+
+TEST(Checkpoint, TruncatedStateIsRefused)
+{
+    // Every cut of a valid blob must be refused: inside a section by
+    // the section and field bounds (SerdeError), at a section
+    // boundary by the missing-section check (CheckpointError).
+    CosimConfig cfg = canonicalSpec("A").toConfig();
+    CoSimulation sim(cfg);
+    for (int i = 0; i < 30; ++i)
+        sim.stepPeriod();
+    const Checkpoint ck = sim.checkpoint();
+
+    std::vector<size_t> cuts;
+    for (size_t pos = 0; pos < ck.state.size();) {
+        cuts.push_back(pos); // every section boundary
+        StateReader r(ck.state.data() + pos, ck.state.size() - pos);
+        r.u8();
+        pos += 5 + r.u32();
+    }
+    Rng rng(0xc4e7);
+    for (int i = 0; i < 300; ++i)
+        cuts.push_back(rng.uniformInt(ck.state.size()));
+
+    CoSimulation target(cfg);
+    for (size_t cut : cuts) {
+        SCOPED_TRACE("cut at " + std::to_string(cut));
+        Checkpoint bad = ck;
+        bad.state.resize(cut);
+        bool refused = false;
+        try {
+            target.restore(bad);
+        } catch (const SerdeError &) {
+            refused = true;
+        } catch (const CheckpointError &) {
+            refused = true;
+        }
+        EXPECT_TRUE(refused);
+    }
+    // And the whole blob still restores into the same instance.
+    target.restore(ck);
+    EXPECT_EQ(target.checkpoint().state, ck.state);
 }
 
 // ------------------------------------------------------ divergence guard

@@ -1,6 +1,7 @@
 /**
  * @file
- * Fuzz/property tests for the bridge wire framing (bridge/packet.hh).
+ * Fuzz/property tests for the bridge wire framing (util/frame.hh over
+ * bridge::Packet).
  *
  * Two properties, each over hundreds of seeded-random streams:
  *
@@ -19,15 +20,20 @@
  * own seeded sweeps: malformed image headers and dimensions must throw
  * PayloadError without touching the caller's image, and every payload
  * length must cross the MMIO queue intact at exactly 3 + ceil(len/4)
- * reads and one write.
+ * reads and one write. A packet restored from checkpoint state goes
+ * through the same header validation: a bad type byte or an inflated
+ * length throws SerdeError before any payload buffer is sized.
  *
  * All randomness is from the repo's deterministic Rng, so a failing
  * seed is printed and reproducible.
  */
 
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <iterator>
+#include <new>
 #include <limits>
 #include <optional>
 #include <string>
@@ -42,9 +48,46 @@
 #include "env/sensors.hh"
 #include "util/geometry.hh"
 #include "util/rng.hh"
+#include "util/serde.hh"
 
 using namespace rose;
 using namespace rose::bridge;
+
+// The largest single operator-new request since the last reset, so a
+// test can show that no buffer was sized from an untrusted length.
+namespace {
+std::atomic<size_t> g_largestAlloc{0};
+} // namespace
+
+void *
+operator new(size_t n)
+{
+    size_t prev = g_largestAlloc.load(std::memory_order_relaxed);
+    while (n > prev && !g_largestAlloc.compare_exchange_weak(
+                           prev, n, std::memory_order_relaxed)) {
+    }
+    if (void *p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void *
+operator new[](size_t n)
+{
+    return ::operator new(n);
+}
+
+// Out of line, so GCC does not pair the inlined free() with the
+// operator new at each call site (-Wmismatched-new-delete).
+__attribute__((noinline)) void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void operator delete[](void *p) noexcept { ::operator delete(p); }
+void operator delete(void *p, size_t) noexcept { ::operator delete(p); }
+void operator delete[](void *p, size_t) noexcept { ::operator delete(p); }
 
 namespace {
 
@@ -364,13 +407,11 @@ namespace {
 Packet
 imagePacket(uint32_t w, uint32_t h, const std::vector<uint8_t> &pixels)
 {
-    Packet p;
-    p.type = PacketType::ImageResp;
-    ByteWriter bw(p.payload);
+    StateWriter bw;
     bw.u16(uint16_t(w));
     bw.u16(uint16_t(h));
     bw.bytes(pixels.data(), pixels.size());
-    return p;
+    return Packet{PacketType::ImageResp, bw.take()};
 }
 
 /** The per-pixel quantizer and dequantizer, one value at a time. */
@@ -489,6 +530,40 @@ TEST(FramingFuzz, MalformedImagePayloadsThrowAndLeaveImageIntact)
     ASSERT_EQ(wide.pixels.size(), row.size());
     for (size_t i = 0; i < row.size(); i += 997)
         EXPECT_EQ(wide.pixels[i], dequantize(row[i])) << "pixel " << i;
+}
+
+TEST(FramingFuzz, CheckpointedPacketHeaderIsValidatedBeforeAllocation)
+{
+    // An in-process endpoint checkpoints its inbound queue as u32
+    // count + one wire frame per packet: type byte at 4, length at 5.
+    auto [a, b] = makeInProcPair();
+    a->send(encodeDepthResp(4.5));
+    StateWriter w;
+    b->saveState(w);
+    const std::vector<uint8_t> good = w.take();
+    ASSERT_EQ(good[4], uint8_t(PacketType::DepthResp));
+    {
+        StateReader r(good);
+        b->restoreState(r);
+        Packet p;
+        ASSERT_TRUE(b->recv(p));
+        EXPECT_DOUBLE_EQ(decodeDepthResp(p), 4.5);
+    }
+
+    StateWriter inflate(good);
+    inflate.patchU32(5, 200u << 20); // 200 MiB
+    std::vector<uint8_t> inflated = inflate.take();
+    std::vector<uint8_t> bad_type = good;
+    bad_type.at(4) = 0x7f;
+
+    for (const std::vector<uint8_t> *blob : {&inflated, &bad_type}) {
+        SCOPED_TRACE(blob == &inflated ? "inflated length"
+                                       : "invalid type byte");
+        g_largestAlloc = 0;
+        StateReader r(*blob);
+        EXPECT_THROW(b->restoreState(r), SerdeError);
+        EXPECT_LT(g_largestAlloc.load(), size_t(1) << 20);
+    }
 }
 
 // ------------------------------------------------- target driver RX path

@@ -434,6 +434,12 @@ TEST(ServeProto, ResultChunkAndEndRoundTrip)
     m.payload[8] = uint8_t(JobState::Running);
     EXPECT_THROW(decodeResultEnd(m), ProtocolError);
 
+    // An over-long failureReason is clipped to the string bound its
+    // decoder enforces, so the stream (and the journal) stays readable.
+    e.result.failureReason = std::string(5000, 'x');
+    EXPECT_EQ(decodeResultEnd(encodeResultEnd(e)).result.failureReason,
+              std::string(4096, 'x'));
+
     ProgressEvent p;
     p.jobId = 44;
     p.simTimeSeconds = 1.25;
@@ -688,6 +694,20 @@ TEST(ServeProto, AssemblerRejectsProtocolViolations)
         EXPECT_THROW(a.feed(encodeProgress({5, 0.5, 1.0, 10})),
                      ProtocolError);
     }
+    { // truncated ResultChunk and ResultEnd payloads: the byte
+      // underrun is a ProtocolError like every other stream violation
+        std::vector<Message> fs = frames();
+        Message chunk = fs[0];
+        chunk.payload.resize(10); // inside the seq field
+        ResultStreamAssembler a(5);
+        EXPECT_THROW(a.feed(chunk), ProtocolError);
+        Message end = fs.back();
+        end.payload.resize(end.payload.size() - 1);
+        ResultStreamAssembler b(5);
+        for (size_t i = 0; i + 1 < fs.size(); ++i)
+            b.feed(fs[i]);
+        EXPECT_THROW(b.feed(end), ProtocolError);
+    }
     { // per-stream memory bound: oversized payload rejected
         ResultStreamAssembler a(5, 16);
         std::vector<Message> fs = frames();
@@ -808,7 +828,7 @@ TEST(ServeProto, MalformedPayloadsThrowNotCrash)
     // Truncated SubmitMission payload.
     Message m = encodeSubmitMission(core::MissionSpec{});
     m.payload.resize(m.payload.size() / 2);
-    EXPECT_THROW(decodeSubmitMission(m), std::exception);
+    EXPECT_THROW(decodeSubmitMission(m), ProtocolError);
 
     // Wrong type for a decoder.
     EXPECT_THROW(decodeQueryStatus(encodeServerStats()),
@@ -825,10 +845,11 @@ TEST(ServeProto, MalformedPayloadsThrowNotCrash)
     err.payload[1] = 0xff;
     err.payload[2] = 0xff;
     err.payload[3] = 0x7f;
-    EXPECT_THROW(decodeErrorReply(err), std::exception);
+    EXPECT_THROW(decodeErrorReply(err), ProtocolError);
 
     // Seeded damage to the stream-control payloads: a truncated one
-    // always throws (every field is read), a bit-flipped one either
+    // always throws ProtocolError (every field is read, and a byte
+    // underrun is a ProtocolError too), a bit-flipped one either
     // decodes or throws ProtocolError — never a crash or an over-read
     // (the ASan preset makes over-reads fatal).
     ResultEndData end;
@@ -861,7 +882,7 @@ TEST(ServeProto, MalformedPayloadsThrowNotCrash)
         Message d = valid[seed % 3];
         if (rng.uniformInt(2) == 0) {
             d.payload.resize(rng.uniformInt(d.payload.size()));
-            EXPECT_ANY_THROW(decode(d));
+            EXPECT_THROW(decode(d), ProtocolError);
         } else {
             d.payload[rng.uniformInt(d.payload.size())] ^=
                 uint8_t(1u << rng.uniformInt(8));
