@@ -3,9 +3,9 @@
  * Golden-trace regression tests: the canonical tunnel mission on SoC
  * configs A, B, C from Table 2, once with the static ResNet14 runtime
  * and once with the Section 5.3 dynamic ResNet14/ResNet6 runtime, plus
- * the canonical mission on the s-shape map and a straight-ahead (yaw
- * 0) tunnel mission, with checked-in FNV-1a hashes of their trajectory
- * CSVs. Silent
+ * the canonical mission on the s-shape and zigzag maps, a
+ * straight-ahead (yaw 0) tunnel mission and a rover mission, with
+ * checked-in FNV-1a hashes of their trajectory CSVs. Silent
  * physics/timing drift — a changed integrator constant, a reordered RNG
  * draw, an off-by-one sync period — fails here instead of quietly
  * corrupting every number in EXPERIMENTS.md.
@@ -36,15 +36,17 @@ using runtime::RuntimeMode;
 /** The canonical mission: tunnel, ResNet14 @ 3 m/s, +20 degree initial
  *  heading (exercises the correction transient), seed 1, 10 simulated
  *  seconds. The SoC config, the runtime mode, the velocity, the map,
- *  the initial heading and the seed vary per row. */
+ *  the initial heading, the seed and the vehicle vary per row. */
 core::MissionSpec
 canonicalSpec(const std::string &socName,
               RuntimeMode mode = RuntimeMode::Static,
               double velocity = 3.0, const std::string &world = "tunnel",
-              double yawDeg = 20.0, uint64_t seed = 1)
+              double yawDeg = 20.0, uint64_t seed = 1,
+              const std::string &vehicle = "quadrotor")
 {
     core::MissionSpec spec;
     spec.world = world;
+    spec.vehicle = vehicle;
     spec.socName = socName;
     spec.mode = mode;
     spec.modelDepth = 14;
@@ -66,6 +68,7 @@ struct Golden
     uint64_t trajectoryHash; ///< fnv1a(trajectoryCsvString(result))
     size_t trajectorySamples;
     uint64_t collisions;
+    const char *vehicle = "quadrotor";
 };
 
 // Regenerate with ROSE_REGEN_GOLDEN=1 (see file header).
@@ -83,6 +86,12 @@ struct Golden
 // last bits of values like yaw = -5.7e-12. That makes it the row that
 // catches a compiler fusing a*b+c into an FMA under an FMA-capable
 // -march (the build pins -ffp-contract=off for exactly this reason).
+//
+// The zigzag row pins the raycaster against a piecewise-linear
+// centerline with rounded corners (it passes the x = 15 m corner), and
+// so the zigzag world's slope bound end to end. The rover row pins the
+// pose estimator at the rover's 0.8 m camera mast instead of the
+// quadrotor's 1.5 m cruise altitude.
 constexpr Golden kGolden[] = {
     {"tunnel", "A", RuntimeMode::Static, 3.0, 20.0, 1,
      0x2b24ad514f06c3cbULL, 1000, 0},
@@ -100,6 +109,10 @@ constexpr Golden kGolden[] = {
      0x6f0fd34ac7ad97b9ULL, 1000, 0},
     {"tunnel", "A", RuntimeMode::Static, 3.0, 0.0, 2,
      0x5cef5ccc941df9abULL, 1000, 0},
+    {"zigzag", "A", RuntimeMode::Static, 3.0, 20.0, 1,
+     0xa7be05975ffafcc3ULL, 1000, 0},
+    {"tunnel", "A", RuntimeMode::Static, 3.0, 20.0, 1,
+     0xe61ec6e9f8e9c160ULL, 1000, 0, "rover"},
 };
 
 const char *
@@ -117,22 +130,28 @@ TEST(GoldenTrace, CanonicalTunnelMissions)
         std::printf("// Regenerated goldens — paste over kGolden:\n");
 
     for (const Golden &g : kGolden) {
-        SCOPED_TRACE(std::string(g.world) + " config " + g.socName +
+        SCOPED_TRACE(std::string(g.vehicle) + " " + g.world +
+                     " config " + g.socName +
                      " " + modeName(g.mode) + " yaw " +
                      std::to_string(g.yaw) + " seed " +
                      std::to_string(g.seed));
         core::MissionResult r = core::runMission(canonicalSpec(
-            g.socName, g.mode, g.velocity, g.world, g.yaw, g.seed));
+            g.socName, g.mode, g.velocity, g.world, g.yaw, g.seed,
+            g.vehicle));
         std::string csv = core::trajectoryCsvString(r);
         uint64_t hash = fnv1a(csv);
 
         if (regen) {
+            std::string vehicle =
+                std::string(g.vehicle) == "quadrotor"
+                    ? ""
+                    : ", \"" + std::string(g.vehicle) + "\"";
             std::printf("    {\"%s\", \"%s\", RuntimeMode::%s, %.1f, "
-                        "%.1f, %llu,\n     0x%016llxULL, %zu, %llu},\n",
+                        "%.1f, %llu,\n     0x%016llxULL, %zu, %llu%s},\n",
                         g.world, g.socName, modeName(g.mode), g.velocity,
                         g.yaw, (unsigned long long)g.seed,
                         (unsigned long long)hash, r.trajectory.size(),
-                        (unsigned long long)r.collisions);
+                        (unsigned long long)r.collisions, vehicle.c_str());
             continue;
         }
 
