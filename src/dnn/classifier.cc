@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "dnn/layers.hh"
@@ -19,100 +20,30 @@ HeadOutput::argmax() const
 
 namespace {
 
-/**
- * Expected column profile for a wall at perpendicular distance d_perp
- * seen through a column at camera-relative azimuth alpha, mirroring
- * the renderer's shading model (learned by the trained network).
- * Writes @p height values to @p out, @p stride floats apart.
- */
-void
-expectedColumn(double d_perp, double alpha, int height, double focal,
-               const EstimatorConfig &cfg, float *out, size_t stride)
-{
-    double mid = height / 2.0 - 0.5;
-    double d_shade = d_perp / std::max(0.2, std::cos(alpha));
-    double top = mid - focal * (cfg.wallHeight - cfg.camAltitude) / d_perp;
-    double bot = mid + focal * cfg.camAltitude / d_perp;
-    double wall = 0.25 + 0.6 / (1.0 + 0.12 * d_shade);
-    for (int r = 0; r < height; ++r) {
-        float &v = out[size_t(r) * stride];
-        if (r < top) {
-            v = 0.85f;
-        } else if (r > bot) {
-            double floor_d =
-                focal * cfg.camAltitude / std::max(0.5, double(r) - mid);
-            v = float(0.10 + 0.25 / (1.0 + 0.2 * floor_d));
-        } else {
-            v = float(wall);
-        }
-    }
-}
-
-/** Open-corridor profile (no wall within range), strided. */
-void
-openColumn(int height, float *out, size_t stride)
-{
-    double mid = height / 2.0 - 0.5;
-    for (int r = 0; r < height; ++r)
-        out[size_t(r) * stride] = r < mid ? 0.85f : 0.15f;
-}
-
-/** Templates per SSD sweep: one accumulator each (s0..s7 below). */
-constexpr size_t kSsdGroup = 8;
+/** Template values shared by every column: sky, and the open
+ *  template below the horizon. */
+constexpr float kSkyValue = 0.85f;
+constexpr float kOpenGroundValue = 0.15f;
 
 /**
- * Every template's SSD against one pre-widened column (see
- * PoseScratch::colBuf). @p bank is the column's [row][lane] slab of
- * the template bank, @p lanes its padded width (a multiple of
- * kSsdGroup). Templates are swept kSsdGroup at a time, one
- * accumulator each: every sum still adds rows 0..height-1 in order
- * with the exact float->double differences of a one-template sweep,
- * so each SSD is bit-identical to it; only independent add chains are
- * interleaved.
+ * Columns scored side by side. The prefix and suffix sums run
+ * rows-outer across a block, so each row adds kPoseBlock independent
+ * chains instead of one latency-bound chain per column.
  */
-void
-ssdAll(const float *bank, size_t lanes, int height, const double *col,
-       double *sums)
+constexpr int kPoseBlock = 16;
+
+size_t
+paddedWidth(int width)
 {
-    for (size_t k = 0; k < lanes; k += kSsdGroup) {
-        double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-        double s4 = 0.0, s5 = 0.0, s6 = 0.0, s7 = 0.0;
-        const float *p = bank + k;
-        for (int r = 0; r < height; ++r, p += lanes) {
-            double x = col[size_t(r)];
-            double d0 = double(p[0]) - x;
-            double d1 = double(p[1]) - x;
-            double d2 = double(p[2]) - x;
-            double d3 = double(p[3]) - x;
-            double d4 = double(p[4]) - x;
-            double d5 = double(p[5]) - x;
-            double d6 = double(p[6]) - x;
-            double d7 = double(p[7]) - x;
-            s0 += d0 * d0;
-            s1 += d1 * d1;
-            s2 += d2 * d2;
-            s3 += d3 * d3;
-            s4 += d4 * d4;
-            s5 += d5 * d5;
-            s6 += d6 * d6;
-            s7 += d7 * d7;
-        }
-        sums[k] = s0;
-        sums[k + 1] = s1;
-        sums[k + 2] = s2;
-        sums[k + 3] = s3;
-        sums[k + 4] = s4;
-        sums[k + 5] = s5;
-        sums[k + 6] = s6;
-        sums[k + 7] = s7;
-    }
+    return size_t(width + kPoseBlock - 1) / kPoseBlock * kPoseBlock;
 }
 
 /**
  * (Re)build the cached geometry in @p s for the given key: per-column
- * azimuths, candidate distances, and the whole template bank. The
- * templates depend only on geometry, so fitting a frame reduces to
- * SSD sweeps over precomputed profiles.
+ * azimuths, candidate distances and the band-form template bank. A
+ * candidate's column is what the renderer's shading model draws for a
+ * wall at perpendicular distance d seen at azimuth alpha: sky above
+ * row top, floor below row bot, one wall shade between.
  */
 void
 rebuildScratch(PoseScratch &s, int width, int height,
@@ -133,20 +64,230 @@ rebuildScratch(PoseScratch &s, int width, int height,
     for (double d = 0.6; d < cfg.maxDepth; d *= 1.22)
         s.candidates.push_back(d);
 
-    // [col][row][lane]: one lane per candidate, then the open-corridor
-    // template, then zero templates up to whole SSD groups.
-    const size_t nc = s.candidates.size();
-    const size_t lanes = (nc + kSsdGroup) / kSsdGroup * kSsdGroup;
-    s.profiles.assign(size_t(width) * size_t(height) * lanes, 0.f);
-    for (int c = 0; c < width; ++c) {
-        float *dst = &s.profiles[size_t(c) * size_t(height) * lanes];
-        for (size_t ci = 0; ci < nc; ++ci) {
-            expectedColumn(s.candidates[ci], s.alpha[size_t(c)], height,
-                           focal, cfg, dst + ci, lanes);
-        }
-        openColumn(height, dst + nc, lanes);
+    const double mid = height / 2.0 - 0.5;
+    s.floorRow.resize(size_t(height));
+    for (int r = 0; r < height; ++r) {
+        double floor_d =
+            focal * cfg.camAltitude / std::max(0.5, double(r) - mid);
+        s.floorRow[size_t(r)] = float(0.10 + 0.25 / (1.0 + 0.2 * floor_d));
     }
-    s.sums.resize(lanes);
+
+    const size_t nc = s.candidates.size();
+    const size_t wp = paddedWidth(width);
+    s.skyEnd.resize(nc + 1);
+    s.floorBegin.resize(nc + 1);
+    s.wall.assign((nc + 1) * wp, 0.f);
+    for (size_t ci = 0; ci < nc; ++ci) {
+        double d_perp = s.candidates[ci];
+        double top =
+            mid - focal * (cfg.wallHeight - cfg.camAltitude) / d_perp;
+        double bot = mid + focal * cfg.camAltitude / d_perp;
+        // Rows r < top are sky; of the rest, rows r > bot are floor.
+        // Both tests are monotone in r, so each band is a row range.
+        int sky_end = 0;
+        while (sky_end < height && sky_end < top)
+            ++sky_end;
+        int floor_begin = sky_end;
+        while (floor_begin < height && !(floor_begin > bot))
+            ++floor_begin;
+        s.skyEnd[ci] = sky_end;
+        s.floorBegin[ci] = floor_begin;
+        for (int c = 0; c < width; ++c) {
+            double d_shade =
+                d_perp / std::max(0.2, std::cos(s.alpha[size_t(c)]));
+            double wall = 0.25 + 0.6 / (1.0 + 0.12 * d_shade);
+            s.wall[ci * wp + size_t(c)] = float(wall);
+        }
+    }
+    // The open template: sky on rows r < mid, 0.15f on the rest.
+    int horizon = 0;
+    while (horizon < height && horizon < mid)
+        ++horizon;
+    s.skyEnd[nc] = horizon;
+    s.floorBegin[nc] = height;
+    std::fill_n(&s.wall[nc * wp], size_t(width), kOpenGroundValue);
+
+    // A non-finite template makes the bound infinite, which sends
+    // every column down the exact path.
+    double t = std::max(double(kSkyValue), double(kOpenGroundValue));
+    bool finite = true;
+    for (const std::vector<float> *values : {&s.wall, &s.floorRow}) {
+        for (float v : *values) {
+            finite = finite && std::isfinite(v);
+            t = std::max(t, std::abs(double(v)));
+        }
+    }
+    s.maxTemplate = finite ? t : HUGE_VAL;
+
+    const size_t rows = size_t(height) + 1;
+    s.pix.resize(size_t(height) * kPoseBlock);
+    s.rowSum.resize(rows * kPoseBlock);
+    s.floorSum.resize(rows * kPoseBlock);
+    s.approx.resize((nc + 1) * kPoseBlock);
+}
+
+/**
+ * The sequential SSD of lane @p lane against block column @p j: the
+ * template value minus the pixel, squared, added for rows 0..H-1 in
+ * order, exactly as a one-template sweep over the full column does.
+ */
+double
+exactSsd(const PoseScratch &s, size_t lane, int c0, int j)
+{
+    const int H = s.height;
+    const int sky_end = s.skyEnd[lane];
+    const int floor_begin = s.floorBegin[lane];
+    const double sky = double(kSkyValue);
+    const double wall =
+        double(s.wall[lane * paddedWidth(s.width) + size_t(c0 + j)]);
+    const double *x = s.pix.data() + j;
+    double sum = 0.0;
+    int r = 0;
+    for (; r < sky_end; ++r) {
+        double d = sky - x[size_t(r) * kPoseBlock];
+        sum += d * d;
+    }
+    for (; r < floor_begin; ++r) {
+        double d = wall - x[size_t(r) * kPoseBlock];
+        sum += d * d;
+    }
+    for (; r < H; ++r) {
+        double d = double(s.floorRow[size_t(r)]) -
+                   x[size_t(r) * kPoseBlock];
+        sum += d * d;
+    }
+    return sum;
+}
+
+/**
+ * Fit columns [c0, c0 + n) of @p img. Returns per block column the
+ * chosen lane: a candidate index, nc for the open template, or -1 when
+ * no SSD falls below 1e30.
+ *
+ * The selection is the sequential one: the first strict minimum of
+ * the exact SSDs over the candidates in order (starting from 1e30),
+ * then the open template if its SSD is strictly lower. Every lane is
+ * first scored in O(1) from the block's sums, as A = SSD − Σx², with
+ * |A − (SSD − Σx²)| ≤ E (DESIGN.md §5e derives E). A lane whose A
+ * lies more than 2E above the smallest A has a strictly larger exact
+ * SSD than that lane, so it cannot be the choice. If one lane is left
+ * it is the choice; otherwise the lanes left are rescored exactly and
+ * run through the sequential rule.
+ */
+void
+fitBlock(const env::Image &img, PoseScratch &s, int c0, int n,
+         int *pick)
+{
+    constexpr int B = kPoseBlock;
+    const int H = img.height;
+    const size_t nl = s.candidates.size() + 1;
+    const size_t wp = paddedWidth(img.width);
+    double *pix = s.pix.data();
+    double *xsum = s.rowSum.data();
+    double *fsum = s.floorSum.data();
+
+    // Running sums and scores are built in local arrays and copied
+    // out, so no store can alias a load and the loops over a block
+    // vectorize.
+    // Prefix sums of x, top down, and the largest |x|.
+    double run[B], xmax[B];
+    for (int j = 0; j < B; ++j) {
+        run[j] = 0.0;
+        xmax[j] = 0.0;
+        xsum[j] = 0.0;
+    }
+    for (int r = 0; r < H; ++r) {
+        const float *row = &img.pixels[size_t(r) * size_t(img.width) +
+                                       size_t(c0)];
+        double x[B];
+        for (int j = 0; j < n; ++j)
+            x[j] = double(row[j]);
+        for (int j = n; j < B; ++j)
+            x[j] = 0.0;
+        for (int j = 0; j < B; ++j) {
+            run[j] += x[j];
+            double ax = std::abs(x[j]);
+            xmax[j] = ax > xmax[j] ? ax : xmax[j];
+        }
+        std::copy_n(x, B, pix + size_t(r) * B);
+        std::copy_n(run, B, xsum + size_t(r + 1) * B);
+    }
+    // Suffix sums of f² − 2fx over the floor rows, bottom up.
+    for (int j = 0; j < B; ++j) {
+        run[j] = 0.0;
+        fsum[size_t(H) * B + size_t(j)] = 0.0;
+    }
+    for (int r = H - 1; r >= 0; --r) {
+        const double f = double(s.floorRow[size_t(r)]);
+        const double f2 = f * f;
+        const double twof = 2.0 * f;
+        const double *x = pix + size_t(r) * B;
+        for (int j = 0; j < B; ++j)
+            run[j] += f2 - twof * x[j];
+        std::copy_n(run, B, fsum + size_t(r) * B);
+    }
+
+    // A per lane: sky rows, wall band and floor rows, each from sums.
+    const double sky = double(kSkyValue);
+    const double sky2 = sky * sky;
+    const double twosky = 2.0 * sky;
+    for (size_t lane = 0; lane < nl; ++lane) {
+        const int sky_end = s.skyEnd[lane];
+        const int floor_begin = s.floorBegin[lane];
+        const double sky_rows = double(sky_end) * sky2;
+        const double band = double(floor_begin - sky_end);
+        const float *wall = &s.wall[lane * wp + size_t(c0)];
+        const double *xs = xsum + size_t(sky_end) * B;
+        const double *xf = xsum + size_t(floor_begin) * B;
+        const double *ff = fsum + size_t(floor_begin) * B;
+        double a[B];
+        for (int j = 0; j < B; ++j) {
+            const double w = double(wall[j]);
+            a[j] = (sky_rows - twosky * xs[j]) +
+                   (band * (w * w) - 2.0 * w * (xf[j] - xs[j])) + ff[j];
+        }
+        std::copy_n(a, B, s.approx.data() + lane * B);
+    }
+
+    // E = 32 (H + 2) u B, B = H (T + max|x|)² (DESIGN.md §5e).
+    const double u = std::numeric_limits<double>::epsilon() / 2;
+    for (int j = 0; j < n; ++j) {
+        const double span = s.maxTemplate + xmax[j];
+        const double mag = double(H) * span * span;
+        // Huge or non-finite pixels (a NaN leaves xmax alone but not
+        // the row sum) take the exact path for every lane; a bounded
+        // column keeps every exact SSD below the 1e30 start value.
+        const bool bounded =
+            mag < 1e29 && std::isfinite(xsum[size_t(H) * B + size_t(j)]);
+        const double e = 32.0 * double(H + 2) * u * mag;
+        double lo = HUGE_VAL;
+        for (size_t lane = 0; lane < nl; ++lane)
+            lo = std::min(lo, s.approx[lane * B + size_t(j)]);
+        const double thr = lo + 2.0 * e;
+        size_t near = 0, last = 0;
+        for (size_t lane = 0; lane < nl; ++lane) {
+            if (s.approx[lane * B + size_t(j)] <= thr) {
+                ++near;
+                last = lane;
+            }
+        }
+        if (bounded && near == 1) {
+            pick[j] = int(last);
+            continue;
+        }
+        double best = 1e30;
+        pick[j] = -1;
+        for (size_t lane = 0; lane < nl; ++lane) {
+            if (bounded && !(s.approx[lane * B + size_t(j)] <= thr))
+                continue;
+            double ssd = exactSsd(s, lane, c0, j);
+            ++s.exactSsds;
+            if (ssd < best) {
+                best = ssd;
+                pick[j] = int(lane);
+            }
+        }
+    }
 }
 
 } // namespace
@@ -169,43 +310,24 @@ estimatePose(const env::Image &img, const EstimatorConfig &cfg,
 
     s.rayDist.resize(size_t(img.width));
     s.open.resize(size_t(img.width));
-    s.colBuf.resize(size_t(img.height));
-    const size_t lanes = s.sums.size();
+    const int nc = int(s.candidates.size());
 
-    for (int c = 0; c < img.width; ++c) {
-        double alpha = s.alpha[size_t(c)];
-
-        // Gather the column once; every candidate sweep reads it
-        // contiguously instead of striding through the image.
-        for (int r = 0; r < img.height; ++r)
-            s.colBuf[size_t(r)] = double(img.at(r, c));
-
-        ssdAll(&s.profiles[size_t(c) * size_t(img.height) * lanes],
-               lanes, img.height, s.colBuf.data(), s.sums.data());
-
-        // First strict minimum in candidate order, then the open
-        // template; the zero-padding sums are never read.
-        double best = 1e30;
-        double best_d = cfg.maxDepth;
-        bool best_open = false;
-        for (size_t ci = 0; ci < s.candidates.size(); ++ci) {
-            double e = s.sums[ci];
-            if (e < best) {
-                best = e;
-                best_d = s.candidates[ci];
-                best_open = false;
-            }
+    for (int c0 = 0; c0 < img.width; c0 += kPoseBlock) {
+        const int n = std::min(kPoseBlock, img.width - c0);
+        int pick[kPoseBlock];
+        fitBlock(img, s, c0, n, pick);
+        for (int j = 0; j < n; ++j) {
+            const size_t c = size_t(c0 + j);
+            const bool best_open = pick[j] == nc;
+            const double best_d =
+                pick[j] >= 0 && !best_open ? s.candidates[size_t(pick[j])]
+                                           : cfg.maxDepth;
+            s.open[c] = best_open;
+            // Convert the fitted perpendicular distance to ray distance.
+            s.rayDist[c] =
+                best_open ? cfg.maxDepth
+                          : best_d / std::max(0.2, std::cos(s.alpha[c]));
         }
-        double e_open = s.sums[s.candidates.size()];
-        if (e_open < best) {
-            best_open = true;
-            best_d = cfg.maxDepth;
-        }
-        s.open[size_t(c)] = best_open;
-        // Convert the fitted perpendicular distance to ray distance.
-        s.rayDist[size_t(c)] =
-            best_open ? cfg.maxDepth
-                      : best_d / std::max(0.2, std::cos(alpha));
     }
 
     // --- Heading: the deepest view direction points down the corridor.

@@ -93,15 +93,18 @@ struct PoseEstimate
  * of content live here:
  *
  *  - *cached geometry*, keyed on (image size, config): the per-column
- *    view azimuths and the full template bank — one expected column
- *    profile per (candidate distance, column). These depend only on
- *    geometry, not pixels, so they are computed once and invalidated
- *    when the key changes. The bank is stored [col][row][lane]: one
- *    lane per candidate, one for the open-corridor template, then
- *    zero templates up to a multiple of 8 lanes, so one column's
- *    sweep reads every template's row r side by side;
- *  - *per-call scratch* (fitted ray distances, open flags, the
- *    column's SSD per lane), reused across frames.
+ *    view azimuths, the depth candidates and the template bank in band
+ *    form. A template column is sky (0.85f) on rows [0, skyEnd), one
+ *    wall value on rows [skyEnd, floorBegin) and the per-row floor
+ *    table below. Band bounds depend only on the candidate distance,
+ *    the wall value on (candidate, column) and the floor on the row,
+ *    so the bank is two ints per lane, one float per (lane, column)
+ *    and one float per row. Lanes are the candidates, then the open
+ *    template (sky above the horizon, 0.15f wall band below, no
+ *    floor rows);
+ *  - *per-call scratch*: one column block's pixels and its prefix and
+ *    suffix sums, every lane's approximate SSD, the fitted ray
+ *    distances and open flags.
  *
  * After the first frame at a given image size, estimatePose performs
  * zero heap allocations. Single-owner, not thread-safe; each
@@ -118,18 +121,25 @@ struct PoseScratch
     // Cached geometry (valid while the key matches).
     std::vector<double> alpha;       ///< per-column azimuth [rad]
     std::vector<double> candidates;  ///< log-spaced wall distances
-    std::vector<float> profiles;     ///< [col][row][lane] templates
+    std::vector<int> skyEnd;         ///< per lane: first non-sky row
+    std::vector<int> floorBegin;     ///< per lane: first floor row
+    /** [lane][col] wall value; columns padded to whole blocks. */
+    std::vector<float> wall;
+    std::vector<float> floorRow;     ///< per-row floor value
+    /** Largest |template value| (scales the SSD error bound). */
+    double maxTemplate = 0.0;
 
-    // Per-call scratch.
+    // Per-call scratch, [row][block column] unless noted.
+    std::vector<double> pix;       ///< the block's pixels as double
+    std::vector<double> rowSum;    ///< prefix sums of x, H + 1 rows
+    std::vector<double> floorSum;  ///< suffix sums of f² − 2fx
+    std::vector<double> approx;    ///< [lane][block column] SSD − Σx²
     std::vector<double> rayDist;
     std::vector<uint8_t> open;
-    /** Current column's pixels, contiguous and pre-widened to double
-     *  (exact conversion) so the SSD sweeps don't re-stride the image
-     *  once per candidate. */
-    std::vector<double> colBuf;
-    /** Current column's SSD per lane: candidates, then the open
-     *  template; the zero-padding lanes' sums are ignored. */
-    std::vector<double> sums;
+
+    /** Sequential SSDs computed to settle near-ties, since
+     *  construction (a statistic; results never depend on it). */
+    uint64_t exactSsds = 0;
 };
 
 /**

@@ -1,5 +1,6 @@
 #include "world.hh"
 
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -62,18 +63,76 @@ rayCircle(double ox, double oy, double dx, double dy,
     return thit >= 0.0 ? thit : 0.0;
 }
 
+/** The march's fixed step [m]. */
+constexpr double kCoarse = 0.10;
+
+/** Table length: steps up to ~102 m, past the camera's 60 m rays. */
+constexpr size_t kMarchSteps = 1024;
+
+/**
+ * The march's step distances: t_0 = 0 and t_k = fl(t_{k-1} + 0.1),
+ * the exact values a `t += 0.1` loop visits (not k / 10). Every ray
+ * shares them, so a ray can jump to step k without adding its way
+ * there.
+ */
+const std::array<double, kMarchSteps> &
+marchSteps()
+{
+    static const std::array<double, kMarchSteps> steps = [] {
+        std::array<double, kMarchSteps> t{};
+        for (size_t k = 1; k < kMarchSteps; ++k)
+            t[k] = t[k - 1] + kCoarse;
+        return t;
+    }();
+    return steps;
+}
+
+/**
+ * The first step index k >= @p from with t_k >= @p t, or the table's
+ * last index if there is none. A NaN @p t gives @p from.
+ */
+size_t
+firstStepFrom(size_t from, double t)
+{
+    const std::array<double, kMarchSteps> &steps = marchSteps();
+    constexpr size_t last = kMarchSteps - 1;
+    // t_k is within a few ulps of k / 10, so the guess is off by at
+    // most one step; the two walks make the answer exact regardless.
+    double guess = std::floor(t / kCoarse);
+    size_t k = from;
+    if (guess > double(from))
+        k = guess < double(last) ? size_t(guess) : last;
+    while (k > from && steps[k - 1] >= t)
+        --k;
+    while (k < last && steps[k] < t)
+        ++k;
+    return k;
+}
+
 /**
  * The raycast march over a concrete (final) world type, so centerY and
  * halfWidth resolve statically and inline. The walls are smooth
  * analytic curves; fixed-step marching with a bisection refinement is
  * robust and plenty fast for sensor rates.
+ *
+ * A step is only evaluated when it may be outside. Moving the point by
+ * s along the ray changes |y − centerY(x)| by at most
+ * s (|dy| + |dx| W::kSlopeBound), and halfWidth is constant, so every
+ * step closer than (clearance − margin) / that rate to the last
+ * evaluated one is inside and is passed over. The margin, 1e-8 of the
+ * coordinate scale, is far above the rounding of x, y and centerY.
+ * A skip may pass the first step beyond pillar_t: the march reports a
+ * pillar from pillar_t alone, at whichever visited step first lies
+ * beyond it (or at the end of the range), and the steps passed over
+ * are inside, so the result is still the full march's. t_prev is
+ * always the step before the evaluated one, so the bisection brackets
+ * the same [t_prev, t] (DESIGN.md §5e).
  */
 template <typename W>
 RayHit
 marchRay(const W &world, const Vec3 &origin, double azimuth,
          double max_range)
 {
-    const double coarse = 0.10;
     double dx = std::cos(azimuth);
     double dy = std::sin(azimuth);
 
@@ -85,14 +144,25 @@ marchRay(const W &world, const Vec3 &origin, double azimuth,
             pillar_t = t;
     }
 
-    auto outside = [&](double t) {
+    // |y − centerY(x)| and halfWidth(x) at distance t along the ray.
+    struct Probe
+    {
+        double off;
+        double halfWidth;
+    };
+    auto probe = [&](double t) {
         double x = origin.x + dx * t;
         double y = origin.y + dy * t;
-        return std::abs(y - world.centerY(x)) >= world.halfWidth(x);
+        return Probe{std::abs(y - world.centerY(x)), world.halfWidth(x)};
+    };
+    auto outside = [&](double t) {
+        Probe p = probe(t);
+        return p.off >= p.halfWidth;
     };
 
     RayHit hit;
-    if (outside(0.0)) {
+    const Probe start = probe(0.0);
+    if (start.off >= start.halfWidth) {
         // Ray starts inside a wall; report an immediate hit.
         hit.hit = true;
         hit.distance = 0.0;
@@ -111,31 +181,58 @@ marchRay(const W &world, const Vec3 &origin, double azimuth,
         return h;
     };
 
+    const double rate = std::abs(dy) + std::abs(dx) * W::kSlopeBound;
+    const double margin =
+        1e-8 * (1.0 + std::abs(origin.x) + std::abs(origin.y) + max_range);
+    // The first step that may be outside (NaN: every step).
+    auto skipTo = [&](double t, const Probe &p) {
+        return t + (p.halfWidth - p.off - margin) / rate;
+    };
+
+    const std::array<double, kMarchSteps> &steps = marchSteps();
+    double t_skip = skipTo(0.0, start);
+    size_t k = 1;
     double t_prev = 0.0;
-    for (double t = coarse; t <= max_range; t += coarse) {
+    double t = steps[1];
+    while (t <= max_range) {
         if (t > pillar_t && pillar_t <= max_range)
             return pillarHit();
-        if (outside(t)) {
-            // Bisect [t_prev, t] to localize the crossing.
-            double lo = t_prev, hi = t;
-            for (int i = 0; i < 20; ++i) {
-                double mid = 0.5 * (lo + hi);
-                if (outside(mid))
-                    hi = mid;
-                else
-                    lo = mid;
+        if (!(t < t_skip)) {
+            Probe p = probe(t);
+            if (p.off >= p.halfWidth) {
+                // Bisect [t_prev, t] to localize the crossing. Both
+                // updates are selects of values already computed, which
+                // compile to compare masks instead of a branch that
+                // mispredicts every other step.
+                double lo = t_prev, hi = t;
+                for (int i = 0; i < 20; ++i) {
+                    double mid = 0.5 * (lo + hi);
+                    bool out = outside(mid);
+                    hi = out ? mid : hi;
+                    lo = out ? lo : mid;
+                }
+                if (pillar_t < hi && pillar_t <= max_range)
+                    return pillarHit();
+                hit.hit = true;
+                hit.distance = hi;
+                hit.point = Vec3{origin.x + dx * hi, origin.y + dy * hi,
+                                 origin.z};
+                hit.side =
+                    (hit.point.y - world.centerY(hit.point.x)) > 0.0 ? 1
+                                                                     : -1;
+                return hit;
             }
-            if (pillar_t < hi && pillar_t <= max_range)
-                return pillarHit();
-            hit.hit = true;
-            hit.distance = hi;
-            hit.point = Vec3{origin.x + dx * hi, origin.y + dy * hi,
-                             origin.z};
-            hit.side =
-                (hit.point.y - world.centerY(hit.point.x)) > 0.0 ? 1 : -1;
-            return hit;
+            t_skip = skipTo(t, p);
         }
-        t_prev = t;
+        // Jump within the table; past its end, add steps as before.
+        if (k + 1 < kMarchSteps) {
+            k = firstStepFrom(k + 1, t_skip);
+            t_prev = steps[k - 1];
+            t = steps[k];
+        } else {
+            t_prev = t;
+            t += kCoarse;
+        }
     }
     if (pillar_t <= max_range)
         return pillarHit();
@@ -214,7 +311,7 @@ ZigzagWorld::centerY(double x) const
 {
     // Integrate the slope numerically; the step is fine enough for
     // sensor rates and the result is cached nowhere (cheap anyway).
-    const double h = 0.25;
+    const double h = kStep;
     double y = 0.0;
     double t = 0.0;
     while (t + h <= x) {

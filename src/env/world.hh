@@ -125,6 +125,9 @@ class TunnelWorld final : public World
     double centerSlope(double) const override { return 0.0; }
     RayHit raycast(const Vec3 &origin, double azimuth,
                    double max_range = 60.0) const override;
+
+    /** Bound on |d centerY/dx| (the raycast's clearance skip). */
+    static constexpr double kSlopeBound = 0.0;
 };
 
 /**
@@ -136,12 +139,12 @@ class SShapeWorld final : public World
 {
   public:
     std::string name() const override { return "s-shape"; }
-    double length() const override { return 80.0; }
+    double length() const override { return kLength; }
 
     double
     centerY(double x) const override
     {
-        return amplitude_ * std::sin(2.0 * kPi * x / length());
+        return kAmplitude * std::sin(2.0 * kPi * x / length());
     }
 
     double halfWidth(double) const override { return 2.0; }
@@ -149,7 +152,7 @@ class SShapeWorld final : public World
     double
     centerSlope(double x) const override
     {
-        return amplitude_ * (2.0 * kPi / length()) *
+        return kAmplitude * (2.0 * kPi / length()) *
                std::cos(2.0 * kPi * x / length());
     }
 
@@ -157,7 +160,13 @@ class SShapeWorld final : public World
                    double max_range = 60.0) const override;
 
   private:
-    double amplitude_ = 8.0;
+    static constexpr double kLength = 80.0;
+    static constexpr double kAmplitude = 8.0;
+
+  public:
+    /** Bound on |d centerY/dx| = 2 pi A / L (the raycast's clearance
+     *  skip). */
+    static constexpr double kSlopeBound = 2.0 * kPi * kAmplitude / kLength;
 };
 
 /**
@@ -181,6 +190,20 @@ class ZigzagWorld final : public World
     static constexpr double kSegment = 15.0; ///< segment length [m]
     static constexpr double kSlope = 0.35;   ///< tan of zig angle
     static constexpr double kRound = 2.0;    ///< corner rounding [m]
+    static constexpr double kStep = 0.25;    ///< centerY's trapezoid step
+
+  public:
+    /**
+     * Bound on |d centerY/dx| (the raycast's clearance skip). centerY
+     * is the trapezoid rule over centerSlope s, so inside one step
+     * [t, t + h] its slope is (s(t) + s(x)) / 2 + s'(x) (x − t) / 2.
+     * |s| <= kSlope, and a corner blend's smoothstep moves s by at most
+     * 2 kSlope at a rate of at most 1.5 / (2 kRound), so
+     * |s'| <= 1.5 kSlope / kRound and the slope stays within
+     * kSlope (1 + 0.75 h / kRound) ≈ 0.383.
+     */
+    static constexpr double kSlopeBound =
+        kSlope * (1.0 + 0.75 * kStep / kRound);
 };
 
 /** Construct a world by map name; fatal on unknown names. */

@@ -204,6 +204,17 @@ namespace {
 // periods (250 trajectory samples). The blob is format v1 as the
 // per-field serializer wrote it; a faster encoding must reproduce it
 // byte for byte, or checkpoints on disk stop restoring.
+//
+// The pin holds for glibc's default libm variant only (the one it
+// picks on an AVX2/FMA host). The blob stores full doubles whose last
+// bits come from libm: the vehicle's physics state and the camera's
+// Box-Muller spare. glibc's non-FMA variants
+// (GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA,-AVX512F) round some
+// log/sin/cos/atan2 results differently, which moves those bits
+// (FNV 0x07bf54605388dff9) although no trajectory CSV changes. The
+// cross-libm contract covers the trajectories (CI runs test_golden
+// under that setting); checkpoint bytes are outside it (DESIGN.md
+// §5d).
 constexpr uint64_t kPinnedPeriods = 250;
 constexpr uint64_t kPinnedStateHash = 0x591237f0fa93b91fULL;
 

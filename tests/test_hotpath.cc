@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "bridge/packet.hh"
 #include "dnn/classifier.hh"
 #include "dnn/engine.hh"
 #include "dnn/forward.hh"
@@ -535,11 +536,13 @@ TEST(HotpathOracle, PoseMatchesSequentialSsdReference)
 {
     // 500 seeded poses across the three worlds (with pillars), each
     // image checked column by column against the sequential-SSD
-    // reference. Zigzag gets fewer: its centerline is integrated per
-    // call, which makes one render ~100x a tunnel render.
+    // reference, as rendered and after the bridge's u8 round trip.
+    // Zigzag gets fewer: its centerline is integrated per call, which
+    // makes one render ~100x a tunnel render.
     const int kImagesPerWorld[] = {220, 220, 60};
     EstimatorConfig cfg;
     PoseScratch scratch;
+    env::Image decoded;
     int images = 0;
     for (int wi = 0; wi < 3; ++wi) {
         const char *name = kWorlds[wi];
@@ -558,6 +561,13 @@ TEST(HotpathOracle, PoseMatchesSequentialSsdReference)
             expectPoseMatchesReference(
                 img, cfg, scratch,
                 std::string(name) + " image " + std::to_string(i));
+            // Missions feed the estimator the bridge's 8-bit decode of
+            // the frame, whose pixels are multiples of 1/255.
+            bridge::decodeImageRespInto(bridge::encodeImageResp(img),
+                                        decoded);
+            expectPoseMatchesReference(
+                decoded, cfg, scratch,
+                std::string(name) + " u8 image " + std::to_string(i));
             if (HasFailure())
                 return;
         }
@@ -653,16 +663,101 @@ TEST(HotpathOracle, PoseTieKeepsFirstCandidate)
     EXPECT_TRUE(found) << "no exact SSD tie constructible";
 }
 
+TEST(HotpathOracle, PoseNearTieRescoresExactly)
+{
+    // Every column is candidate k's template, except column tc: row 0
+    // (sky in the templates of k and k+1) holds a bright outlier, and
+    // rows 1.. the per-row float midpoint of the two templates. The
+    // outlier adds the same term to both SSDs but widens the error
+    // bound of the O(1) scores far past the pair's gap, so neither can
+    // be ruled out from its score and both are rescored sequentially.
+    // Unlike PoseTieKeepsFirstCandidate, the two exact SSDs differ.
+    EstimatorConfig cfg;
+    const int W = 64, H = 48;
+    const float kOutlier = 1000.f;
+    env::Image probe(W, H);
+    ref::Bank bank = ref::buildBank(W, H, cfg, ref::focalFor(probe, cfg));
+    const size_t nc = bank.candidates.size();
+
+    bool found = false;
+    for (size_t k = 0; k + 1 < nc && !found; ++k) {
+        for (int tc = 0; tc < W && !found; tc += 7) {
+            const float *a = bank.profile(k, tc);
+            const float *b = bank.profile(k + 1, tc);
+            if (a[0] != 0.85f || b[0] != 0.85f)
+                continue;
+            env::Image img(W, H);
+            for (int c = 0; c < W; ++c) {
+                const float *p = bank.profile(k, c);
+                for (int r = 0; r < H; ++r)
+                    img.at(r, c) = p[r];
+            }
+            // Exact templates leave no near-tie anywhere.
+            PoseScratch scratch;
+            expectPoseMatchesReference(img, cfg, scratch, "templates");
+            ASSERT_EQ(scratch.exactSsds, 0u);
+
+            img.at(0, tc) = kOutlier;
+            for (int r = 1; r < H; ++r)
+                img.at(r, tc) = float(0.5 * (double(a[r]) + double(b[r])));
+            ref::Pose want = ref::estimatePose(img, cfg);
+            const double *col_ssd = &want.ssds[size_t(tc) * nc];
+            std::vector<double> sorted(col_ssd, col_ssd + nc);
+            std::sort(sorted.begin(), sorted.end());
+            double gap = std::abs(col_ssd[k] - col_ssd[k + 1]);
+            // The pair must be the column's best two, apart but by far
+            // less than the third is from them.
+            if (gap == 0.0 || gap > 1e-6 ||
+                std::min(col_ssd[k], col_ssd[k + 1]) != sorted[0] ||
+                sorted[2] - sorted[1] < 1e-3 || want.open[size_t(tc)])
+                continue;
+            found = true;
+            expectPoseMatchesReference(
+                img, cfg, scratch,
+                "near-tie k=" + std::to_string(k) + " col " +
+                    std::to_string(tc));
+            EXPECT_GE(scratch.exactSsds, 2u);
+        }
+    }
+    EXPECT_TRUE(found) << "no near SSD tie constructible";
+}
+
 TEST(HotpathOracle, RaycastMatchesVirtualMarchReference)
 {
     int rays = 0;
     int starts_in_wall = 0, misses = 0, pillar_hits = 0;
+    int grazing_hits = 0, grazing_misses = 0, long_parallel = 0;
+    // The march's step values t_k = fl(t_{k-1} + 0.1), k = 0..1500.
+    std::vector<double> steps(1501, 0.0);
+    for (size_t k = 1; k < steps.size(); ++k)
+        steps[k] = steps[k - 1] + 0.1;
     for (const char *name : kWorlds) {
         SCOPED_TRACE(name);
         Rng rng(0x7a1 + rays);
         std::unique_ptr<env::World> plain = env::makeWorld(name);
         std::unique_ptr<env::World> pillars = worldWithPillars(name, rng);
+        // The edge cases below draw from their own stream, so the
+        // seeded rays above stay the same rays.
+        Rng edge(0xed9e + rays);
         for (const env::World *w : {plain.get(), pillars.get()}) {
+            auto check = [&](const Vec3 &origin, double az, double range) {
+                env::RayHit want = ref::raycast(*w, origin, az, range);
+                env::RayHit got = w->raycast(origin, az, range);
+                EXPECT_EQ(got.hit, want.hit);
+                EXPECT_EQ(got.side, want.side);
+                EXPECT_TRUE(sameBits(got.distance, want.distance))
+                    << got.distance << " vs " << want.distance;
+                EXPECT_TRUE(sameBits(got.point.x, want.point.x));
+                EXPECT_TRUE(sameBits(got.point.y, want.point.y));
+                EXPECT_TRUE(sameBits(got.point.z, want.point.z));
+                return want;
+            };
+            // A hit strictly inside the corridor struck a pillar.
+            auto struckPillar = [&](const env::RayHit &h) {
+                return h.hit && h.distance > 0.0 &&
+                       std::abs(w->lateralOffset(h.point)) <
+                           w->halfWidth(h.point.x) - 1e-6;
+            };
             for (int i = 0; i < 400; ++i, ++rays) {
                 double x = rng.uniform(-1.0, w->length() + 1.0);
                 // |lateral| up to 1.3 half-widths: some origins start
@@ -675,23 +770,11 @@ TEST(HotpathOracle, RaycastMatchesVirtualMarchReference)
                 // max-range misses.
                 double range =
                     rng.bernoulli(0.3) ? rng.uniform(0.05, 3.0) : 60.0;
-                env::RayHit want = ref::raycast(*w, origin, az, range);
-                env::RayHit got = w->raycast(origin, az, range);
                 SCOPED_TRACE("ray " + std::to_string(i));
+                env::RayHit want = check(origin, az, range);
                 starts_in_wall += want.hit && want.distance == 0.0;
                 misses += !want.hit;
-                // A hit strictly inside the corridor struck a pillar.
-                pillar_hits +=
-                    want.hit && want.distance > 0.0 &&
-                    std::abs(w->lateralOffset(want.point)) <
-                        w->halfWidth(want.point.x) - 1e-6;
-                EXPECT_EQ(got.hit, want.hit);
-                EXPECT_EQ(got.side, want.side);
-                EXPECT_TRUE(sameBits(got.distance, want.distance))
-                    << got.distance << " vs " << want.distance;
-                EXPECT_TRUE(sameBits(got.point.x, want.point.x));
-                EXPECT_TRUE(sameBits(got.point.y, want.point.y));
-                EXPECT_TRUE(sameBits(got.point.z, want.point.z));
+                pillar_hits += struckPillar(want);
                 if (HasFailure())
                     return;
             }
@@ -699,17 +782,92 @@ TEST(HotpathOracle, RaycastMatchesVirtualMarchReference)
             // tunnel never reaches a wall within the default range.
             Vec3 start{1.0, w->centerY(1.0), 1.5};
             double along = w->tangentAngle(1.0);
-            env::RayHit want = ref::raycast(*w, start, along);
-            env::RayHit got = w->raycast(start, along);
-            EXPECT_EQ(got.hit, want.hit);
-            EXPECT_TRUE(sameBits(got.distance, want.distance));
-            EXPECT_TRUE(sameBits(got.point.y, want.point.y));
+            check(start, along, 60.0);
+
+            // Nearly parallel to a wall, close to it: the clearance
+            // bound is tiny and the march crawls along the wall.
+            for (int i = 0; i < 120; ++i) {
+                double x = edge.uniform(0.0, w->length() - 5.0);
+                const double gaps[] = {1e-2, 1e-5, 1e-9};
+                const double tilts[] = {1e-3, 1e-7, 1e-12, 0.0};
+                double side = edge.bernoulli(0.5) ? 1.0 : -1.0;
+                double gap = gaps[i % 3];
+                double tilt = tilts[(i / 3) % 4] *
+                              (edge.bernoulli(0.5) ? 1.0 : -1.0);
+                Vec3 origin{x,
+                            w->centerY(x) +
+                                side * (w->halfWidth(x) - gap),
+                            1.5};
+                SCOPED_TRACE("parallel ray " + std::to_string(i));
+                env::RayHit want =
+                    check(origin, w->tangentAngle(x) + tilt, 60.0);
+                long_parallel += !want.hit || want.distance > 5.0;
+                if (HasFailure())
+                    return;
+            }
+
+            // Ranges that end exactly on a step value, and ranges past
+            // 60 m, beyond the march's step table (~102 m) included.
+            for (size_t k : {size_t(1), size_t(2), size_t(37),
+                             size_t(600), size_t(1023), size_t(1024),
+                             size_t(1500)}) {
+                for (int i = 0; i < 6; ++i) {
+                    double x = edge.uniform(0.0, w->length());
+                    Vec3 origin{x,
+                                w->centerY(x) +
+                                    edge.uniform(-0.5, 0.5) *
+                                        w->halfWidth(x),
+                                1.5};
+                    double az = w->tangentAngle(x) +
+                                (i == 0 ? 0.0 : edge.uniform(-0.2, 0.2));
+                    SCOPED_TRACE("step range " + std::to_string(k));
+                    check(origin, az, steps[k]);
+                }
+            }
+            for (double range : {60.5, 80.0, 150.0}) {
+                SCOPED_TRACE("long range " + std::to_string(range));
+                check(start, along, range);
+                check(start, along + 1e-3, range);
+            }
+
+            // Rays tangent to a pillar, and a hair inside and outside.
+            for (const env::Obstacle &o : w->obstacles()) {
+                for (int i = 0; i < 8; ++i) {
+                    double x = o.x - edge.uniform(1.0, 10.0);
+                    Vec3 origin{x,
+                                w->centerY(x) +
+                                    edge.uniform(-0.3, 0.3) *
+                                        w->halfWidth(x),
+                                1.5};
+                    double ddx = o.x - origin.x, ddy = o.y - origin.y;
+                    double dist = std::sqrt(ddx * ddx + ddy * ddy);
+                    if (dist <= o.radius)
+                        continue;
+                    double toward = std::atan2(ddy, ddx);
+                    double half = std::asin(o.radius / dist);
+                    for (double scale : {1.0 - 1e-9, 1.0, 1.0 + 1e-9}) {
+                        for (double sign : {-1.0, 1.0}) {
+                            SCOPED_TRACE("grazing ray " + std::to_string(i));
+                            env::RayHit want = check(
+                                origin, toward + sign * half * scale, 60.0);
+                            bool struck = struckPillar(want);
+                            grazing_hits += struck;
+                            grazing_misses += !struck;
+                            if (HasFailure())
+                                return;
+                        }
+                    }
+                }
+            }
         }
     }
     // The seeded rays reach every branch of the march.
     EXPECT_GT(starts_in_wall, 0);
     EXPECT_GT(misses, 0);
     EXPECT_GT(pillar_hits, 0);
+    EXPECT_GT(grazing_hits, 0);
+    EXPECT_GT(grazing_misses, 0);
+    EXPECT_GT(long_parallel, 0);
 }
 
 // --------------------------------------------------- render oracle

@@ -894,6 +894,146 @@ TEST(ServeProto, MalformedPayloadsThrowNotCrash)
     }
 }
 
+TEST(ServeProto, SeededDamageToEveryDecoderThrowsOnlyProtocolError)
+{
+    // One valid message per decoder in serve/proto.hh, then 300 seeded
+    // truncations, bit flips, trailing bytes and retyped headers of
+    // each. A damaged payload either decodes or throws ProtocolError:
+    // never another exception, a crash or an over-read (the ASan
+    // preset runs this test too).
+    core::MissionSpec spec;
+    spec.world = "s-shape";
+    spec.vehicle = "rover";
+    spec.socName = "B";
+    spec.velocity = 4.5;
+    spec.initialYawDeg = -12.0;
+    spec.seed = 1234;
+    spec.maxSimSeconds = 7.5;
+    spec.degradedMode = true;
+    StatusInfo status;
+    status.jobId = 9;
+    status.state = JobState::Running;
+    status.queuePosition = 3;
+    status.queueWaitMs = 12.5;
+    status.serviceMs = 99.25;
+    ResultChunkData chunk;
+    chunk.jobId = 21;
+    chunk.seq = 7;
+    chunk.bytes = {1, 2, 3, 250, 0, 99};
+    ResultEndData end;
+    end.jobId = 21;
+    end.state = JobState::Failed;
+    end.chunkCount = 13;
+    end.payloadBytes = 13 * kTrajectoryBinaryRecordBytes;
+    end.trajectoryHash = 0xabcdef0123456789ULL;
+    end.payloadHash = 0x1122334455667788ULL;
+    end.result = denseScalarResult();
+    end.result.failureReason = "mission threw";
+    ServerStatsData stats;
+    stats.submitted = 100;
+    stats.totalQueueWaitMs = 1234.5;
+    stats.streamsResumed = 6;
+
+    struct Case
+    {
+        const char *name;
+        Message valid;
+        void (*decode)(const Message &);
+    };
+    const Case cases[] = {
+        {"SubmitRequest", encodeSubmitMission(spec, "retry-key-1"),
+         [](const Message &m) { decodeSubmitRequest(m); }},
+        {"SubmitMission", encodeSubmitMission(spec),
+         [](const Message &m) { decodeSubmitMission(m); }},
+        {"QueryStatus", encodeQueryStatus(77),
+         [](const Message &m) { decodeQueryStatus(m); }},
+        {"FetchResult", encodeFetchResult(80, 2 * kTrajectoryBinaryRecordBytes),
+         [](const Message &m) { decodeFetchResult(m); }},
+        {"AckResult", encodeAckResult(55, 0xfeedfacecafef00dULL),
+         [](const Message &m) { decodeAckResult(m); }},
+        {"CancelMission", encodeCancelMission(79),
+         [](const Message &m) { decodeCancelMission(m); }},
+        {"Shutdown", encodeShutdown(true),
+         [](const Message &m) { decodeShutdown(m); }},
+        {"SubmitOk", encodeSubmitOk({42, 7}),
+         [](const Message &m) { decodeSubmitOk(m); }},
+        {"Rejected",
+         encodeRejected({RejectReason::QueueFull, "queue depth reached"}),
+         [](const Message &m) { decodeRejected(m); }},
+        {"StatusReply", encodeStatusReply(status),
+         [](const Message &m) { decodeStatusReply(m); }},
+        {"ResultChunk", encodeResultChunk(chunk),
+         [](const Message &m) { decodeResultChunk(m); }},
+        {"ResultEnd", encodeResultEnd(end),
+         [](const Message &m) { decodeResultEnd(m); }},
+        {"Progress", encodeProgress({21, 1.5, 10.0, 150}),
+         [](const Message &m) { decodeProgress(m); }},
+        {"CancelReply", encodeCancelReply({11, CancelOutcome::TooLate}),
+         [](const Message &m) { decodeCancelReply(m); }},
+        {"AckReply", encodeAckReply({55, AckOutcome::HashMismatch}),
+         [](const Message &m) { decodeAckReply(m); }},
+        {"StatsReply", encodeStatsReply(stats),
+         [](const Message &m) { decodeStatsReply(m); }},
+        {"ErrorReply", encodeErrorReply("boom"),
+         [](const Message &m) { decodeErrorReply(m); }},
+    };
+    // The binary trajectory records travel inside ResultChunk bytes.
+    Rng sampleRng(0x5a);
+    Message records;
+    records.payload = encodeTrajectoryBinary(randomSamples(sampleRng, 3));
+
+    auto expectOnlyProtocolError = [](const Case &c, const Message &m) {
+        try {
+            c.decode(m);
+        } catch (const ProtocolError &) {
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << c.name << " threw a non-ProtocolError: "
+                          << e.what();
+        }
+    };
+    const Case recordCase{"TrajectoryBinary", records,
+                          [](const Message &m) {
+                              decodeTrajectoryBinary(m.payload.data(),
+                                                     m.payload.size());
+                          }};
+    std::vector<const Case *> all;
+    for (const Case &c : cases)
+        all.push_back(&c);
+    all.push_back(&recordCase);
+
+    for (const Case *c : all) {
+        SCOPED_TRACE(c->name);
+        // Every valid message decodes.
+        EXPECT_NO_THROW(c->decode(c->valid));
+        for (uint64_t seed = 1; seed <= 300; ++seed) {
+            SCOPED_TRACE("seed " + std::to_string(seed));
+            Rng rng(seed * 0x9e3779b97f4a7c15ULL + c->valid.payload.size());
+            Message d = c->valid;
+            switch (rng.uniformInt(4)) {
+              case 0:
+                d.payload.resize(rng.uniformInt(d.payload.size() + 1));
+                break;
+              case 1:
+                for (uint64_t n = 1 + rng.uniformInt(3); n > 0; --n) {
+                    if (d.payload.empty())
+                        break;
+                    d.payload[rng.uniformInt(d.payload.size())] ^=
+                        uint8_t(1u << rng.uniformInt(8));
+                }
+                break;
+              case 2:
+                for (uint64_t n = 1 + rng.uniformInt(16); n > 0; --n)
+                    d.payload.push_back(uint8_t(rng.uniformInt(256)));
+                break;
+              default:
+                d.type = MsgType(uint8_t(rng.uniformInt(256)));
+                break;
+            }
+            expectOnlyProtocolError(*c, d);
+        }
+    }
+}
+
 // ============================================================= framing
 
 namespace {
