@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/cosim.hh"
 #include "core/experiment.hh"
 #include "runtime/control_app.hh"
 #include "util/hash.hh"
@@ -69,6 +70,9 @@ struct Golden
     size_t trajectorySamples;
     uint64_t collisions;
     const char *vehicle = "quadrotor";
+    Cycles sync = 10 * kMegaCycles; ///< cycles per sync period
+    core::TransportKind transport = core::TransportKind::InProcess;
+    double seconds = 10.0; ///< simulated mission length
 };
 
 // Regenerate with ROSE_REGEN_GOLDEN=1 (see file header).
@@ -92,6 +96,14 @@ struct Golden
 // so the zigzag world's slope bound end to end. The rover row pins the
 // pose estimator at the rover's 0.8 m camera mast instead of the
 // quadrotor's 1.5 m cruise altitude.
+//
+// The last two rows leave the 10 M-cycle sync. The first runs golden A
+// at 1 M-cycle sync over loopback TCP: ten times the periods, each a
+// real socket round trip, with the same rendered images. The second is
+// golden A for 0.2 s at 20 k-cycle sync: 10,000 samples, most of them
+// before the first command arrives, so the CSV is dense with zero
+// command cells and tiny lateral offsets — the cells the formatter's
+// fast path and its fallbacks must both get right.
 constexpr Golden kGolden[] = {
     {"tunnel", "A", RuntimeMode::Static, 3.0, 20.0, 1,
      0x2b24ad514f06c3cbULL, 1000, 0},
@@ -113,12 +125,57 @@ constexpr Golden kGolden[] = {
      0xa7be05975ffafcc3ULL, 1000, 0},
     {"tunnel", "A", RuntimeMode::Static, 3.0, 20.0, 1,
      0xe61ec6e9f8e9c160ULL, 1000, 0, "rover"},
+    {"tunnel", "A", RuntimeMode::Static, 3.0, 20.0, 1,
+     0x037fb031e79ae46bULL, 10001, 0, "quadrotor",
+     1000000, core::TransportKind::Tcp},
+    {"tunnel", "A", RuntimeMode::Static, 3.0, 20.0, 1,
+     0xdd1cdc85dbc18acfULL, 10000, 0, "quadrotor",
+     20000, core::TransportKind::InProcess, 0.2},
 };
 
 const char *
 modeName(RuntimeMode mode)
 {
     return mode == RuntimeMode::Dynamic ? "Dynamic" : "Static";
+}
+
+core::MissionResult
+runGolden(const Golden &g)
+{
+    core::MissionSpec spec = canonicalSpec(g.socName, g.mode, g.velocity,
+                                           g.world, g.yaw, g.seed,
+                                           g.vehicle);
+    spec.syncGranularity = g.sync;
+    spec.maxSimSeconds = g.seconds;
+    core::CosimConfig cfg = spec.toConfig();
+    cfg.transport = g.transport;
+    return core::CoSimulation(cfg).run();
+}
+
+/** The regen table's trailing fields, printed only while they differ
+ *  from their defaults. */
+std::string
+regenTail(const Golden &g)
+{
+    const Golden d{};
+    const bool tail = g.sync != d.sync || g.transport != d.transport ||
+                      g.seconds != d.seconds;
+    if (!tail && std::string(g.vehicle) == d.vehicle)
+        return "";
+    std::string s = ", \"" + std::string(g.vehicle) + "\"";
+    if (!tail)
+        return s;
+    char buf[160];
+    std::snprintf(buf, sizeof(buf), ",\n     %llu, core::TransportKind::%s",
+                  (unsigned long long)g.sync,
+                  g.transport == core::TransportKind::Tcp ? "Tcp"
+                                                          : "InProcess");
+    s += buf;
+    if (g.seconds != d.seconds) {
+        std::snprintf(buf, sizeof(buf), ", %g", g.seconds);
+        s += buf;
+    }
+    return s;
 }
 
 } // namespace
@@ -134,24 +191,23 @@ TEST(GoldenTrace, CanonicalTunnelMissions)
                      " config " + g.socName +
                      " " + modeName(g.mode) + " yaw " +
                      std::to_string(g.yaw) + " seed " +
-                     std::to_string(g.seed));
-        core::MissionResult r = core::runMission(canonicalSpec(
-            g.socName, g.mode, g.velocity, g.world, g.yaw, g.seed,
-            g.vehicle));
+                     std::to_string(g.seed) + " sync " +
+                     std::to_string(g.sync) + " seconds " +
+                     std::to_string(g.seconds) +
+                     (g.transport == core::TransportKind::Tcp ? " tcp"
+                                                              : ""));
+        core::MissionResult r = runGolden(g);
         std::string csv = core::trajectoryCsvString(r);
         uint64_t hash = fnv1a(csv);
 
         if (regen) {
-            std::string vehicle =
-                std::string(g.vehicle) == "quadrotor"
-                    ? ""
-                    : ", \"" + std::string(g.vehicle) + "\"";
+            std::string tail = regenTail(g);
             std::printf("    {\"%s\", \"%s\", RuntimeMode::%s, %.1f, "
                         "%.1f, %llu,\n     0x%016llxULL, %zu, %llu%s},\n",
                         g.world, g.socName, modeName(g.mode), g.velocity,
                         g.yaw, (unsigned long long)g.seed,
                         (unsigned long long)hash, r.trajectory.size(),
-                        (unsigned long long)r.collisions, vehicle.c_str());
+                        (unsigned long long)r.collisions, tail.c_str());
             continue;
         }
 

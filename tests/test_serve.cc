@@ -530,6 +530,23 @@ TEST(ServeProto, BinaryTrajectoryCodecPreservesCsvBytes)
     EXPECT_THROW(encodeTrajectoryBinary(overflow), ProtocolError);
 }
 
+TEST(ServeProto, MarshalledRecordsArePinned)
+{
+    // test_golden's 0.2 s, 20 k-cycle-sync row of golden A, the shape
+    // of a perfbench serve_long request: 10,000 samples, many of them
+    // zero command cells and tiny offsets. Both hashes a served result
+    // carries are pinned: the canonical CSV's (the golden) and the
+    // record bytes' (what a fetch streams and an ack must match).
+    core::MissionSpec spec = canonicalSpec("A", 0.2);
+    spec.syncGranularity = 20000;
+    ServedResult s = marshalResult(core::runMission(spec));
+    EXPECT_EQ(s.trajectorySamples, 10000u);
+    EXPECT_EQ(s.trajectoryHash, 0xdd1cdc85dbc18acfULL);
+    EXPECT_EQ(s.trajectoryRecords.size(),
+              10000 * kTrajectoryBinaryRecordBytes);
+    EXPECT_EQ(s.payloadHash, 0xf9db173143998d4eULL);
+}
+
 TEST(ServeProto, AssemblerReassemblesMultiChunkStream)
 {
     // Records sliced at an awkward chunk size (not a multiple of the
