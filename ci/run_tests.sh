@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: build and test the default (RelWithDebInfo) tree and
 # the ASan+UBSan tree, then the threaded tests under TSan and the
-# goldens under -march=x86-64-v3. The ASan
+# goldens and the cell-formatter oracles under -march=x86-64-v3. The ASan
 # pass is what keeps the wire-framing and transport robustness tests
 # honest — a buffer overread or UB in the decode path fails the build
 # here even when the plain run passes.
@@ -115,10 +115,13 @@ ctest --preset tsan
 
 # x86-64-v3 pass: the goldens and the batch parity must hash equal in a
 # build that lets the compiler use AVX2 and FMA (-ffp-contract=off is
-# what keeps a*b+c unfused). The preset builds and runs only
-# test_golden and test_batch. A host without the ISA cannot run the
-# binaries, so the step says why it skips instead.
-echo "==== [x86-64-v3] configure + build + test (golden, batch) ===="
+# what keeps a*b+c unfused), and the CSV cell formatter's exact fast
+# path must still match its printf("%.6g")/strtod oracles there: its
+# exactness argument needs a*10^k and s - trunc(s) to stay unfused.
+# The preset builds and runs only test_golden, test_batch, test_util
+# and test_serve. A host without the ISA cannot run the binaries, so
+# the step says why it skips instead.
+echo "==== [x86-64-v3] configure + build + test (golden, batch, util, serve) ===="
 missing=""
 for flag in avx2 fma bmi2 movbe; do
     grep -qw "$flag" /proc/cpuinfo 2>/dev/null || missing="$missing $flag"

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "util/csv.hh"
-
 namespace rose::core {
 
 CosimConfig
@@ -77,9 +75,59 @@ trajectoryHeader()
 
 } // namespace
 
+std::string_view
+trajectoryCsvHeader()
+{
+    static const std::string line = [] {
+        std::string h;
+        for (const std::string &col : trajectoryHeader()) {
+            if (!h.empty())
+                h += ',';
+            h += col;
+        }
+        h += '\n';
+        return h;
+    }();
+    return line;
+}
+
+char *
+renderTrajectoryCsvRow(char *out, const TrajectorySample &s,
+                       double *printed)
+{
+    // formatCsvCell writes printf's %.6g characters, which are also
+    // CsvWriter's ostream cells, and no numeric cell needs quoting, so
+    // the row is byte-identical to writeTrajectoryCsv's; the golden
+    // hashes are defined by these bytes.
+    char *p = out;
+    size_t i = 0;
+    auto cell = [&](double v) {
+        p = formatCsvCell(p, v, printed ? printed + i++ : nullptr);
+        *p++ = ',';
+    };
+    cell(s.time);
+    cell(s.position.x);
+    cell(s.position.y);
+    cell(s.position.z);
+    cell(s.yaw);
+    cell(s.speed);
+    cell(s.lateralOffset);
+    p = std::to_chars(p, out + kTrajectoryCsvRowMaxChars, s.collisions)
+            .ptr;
+    *p++ = ',';
+    cell(s.cmdForward);
+    cell(s.cmdLateral);
+    cell(s.cmdYawRate);
+    p[-1] = '\n';
+    return p;
+}
+
 void
 writeTrajectoryCsv(const std::string &path, const MissionResult &r)
 {
+    // CsvWriter's ostream cells, not renderTrajectoryCsvRow: the file
+    // form stays an independent rendering of the same bytes, which
+    // test_golden compares with trajectoryCsvString.
     CsvWriter csv(path, trajectoryHeader());
     emitTrajectoryCsv(csv, r.trajectory);
 }
@@ -93,53 +141,12 @@ trajectoryCsvString(const MissionResult &r)
 std::string
 trajectoryCsvString(const std::vector<TrajectorySample> &trajectory)
 {
-    // Hot path: this string is rendered once per served result and
-    // again by clients verifying fetches, so the ostringstream-per-
-    // cell CsvWriter is too slow here, and so is printf. formatCsvCell
-    // (std::to_chars at precision 6) writes the same characters as
-    // printf's %.6g and ostream's default (defaultfloat, precision 6)
-    // formatting, without format-string parsing or locale lookups, and
-    // no numeric cell ever needs CSV quoting, so each row stays
-    // byte-identical to the CsvWriter output (test_util pins the cell
-    // formatter to printf; test_golden cross-checks the two paths).
-    static const std::string headerLine = [] {
-        std::string h;
-        for (const std::string &col : trajectoryHeader()) {
-            if (!h.empty())
-                h += ',';
-            h += col;
-        }
-        h += '\n';
-        return h;
-    }();
-
     std::string out;
-    out.reserve(headerLine.size() + trajectory.size() * 96);
-    out += headerLine;
-    // Ten float cells, the u64 collision count (at most 20 digits),
-    // and their separators.
-    char row[10 * (kCsvCellMaxChars + 1) + 21];
-    for (const TrajectorySample &s : trajectory) {
-        char *p = row;
-        auto cell = [&p](double v) {
-            p = formatCsvCell(p, v);
-            *p++ = ',';
-        };
-        cell(s.time);
-        cell(s.position.x);
-        cell(s.position.y);
-        cell(s.position.z);
-        cell(s.yaw);
-        cell(s.speed);
-        cell(s.lateralOffset);
-        p = std::to_chars(p, row + sizeof row, s.collisions).ptr;
-        *p++ = ',';
-        cell(s.cmdForward);
-        cell(s.cmdLateral);
-        cell(s.cmdYawRate);
-        p[-1] = '\n';
-        out.append(row, size_t(p - row));
-    }
+    out.reserve(trajectoryCsvHeader().size() + trajectory.size() * 96);
+    out += trajectoryCsvHeader();
+    char row[kTrajectoryCsvRowMaxChars];
+    for (const TrajectorySample &s : trajectory)
+        out.append(row, size_t(renderTrajectoryCsvRow(row, s) - row));
     return out;
 }
 

@@ -10,9 +10,11 @@
 #define ROSE_CORE_EXPERIMENT_HH
 
 #include <string>
+#include <string_view>
 
 #include "core/cosim.hh"
 #include "runtime/mpc_app.hh"
+#include "util/csv.hh"
 
 namespace rose::core {
 
@@ -47,13 +49,36 @@ struct MissionSpec
 MissionResult runMission(const MissionSpec &spec);
 
 /**
- * Write a mission's trajectory as CSV
+ * The canonical trajectory CSV's header line, newline included
  * (columns: t,x,y,z,yaw,speed,offset,collisions,cmd_fwd,cmd_lat,cmd_yaw).
  */
+std::string_view trajectoryCsvHeader();
+
+/** Float cells of a canonical CSV row: every column but collisions. */
+constexpr size_t kTrajectoryCsvFloatCells = 10;
+
+/** Room one canonical CSV row needs: ten float cells, the u64
+ *  collision count (at most 20 digits), separators and newline. */
+constexpr size_t kTrajectoryCsvRowMaxChars =
+    kTrajectoryCsvFloatCells * (kCsvCellMaxChars + 1) + 21;
+
+/**
+ * Render the canonical CSV row of @p s, newline included, at @p out
+ * (kTrajectoryCsvRowMaxChars bytes) and return one past its end. When
+ * @p printed is non-null it receives, in column order, the
+ * kTrajectoryCsvFloatCells values the float cells denote (see
+ * formatCsvCell): each cell is formatted once for both.
+ */
+char *renderTrajectoryCsvRow(char *out, const TrajectorySample &s,
+                             double *printed = nullptr);
+
+/** Write a mission's canonical trajectory CSV to @p path, through
+ *  CsvWriter. */
 void writeTrajectoryCsv(const std::string &path, const MissionResult &r);
 
 /**
- * The same CSV as a string. This is the golden-trace canonical form:
+ * The canonical trajectory CSV: trajectoryCsvHeader() followed by one
+ * renderTrajectoryCsvRow per sample. This is the golden-trace form:
  * tests/test_golden.cc hashes it (util/hash.hh FNV-1a), so its column
  * set and formatting are part of the regression surface — format
  * changes require regenerating the checked-in golden hashes.

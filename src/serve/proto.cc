@@ -1,8 +1,8 @@
 #include "proto.hh"
 
-#include <charconv>
+#include <bit>
+#include <type_traits>
 
-#include "util/csv.hh"
 #include "util/hash.hh"
 #include "util/logging.hh"
 
@@ -152,45 +152,53 @@ readTerminalState(PayloadReader &r, const char *where)
 
 // ------------------------------------------------ binary trajectory
 
-float
-canonicalTrajectoryF32(double v)
+namespace {
+
+// A record is written as its in-memory image, one insert per sample:
+// on a little-endian host the unpadded struct's bytes are exactly the
+// per-field f32/u32 little-endian writes of the record layout.
+struct TrajectoryRecord
 {
-    // formatCsvCell writes exactly the cell CsvWriter and
-    // core::trajectoryCsvString emit (std::to_chars at precision 6,
-    // i.e. %.6g); re-reading that decimal as a double (std::from_chars,
-    // correctly rounded like strtod) and narrowing lands within 2^-24
-    // relative of the printed value, which is why printing the f32 at
-    // precision 6 reproduces the original cell (test_serve pins both
-    // this and the byte identity with the snprintf/strtod form).
-    char buf[kCsvCellMaxChars];
-    const char *end = formatCsvCell(buf, v);
-    double printed = 0.0;
-    std::from_chars(buf, end, printed);
-    return float(printed);
-}
+    float cells[7]; ///< t, x, y, z, yaw, speed, offset
+    uint32_t collisions;
+    float commands[3]; ///< cmd_fwd, cmd_lat, cmd_yaw
+};
+static_assert(std::endian::native == std::endian::little,
+              "trajectory records assume a little-endian host");
+static_assert(sizeof(TrajectoryRecord) == kTrajectoryBinaryRecordBytes,
+              "TrajectoryRecord must be the unpadded record layout");
+static_assert(std::is_trivially_copyable_v<TrajectoryRecord>);
+
+} // namespace
 
 std::vector<uint8_t>
-encodeTrajectoryBinary(const std::vector<core::TrajectorySample> &t)
+encodeTrajectoryBinary(const std::vector<core::TrajectorySample> &t,
+                       uint64_t *csvHash)
 {
     StateWriter w;
     w.reserve(t.size() * kTrajectoryBinaryRecordBytes);
+    uint64_t h = fnv1a(core::trajectoryCsvHeader());
+    char row[core::kTrajectoryCsvRowMaxChars];
+    double printed[core::kTrajectoryCsvFloatCells] = {};
+    TrajectoryRecord rec{};
     for (const core::TrajectorySample &s : t) {
         if (s.collisions > UINT32_MAX)
             throw ProtocolError(detail::concat(
                 "collision count ", s.collisions,
                 " exceeds the u32 binary-record field"));
-        w.f32(canonicalTrajectoryF32(s.time));
-        w.f32(canonicalTrajectoryF32(s.position.x));
-        w.f32(canonicalTrajectoryF32(s.position.y));
-        w.f32(canonicalTrajectoryF32(s.position.z));
-        w.f32(canonicalTrajectoryF32(s.yaw));
-        w.f32(canonicalTrajectoryF32(s.speed));
-        w.f32(canonicalTrajectoryF32(s.lateralOffset));
-        w.u32(uint32_t(s.collisions));
-        w.f32(canonicalTrajectoryF32(s.cmdForward));
-        w.f32(canonicalTrajectoryF32(s.cmdLateral));
-        w.f32(canonicalTrajectoryF32(s.cmdYawRate));
+        // The row's cells and the values they print are one formatting
+        // pass; the record narrows the printed values (canonical f32).
+        const char *end = core::renderTrajectoryCsvRow(row, s, printed);
+        h = fnv1a(row, size_t(end - row), h);
+        for (size_t i = 0; i < 7; ++i)
+            rec.cells[i] = float(printed[i]);
+        rec.collisions = uint32_t(s.collisions);
+        for (size_t i = 0; i < 3; ++i)
+            rec.commands[i] = float(printed[7 + i]);
+        w.bytes(reinterpret_cast<const uint8_t *>(&rec), sizeof(rec));
     }
+    if (csvHash)
+        *csvHash = h;
     return w.take();
 }
 
@@ -486,11 +494,11 @@ marshalResult(const core::MissionResult &r)
     s.simulatedCycles = r.simulatedCycles;
     s.trajectorySamples = uint32_t(r.trajectory.size());
     s.degradedIntervals = uint32_t(r.degradedIntervals.size());
-    // The canonical CSV exists here only long enough to be hashed:
-    // the golden hash rides every ResultEnd, while the records are
-    // the one retained, journaled and streamed copy.
-    s.trajectoryHash = fnv1a(core::trajectoryCsvString(r));
-    s.trajectoryRecords = encodeTrajectoryBinary(r.trajectory);
+    // One pass: the records are the one retained, journaled and
+    // streamed copy, and the canonical CSV they re-render to is only
+    // hashed row by row (the golden hash rides every ResultEnd).
+    s.trajectoryRecords =
+        encodeTrajectoryBinary(r.trajectory, &s.trajectoryHash);
     s.payloadHash =
         fnv1a(s.trajectoryRecords.data(), s.trajectoryRecords.size());
     return s;

@@ -254,27 +254,29 @@ enum class TrajectoryEncoding : uint8_t
  * journaled, and streamed.
  *
  * "Canonical f32" makes the encoding lossless *with respect to the
- * canonical CSV*: each double is first pushed through its 6
- * significant-digit printed form (exactly what CsvWriter emits), and
- * that decimal re-read as f32. An f32 sits within 2^-24 ≈ 6e-8
- * relative of the decimal value, far inside the 5e-7 half-step of
- * the 6-digit decimal grid, so printing the f32 back at precision 6
- * reproduces the original CSV cell exactly.
+ * canonical CSV*: each f32 is the value its CSV cell prints (the
+ * double strtod reads back from the 6-significant-digit cell, which
+ * formatCsvCell yields while writing it), narrowed. An f32 sits within
+ * 2^-24 ≈ 6e-8 relative of the decimal value, far inside the 5e-7
+ * half-step of the 6-digit decimal grid, so printing the f32 back at
+ * precision 6 reproduces the original CSV cell exactly.
  */
 constexpr size_t kTrajectoryBinaryRecordBytes = 44;
 
-/** The canonical-f32 quantizer (exposed for tests). */
-float canonicalTrajectoryF32(double v);
-
 /**
- * Encode samples as fixed-width binary records.
+ * Encode samples as fixed-width binary records, rendering each
+ * sample's canonical CSV row once (core::renderTrajectoryCsvRow) for
+ * the values the records hold. When @p csvHash is non-null it receives
+ * the FNV-1a of the canonical CSV (core::trajectoryCsvString), chained
+ * row by row without building the string.
  * @throws ProtocolError when a sample's collision count exceeds u32
  * (the record could no longer round-trip the CSV bit-for-bit). rosed
  * cannot admit such a mission: the count rises at most once per
  * physics substep, ~2.2e6 times in the 3600 s maxSimSeconds cap.
  */
 std::vector<uint8_t>
-encodeTrajectoryBinary(const std::vector<core::TrajectorySample> &t);
+encodeTrajectoryBinary(const std::vector<core::TrajectorySample> &t,
+                       uint64_t *csvHash = nullptr);
 
 /**
  * Decode fixed-width binary records.
@@ -350,8 +352,8 @@ struct ServedResult
 
 /**
  * Marshal a core result: scalars, the binary records and their hash,
- * and the canonical-CSV hash (the CSV is rendered, hashed and
- * dropped).
+ * and the canonical-CSV hash, taken in the records' one pass over the
+ * samples (no CSV string is built).
  */
 ServedResult marshalResult(const core::MissionResult &r);
 

@@ -25,11 +25,21 @@ constexpr size_t kCsvCellMaxChars = 16;
  * Write @p v as CsvWriter's default ostream insertion writes it
  * (defaultfloat, precision 6, i.e. printf("%.6g") in the C locale) to
  * the kCsvCellMaxChars bytes at @p out, with no terminator. Returns
- * one past the last character written. Uses std::to_chars with
- * chars_format::general at precision 6, which the standard defines to
- * produce exactly printf's %.6g characters.
+ * one past the last character written.
+ *
+ * When @p printed is non-null it receives the double the written
+ * decimal denotes, bit for bit what strtod would read back from the
+ * cell: a trajectory record stores exactly that value (narrowed to
+ * f32), so the cell is formatted once for both.
+ *
+ * Finite magnitudes in [1e-16, 1e21) take an exact fast path that
+ * derives the six digits from one scaling by an exact power of ten
+ * and the printed value from one more (DESIGN.md §5f, "One formatted
+ * cell"). Zero is written directly. Near-ties and every other value
+ * take std::to_chars (chars_format::general at precision 6, which the
+ * standard defines as printf's %.6g) and std::from_chars.
  */
-char *formatCsvCell(char *out, double v);
+char *formatCsvCell(char *out, double v, double *printed = nullptr);
 
 /**
  * Row-oriented CSV writer. Construct with a header; each row must supply

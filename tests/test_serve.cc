@@ -67,6 +67,7 @@
 #include "serve/client.hh"
 #include "serve/journal.hh"
 #include "serve/server.hh"
+#include "util/csv.hh"
 #include "util/hash.hh"
 #include "util/rng.hh"
 
@@ -452,10 +453,25 @@ TEST(ServeProto, ResultChunkAndEndRoundTrip)
     EXPECT_EQ(p2.samples, 125u);
 }
 
+namespace {
+
+/** A record's canonical f32 of @p v: the value its CSV cell prints
+ *  (formatCsvCell's printed value), narrowed. */
+float
+canonicalF32(double v)
+{
+    char cell[kCsvCellMaxChars];
+    double printed = 0.0;
+    formatCsvCell(cell, v, &printed);
+    return float(printed);
+}
+
+} // namespace
+
 TEST(ServeProto, CanonicalF32PreservesCsvCells)
 {
     // The binary encoding's whole correctness argument: quantizing a
-    // double to canonicalTrajectoryF32 must not change how the value
+    // double to its canonical f32 must not change how the value
     // prints at the CSV's 6-significant-digit precision. (An f32 is
     // within 2^-24 relative of the printed decimal, far inside the
     // 5e-7 half-step of the 6-digit grid, so the nearest 6-digit
@@ -469,21 +485,21 @@ TEST(ServeProto, CanonicalF32PreservesCsvCells)
         std::ostringstream a;
         a << v;
         std::ostringstream b;
-        b << double(canonicalTrajectoryF32(v));
+        b << double(canonicalF32(v));
         ASSERT_EQ(a.str(), b.str()) << "value " << v;
     }
 }
 
 TEST(ServeProto, CanonicalF32MatchesPrintfStrtod)
 {
-    // canonicalTrajectoryF32 (to_chars + from_chars) must quantize to
-    // the very f32 the printf("%.6g") + strtod form did, bit for bit:
-    // binary records and their payload hashes are built from it.
+    // The canonical f32 (the printed value formatCsvCell yields) must
+    // be the very f32 the printf("%.6g") + strtod form gives, bit for
+    // bit: binary records and their payload hashes are built from it.
     auto check = [](double v) {
         char buf[64];
         std::snprintf(buf, sizeof(buf), "%.6g", v);
         float want = float(std::strtod(buf, nullptr));
-        float got = canonicalTrajectoryF32(v);
+        float got = canonicalF32(v);
         uint32_t want_bits = 0, got_bits = 0;
         std::memcpy(&want_bits, &want, sizeof(want));
         std::memcpy(&got_bits, &got, sizeof(got));

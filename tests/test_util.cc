@@ -7,6 +7,8 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <set>
 #include <sstream>
 #include <string>
@@ -306,6 +308,31 @@ TEST(Csv, CellFormatterMatchesOstream)
         ASSERT_EQ(std::string(got, formatCsvCell(got, v)), os.str())
             << "value " << v;
     }
+}
+
+TEST(Csv, CellFormatterPrintedValueMatchesStrtod)
+{
+    // The value formatCsvCell reports as printed must be bit for bit
+    // the double strtod reads back from printf("%.6g"): trajectory
+    // records store it in place of a second format + parse.
+    auto check = [](double v) {
+        char want[64];
+        std::snprintf(want, sizeof(want), "%.6g", v);
+        double expect = std::strtod(want, nullptr);
+        char cell[kCsvCellMaxChars];
+        double printed = 0.0;
+        formatCsvCell(cell, v, &printed);
+        uint64_t want_bits = 0, got_bits = 0;
+        std::memcpy(&want_bits, &expect, sizeof(expect));
+        std::memcpy(&got_bits, &printed, sizeof(printed));
+        ASSERT_EQ(got_bits, want_bits) << "value " << v << " (" << want
+                                       << ")";
+    };
+    for (double v : test::formatEdgeCases())
+        check(v);
+    Rng rng(0x9e1f7ed);
+    for (int i = 0; i < 100000; ++i)
+        check(test::formatProbe(rng, i));
 }
 
 TEST(CsvDeathTest, WrongArity)
