@@ -4,8 +4,9 @@
  * configs A, B, C from Table 2, once with the static ResNet14 runtime
  * and once with the Section 5.3 dynamic ResNet14/ResNet6 runtime, plus
  * the canonical mission on the s-shape and zigzag maps, a
- * straight-ahead (yaw 0) tunnel mission and a rover mission, with
- * checked-in FNV-1a hashes of their trajectory CSVs. Silent
+ * straight-ahead (yaw 0) tunnel mission, a rover mission and two
+ * missions under injected transport faults, with checked-in FNV-1a
+ * hashes of their trajectory CSVs. Silent
  * physics/timing drift — a changed integrator constant, a reordered RNG
  * draw, an off-by-one sync period — fails here instead of quietly
  * corrupting every number in EXPERIMENTS.md.
@@ -73,7 +74,17 @@ struct Golden
     Cycles sync = 10 * kMegaCycles; ///< cycles per sync period
     core::TransportKind transport = core::TransportKind::InProcess;
     double seconds = 10.0; ///< simulated mission length
+    bool faults = false;   ///< inject kFaultMix on the synchronizer's end
 };
+
+/** The faulted rows' link: every fault kind fires, at rates the
+ *  sensor-retry timeout still flies the tunnel through. */
+constexpr bridge::FaultConfig kFaultMix{.enabled = true,
+                                        .dropProb = 0.05,
+                                        .corruptProb = 0.02,
+                                        .reorderProb = 0.05,
+                                        .delayProb = 0.05,
+                                        .seed = 2021};
 
 // Regenerate with ROSE_REGEN_GOLDEN=1 (see file header).
 //
@@ -104,6 +115,12 @@ struct Golden
 // before the first command arrives, so the CSV is dense with zero
 // command cells and tiny lateral offsets — the cells the formatter's
 // fast path and its fallbacks must both get right.
+//
+// The two faulted rows run golden A for 2 s with every kind of injected
+// fault (kFaultMix): in-process at the default sync, and over loopback
+// TCP at 1 M-cycle sync. The injector's operation clock advances on
+// every send() and recv() call, so these rows pin the number and order
+// of transport calls the lockstep loop makes, not just its packets.
 constexpr Golden kGolden[] = {
     {"tunnel", "A", RuntimeMode::Static, 3.0, 20.0, 1,
      0x2b24ad514f06c3cbULL, 1000, 0},
@@ -131,6 +148,12 @@ constexpr Golden kGolden[] = {
     {"tunnel", "A", RuntimeMode::Static, 3.0, 20.0, 1,
      0xdd1cdc85dbc18acfULL, 10000, 0, "quadrotor",
      20000, core::TransportKind::InProcess, 0.2},
+    {"tunnel", "A", RuntimeMode::Static, 3.0, 20.0, 1,
+     0xf406280d13073940ULL, 200, 0, "quadrotor",
+     10000000, core::TransportKind::InProcess, 2, true},
+    {"tunnel", "A", RuntimeMode::Static, 3.0, 20.0, 1,
+     0x3974ae862a717a19ULL, 2001, 0, "quadrotor",
+     1000000, core::TransportKind::Tcp, 2, true},
 };
 
 const char *
@@ -139,17 +162,24 @@ modeName(RuntimeMode mode)
     return mode == RuntimeMode::Dynamic ? "Dynamic" : "Static";
 }
 
+/** Run one row; a faulted row also reports what its injector did. */
 core::MissionResult
-runGolden(const Golden &g)
+runGolden(const Golden &g, bridge::FaultStats &faults)
 {
     core::MissionSpec spec = canonicalSpec(g.socName, g.mode, g.velocity,
                                            g.world, g.yaw, g.seed,
                                            g.vehicle);
     spec.syncGranularity = g.sync;
     spec.maxSimSeconds = g.seconds;
+    if (g.faults)
+        spec.faults = kFaultMix;
     core::CosimConfig cfg = spec.toConfig();
     cfg.transport = g.transport;
-    return core::CoSimulation(cfg).run();
+    core::CoSimulation sim(cfg);
+    core::MissionResult r = sim.run();
+    if (sim.faultStats())
+        faults = *sim.faultStats();
+    return r;
 }
 
 /** The regen table's trailing fields, printed only while they differ
@@ -159,7 +189,7 @@ regenTail(const Golden &g)
 {
     const Golden d{};
     const bool tail = g.sync != d.sync || g.transport != d.transport ||
-                      g.seconds != d.seconds;
+                      g.seconds != d.seconds || g.faults != d.faults;
     if (!tail && std::string(g.vehicle) == d.vehicle)
         return "";
     std::string s = ", \"" + std::string(g.vehicle) + "\"";
@@ -171,10 +201,12 @@ regenTail(const Golden &g)
                   g.transport == core::TransportKind::Tcp ? "Tcp"
                                                           : "InProcess");
     s += buf;
-    if (g.seconds != d.seconds) {
+    if (g.seconds != d.seconds || g.faults != d.faults) {
         std::snprintf(buf, sizeof(buf), ", %g", g.seconds);
         s += buf;
     }
+    if (g.faults != d.faults)
+        s += ", true";
     return s;
 }
 
@@ -195,8 +227,10 @@ TEST(GoldenTrace, CanonicalTunnelMissions)
                      std::to_string(g.sync) + " seconds " +
                      std::to_string(g.seconds) +
                      (g.transport == core::TransportKind::Tcp ? " tcp"
-                                                              : ""));
-        core::MissionResult r = runGolden(g);
+                                                              : "") +
+                     (g.faults ? " faults" : ""));
+        bridge::FaultStats fs;
+        core::MissionResult r = runGolden(g, fs);
         std::string csv = core::trajectoryCsvString(r);
         uint64_t hash = fnv1a(csv);
 
@@ -221,6 +255,16 @@ TEST(GoldenTrace, CanonicalTunnelMissions)
             }
             EXPECT_TRUE(saw_big) << "dynamic row never ran ResNet14";
             EXPECT_TRUE(saw_small) << "dynamic row never ran ResNet6";
+        }
+
+        // A faulted row pins the fault paths only if each of them ran,
+        // and the mission survived them.
+        if (g.faults) {
+            EXPECT_GT(fs.dropped, 0u);
+            EXPECT_GT(fs.corrupted, 0u);
+            EXPECT_GT(fs.reordered, 0u);
+            EXPECT_GT(fs.delayed, 0u);
+            EXPECT_FALSE(r.transportError) << r.transportErrorMessage;
         }
 
         // Coarse goldens first: when these differ the drift is
