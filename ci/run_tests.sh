@@ -93,6 +93,21 @@ run_preset() {
 
 run_preset default build
 
+# Syscall-count gate (default preset only): a fault-free TCP mission at
+# 1 M-cycle sync reads each endpoint's socket once per period and finds
+# it empty at most once, in the configure handshake (DESIGN.md 5b,
+# "read discipline"). Counts, unlike timings, do not move with host
+# noise, so the bounds are tight.
+echo "==== [default] TCP read discipline (recv calls per period) ===="
+build/examples/mission_runner --soc A --sync 1 --tcp --stats --quiet |
+    awk '$1 == "tcp.recvCallsPerPeriod" { per = $2 }
+         $1 == "tcp.emptyReads" { empty = $2 }
+         END {
+             printf "recv calls per period %s, empty reads %s\n", per, empty
+             if (per == "" || empty == "" || per + 0 > 2.01 || empty + 0 > 1)
+                 exit 1
+         }'
+
 # glibc picks its libm variants at load time (ifunc); masking AVX2,
 # FMA and AVX-512 makes it fall back to the non-FMA ones, which return
 # different last bits for some log/sin/cos/atan2 inputs. The physics

@@ -184,11 +184,13 @@ TcpTransport::send(const Packet &p)
                                              ? "closed"
                                              : "errored") +
                              " transport");
-    std::vector<uint8_t> wire;
-    serializePacket(p, wire);
+    quiet_ = false;
+    tx_.clear();
+    serializePacket(p, tx_);
     size_t off = 0;
-    while (off < wire.size()) {
-        ssize_t n = ::send(fd_, wire.data() + off, wire.size() - off,
+    while (off < tx_.size()) {
+        ++syscalls_.sends;
+        ssize_t n = ::send(fd_, tx_.data() + off, tx_.size() - off,
                            MSG_NOSIGNAL);
         if (n < 0) {
             if (errno == EPIPE || errno == ECONNRESET) {
@@ -216,13 +218,13 @@ TcpTransport::send(const Packet &p)
                 throw TransportError(detail::concat(
                     "TCP send stalled: no socket-buffer space within ",
                     sendTimeoutMs_, " ms (peer not draining; ", off,
-                    " of ", wire.size(), " bytes written)"));
+                    " of ", tx_.size(), " bytes written)"));
             }
             continue;
         }
         off += size_t(n);
     }
-    sent_ += wire.size();
+    sent_ += tx_.size();
 }
 
 void
@@ -230,18 +232,25 @@ TcpTransport::pump()
 {
     uint8_t tmp[16384];
     while (state_ == TransportState::Open) {
+        ++syscalls_.recvs;
         ssize_t n = ::recv(fd_, tmp, sizeof(tmp), 0);
         if (n > 0) {
             rx_.append(tmp, size_t(n));
             received_ += uint64_t(n);
+            // A short read drained the socket; only a full one may
+            // have left bytes behind.
+            if (size_t(n) < sizeof(tmp))
+                return;
         } else if (n == 0) {
             // Orderly shutdown by the peer: surface it instead of
             // pretending "no data yet" forever.
             state_ = TransportState::Closed;
             return;
         } else {
-            if (errno == EAGAIN || errno == EWOULDBLOCK)
+            if (errno == EAGAIN || errno == EWOULDBLOCK) {
+                ++syscalls_.emptyRecvs;
                 return;
+            }
             if (errno == EINTR)
                 continue;
             if (errno == ECONNRESET) {
@@ -258,16 +267,27 @@ TcpTransport::pump()
 bool
 TcpTransport::recv(Packet &out)
 {
-    pump();
-    std::string err;
-    switch (rx_.next(out, &err)) {
+    // Buffered first; read the socket only when no whole frame is
+    // buffered and the period may still hold bytes for us.
+    FrameStatus s = rx_.next(out);
+    if (s == FrameStatus::NeedMore && !quiet_) {
+        pump();
+        s = rx_.next(out);
+    }
+    switch (s) {
       case FrameStatus::Ok:
+        quiet_ = (out.type == PacketType::SyncGrant ||
+                  out.type == PacketType::SyncDone) &&
+                 rx_.pendingBytes() == 0;
         return true;
       case FrameStatus::NeedMore:
         return false;
-      case FrameStatus::Malformed:
+      case FrameStatus::Malformed: {
         state_ = TransportState::Error;
+        std::string err;
+        rx_.next(out, &err); // a poisoned buffer repeats its diagnostic
         throw TransportError("TCP stream framing corrupt: " + err);
+      }
     }
     return false;
 }
@@ -284,6 +304,8 @@ TcpTransport::waitReadable(int timeout_ms)
         throw TransportError(std::string("TCP recv poll: ") +
                              std::strerror(errno));
     }
+    if (rc > 0)
+        quiet_ = false; // bytes arrived after all: let recv() read them
     return rc > 0;
 }
 

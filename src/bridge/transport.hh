@@ -121,10 +121,39 @@ class Transport
 std::pair<std::unique_ptr<Transport>, std::unique_ptr<Transport>>
 makeInProcPair();
 
+/** Syscalls one TcpTransport endpoint has made. */
+struct TcpSyscalls
+{
+    uint64_t sends = 0;      ///< send(2) calls, partial writes included
+    uint64_t recvs = 0;      ///< recv(2) calls
+    uint64_t emptyRecvs = 0; ///< recv(2) calls that found no bytes (EAGAIN)
+
+    TcpSyscalls &
+    operator+=(const TcpSyscalls &o)
+    {
+        sends += o.sends;
+        recvs += o.recvs;
+        emptyRecvs += o.emptyRecvs;
+        return *this;
+    }
+};
+
 /**
  * TCP loopback transport. The listener binds/accepts on construction of
  * the pair factory; both ends use non-blocking reads with the shared
  * wire framing from packet.hh.
+ *
+ * Reads follow the lockstep period (DESIGN.md §5b, "read discipline"):
+ *  - recv() decodes a frame already buffered before any syscall;
+ *  - one pump stops at the first read shorter than its buffer, which
+ *    means the socket was drained;
+ *  - once a delivered SyncGrant or SyncDone leaves nothing buffered,
+ *    the endpoint is quiet: recv() reports "no packet" without a
+ *    syscall until this endpoint's next send() (or until
+ *    waitReadable() sees inbound bytes). Those two packets end their
+ *    direction's traffic for the period, and the peer sends nothing
+ *    more until it hears from us, so the skipped read could only have
+ *    found EAGAIN.
  */
 class TcpTransport : public Transport
 {
@@ -151,6 +180,9 @@ class TcpTransport : public Transport
      */
     void setSendTimeout(int ms) { sendTimeoutMs_ = ms; }
 
+    /** Syscalls made so far. */
+    const TcpSyscalls &syscalls() const { return syscalls_; }
+
     /**
      * Create a connected loopback pair: binds an ephemeral port on
      * 127.0.0.1, connects, accepts. Returns {server_end, client_end}.
@@ -168,10 +200,13 @@ class TcpTransport : public Transport
 
     int fd_;
     FrameBuffer rx_;
+    std::vector<uint8_t> tx_; ///< send()'s reused wire buffer
     TransportState state_ = TransportState::Open;
+    bool quiet_ = false; ///< a period sentinel drained rx_ (see above)
     int sendTimeoutMs_ = 5000;
     uint64_t sent_ = 0;
     uint64_t received_ = 0;
+    TcpSyscalls syscalls_;
 };
 
 /**

@@ -36,6 +36,7 @@ CoSimulation::CoSimulation(const CosimConfig &cfg) : cfg_(cfg)
 
     if (cfg_.transport == TransportKind::Tcp) {
         auto [server, client] = bridge::TcpTransport::makeLoopbackPair();
+        tcpEnds_ = {server.get(), client.get()};
         syncEnd_ = std::move(server);
         bridgeEnd_ = std::move(client);
     } else {
@@ -154,6 +155,15 @@ CoSimulation::printSummary(std::ostream &os) const
     line("sync.velocityCommands", ss.velocityCommands);
     line("sync.deadlineWaits", ss.deadlineWaits);
 
+    if (tcpEnds_[0]) {
+        const bridge::TcpSyscalls sc = tcpSyscalls();
+        line("tcp.sendCalls", sc.sends);
+        line("tcp.recvCalls", sc.recvs);
+        line("tcp.emptyReads", sc.emptyRecvs);
+        line("tcp.recvCallsPerPeriod",
+             periods_ ? double(sc.recvs) / double(periods_) : 0.0);
+    }
+
     if (faults_) {
         const bridge::FaultStats &fs = faults_->stats();
         line("fault.sent", fs.sent);
@@ -189,6 +199,16 @@ CoSimulation::printSummary(std::ostream &os) const
          energy.averagePowerWatts(st, cfg_.soc.cpu, cfg_.soc.clockHz));
     line("app.inferences", app_->inferenceCount());
     os << "------------------------------------------------\n";
+}
+
+bridge::TcpSyscalls
+CoSimulation::tcpSyscalls() const
+{
+    bridge::TcpSyscalls sum;
+    for (const bridge::TcpTransport *end : tcpEnds_)
+        if (end)
+            sum += end->syscalls();
+    return sum;
 }
 
 MissionResult

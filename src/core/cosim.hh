@@ -14,6 +14,7 @@
 #ifndef ROSE_CORE_COSIM_HH
 #define ROSE_CORE_COSIM_HH
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <ostream>
@@ -246,6 +247,9 @@ class CoSimulation
      *  supervisor reseeds it between retries. */
     bridge::FaultInjectTransport *faultInjector() { return faults_; }
 
+    /** Syscalls of both TCP endpoints, summed; zero in-process. */
+    bridge::TcpSyscalls tcpSyscalls() const;
+
     /** Periods executed so far. */
     uint64_t periods() const { return periods_; }
 
@@ -263,6 +267,8 @@ class CoSimulation
     bridge::FaultInjectTransport *faults_ = nullptr; ///< owned via syncEnd_
     std::unique_ptr<bridge::Transport> syncEnd_;
     std::unique_ptr<bridge::Transport> bridgeEnd_;
+    /** The TCP endpoints inside syncEnd_ and bridgeEnd_, if any. */
+    std::array<const bridge::TcpTransport *, 2> tcpEnds_{};
     std::unique_ptr<bridge::RoseBridge> bridge_;
     std::unique_ptr<bridge::TargetDriver> driver_;
     std::unique_ptr<runtime::ControlApp> app_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <optional>
 
 #include "util/logging.hh"
 #include "util/serde.hh"
@@ -71,9 +72,10 @@ Synchronizer::endPeriod()
     // once it is seen every data packet of the period has been drained.
     // Until then: on a blocking transport (TCP) the bytes may simply be
     // in flight, so wait — but never past the sync deadline, and never
-    // on a peer that is known dead.
+    // on a peer that is known dead. The deadline counts from the
+    // first wait, so a period that never waits never reads the clock.
     using clock = std::chrono::steady_clock;
-    const auto t0 = clock::now();
+    std::optional<clock::time_point> t0;
     bool done_seen = false;
     bridge::Packet p;
     while (true) {
@@ -104,8 +106,11 @@ Synchronizer::endPeriod()
                 "(SyncDone lost to fault injection, or lockstep driven "
                 "out of order)"));
         }
+        const auto now = clock::now();
+        if (!t0)
+            t0 = now;
         auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
-                          clock::now() - t0)
+                          now - *t0)
                           .count();
         if (cfg_.syncDeadlineMs > 0 &&
             waited >= long(cfg_.syncDeadlineMs)) {

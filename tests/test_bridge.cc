@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include "bridge/fifo.hh"
 #include "bridge/packet.hh"
 #include "bridge/rose_bridge.hh"
@@ -265,6 +270,155 @@ TEST(TcpTransport, WaitReadableSeesInFlightData)
     Packet p;
     ASSERT_TRUE(server->recv(p));
     EXPECT_EQ(p.type, PacketType::ImuReq);
+}
+
+// ------------------------------------------------- TCP read discipline
+
+namespace {
+
+/** A TcpTransport whose peer is a raw socket, so a test decides how
+ *  the peer's bytes are split into writes. */
+struct RawPeer
+{
+    std::unique_ptr<TcpTransport> end;
+    int fd = -1;
+
+    RawPeer()
+    {
+        TcpListener listener(0, 1);
+        sockaddr_in addr{};
+        addr.sin_family = AF_INET;
+        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+        addr.sin_port = htons(listener.port());
+        fd = socket(AF_INET, SOCK_STREAM, 0);
+        if (fd >= 0 && connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                               sizeof(addr)) == 0)
+            end = listener.accept(5000);
+    }
+
+    ~RawPeer()
+    {
+        if (fd >= 0)
+            ::close(fd);
+    }
+
+    /** Write @p bytes with one blocking send(). */
+    void
+    write(const std::vector<uint8_t> &bytes) const
+    {
+        ssize_t n = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+        ASSERT_EQ(n, ssize_t(bytes.size()));
+    }
+};
+
+constexpr size_t kReadBytes = 16384; ///< TcpTransport's read buffer
+
+} // namespace
+
+TEST(TcpTransportReads, TwoFramesInOneSegmentTakeOneRead)
+{
+    RawPeer peer;
+    ASSERT_NE(peer.end, nullptr);
+    std::vector<uint8_t> wire;
+    serializePacket(encodeDepthResp(1.0), wire);
+    serializePacket(encodeDepthResp(2.0), wire);
+    peer.write(wire);
+    ASSERT_TRUE(peer.end->waitReadable(1000));
+
+    Packet p;
+    ASSERT_TRUE(peer.end->recv(p));
+    EXPECT_DOUBLE_EQ(decodeDepthResp(p), 1.0);
+    ASSERT_TRUE(peer.end->recv(p)); // buffered: no syscall
+    EXPECT_DOUBLE_EQ(decodeDepthResp(p), 2.0);
+    EXPECT_EQ(peer.end->syscalls().recvs, 1u);
+    EXPECT_EQ(peer.end->syscalls().emptyRecvs, 0u);
+}
+
+TEST(TcpTransportReads, FrameLargerThanOneReadArrivesWhole)
+{
+    RawPeer peer;
+    ASSERT_NE(peer.end, nullptr);
+    env::Image img(200, 200);
+    for (size_t i = 0; i < img.pixels.size(); ++i)
+        img.pixels[i] = float(i % 251) / 250.0f;
+    std::vector<uint8_t> wire;
+    serializePacket(encodeImageResp(img), wire);
+    ASSERT_GT(wire.size(), 2 * kReadBytes);
+    peer.write(wire);
+    ASSERT_TRUE(peer.end->waitReadable(1000));
+
+    // Two full reads do not end the pump; the short third one does,
+    // and the frame is whole after it.
+    Packet p;
+    ASSERT_TRUE(peer.end->recv(p));
+    env::Image back;
+    decodeImageRespInto(p, back);
+    ASSERT_EQ(back.pixels.size(), img.pixels.size());
+    for (size_t i = 0; i < img.pixels.size(); i += 997)
+        EXPECT_NEAR(back.pixels[i], img.pixels[i], 1.0 / 255.0) << i;
+    EXPECT_EQ(peer.end->syscalls().recvs, wire.size() / kReadBytes + 1);
+    EXPECT_EQ(peer.end->syscalls().emptyRecvs, 0u);
+}
+
+TEST(TcpTransportReads, QuietAfterSentinelUntilNextSend)
+{
+    auto [server, client] = TcpTransport::makeLoopbackPair();
+    client->send(encodeSyncGrant(7));
+    ASSERT_TRUE(server->waitReadable(1000));
+    Packet p;
+    ASSERT_TRUE(server->recv(p));
+    EXPECT_EQ(p.type, PacketType::SyncGrant);
+    const uint64_t reads = server->syscalls().recvs;
+
+    // The grant ended the peer's period, so recv() does not read —
+    // even when a misbehaving peer talks past its sentinel.
+    client->send(encodeDepthResp(3.0));
+    for (int i = 0; i < 3; ++i)
+        EXPECT_FALSE(server->recv(p));
+    EXPECT_EQ(server->syscalls().recvs, reads);
+
+    // Our own send opens the next exchange and reading resumes.
+    server->send(encodeSyncDone(7));
+    int spins = 0;
+    while (!server->recv(p) && spins++ < 10000) {}
+    EXPECT_EQ(p.type, PacketType::DepthResp);
+    EXPECT_GT(server->syscalls().recvs, reads);
+
+    // So does a wait that sees bytes arrive while quiet.
+    client->send(encodeSyncGrant(8));
+    spins = 0;
+    while (!server->recv(p) && spins++ < 10000) {}
+    EXPECT_EQ(p.type, PacketType::SyncGrant);
+    client->send(encodeDepthResp(4.0));
+    EXPECT_FALSE(server->recv(p));
+    ASSERT_TRUE(server->waitReadable(1000));
+    ASSERT_TRUE(server->recv(p));
+    EXPECT_DOUBLE_EQ(decodeDepthResp(p), 4.0);
+}
+
+TEST(TcpTransportReads, PeerCloseAfterSentinelSurfacesOnNextSend)
+{
+    auto [server, client] = TcpTransport::makeLoopbackPair();
+    client->send(encodeSyncDone(5));
+    client.reset(); // orderly close right after the sentinel
+    ASSERT_TRUE(server->waitReadable(1000));
+    Packet p;
+    ASSERT_TRUE(server->recv(p));
+    EXPECT_EQ(p.type, PacketType::SyncDone);
+
+    // Quiet: the close is not read until we speak again...
+    EXPECT_FALSE(server->recv(p));
+    EXPECT_EQ(server->state(), TransportState::Open);
+
+    // ...and then it is. The send itself may already see the close.
+    try {
+        server->send(encodeSyncGrant(5));
+    } catch (const TransportError &) {
+    }
+    int spins = 0;
+    while (server->state() == TransportState::Open && spins++ < 10000)
+        EXPECT_FALSE(server->recv(p));
+    EXPECT_EQ(server->state(), TransportState::Closed);
 }
 
 TEST(InProcTransport, PeerDestructionSurfacesClosedState)

@@ -125,6 +125,30 @@ TEST(Cosim, TcpTransportMatchesInProcess)
                      rb.trajectory.back().position.y);
 }
 
+TEST(Cosim, TcpPeriodReadsOncePerEndpoint)
+{
+    // Fault-free lockstep over TCP: each endpoint reads its socket once
+    // per period, and only the configure handshake ever reads an empty
+    // socket (the bridge's second read after CfgStepSize).
+    MissionSpec s = tunnelSpec();
+    s.syncGranularity = kMegaCycles;
+    s.maxSimSeconds = 2.0;
+    CosimConfig cfg = s.toConfig();
+    cfg.transport = TransportKind::Tcp;
+    CoSimulation sim(cfg);
+    sim.run();
+
+    const bridge::TcpSyscalls sc = sim.tcpSyscalls();
+    ASSERT_GT(sim.periods(), 1000u);
+    EXPECT_LE(sc.recvs, 2 * sim.periods() + 2);
+    EXPECT_LE(sc.emptyRecvs, 1u);
+    EXPECT_GE(sc.sends, 2 * sim.periods());
+
+    std::ostringstream os;
+    sim.printSummary(os);
+    EXPECT_NE(os.str().find("tcp.recvCallsPerPeriod"), std::string::npos);
+}
+
 TEST(Cosim, CoarseGranularityInflatesLatency)
 {
     // Figure 16(c): artificial latency grows with sync granularity.
@@ -317,4 +341,6 @@ TEST(Cosim, SummaryReportContainsKeyStats)
           "soc.energyJoules", "app.inferences"}) {
         EXPECT_NE(out.find(key), std::string::npos) << key;
     }
+    // In-process runs make no syscalls, so they print no TCP counts.
+    EXPECT_EQ(out.find("tcp."), std::string::npos);
 }
