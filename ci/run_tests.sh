@@ -151,11 +151,13 @@ fi
 
 # Perf smoke (default preset only): re-measure one mission frame —
 # render, image codec and pose, end to end and per stage — and fail on
-# a >2x latency regression against the recorded baseline.
+# a >2x latency regression against the recorded baseline. The report
+# goes under build/, so a CI run leaves the tracked BENCH_hotpath.json
+# (a deliberate refresh) alone.
 # Refresh the baseline with:
 #   build/bench/bench_microbench --hotpath --write-baseline=ci/perf_baseline.txt
 echo "==== [default] perf-smoke (hot-path regression gate) ===="
-build/bench/bench_microbench --hotpath=BENCH_hotpath.json \
+build/bench/bench_microbench --hotpath=build/BENCH_hotpath.json \
     --baseline=ci/perf_baseline.txt
 
 echo "==== all presets passed ===="

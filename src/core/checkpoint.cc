@@ -13,14 +13,17 @@ namespace {
 
 constexpr char kMagic[8] = {'R', 'O', 'S', 'E', 'C', 'K', 'P', 'T'};
 
-} // namespace
-
+/** The file's FNV-1a: the header up to the hash field (magic, version,
+ *  period, simTime, fingerprint), then everything after it (blob
+ *  length and blob). */
 uint64_t
-stateHashOf(const std::vector<uint8_t> &bytes)
+fileHash(const uint8_t *head, size_t head_n, const uint8_t *tail,
+         size_t tail_n)
 {
-    return fnv1a(std::string_view(
-        reinterpret_cast<const char *>(bytes.data()), bytes.size()));
+    return fnv1a(tail, tail_n, fnv1a(head, head_n));
 }
+
+} // namespace
 
 uint64_t
 configFingerprint(const CosimConfig &cfg)
@@ -66,7 +69,7 @@ configFingerprint(const CosimConfig &cfg)
     w.boolean(cfg.background.enabled);
     w.u64(cfg.samplePeriods);
 
-    return stateHashOf(w.data());
+    return fnv1a(w.data().data(), w.size());
 }
 
 const Checkpoint &
@@ -85,17 +88,65 @@ CheckpointRing::oldest() const
     return ring_.front();
 }
 
+std::vector<uint8_t>
+materializeV1State(const Checkpoint &ck)
+{
+    if (ck.trajectory.empty())
+        return ck.state;
+
+    size_t total = 0;
+    for (const TrajectoryChunk &c : ck.trajectory)
+        total += c->size();
+
+    // Copy the sections through, appending the samples to the Cosim
+    // section, whose last field is their count.
+    StateWriter w;
+    w.reserve(ck.state.size() + total * sizeof(TrajectorySample));
+    StateReader r(ck.state);
+    bool spliced = false;
+    while (r.remaining() > 0) {
+        const size_t at = r.pos();
+        const auto tag = CkptSection(r.u8());
+        const uint32_t len = r.u32();
+        r.skip(len);
+        w.bytes(ck.state.data() + at, 5 + size_t(len));
+        if (tag != CkptSection::Cosim || spliced)
+            continue;
+        if (len < 4)
+            throw CheckpointError("Cosim section has no sample count");
+        StateReader count(ck.state.data() + at + 5 + len - 4, 4);
+        if (count.u32() != total)
+            throw CheckpointError(
+                "trajectory chunks hold " + std::to_string(total) +
+                " samples; the Cosim section records a different count");
+        for (const TrajectoryChunk &c : ck.trajectory)
+            w.bytes(reinterpret_cast<const uint8_t *>(c->data()),
+                    c->size() * sizeof(TrajectorySample));
+        w.patchU32(at + 1,
+                   uint32_t(len + total * sizeof(TrajectorySample)));
+        spliced = true;
+    }
+    if (!spliced)
+        throw CheckpointError("checkpoint state lacks its Cosim section");
+    return w.take();
+}
+
 void
 writeCheckpointFile(const std::string &path, const Checkpoint &ck)
 {
-    StateWriter w;
-    w.u32(ck.version);
-    w.u64(ck.period);
-    w.f64(ck.simTime);
-    w.u64(ck.configFingerprint);
-    w.u64(stateHashOf(ck.state));
-    w.u32(uint32_t(ck.state.size()));
-    w.bytes(ck.state.data(), ck.state.size());
+    StateWriter head;
+    head.bytes(reinterpret_cast<const uint8_t *>(kMagic), sizeof(kMagic));
+    head.u32(Checkpoint::kFileVersion);
+    head.u64(ck.period);
+    head.f64(ck.simTime);
+    head.u64(ck.configFingerprint);
+    const std::vector<uint8_t> state = materializeV1State(ck);
+    StateWriter tail;
+    tail.u32(uint32_t(state.size()));
+    tail.bytes(state.data(), state.size());
+    StateWriter hash;
+    hash.u64(fileHash(head.data().data(), head.size(), tail.data().data(),
+                      tail.size()));
 
     // Write-aside + rename: the file is replaced atomically, so a
     // crash mid-write can never tear the checkpoint — the previous
@@ -107,9 +158,9 @@ writeCheckpointFile(const std::string &path, const Checkpoint &ck)
         if (!f)
             throw CheckpointError(
                 "cannot open checkpoint file for write: " + tmp);
-        f.write(kMagic, sizeof(kMagic));
-        f.write(reinterpret_cast<const char *>(w.data().data()),
-                std::streamsize(w.size()));
+        for (const StateWriter *part : {&head, &hash, &tail})
+            f.write(reinterpret_cast<const char *>(part->data().data()),
+                    std::streamsize(part->size()));
         if (!f)
             throw CheckpointError("short write to checkpoint file: " +
                                   tmp);
@@ -127,29 +178,28 @@ readCheckpointFile(const std::string &path)
     std::ifstream f(path, std::ios::binary);
     if (!f)
         throw CheckpointError("cannot open checkpoint file: " + path);
-
-    char magic[sizeof(kMagic)];
-    f.read(magic, sizeof(magic));
-    if (!f || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
-        throw CheckpointError("bad checkpoint magic in " + path);
-
-    std::vector<uint8_t> rest(
+    const std::vector<uint8_t> file(
         (std::istreambuf_iterator<char>(f)),
         std::istreambuf_iterator<char>());
+    if (file.size() < sizeof(kMagic) ||
+        std::memcmp(file.data(), kMagic, sizeof(kMagic)) != 0)
+        throw CheckpointError("bad checkpoint magic in " + path);
+
     try {
-        StateReader r(rest);
-        Checkpoint ck;
-        ck.version = r.u32();
-        if (ck.version != Checkpoint::kVersion)
+        StateReader r(file);
+        r.skip(sizeof(kMagic));
+        const uint32_t version = r.u32();
+        if (version != Checkpoint::kFileVersion)
             throw CheckpointError(
-                "unsupported checkpoint version " +
-                std::to_string(ck.version) + " in " + path +
-                " (expected " + std::to_string(Checkpoint::kVersion) +
-                ")");
+                "unsupported checkpoint file version " +
+                std::to_string(version) + " in " + path + " (expected " +
+                std::to_string(Checkpoint::kFileVersion) + ")");
+        Checkpoint ck;
         ck.period = r.u64();
         ck.simTime = r.f64();
         ck.configFingerprint = r.u64();
-        const uint64_t state_hash = r.u64();
+        const size_t hash_at = r.pos();
+        const uint64_t file_hash = r.u64();
         uint32_t n = r.u32();
         // The length is untrusted: bound it by the bytes actually
         // present before allocating for it.
@@ -158,12 +208,11 @@ readCheckpointFile(const std::string &path)
                              " exceeds the " +
                              std::to_string(r.remaining()) +
                              " bytes present");
-        ck.state.resize(n);
-        if (n)
-            r.bytes(ck.state.data(), n);
-        if (stateHashOf(ck.state) != state_hash)
+        r.bytes(ck.state, n);
+        if (fileHash(file.data(), hash_at, file.data() + hash_at + 8,
+                     file.size() - hash_at - 8) != file_hash)
             throw CheckpointError(
-                "checkpoint state hash mismatch in " + path +
+                "checkpoint file hash mismatch in " + path +
                 " (file corrupt or truncated)");
         return ck;
     } catch (const SerdeError &e) {

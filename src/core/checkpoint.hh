@@ -16,10 +16,18 @@
  * absent in the target configuration — the supervisor uses this to
  * restore a faults-enabled snapshot into a faults-disabled retry.
  *
- * An in-memory Checkpoint is only the blob and its header fields: a
- * supervisor ring restores bytes it produced itself, so nothing hashes
- * them. The FNV-1a integrity hash belongs to the disk format — computed
- * when a snapshot is written, verified when it is read back.
+ * An in-memory Checkpoint holds the trajectory out of line: the live
+ * simulation keeps its samples in sealed immutable chunks plus one
+ * open tail, and checkpoint() seals the tail and hands the snapshot the
+ * chunk list, so no sample is copied at snapshot time. The blob's
+ * Cosim section then records only the sample count. The v1 blob, with
+ * the samples inline, is what materializeV1State() builds and what the
+ * disk format stores.
+ *
+ * A supervisor ring restores bytes it produced itself, so nothing
+ * hashes in-memory snapshots. The FNV-1a integrity hash belongs to the
+ * disk format — computed over the whole file when a snapshot is
+ * written, verified when it is read back.
  *
  * Restoring a checkpoint and resuming is bit-identical to an
  * uninterrupted run: the golden-trace tests resume the canonical
@@ -32,6 +40,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -41,6 +50,15 @@
 namespace rose::core {
 
 struct CosimConfig;
+struct TrajectorySample;
+
+/**
+ * A sealed run of trajectory samples. Immutable once sealed, it is
+ * shared by the live simulation and every snapshot taken after it, and
+ * outlives the CoSimulation that sealed it.
+ */
+using TrajectoryChunk =
+    std::shared_ptr<const std::vector<TrajectorySample>>;
 
 /** Thrown on checkpoint format/validation failures (bad magic, version
  *  mismatch, hash mismatch, config mismatch, empty ring). */
@@ -53,7 +71,7 @@ class CheckpointError : public std::runtime_error
 /** Tags of the sections inside a checkpoint's state blob. */
 enum class CkptSection : uint8_t
 {
-    Cosim = 1,       ///< period counter, metric accumulators, trajectory
+    Cosim = 1,       ///< period counter, metric accumulators, samples
     Env = 2,         ///< vehicle 6-DOF, sensors, collision, env RNG
     Sync = 3,        ///< synchronizer counters and period bookkeeping
     Soc = 4,         ///< cycle counters, pending action, halt flag
@@ -68,8 +86,13 @@ enum class CkptSection : uint8_t
 /** One snapshot of a CoSimulation. */
 struct Checkpoint
 {
-    /** Bump on any layout change; restores reject other versions. */
+    /** Version of the state blob's section layout. Bump on any layout
+     *  change; restores reject other versions. */
     static constexpr uint32_t kVersion = 1;
+    /** Version of the ROSECKPT file container around the v1 blob.
+     *  Version 1 left the header outside the integrity hash; readers
+     *  refuse it. */
+    static constexpr uint32_t kFileVersion = 2;
 
     uint32_t version = kVersion;
     /** Sync periods executed when the snapshot was taken. */
@@ -79,14 +102,23 @@ struct Checkpoint
     /** Fingerprint of the determinism-relevant config fields; restore
      *  refuses a checkpoint taken under a different mission. */
     uint64_t configFingerprint = 0;
-    /** Tagged-section state blob. An in-memory snapshot carries no
-     *  hash: writeCheckpointFile computes the FNV-1a integrity hash
-     *  when it persists the blob and readCheckpointFile verifies it. */
+    /** Tagged-section state blob. A snapshot from checkpoint() leaves
+     *  the samples out of its Cosim section, which ends with their
+     *  count; a blob read from disk carries them inline (v1). */
     std::vector<uint8_t> state;
+    /** The trajectory at capture, shared with the simulation that took
+     *  the snapshot. Empty when state carries the samples inline. */
+    std::vector<TrajectoryChunk> trajectory;
 };
 
-/** FNV-1a over a byte vector (the disk format's integrity hash). */
-uint64_t stateHashOf(const std::vector<uint8_t> &bytes);
+/**
+ * The v1 state blob of @p ck: its state with the samples of its chunks
+ * spliced back into the Cosim section, byte for byte what format v1
+ * defines. A snapshot without chunks comes back unchanged. Throws
+ * CheckpointError when the chunks' total disagrees with the section's
+ * count.
+ */
+std::vector<uint8_t> materializeV1State(const Checkpoint &ck);
 
 /**
  * Fingerprint of the config fields that determine mission evolution.
@@ -143,15 +175,18 @@ class CheckpointRing
 };
 
 /**
- * Persist a checkpoint to disk ("ROSECKPT" magic + header + FNV-1a of
- * the blob + blob). Throws CheckpointError on I/O failure.
+ * Persist a checkpoint to disk: "ROSECKPT" magic, file version, period,
+ * simTime, fingerprint, FNV-1a of the file, blob length, and the v1
+ * blob (materializeV1State). The hash covers every byte of the file
+ * but its own. Throws CheckpointError on I/O failure.
  */
 void writeCheckpointFile(const std::string &path, const Checkpoint &ck);
 
 /**
- * Load and validate a checkpoint file: magic, version, the blob length
- * against the bytes present, and the FNV-1a state hash must all check
- * out. Throws CheckpointError otherwise.
+ * Load and validate a checkpoint file: magic, file version, the blob
+ * length against the bytes present, and the FNV-1a file hash must all
+ * check out. Throws CheckpointError otherwise. The snapshot it returns
+ * carries its samples inline.
  */
 Checkpoint readCheckpointFile(const std::string &path);
 

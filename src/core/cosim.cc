@@ -110,7 +110,7 @@ CoSimulation::stepPeriod()
 
     if (cfg_.progressPeriods != 0 && cfg_.progressHook &&
         periods_ % cfg_.progressPeriods == 0)
-        cfg_.progressHook(env_->simTime(), trajectory_.size());
+        cfg_.progressHook(env_->simTime(), sampleCount());
 }
 
 void
@@ -130,7 +130,7 @@ CoSimulation::sample()
         s.cmdLateral = cmd.lateral;
         s.cmdYawRate = cmd.yawRate;
     }
-    trajectory_.push_back(s);
+    tail_.push_back(s);
 }
 
 void
@@ -231,7 +231,10 @@ CoSimulation::collectResult() const
     r.inferences = app_->inferenceCount();
     r.accelActivityFactor = soc_->stats().accelActivityFactor();
     r.socStats = soc_->stats();
-    r.trajectory = trajectory_;
+    r.trajectory.reserve(sampleCount());
+    for (const TrajectoryChunk &c : chunks_)
+        r.trajectory.insert(r.trajectory.end(), c->begin(), c->end());
+    r.trajectory.insert(r.trajectory.end(), tail_.begin(), tail_.end());
     r.inferenceLog = app_->records();
     r.degradedIntervals = app_->degradedIntervals();
     r.simulatedCycles = soc_->stats().totalCycles;
@@ -310,11 +313,13 @@ CoSimulation::checkpointable() const
 
 namespace {
 
-// The Cosim section stores the trajectory as its raw in-memory image.
-// Format v1 defines each sample as 11 little-endian 8-byte fields in
-// declaration order (time, position x/y/z, yaw, speed, lateralOffset,
-// u64 collisions, cmdForward, cmdLateral, cmdYawRate); with no padding
-// on a little-endian host the struct's bytes are exactly that.
+// Format v1 stores the samples inline at the end of the Cosim section
+// as their raw in-memory image (materializeV1State splices them there;
+// restore reads them back from a blob read from disk). It defines each
+// sample as 11 little-endian 8-byte fields in declaration order (time,
+// position x/y/z, yaw, speed, lateralOffset, u64 collisions,
+// cmdForward, cmdLateral, cmdYawRate); with no padding on a
+// little-endian host the struct's bytes are exactly that.
 static_assert(std::endian::native == std::endian::little,
               "checkpoint trajectory block assumes a little-endian host");
 static_assert(sizeof(TrajectorySample) == 11 * 8,
@@ -338,13 +343,21 @@ putSection(StateWriter &w, CkptSection tag, Fill &&fill)
 } // namespace
 
 Checkpoint
-CoSimulation::checkpoint() const
+CoSimulation::checkpoint()
 {
     if (!checkpointable())
         throw CheckpointError(
             "transport does not support checkpointing (TCP sockets "
             "cannot be snapshotted; use the in-process transport or "
             "cold-restart recovery)");
+
+    if (!tail_.empty()) {
+        sealedSamples_ += tail_.size();
+        chunks_.push_back(
+            std::make_shared<const std::vector<TrajectorySample>>(
+                std::move(tail_)));
+        tail_.clear();
+    }
 
     StateWriter w;
     putSection(w, CkptSection::Cosim, [this](StateWriter &b) {
@@ -356,9 +369,7 @@ CoSimulation::checkpoint() const
         b.f64(prevPos_.y);
         b.f64(prevPos_.z);
         b.f64(distance_);
-        b.u32(uint32_t(trajectory_.size()));
-        b.bytes(reinterpret_cast<const uint8_t *>(trajectory_.data()),
-                trajectory_.size() * sizeof(TrajectorySample));
+        b.u32(uint32_t(sealedSamples_));
     });
     putSection(w, CkptSection::Env,
                [this](StateWriter &b) { env_->saveState(b); });
@@ -394,6 +405,7 @@ CoSimulation::checkpoint() const
     ck.simTime = env_->simTime();
     ck.configFingerprint = configFingerprint(cfg_);
     ck.state = w.take();
+    ck.trajectory = chunks_;
     return ck;
 }
 
@@ -431,15 +443,37 @@ CoSimulation::restore(const Checkpoint &ck)
             prevPos_.y = body.f64();
             prevPos_.z = body.f64();
             distance_ = body.f64();
-            // Bound the untrusted count by the section before sizing
-            // anything with it, then copy the samples back as one block.
-            uint32_t n = body.u32();
-            if (n > body.remaining() / sizeof(TrajectorySample))
-                throw SerdeError("checkpoint trajectory overruns its "
-                                 "section");
-            trajectory_.resize(n);
-            body.bytes(reinterpret_cast<uint8_t *>(trajectory_.data()),
-                       n * sizeof(TrajectorySample));
+            const uint32_t n = body.u32();
+            if (ck.trajectory.empty()) {
+                // Samples inline (v1). Bound the untrusted count by the
+                // section before sizing anything with it, then copy the
+                // samples back as one block into one chunk.
+                if (n > body.remaining() / sizeof(TrajectorySample))
+                    throw SerdeError("checkpoint trajectory overruns its "
+                                     "section");
+                auto inlined =
+                    std::make_shared<std::vector<TrajectorySample>>(n);
+                body.bytes(reinterpret_cast<uint8_t *>(inlined->data()),
+                           n * sizeof(TrajectorySample));
+                chunks_.clear();
+                if (n)
+                    chunks_.push_back(std::move(inlined));
+            } else {
+                size_t total = 0;
+                for (const TrajectoryChunk &c : ck.trajectory)
+                    total += c->size();
+                if (total != n)
+                    throw CheckpointError(
+                        "trajectory chunks hold " +
+                        std::to_string(total) + " samples; the Cosim "
+                        "section records " + std::to_string(n));
+                chunks_ = ck.trajectory;
+            }
+            if (body.remaining() != 0)
+                throw CheckpointError(
+                    "Cosim section holds bytes past its samples");
+            sealedSamples_ = n;
+            tail_.clear();
             break;
           }
           case CkptSection::Env:

@@ -215,17 +215,22 @@ class CoSimulation
     bool checkpointable() const;
 
     /**
-     * Snapshot the full co-simulation state. Throws CheckpointError
+     * Snapshot the full co-simulation state. Seals the trajectory's
+     * open tail into an immutable chunk and shares the chunk list with
+     * the snapshot, so no sample is copied. Throws CheckpointError
      * when the transport cannot be checkpointed (TCP).
      */
-    Checkpoint checkpoint() const;
+    Checkpoint checkpoint();
 
     /**
      * Restore a snapshot previously taken from an identically
      * configured co-simulation (configFingerprint must match; fault /
      * transport / time-limit knobs may differ). Resuming afterwards is
-     * bit-identical to never having stopped. Throws CheckpointError on
-     * version/config mismatch and SerdeError on corrupt state.
+     * bit-identical to never having stopped. The trajectory comes
+     * from the snapshot's chunks, or from samples inline in its blob
+     * (a snapshot read from disk). Throws CheckpointError on
+     * version/config mismatch or a sample count that disagrees with
+     * the chunks, and SerdeError on corrupt state.
      */
     void restore(const Checkpoint &ck);
 
@@ -261,6 +266,7 @@ class CoSimulation
 
   private:
     void sample();
+    size_t sampleCount() const { return sealedSamples_ + tail_.size(); }
 
     CosimConfig cfg_;
     std::unique_ptr<env::EnvSim> env_;
@@ -278,7 +284,11 @@ class CoSimulation
     std::unique_ptr<sync::Synchronizer> sync_;
 
     uint64_t periods_ = 0;
-    std::vector<TrajectorySample> trajectory_;
+    // The trajectory: chunks sealed by checkpoint() (shared with the
+    // snapshots that hold them), then the samples since the last one.
+    std::vector<TrajectoryChunk> chunks_;
+    size_t sealedSamples_ = 0;
+    std::vector<TrajectorySample> tail_;
 
     // Mission-metric accumulators, updated per period so they survive
     // checkpoint/restore (they live in the Cosim checkpoint section).

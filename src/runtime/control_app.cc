@@ -1,5 +1,8 @@
 #include "control_app.hh"
 
+#include <bit>
+#include <limits>
+
 #include "util/logging.hh"
 #include "util/serde.hh"
 
@@ -289,6 +292,14 @@ loadOutput(StateReader &r)
     return o;
 }
 
+// The App section stores the cached image as its raw in-memory image:
+// format v1 writes each pixel as a little-endian IEEE-754 f32, which on
+// a little-endian host is exactly the vector's bytes.
+static_assert(std::endian::native == std::endian::little,
+              "checkpoint image block assumes a little-endian host");
+static_assert(sizeof(float) == 4 && std::numeric_limits<float>::is_iec559,
+              "image pixels must be IEEE-754 binary32");
+
 } // namespace
 
 void
@@ -302,8 +313,8 @@ ControlApp::saveState(StateWriter &w) const
     if (haveImage_) {
         w.u32(uint32_t(image_.width));
         w.u32(uint32_t(image_.height));
-        for (float v : image_.pixels)
-            w.f32(v);
+        w.bytes(reinterpret_cast<const uint8_t *>(image_.pixels.data()),
+                image_.pixels.size() * sizeof(float));
     }
     w.f64(depth_);
     w.boolean(sawDepth_);
@@ -338,11 +349,18 @@ ControlApp::restoreState(StateReader &r)
         queue_.push_back(loadAction(r));
     haveImage_ = r.boolean();
     if (haveImage_) {
-        image_.width = int(r.u32());
-        image_.height = int(r.u32());
-        image_.pixels.resize(size_t(image_.width) * image_.height);
-        for (float &v : image_.pixels)
-            v = r.f32();
+        const uint32_t width = r.u32();
+        const uint32_t height = r.u32();
+        // Bound the untrusted size by the bytes present before sizing
+        // anything with it, then copy the pixels back as one block.
+        const size_t n = size_t(width) * height;
+        if (n > r.remaining() / sizeof(float))
+            throw SerdeError("checkpoint image overruns its section");
+        image_.width = int(width);
+        image_.height = int(height);
+        image_.pixels.resize(n);
+        r.bytes(reinterpret_cast<uint8_t *>(image_.pixels.data()),
+                n * sizeof(float));
     }
     depth_ = r.f64();
     sawDepth_ = r.boolean();

@@ -336,12 +336,11 @@ MissionServer::workerLoop(size_t)
             }
             if (cfg_.supervise) {
                 core::SupervisorConfig sc = cfg_.supervisor;
-                // Each checkpoint copies the whole trajectory so far
-                // (one block copy, 88 bytes per sample, hashed only
-                // when the job's journal persists it), so a fixed
-                // snapshot cadence is quadratic in mission length; cap
-                // the checkpoint count instead so the snapshot
-                // overhead stays a bounded fraction of any mission.
+                // Each checkpoint shares the trajectory's sealed chunks
+                // but serializes the rest of the state afresh, so a
+                // fixed cadence costs one such serialization per
+                // cadence periods; cap the checkpoint count so a
+                // fine-grained mission pays for a bounded number.
                 if (cfg_.supervisorCheckpointCap > 0 &&
                     sc.checkpointPeriods > 0) {
                     double soc_hz = ccfg.sync.clocks.socClockHz;

@@ -106,10 +106,12 @@ struct ServerConfig
     /**
      * Upper bound on checkpoints taken over one supervised mission:
      * the effective snapshot cadence is raised to at least
-     * expectedPeriods / cap, so a long mission spends a bounded
-     * fraction of its wall time snapshotting its (growing)
-     * trajectory instead of going quadratic at a fixed cadence.
-     * 0 keeps supervisor.checkpointPeriods untouched.
+     * expectedPeriods / cap. A snapshot shares the trajectory's sealed
+     * chunks rather than copying samples, but it still serializes the
+     * rest of the state (about 14 KB, mostly the App section's cached
+     * image), so the cap bounds how many of those serializations a
+     * fine-grained mission pays for. 0 keeps
+     * supervisor.checkpointPeriods untouched.
      */
     uint32_t supervisorCheckpointCap = 64;
     /** IO-loop poll granularity [ms] (also shutdown latency bound). */

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -172,6 +173,22 @@ constexpr Golden kGolden[] = {
     {"C", 0x0e337585f9a29f6aULL, 1000, 27},
 };
 
+/** The snapshot as format v1 holds it: samples inline, no chunks. */
+Checkpoint
+asV1(const Checkpoint &ck)
+{
+    Checkpoint v1 = ck;
+    v1.state = materializeV1State(ck);
+    v1.trajectory.clear();
+    return v1;
+}
+
+uint64_t
+trajectoryHash(const MissionResult &r)
+{
+    return fnv1a(core::trajectoryCsvString(r));
+}
+
 } // namespace
 
 TEST(Checkpoint, CaptureIsSideEffectFree)
@@ -186,7 +203,7 @@ TEST(Checkpoint, CaptureIsSideEffectFree)
 
     Checkpoint a = sim.checkpoint();
     Checkpoint b = sim.checkpoint();
-    EXPECT_EQ(a.state, b.state);
+    EXPECT_EQ(materializeV1State(a), materializeV1State(b));
     EXPECT_EQ(a.period, 25u);
 
     // And the run that was captured continues exactly like a twin that
@@ -195,15 +212,17 @@ TEST(Checkpoint, CaptureIsSideEffectFree)
     for (int i = 0; i < 26; ++i)
         twin.stepPeriod();
     sim.stepPeriod();
-    EXPECT_EQ(sim.checkpoint().state, twin.checkpoint().state);
+    EXPECT_EQ(materializeV1State(sim.checkpoint()),
+              materializeV1State(twin.checkpoint()));
 }
 
 namespace {
 
-// FNV-1a of checkpoint().state for golden A after kPinnedPeriods sync
-// periods (250 trajectory samples). The blob is format v1 as the
-// per-field serializer wrote it; a faster encoding must reproduce it
-// byte for byte, or checkpoints on disk stop restoring.
+// FNV-1a of the v1 blob (materializeV1State of checkpoint()) for
+// golden A after kPinnedPeriods sync periods (250 trajectory samples).
+// The blob is format v1 as the per-field serializer wrote it; a faster
+// encoding must reproduce it byte for byte, or checkpoints on disk stop
+// restoring.
 //
 // The pin holds for glibc's default libm variant only (the one it
 // picks on an AVX2/FMA host). The blob stores full doubles whose last
@@ -225,33 +244,32 @@ TEST(Checkpoint, StateBytesArePinned)
     CoSimulation sim(canonicalSpec("A").toConfig());
     for (uint64_t i = 0; i < kPinnedPeriods; ++i)
         sim.stepPeriod();
-    Checkpoint ck = sim.checkpoint();
+    const std::vector<uint8_t> v1 = materializeV1State(sim.checkpoint());
     char actual[32];
     std::snprintf(actual, sizeof(actual), "0x%016llx",
-                  (unsigned long long)fnv1a(ck.state.data(),
-                                            ck.state.size()));
-    EXPECT_EQ(fnv1a(ck.state.data(), ck.state.size()), kPinnedStateHash)
+                  (unsigned long long)fnv1a(v1.data(), v1.size()));
+    EXPECT_EQ(fnv1a(v1.data(), v1.size()), kPinnedStateHash)
         << "checkpoint bytes changed (actual " << actual << ", "
-        << ck.state.size() << " bytes)";
+        << v1.size() << " bytes)";
 }
 
 TEST(Checkpoint, CosimSectionDecodesFieldByField)
 {
     // The Cosim section is the leading one: u64 period counter, the
-    // metric accumulators, then u32 sample count and 11 little-endian
-    // fields per sample in declaration order.
+    // metric accumulators, then u32 sample count and (in v1) 11
+    // little-endian fields per sample in declaration order.
     CoSimulation sim(canonicalSpec("A").toConfig());
     for (int i = 0; i < 120; ++i)
         sim.stepPeriod();
-    Checkpoint ck = sim.checkpoint();
+    const std::vector<uint8_t> v1 = materializeV1State(sim.checkpoint());
     MissionResult live = sim.collectResult();
     ASSERT_FALSE(live.trajectory.empty());
 
-    StateReader r(ck.state);
+    StateReader r(v1);
     ASSERT_EQ(CkptSection(r.u8()), CkptSection::Cosim);
     uint32_t len = r.u32();
     ASSERT_LE(len, r.remaining());
-    StateReader body(ck.state.data() + r.pos(), len);
+    StateReader body(v1.data() + r.pos(), len);
     EXPECT_EQ(body.u64(), sim.periods());
     double speed_sum = body.f64();
     EXPECT_EQ(body.f64(), live.maxSpeed);
@@ -290,7 +308,7 @@ TEST(Checkpoint, RestoreRoundTripsToIdenticalState)
     CoSimulation sim2(cfg);
     sim2.restore(ck);
     Checkpoint ck2 = sim2.checkpoint();
-    EXPECT_EQ(ck.state, ck2.state);
+    EXPECT_EQ(materializeV1State(ck), materializeV1State(ck2));
     EXPECT_EQ(ck2.period, 50u);
     EXPECT_DOUBLE_EQ(ck2.simTime, ck.simTime);
 }
@@ -337,10 +355,10 @@ TEST(Checkpoint, RefusesForeignConfig)
     bad.version = 99;
     EXPECT_THROW(sim.restore(bad), CheckpointError);
 
-    // A trajectory count past the end of its section is refused before
-    // anything is sized by it (the u32 follows the tag, the section
-    // length, and 8 eight-byte Cosim fields).
-    Checkpoint inflated = ck;
+    // In a v1 blob, a trajectory count past the end of its section is
+    // refused before anything is sized by it (the u32 follows the tag,
+    // the section length, and 8 eight-byte Cosim fields).
+    Checkpoint inflated = asV1(ck);
     for (size_t i = 0; i < 4; ++i)
         inflated.state.at(1 + 4 + 8 * 8 + i) = 0xff;
     EXPECT_THROW(sim.restore(inflated), SerdeError);
@@ -418,7 +436,8 @@ TEST(CheckpointFile, RoundTripsAndValidates)
     EXPECT_EQ(back.version, ck.version);
     EXPECT_EQ(back.period, ck.period);
     EXPECT_EQ(back.configFingerprint, ck.configFingerprint);
-    EXPECT_EQ(back.state, ck.state);
+    EXPECT_EQ(back.state, materializeV1State(ck));
+    EXPECT_TRUE(back.trajectory.empty());
 
     // And it actually restores.
     CoSimulation sim2(cfg);
@@ -505,9 +524,10 @@ TEST(CheckpointFile, SeededDamageThrowsCheckpointError)
                     std::istreambuf_iterator<char>());
     }
     // Header: magic 8, version 4, period 8, simTime 8, fingerprint 8,
-    // state hash 8, state length 4 (44 bytes), then the state blob.
+    // file hash 8, state length 4 (44 bytes), then the state blob.
     constexpr size_t kHeader = 44;
     ASSERT_GT(good.size(), kHeader);
+    int unhashed_before = 0; // flips that v1 files let through
 
     for (uint64_t seed = 1; seed <= 400; ++seed) {
         SCOPED_TRACE("seed " + std::to_string(seed));
@@ -526,20 +546,13 @@ TEST(CheckpointFile, SeededDamageThrowsCheckpointError)
             std::ofstream out(path, std::ios::binary | std::ios::trunc);
             out.write(bad.data(), std::streamsize(bad.size()));
         }
-        if (!truncate && at >= 12 && at < 36) {
-            // period, simTime and the config fingerprint sit outside
-            // the state hash. The state still verifies; a damaged
-            // fingerprint is refused when the snapshot is restored.
-            Checkpoint back = readCheckpointFile(path);
-            EXPECT_EQ(back.state, ck.state);
-            if (at >= 28) {
-                CoSimulation fresh(cfg);
-                EXPECT_THROW(fresh.restore(back), CheckpointError);
-            }
-            continue;
-        }
+        // The hash covers the whole header, so a damaged period,
+        // simTime or fingerprint (bytes 12-36) is refused too.
+        if (!truncate && at >= 12 && at < 36)
+            ++unhashed_before;
         EXPECT_THROW(readCheckpointFile(path), CheckpointError);
     }
+    EXPECT_GT(unhashed_before, 0);
     std::remove(path.c_str());
 }
 
@@ -552,7 +565,7 @@ TEST(Checkpoint, TruncatedStateIsRefused)
     CoSimulation sim(cfg);
     for (int i = 0; i < 30; ++i)
         sim.stepPeriod();
-    const Checkpoint ck = sim.checkpoint();
+    const Checkpoint ck = asV1(sim.checkpoint());
 
     std::vector<size_t> cuts;
     for (size_t pos = 0; pos < ck.state.size();) {
@@ -582,7 +595,172 @@ TEST(Checkpoint, TruncatedStateIsRefused)
     }
     // And the whole blob still restores into the same instance.
     target.restore(ck);
-    EXPECT_EQ(target.checkpoint().state, ck.state);
+    EXPECT_EQ(materializeV1State(target.checkpoint()), ck.state);
+}
+
+// ------------------------------------------------- shared trajectory chunks
+
+TEST(Checkpoint, SnapshotSizeStaysFlatAsTrajectoryGrows)
+{
+    // A snapshot shares the trajectory's sealed chunks instead of
+    // copying samples, so its blob does not grow with the trajectory.
+    CoSimulation sim(canonicalSpec("A").toConfig());
+    for (int i = 0; i < 100; ++i)
+        sim.stepPeriod();
+    const size_t early_samples = sim.collectResult().trajectory.size();
+    const size_t early_bytes = sim.checkpoint().state.size();
+    for (int i = 100; i < 1000; ++i)
+        sim.stepPeriod();
+    const size_t late_samples = sim.collectResult().trajectory.size();
+    const Checkpoint late = sim.checkpoint();
+    ASSERT_GE(late_samples, 10 * early_samples);
+
+    // Only the App section's inference log grows; copying the new
+    // samples would add 88 bytes each.
+    const size_t grown = late.state.size() - early_bytes;
+    EXPECT_LT(grown, (late_samples - early_samples) *
+                         sizeof(TrajectorySample) / 10)
+        << early_bytes << " -> " << late.state.size() << " bytes";
+    EXPECT_EQ(materializeV1State(late).size(),
+              late.state.size() + late_samples * sizeof(TrajectorySample));
+}
+
+TEST(Checkpoint, SnapshotOutlivesItsSimulation)
+{
+    // The chunks a snapshot holds stay valid after the simulation that
+    // sealed them is gone (the supervisor's rebuild-then-restore path).
+    CosimConfig cfg = canonicalSpec("A").toConfig();
+    Checkpoint ck;
+    {
+        auto first = std::make_unique<CoSimulation>(cfg);
+        while (first->environment().simTime() < 3.0)
+            first->stepPeriod();
+        first->checkpoint();
+        while (first->environment().simTime() < 5.0)
+            first->stepPeriod();
+        ck = first->checkpoint();
+        ASSERT_EQ(ck.trajectory.size(), 2u);
+    }
+    CoSimulation resumed(cfg);
+    resumed.restore(ck);
+    MissionResult r = resumed.run();
+    EXPECT_EQ(r.trajectory.size(), kGolden[0].trajectorySamples);
+    EXPECT_EQ(trajectoryHash(r), kGolden[0].trajectoryHash);
+}
+
+TEST(Checkpoint, OldestRingEntryRestoresAfterLaterSnapshots)
+{
+    // Later snapshots seal more chunks in the same simulation; rewinding
+    // to the oldest one must drop them and resume onto the golden hash.
+    CosimConfig cfg = canonicalSpec("A").toConfig();
+    CoSimulation sim(cfg);
+    CheckpointRing ring(3);
+    for (double t : {2.0, 4.0, 6.0}) {
+        while (sim.environment().simTime() < t)
+            sim.stepPeriod();
+        ring.push(sim.checkpoint());
+    }
+    while (sim.environment().simTime() < 7.0)
+        sim.stepPeriod();
+    const uint64_t oldest_period = ring.oldest().period;
+
+    sim.restore(ring.oldest());
+    EXPECT_EQ(sim.periods(), oldest_period);
+    MissionResult r = sim.run();
+    EXPECT_EQ(r.trajectory.size(), kGolden[0].trajectorySamples);
+    EXPECT_EQ(trajectoryHash(r), kGolden[0].trajectoryHash);
+}
+
+TEST(Checkpoint, ChunkTotalMustMatchSectionCount)
+{
+    CosimConfig cfg = canonicalSpec("A").toConfig();
+    CoSimulation sim(cfg);
+    for (int i = 0; i < 40; ++i)
+        sim.stepPeriod();
+    sim.checkpoint();
+    for (int i = 0; i < 40; ++i)
+        sim.stepPeriod();
+    const Checkpoint ck = sim.checkpoint();
+    ASSERT_EQ(ck.trajectory.size(), 2u);
+
+    CoSimulation target(cfg);
+    Checkpoint short_by_a_chunk = ck;
+    short_by_a_chunk.trajectory.pop_back();
+    EXPECT_THROW(target.restore(short_by_a_chunk), CheckpointError);
+    EXPECT_THROW(materializeV1State(short_by_a_chunk), CheckpointError);
+
+    // The count is the Cosim section's last field (after the tag, the
+    // section length and 8 eight-byte fields).
+    Checkpoint recounted = ck;
+    recounted.state.at(1 + 4 + 8 * 8) ^= 1;
+    EXPECT_THROW(target.restore(recounted), CheckpointError);
+
+    // Samples both inline and in chunks are refused as well.
+    Checkpoint doubled = asV1(ck);
+    doubled.trajectory = ck.trajectory;
+    EXPECT_THROW(target.restore(doubled), CheckpointError);
+
+    target.restore(ck);
+    EXPECT_EQ(target.periods(), 80u);
+}
+
+TEST(CheckpointFile, InMemorySnapshotRoundTripsThroughDisk)
+{
+    // A chunked snapshot written to disk reads back with its samples
+    // inline and resumes onto the golden hash.
+    CosimConfig cfg = canonicalSpec("A").toConfig();
+    CoSimulation sim(cfg);
+    while (sim.environment().simTime() < 2.5)
+        sim.stepPeriod();
+    sim.checkpoint();
+    while (sim.environment().simTime() < 5.0)
+        sim.stepPeriod();
+    const Checkpoint ck = sim.checkpoint();
+
+    std::string path = ::testing::TempDir() + "rose_ckpt_chunked.bin";
+    writeCheckpointFile(path, ck);
+    CoSimulation resumed(cfg);
+    resumed.restore(readCheckpointFile(path));
+    std::remove(path.c_str());
+    MissionResult r = resumed.run();
+    EXPECT_EQ(trajectoryHash(r), kGolden[0].trajectoryHash);
+    EXPECT_EQ(trajectoryHash(r), trajectoryHash(sim.run()));
+}
+
+TEST(CheckpointFile, RefusesVersion1Files)
+{
+    // A v1 file left period, simTime and the fingerprint outside its
+    // hash. Readers refuse it and name the version.
+    CoSimulation sim(canonicalSpec("A").toConfig());
+    for (int i = 0; i < 10; ++i)
+        sim.stepPeriod();
+    const Checkpoint ck = sim.checkpoint();
+    const std::vector<uint8_t> blob = materializeV1State(ck);
+    StateWriter w;
+    w.bytes(reinterpret_cast<const uint8_t *>("ROSECKPT"), 8);
+    w.u32(1);
+    w.u64(ck.period);
+    w.f64(ck.simTime);
+    w.u64(ck.configFingerprint);
+    w.u64(fnv1a(blob.data(), blob.size()));
+    w.u32(uint32_t(blob.size()));
+    w.bytes(blob.data(), blob.size());
+
+    std::string path = ::testing::TempDir() + "rose_ckpt_v1.bin";
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char *>(w.data().data()),
+                  std::streamsize(w.size()));
+    }
+    try {
+        readCheckpointFile(path);
+        ADD_FAILURE() << "a v1 checkpoint file was accepted";
+    } catch (const CheckpointError &e) {
+        EXPECT_NE(std::string(e.what()).find("version 1"),
+                  std::string::npos)
+            << e.what();
+    }
+    std::remove(path.c_str());
 }
 
 // ------------------------------------------------------ divergence guard
