@@ -27,10 +27,12 @@
  * trajectories fetched as binary records through the chunked
  * ResultChunk/ResultEnd protocol across chunk size {64 KiB, 256 KiB,
  * 1 MiB} x clients {1, 4}, after one discarded warm-up cell.
- * Reported per cell: p50 fetch latency, p50
- * MB/s per client (of the canonical CSV the fetch delivers, rendered
- * outside the timed window), and the record payload actually moved
- * (wire_bytes).
+ * Reported per cell: p50 fetch latency next to the p50 server-side
+ * service time of the same missions (run plus result encoding, which
+ * overlaps the run), p50 MB/s per client (of the canonical CSV the
+ * fetch delivers, rendered outside the timed window), and the record
+ * payload actually moved (wire_bytes). Every cell is one run, so
+ * neighbouring cells differ by host noise as well.
  *
  * A third sweep quantifies the write-ahead job journal's overhead:
  * the same submit->waitResult loop run with journaling off, on
@@ -205,6 +207,7 @@ struct StreamCell
     uint64_t wireBytes = 0;  ///< record payload actually sent
     uint64_t chunks = 0;
     double fetchP50Ms = 0.0;
+    double serviceP50Ms = 0.0; ///< server-side run + encode
     double mbPerSecP50 = 0.0;
 };
 
@@ -224,6 +227,7 @@ runStreamCell(size_t chunk_bytes, int clients)
     struct FetchTally
     {
         double ms = 0.0;
+        double serviceMs = 0.0;
         size_t bytes = 0;
     };
     std::vector<FetchTally> tallies =
@@ -249,6 +253,7 @@ runStreamCell(size_t chunk_bytes, int clients)
                 t.ms = std::chrono::duration<double, std::milli>(
                            Clock::now() - f0)
                            .count();
+                t.serviceMs = r.serviceMs;
                 // MB/s counts the canonical CSV the fetch logically
                 // delivers, rendered here outside the timed window,
                 // so cells stay comparable with earlier CSV-payload
@@ -264,15 +269,17 @@ runStreamCell(size_t chunk_bytes, int clients)
     cell.clients = clients;
     cell.wireBytes = stats.streamedPayloadBytes;
     cell.chunks = stats.streamedChunks;
-    std::vector<double> ms, mbps;
+    std::vector<double> ms, service, mbps;
     for (const FetchTally &t : tallies) {
         ms.push_back(t.ms);
+        service.push_back(t.serviceMs);
         mbps.push_back(t.ms > 0.0
                            ? double(t.bytes) / 1e6 / (t.ms / 1e3)
                            : 0.0);
     }
     cell.payloadBytes = tallies.empty() ? 0 : tallies[0].bytes;
     cell.fetchP50Ms = percentiles(ms).p50;
+    cell.serviceP50Ms = percentiles(service).p50;
     cell.mbPerSecP50 = percentiles(mbps).p50;
     return cell;
 }
@@ -392,10 +399,11 @@ main()
     }
 
     std::printf("\nresult streaming (chunk size x clients; ~4 MB "
-                "CSV-equivalent trajectory per fetch)\n\n");
-    std::printf("%-10s %-8s %-11s %-11s %-8s %-12s %-12s\n", "chunk",
-                "clients", "payload[B]", "wire[B]", "chunks",
-                "fetch p50[ms]", "MB/s p50");
+                "CSV-equivalent trajectory per fetch; one run per "
+                "cell)\n\n");
+    std::printf("%-10s %-8s %-11s %-11s %-8s %-14s %-16s %-12s\n",
+                "chunk", "clients", "payload[B]", "wire[B]", "chunks",
+                "fetch p50[ms]", "service p50[ms]", "MB/s p50");
     // One discarded cell first: a process's first multi-megabyte
     // fetches pay glibc's mmap-threshold warm-up (fresh pages for every
     // large buffer until a free raises the threshold), which would
@@ -406,12 +414,12 @@ main()
                          size_t(1024) * 1024}) {
         for (int clients : {1, 4}) {
             StreamCell c = runStreamCell(chunk, clients);
-            std::printf("%-10zu %-8d %-11zu %-11llu %-8llu %-12.2f "
-                        "%-12.2f\n",
+            std::printf("%-10zu %-8d %-11zu %-11llu %-8llu %-14.2f "
+                        "%-16.2f %-12.2f\n",
                         c.chunkBytes, c.clients, c.payloadBytes,
                         static_cast<unsigned long long>(c.wireBytes),
                         static_cast<unsigned long long>(c.chunks),
-                        c.fetchP50Ms, c.mbPerSecP50);
+                        c.fetchP50Ms, c.serviceP50Ms, c.mbPerSecP50);
             streamCells.push_back(c);
         }
     }
@@ -436,6 +444,7 @@ main()
     js << "{\n  \"workers\": " << kWorkers
        << ",\n  \"missions_per_client\": " << kMissionsPerClient
        << ",\n  \"sim_seconds\": " << kSimSeconds
+       << ",\n  \"runs_per_cell\": 1"
        << ",\n  \"sweep\": [";
     for (size_t i = 0; i < cells.size(); ++i) {
         const Cell &c = cells[i];
@@ -459,6 +468,7 @@ main()
            << ", \"wire_bytes\": " << c.wireBytes
            << ", \"chunks\": " << c.chunks
            << ", \"fetch_p50_ms\": " << c.fetchP50Ms
+           << ", \"service_p50_ms\": " << c.serviceP50Ms
            << ", \"mb_per_sec_p50\": " << c.mbPerSecP50 << "}";
     }
     js << "\n  ],\n  \"journal\": [";

@@ -48,6 +48,8 @@ MissionSupervisor::maybeCheckpoint()
     ++stats_.checkpointsTaken;
     if (!sup_.checkpointPath.empty())
         writeCheckpointFile(sup_.checkpointPath, ring_.latest());
+    if (sup_.snapshotObserver)
+        sup_.snapshotObserver(ring_.latest().trajectory);
 }
 
 bool

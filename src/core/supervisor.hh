@@ -32,6 +32,7 @@
 #ifndef ROSE_CORE_SUPERVISOR_HH
 #define ROSE_CORE_SUPERVISOR_HH
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -82,6 +83,15 @@ struct SupervisorConfig
      * to a normal cold start; resume never fails a mission.
      */
     std::string resumeFromPath;
+    /**
+     * When set, called on the supervising thread after each snapshot
+     * with the snapshot's sealed trajectory chunks, the trajectory so
+     * far in capture order. rosed hands them to its encoder thread.
+     * A later restore can abandon chunks passed here; the chunks
+     * themselves stay immutable.
+     */
+    std::function<void(const std::vector<TrajectoryChunk> &)>
+        snapshotObserver;
 };
 
 /** One recovery-relevant event, for logs and tests. */

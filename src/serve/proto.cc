@@ -1,6 +1,8 @@
 #include "proto.hh"
 
+#include <algorithm>
 #include <bit>
+#include <cstring>
 #include <type_traits>
 
 #include "util/hash.hh"
@@ -154,9 +156,9 @@ readTerminalState(PayloadReader &r, const char *where)
 
 namespace {
 
-// A record is written as its in-memory image, one insert per sample:
-// on a little-endian host the unpadded struct's bytes are exactly the
-// per-field f32/u32 little-endian writes of the record layout.
+// A record is written and read as its in-memory image, one copy per
+// sample: on a little-endian host the unpadded struct's bytes are
+// exactly the per-field f32/u32 little-endian fields of the layout.
 struct TrajectoryRecord
 {
     float cells[7]; ///< t, x, y, z, yaw, speed, offset
@@ -171,35 +173,90 @@ static_assert(std::is_trivially_copyable_v<TrajectoryRecord>);
 
 } // namespace
 
+TrajectoryEncoder::TrajectoryEncoder()
+    : csvHash_(fnv1a(core::trajectoryCsvHeader())),
+      payloadHash_(kFnv1aOffsetBasis)
+{
+}
+
+void
+TrajectoryEncoder::reserve(size_t samples)
+{
+    records_.reserve(samples * kTrajectoryBinaryRecordBytes);
+}
+
+void
+TrajectoryEncoder::append(const core::TrajectorySample *s, size_t n)
+{
+    size_t at = records_.size();
+    records_.resize(at + n * kTrajectoryBinaryRecordBytes);
+    char row[core::kTrajectoryCsvRowMaxChars];
+    double printed[core::kTrajectoryCsvFloatCells] = {};
+    TrajectoryRecord rec{};
+    const auto *bytes = reinterpret_cast<const uint8_t *>(&rec);
+    uint64_t hc = csvHash_;
+    uint64_t hp = payloadHash_;
+    for (const core::TrajectorySample *end_s = s + n; s != end_s; ++s) {
+        if (s->collisions > UINT32_MAX)
+            throw ProtocolError(detail::concat(
+                "collision count ", s->collisions,
+                " exceeds the u32 binary-record field"));
+        // The row's cells and the values they print are one formatting
+        // pass; the record narrows the printed values (canonical f32).
+        const char *end = core::renderTrajectoryCsvRow(row, *s, printed);
+        const size_t len = size_t(end - row);
+        for (size_t i = 0; i < 7; ++i)
+            rec.cells[i] = float(printed[i]);
+        rec.collisions = uint32_t(s->collisions);
+        for (size_t i = 0; i < 3; ++i)
+            rec.commands[i] = float(printed[7 + i]);
+        std::memcpy(records_.data() + at, &rec, sizeof(rec));
+        at += sizeof(rec);
+        // The two chains are independent, so stepping them in one loop
+        // overlaps their multiply latencies.
+        const size_t both = std::min(len, sizeof(rec));
+        for (size_t i = 0; i < both; ++i) {
+            hc = (hc ^ uint8_t(row[i])) * kFnv1aPrime;
+            hp = (hp ^ bytes[i]) * kFnv1aPrime;
+        }
+        for (size_t i = both; i < len; ++i)
+            hc = (hc ^ uint8_t(row[i])) * kFnv1aPrime;
+        for (size_t i = both; i < sizeof(rec); ++i)
+            hp = (hp ^ bytes[i]) * kFnv1aPrime;
+    }
+    csvHash_ = hc;
+    payloadHash_ = hp;
+}
+
+void
+TrajectoryEncoder::rewind(const Mark &m)
+{
+    rose_assert(m.bytes <= records_.size() &&
+                    m.bytes % kTrajectoryBinaryRecordBytes == 0,
+                "rewind past the encoded records");
+    records_.resize(m.bytes);
+    csvHash_ = m.csvHash;
+    payloadHash_ = m.payloadHash;
+}
+
+std::vector<uint8_t>
+TrajectoryEncoder::takeRecords()
+{
+    std::vector<uint8_t> out = std::move(records_);
+    *this = TrajectoryEncoder();
+    return out;
+}
+
 std::vector<uint8_t>
 encodeTrajectoryBinary(const std::vector<core::TrajectorySample> &t,
                        uint64_t *csvHash)
 {
-    StateWriter w;
-    w.reserve(t.size() * kTrajectoryBinaryRecordBytes);
-    uint64_t h = fnv1a(core::trajectoryCsvHeader());
-    char row[core::kTrajectoryCsvRowMaxChars];
-    double printed[core::kTrajectoryCsvFloatCells] = {};
-    TrajectoryRecord rec{};
-    for (const core::TrajectorySample &s : t) {
-        if (s.collisions > UINT32_MAX)
-            throw ProtocolError(detail::concat(
-                "collision count ", s.collisions,
-                " exceeds the u32 binary-record field"));
-        // The row's cells and the values they print are one formatting
-        // pass; the record narrows the printed values (canonical f32).
-        const char *end = core::renderTrajectoryCsvRow(row, s, printed);
-        h = fnv1a(row, size_t(end - row), h);
-        for (size_t i = 0; i < 7; ++i)
-            rec.cells[i] = float(printed[i]);
-        rec.collisions = uint32_t(s.collisions);
-        for (size_t i = 0; i < 3; ++i)
-            rec.commands[i] = float(printed[7 + i]);
-        w.bytes(reinterpret_cast<const uint8_t *>(&rec), sizeof(rec));
-    }
+    TrajectoryEncoder e;
+    e.reserve(t.size());
+    e.append(t.data(), t.size());
     if (csvHash)
-        *csvHash = h;
-    return w.take();
+        *csvHash = e.csvHash();
+    return e.takeRecords();
 }
 
 std::vector<core::TrajectorySample>
@@ -212,19 +269,22 @@ decodeTrajectoryBinary(const uint8_t *data, size_t size)
             kTrajectoryBinaryRecordBytes, "-byte records"));
     std::vector<core::TrajectorySample> t(size /
                                           kTrajectoryBinaryRecordBytes);
-    PayloadReader r(data, size);
+    // Each record is the TrajectoryRecord image the encoder wrote.
+    TrajectoryRecord rec;
     for (core::TrajectorySample &s : t) {
-        s.time = r.f32();
-        s.position.x = r.f32();
-        s.position.y = r.f32();
-        s.position.z = r.f32();
-        s.yaw = r.f32();
-        s.speed = r.f32();
-        s.lateralOffset = r.f32();
-        s.collisions = r.u32();
-        s.cmdForward = r.f32();
-        s.cmdLateral = r.f32();
-        s.cmdYawRate = r.f32();
+        std::memcpy(&rec, data, sizeof(rec));
+        data += sizeof(rec);
+        s.time = rec.cells[0];
+        s.position.x = rec.cells[1];
+        s.position.y = rec.cells[2];
+        s.position.z = rec.cells[3];
+        s.yaw = rec.cells[4];
+        s.speed = rec.cells[5];
+        s.lateralOffset = rec.cells[6];
+        s.collisions = rec.collisions;
+        s.cmdForward = rec.commands[0];
+        s.cmdLateral = rec.commands[1];
+        s.cmdYawRate = rec.commands[2];
     }
     return t;
 }
@@ -477,7 +537,7 @@ decodeStatusReply(const Message &m)
 }
 
 ServedResult
-marshalResult(const core::MissionResult &r)
+marshalResult(const core::MissionResult &r, TrajectoryEncoder &&records)
 {
     ServedResult s;
     s.status = uint8_t(r.status);
@@ -494,14 +554,24 @@ marshalResult(const core::MissionResult &r)
     s.simulatedCycles = r.simulatedCycles;
     s.trajectorySamples = uint32_t(r.trajectory.size());
     s.degradedIntervals = uint32_t(r.degradedIntervals.size());
-    // One pass: the records are the one retained, journaled and
-    // streamed copy, and the canonical CSV they re-render to is only
-    // hashed row by row (the golden hash rides every ResultEnd).
-    s.trajectoryRecords =
-        encodeTrajectoryBinary(r.trajectory, &s.trajectoryHash);
-    s.payloadHash =
-        fnv1a(s.trajectoryRecords.data(), s.trajectoryRecords.size());
+    // The records are the one retained, journaled and streamed copy,
+    // and the canonical CSV they re-render to is only hashed row by
+    // row (the golden hash rides every ResultEnd).
+    rose_assert(records.samples() == r.trajectory.size(),
+                "encoder does not hold the result's trajectory");
+    s.trajectoryHash = records.csvHash();
+    s.payloadHash = records.payloadHash();
+    s.trajectoryRecords = records.takeRecords();
     return s;
+}
+
+ServedResult
+marshalResult(const core::MissionResult &r)
+{
+    TrajectoryEncoder e;
+    e.reserve(r.trajectory.size());
+    e.append(r.trajectory.data(), r.trajectory.size());
+    return marshalResult(r, std::move(e));
 }
 
 void
@@ -669,6 +739,8 @@ ResultStreamAssembler::feed(const Message &m)
                 "-byte reassembly bound"));
         payload_.insert(payload_.end(), c.bytes.begin(),
                         c.bytes.end());
+        payloadHash_ = fnv1a(c.bytes.data(), c.bytes.size(),
+                             payloadHash_);
         nextSeq_++;
         return false;
       }
@@ -699,11 +771,11 @@ ResultStreamAssembler::finish(const ResultEndData &end)
             end.payloadBytes, " payload bytes, received ",
             payload_.size()));
 
-    // Integrity is checked over the record bytes as received — no
-    // decoding (and no CSV re-render) sits between the wire and the
-    // hash, so a corrupt stream is caught before any decode runs.
-    uint64_t h = fnv1a(payload_.data(), payload_.size());
-    if (h != end.payloadHash)
+    // Integrity is checked over the record bytes as received, hashed
+    // chunk by chunk on arrival — no decoding (and no CSV re-render)
+    // sits between the wire and the hash, so a corrupt stream is
+    // caught before any decode runs.
+    if (payloadHash_ != end.payloadHash)
         throw ProtocolError(detail::concat(
             "payload hash mismatch after reassembly of job ",
             jobId_, " (", payload_.size(), " payload bytes)"));
@@ -712,7 +784,7 @@ ResultStreamAssembler::finish(const ResultEndData &end)
     d.jobId = end.jobId;
     d.state = end.state;
     d.result = end.result;
-    d.payloadHash = h;
+    d.payloadHash = payloadHash_;
     // The records quantize every cell to its printed decimal, so
     // core::trajectoryCsvString over these samples reproduces the
     // server-side canonical CSV bit-for-bit (test_serve pins this);
@@ -738,10 +810,10 @@ ResultStreamAssembler::rewindForResume()
 {
     rose_assert(!complete_,
                 "rewindForResume() after the stream completed");
-    // The accumulated prefix is kept: a resumed stream restarts its
-    // chunk numbering at 0 and ResultEnd's totals still check out —
-    // chunkCount counts the resumed stream's chunks and payloadBytes
-    // is the whole payload, prefix included.
+    // The accumulated prefix (and its running hash) is kept: a
+    // resumed stream restarts its chunk numbering at 0 and ResultEnd's
+    // totals still check out — chunkCount counts the resumed stream's
+    // chunks and payloadBytes is the whole payload, prefix included.
     nextSeq_ = 0;
 }
 

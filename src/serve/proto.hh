@@ -57,6 +57,7 @@
 #include "core/cosim.hh"
 #include "core/experiment.hh"
 #include "util/frame.hh"
+#include "util/hash.hh"
 #include "util/serde.hh"
 
 namespace rose::serve {
@@ -264,11 +265,11 @@ enum class TrajectoryEncoding : uint8_t
 constexpr size_t kTrajectoryBinaryRecordBytes = 44;
 
 /**
- * Encode samples as fixed-width binary records, rendering each
- * sample's canonical CSV row once (core::renderTrajectoryCsvRow) for
- * the values the records hold. When @p csvHash is non-null it receives
- * the FNV-1a of the canonical CSV (core::trajectoryCsvString), chained
- * row by row without building the string.
+ * Encode samples as fixed-width binary records: TrajectoryEncoder
+ * (below) over the whole trajectory as one run. When @p csvHash is
+ * non-null it receives the FNV-1a of the canonical CSV
+ * (core::trajectoryCsvString), chained row by row without building the
+ * string.
  * @throws ProtocolError when a sample's collision count exceeds u32
  * (the record could no longer round-trip the CSV bit-for-bit). rosed
  * cannot admit such a mission: the count rises at most once per
@@ -313,8 +314,8 @@ struct StatusInfo
 /**
  * A mission result marshalled for the wire. On the server the
  * trajectory lives only as binary records (`trajectoryRecords`,
- * encoded once at mission end) — the bytes a fetch streams and the
- * journal stores. A client's fetch decodes them into `trajectory`;
+ * encoded once per sample, mostly while the mission runs) — the bytes
+ * a fetch streams and the journal stores. A client's fetch decodes them into `trajectory`;
  * core::trajectoryCsvString over those samples reproduces the
  * canonical CSV whose FNV-1a is `trajectoryHash`, the golden hash.
  */
@@ -351,11 +352,63 @@ struct ServedResult
 };
 
 /**
- * Marshal a core result: scalars, the binary records and their hash,
- * and the canonical-CSV hash, taken in the records' one pass over the
- * samples (no CSV string is built).
+ * The one trajectory record writer, fed one run of samples at a time.
+ * For each sample it renders the canonical CSV row once, writes the
+ * record the row's printed values narrow to, and advances two FNV-1a
+ * chains in the same loop: the canonical CSV (header first, then row
+ * by row; the golden hash) and the record bytes (the payload hash).
+ * Both are plain byte chains, so encoding a trajectory in pieces gives
+ * exactly the bytes and hashes of encoding it whole.
+ */
+class TrajectoryEncoder
+{
+  public:
+    /** The encoder's state at a sample boundary, to rewind to. */
+    struct Mark
+    {
+        size_t bytes = 0;
+        uint64_t csvHash = 0;
+        uint64_t payloadHash = 0;
+    };
+
+    TrajectoryEncoder();
+
+    void reserve(size_t samples);
+    /**
+     * Encode @p n samples after those already held.
+     * @throws ProtocolError when a sample's collision count exceeds
+     * u32; the encoder then holds a partial run, so rewind it.
+     */
+    void append(const core::TrajectorySample *s, size_t n);
+    Mark mark() const { return {records_.size(), csvHash_, payloadHash_}; }
+    /** Cut back to a mark this encoder passed through. */
+    void rewind(const Mark &m);
+
+    size_t samples() const
+    {
+        return records_.size() / kTrajectoryBinaryRecordBytes;
+    }
+    uint64_t csvHash() const { return csvHash_; }
+    uint64_t payloadHash() const { return payloadHash_; }
+    /** Move the records out; the encoder is then as if new. */
+    std::vector<uint8_t> takeRecords();
+
+  private:
+    std::vector<uint8_t> records_;
+    uint64_t csvHash_;
+    uint64_t payloadHash_;
+};
+
+/**
+ * Marshal a core result: scalars, the binary records and both hashes,
+ * in one encoder pass over the samples (no CSV string is built).
  */
 ServedResult marshalResult(const core::MissionResult &r);
+
+/** Marshal @p r with @p records, an encoder that holds exactly
+ *  r.trajectory. */
+ServedResult marshalResult(const core::MissionResult &r,
+                           TrajectoryEncoder &&records);
 
 /**
  * The ServedResult scalar fields, from `status` through `serviceMs`,
@@ -471,6 +524,8 @@ class ResultStreamAssembler
     size_t maxPayloadBytes_ = 0;
     uint32_t nextSeq_ = 0;
     std::vector<uint8_t> payload_;
+    /** FNV-1a of payload_, folded in as each chunk arrives. */
+    uint64_t payloadHash_ = kFnv1aOffsetBasis;
     bool complete_ = false;
     ResultData result_;
 };

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/batch.hh"
+#include "serve/encoder_thread.hh"
 #include "util/hash.hh"
 #include "util/logging.hh"
 
@@ -276,6 +277,10 @@ MissionServer::dropConnections()
 void
 MissionServer::workerLoop(size_t)
 {
+    // This worker's encoder thread, joined when the worker exits. It
+    // encodes each supervised snapshot's sealed chunks while the
+    // mission runs on; finish() encodes the rest here.
+    EncoderThread encoder;
     for (;;) {
         core::MissionSpec spec;
         uint64_t job_id = 0;
@@ -314,6 +319,8 @@ MissionServer::workerLoop(size_t)
         // runMission(), which is what makes served results hash equal
         // to local ones. Marshalling sits inside the try too, so any
         // throw becomes a Failed job rather than escaping the worker.
+        // It gives marshalResult()'s bytes however much of the
+        // trajectory the encoder thread already did.
         ServedResult served;
         bool threw = false;
         bool warm_restored = false;
@@ -321,6 +328,10 @@ MissionServer::workerLoop(size_t)
             core::MissionResult result;
             core::CosimConfig ccfg = spec.toConfig();
             const double max_sim = ccfg.maxSimSeconds;
+            // Sync periods the mission runs if it flies to max_sim.
+            const double expected_periods =
+                max_sim * ccfg.sync.clocks.socClockHz /
+                double(std::max<uint64_t>(1, spec.syncGranularity));
             if (cfg_.progressIntervalPeriods > 0) {
                 ccfg.progressPeriods = cfg_.progressIntervalPeriods;
                 ccfg.progressHook =
@@ -343,13 +354,8 @@ MissionServer::workerLoop(size_t)
                 // fine-grained mission pays for a bounded number.
                 if (cfg_.supervisorCheckpointCap > 0 &&
                     sc.checkpointPeriods > 0) {
-                    double soc_hz = ccfg.sync.clocks.socClockHz;
-                    double expected =
-                        max_sim * soc_hz /
-                        double(std::max<uint64_t>(
-                            1, spec.syncGranularity));
                     uint64_t floor_cadence =
-                        uint64_t(expected /
+                        uint64_t(expected_periods /
                                  double(cfg_.supervisorCheckpointCap)) +
                         1;
                     if (sc.checkpointPeriods < floor_cadence)
@@ -366,6 +372,16 @@ MissionServer::workerLoop(size_t)
                     if (recovered)
                         sc.resumeFromPath = sc.checkpointPath;
                 }
+                encoder.begin(
+                    size_t(expected_periods /
+                           double(std::max<uint64_t>(
+                               1, ccfg.samplePeriods))) +
+                    2);
+                sc.snapshotObserver =
+                    [&encoder](
+                        const std::vector<core::TrajectoryChunk> &c) {
+                        encoder.post(c);
+                    };
                 core::MissionSupervisor sup(ccfg, sc);
                 result = sup.run();
                 warm_restored = sup.stats().diskResumes > 0;
@@ -373,8 +389,9 @@ MissionServer::workerLoop(size_t)
                 core::CoSimulation sim(ccfg);
                 result = sim.run();
             }
-            served = marshalResult(result);
+            served = encoder.finish(result);
         } catch (const std::exception &e) {
+            encoder.discard();
             threw = true;
             served.status = uint8_t(core::MissionStatus::Crashed);
             served.failureReason = e.what();

@@ -7,7 +7,7 @@
  * wire protocol (proto.hh), and fetch results whose trajectory bytes
  * are bit-identical to a local runMission() of the same spec.
  *
- * Architecture (one process, three kinds of threads):
+ * Architecture (one process, four kinds of threads):
  *
  *  - IO thread: a poll(2) loop over the bridge::TcpListener and every
  *    live connection. Each connection owns a MessageBuffer read state
@@ -36,6 +36,12 @@
  *    publish coalesced progress (latest simulated time per running
  *    job); the IO thread drains that map once per poll tick into
  *    Progress push frames on the owning connection.
+ *
+ *  - Encoder threads: one per worker, started and joined with it
+ *    (serve/encoder_thread.hh). A supervised job posts each
+ *    snapshot's sealed trajectory chunks to it, so most of the result
+ *    records are encoded while the mission still runs; the worker
+ *    encodes the rest at mission end, to the same bytes.
  *
  *  - The owner thread: constructs/starts/stops the server.
  *

@@ -65,6 +65,7 @@
 #include "core/supervisor.hh"
 #include "format_probes.hh"
 #include "serve/client.hh"
+#include "serve/encoder_thread.hh"
 #include "serve/journal.hh"
 #include "serve/server.hh"
 #include "util/csv.hh"
@@ -561,6 +562,46 @@ TEST(ServeProto, MarshalledRecordsArePinned)
     EXPECT_EQ(s.trajectoryRecords.size(),
               10000 * kTrajectoryBinaryRecordBytes);
     EXPECT_EQ(s.payloadHash, 0xf9db173143998d4eULL);
+}
+
+TEST(ServeProto, EncoderInPiecesEqualsOneShot)
+{
+    // The trajectory encoder fed in runs of any length, and rewound to
+    // any mark it passed, gives the one-shot records and both hashes:
+    // the payload hash it chains in the same loop equals FNV-1a over
+    // the records, and the CSV hash equals the rendered CSV's.
+    Rng rng(0x91ec0de);
+    for (int round = 0; round < 20; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        std::vector<core::TrajectorySample> samples =
+            randomSamples(rng, rng.uniformInt(400));
+        uint64_t csv = 0;
+        std::vector<uint8_t> whole = encodeTrajectoryBinary(samples, &csv);
+        EXPECT_EQ(csv, fnv1a(core::trajectoryCsvString(samples)));
+
+        TrajectoryEncoder e;
+        std::vector<TrajectoryEncoder::Mark> marks{e.mark()};
+        size_t at = 0;
+        while (at < samples.size()) {
+            size_t n = std::min(samples.size() - at,
+                                size_t(rng.uniformInt(60)));
+            e.append(samples.data() + at, n);
+            at += n;
+            marks.push_back(e.mark());
+        }
+        // Rewind to a random mark and encode the rest again.
+        const TrajectoryEncoder::Mark m =
+            marks[rng.uniformInt(marks.size())];
+        e.rewind(m);
+        size_t from = m.bytes / kTrajectoryBinaryRecordBytes;
+        ASSERT_EQ(e.samples(), from);
+        e.append(samples.data() + from, samples.size() - from);
+
+        EXPECT_EQ(e.csvHash(), csv);
+        EXPECT_EQ(e.payloadHash(), fnv1a(whole.data(), whole.size()));
+        EXPECT_EQ(e.takeRecords(), whole);
+        EXPECT_EQ(e.samples(), 0u);
+    }
 }
 
 TEST(ServeProto, AssemblerReassemblesMultiChunkStream)
@@ -2500,4 +2541,366 @@ TEST(ServeDurability, KillLoopStreamStaysBitIdentical)
         << "bytes drifted across reconnect-resume";
     EXPECT_GE(client.reconnects(), 1u);
     server.stop();
+}
+
+// ================================================= pipelined encoding
+
+namespace {
+
+/** One mission marshalled both ways: through an encoder thread fed
+ *  its snapshots, as a rosed worker does, and in one shot. */
+struct PipelinedRun
+{
+    core::MissionResult result;
+    core::SupervisorStats supervisor;
+    ServedResult pipelined;
+    ServedResult oneShot;
+    /** Samples finish() took from the encoder thread. */
+    size_t reused = 0;
+    /** Chunk lists posted, and the samples the last one held. */
+    size_t posts = 0;
+    size_t lastPostedSamples = 0;
+};
+
+/** The records and both hashes agree. */
+void
+expectSameEncoding(const PipelinedRun &run)
+{
+    EXPECT_EQ(run.pipelined.trajectoryRecords.size(),
+              run.result.trajectory.size() * kTrajectoryBinaryRecordBytes);
+    EXPECT_TRUE(run.pipelined.trajectoryRecords ==
+                run.oneShot.trajectoryRecords)
+        << "pipelined records differ from the one-shot encoding";
+    EXPECT_EQ(run.pipelined.trajectoryHash, run.oneShot.trajectoryHash);
+    EXPECT_EQ(run.pipelined.payloadHash, run.oneShot.payloadHash);
+}
+
+/** Run @p spec under @p sup with every snapshot posted to @p encoder,
+ *  then finish it there and marshal it in one shot. */
+PipelinedRun
+runPipelined(EncoderThread &encoder, const core::CosimConfig &cfg,
+             core::SupervisorConfig sup)
+{
+    PipelinedRun run;
+    sup.snapshotObserver =
+        [&](const std::vector<core::TrajectoryChunk> &chunks) {
+            encoder.post(chunks);
+            ++run.posts;
+            run.lastPostedSamples = 0;
+            for (const core::TrajectoryChunk &c : chunks)
+                run.lastPostedSamples += c->size();
+        };
+    core::MissionSupervisor supervisor(cfg, sup);
+    run.result = supervisor.run();
+    run.supervisor = supervisor.stats();
+    run.pipelined = encoder.finish(run.result);
+    run.reused = encoder.reusedSamples();
+    run.oneShot = marshalResult(run.result);
+    return run;
+}
+
+/** A heavy-trajectory mission, as perfbench's serve_long sends:
+ *  10,000 samples at 20 k-cycle sync. */
+core::MissionSpec
+heavySpec(uint64_t seed = 1)
+{
+    core::MissionSpec spec = canonicalSpec("A", 0.2);
+    spec.syncGranularity = 20000;
+    spec.seed = seed;
+    return spec;
+}
+
+/** rosed's snapshot cadence for heavySpec: 64 snapshots at most. */
+core::SupervisorConfig
+heavySupervisor()
+{
+    core::SupervisorConfig sup;
+    sup.checkpointPeriods = 157;
+    return sup;
+}
+
+/** Drops sync packets often enough to abort an unsupervised mission
+ *  (mirrors test_supervisor's hostile profile). */
+bridge::FaultConfig
+hostileFaults()
+{
+    bridge::FaultConfig f;
+    f.enabled = true;
+    f.protectSyncPackets = false;
+    f.dropProb = 0.002;
+    f.seed = 0xfa017;
+    return f;
+}
+
+/** The chunk lists one supervised run of @p spec posts. */
+std::vector<std::vector<core::TrajectoryChunk>>
+postedLists(const core::MissionSpec &spec, core::MissionResult *result)
+{
+    std::vector<std::vector<core::TrajectoryChunk>> lists;
+    core::SupervisorConfig sup = heavySupervisor();
+    sup.snapshotObserver =
+        [&](const std::vector<core::TrajectoryChunk> &chunks) {
+            lists.push_back(chunks);
+        };
+    *result = core::MissionSupervisor(spec.toConfig(), sup).run();
+    return lists;
+}
+
+size_t
+sampleTotal(const std::vector<core::TrajectoryChunk> &chunks)
+{
+    size_t n = 0;
+    for (const core::TrajectoryChunk &c : chunks)
+        n += c->size();
+    return n;
+}
+
+} // namespace
+
+TEST(ServeEncoder, UnperturbedRunReusesEverySnapshot)
+{
+    EncoderThread encoder;
+    PipelinedRun run = runPipelined(encoder, heavySpec().toConfig(),
+                                    heavySupervisor());
+    ASSERT_EQ(run.result.trajectory.size(), 10000u);
+    ASSERT_GT(run.posts, 50u);
+    expectSameEncoding(run);
+    EXPECT_EQ(run.pipelined.payloadHash, 0xf9db173143998d4eULL);
+    // Only the samples after the last snapshot were left to finish().
+    EXPECT_EQ(run.reused, run.lastPostedSamples);
+}
+
+TEST(ServeEncoder, FaultRestoreKeepsTheRestoredPrefix)
+{
+    // Restores adopt the snapshot's chunks, so the chunks encoded
+    // before a fault stay the trajectory's; the samples the failed
+    // attempt ran past them were never sealed, so never encoded.
+    core::MissionSpec spec = canonicalSpec("A", 6.0);
+    spec.faults = hostileFaults();
+    core::SupervisorConfig sup;
+    sup.checkpointPeriods = 20;
+    sup.checkpointRingSize = 4;
+    sup.maxRetries = 50;
+    sup.faultPolicy = core::FaultRetryPolicy::RerollSeed;
+    EncoderThread encoder;
+    PipelinedRun run = runPipelined(encoder, spec.toConfig(), sup);
+    ASSERT_NE(run.result.status, core::MissionStatus::Crashed)
+        << run.result.failureReason;
+    ASSERT_GT(run.supervisor.restores, 0u)
+        << "the hostile profile never tripped — test is vacuous";
+    expectSameEncoding(run);
+    EXPECT_EQ(run.reused, run.lastPostedSamples);
+    EXPECT_GT(run.reused, 0u);
+}
+
+TEST(ServeEncoder, ColdRestartReEncodesTheNewRun)
+{
+    // TCP cannot be snapshotted: the first lost sync packet falls back
+    // to the in-process channel with nothing in the ring, a cold
+    // restart whose snapshots are the only ones posted.
+    core::MissionSpec spec = canonicalSpec("A", 3.0);
+    spec.faults = hostileFaults();
+    core::CosimConfig cfg = spec.toConfig();
+    cfg.transport = core::TransportKind::Tcp;
+    cfg.sync.syncDeadlineMs = 50;
+    core::SupervisorConfig sup;
+    sup.checkpointPeriods = 20;
+    sup.maxRetries = 50;
+    EncoderThread encoder;
+    PipelinedRun run = runPipelined(encoder, cfg, sup);
+    ASSERT_NE(run.result.status, core::MissionStatus::Crashed)
+        << run.result.failureReason;
+    ASSERT_GT(run.supervisor.coldRestarts, 0u);
+    ASSERT_GT(run.posts, 0u);
+    expectSameEncoding(run);
+    EXPECT_EQ(run.reused, run.lastPostedSamples);
+}
+
+TEST(ServeEncoder, JournalWarmResumeReusesTheResumedChunk)
+{
+    // As ServeDurability.WarmRestoreResumesFromPersistedCheckpoint: a
+    // previous incarnation left the job's checkpoint file, the resumed
+    // run restores its samples as one chunk, and every later snapshot
+    // posts that chunk first.
+    std::string dir = serveScratchDir("encoder_warm");
+    core::MissionSpec spec = heavySpec();
+    const std::string path = dir + "/job-1.ckpt";
+    {
+        core::SupervisorConfig sup = heavySupervisor();
+        sup.checkpointPeriods = 4000; // the file ends mid-mission
+        sup.checkpointPath = path;
+        core::MissionSupervisor first(spec.toConfig(), sup);
+        first.run();
+        ASSERT_EQ(first.stats().checkpointsTaken, 2u);
+    }
+    core::SupervisorConfig sup = heavySupervisor();
+    sup.resumeFromPath = path;
+    EncoderThread encoder;
+    PipelinedRun run = runPipelined(encoder, spec.toConfig(), sup);
+    ASSERT_EQ(run.supervisor.diskResumes, 1u);
+    ASSERT_GT(run.posts, 0u);
+    expectSameEncoding(run);
+    EXPECT_EQ(run.pipelined.payloadHash, 0xf9db173143998d4eULL);
+    EXPECT_EQ(run.reused, run.lastPostedSamples);
+    EXPECT_GT(run.reused, 8000u); // the resumed chunk
+    std::filesystem::remove_all(dir);
+}
+
+TEST(ServeEncoder, CrashedJobPublishesNothingFromTheEncoder)
+{
+    // A position bound tighter than the corridor: every restore
+    // replays into the same wall and the job ends Crashed. Its
+    // trajectory is whatever the last attempt left, encoded afresh.
+    core::SupervisorConfig sup;
+    sup.checkpointPeriods = 50;
+    sup.maxRetries = 2;
+    sup.positionBoundM = 5.0;
+    EncoderThread encoder;
+    PipelinedRun run =
+        runPipelined(encoder, canonicalSpec("A").toConfig(), sup);
+    ASSERT_EQ(run.result.status, core::MissionStatus::Crashed);
+    ASSERT_GT(run.lastPostedSamples, 0u);
+    ASSERT_FALSE(run.result.trajectory.empty());
+    expectSameEncoding(run);
+    EXPECT_EQ(run.reused, 0u);
+}
+
+TEST(ServeEncoder, UnsupervisedJobEncodesAtTheEnd)
+{
+    // A --no-supervise job posts nothing. Even right after a
+    // supervised run of the same spec, whose chunks hold exactly its
+    // samples, the encoder carries nothing over from that job.
+    EncoderThread encoder;
+    PipelinedRun supervised = runPipelined(
+        encoder, heavySpec().toConfig(), heavySupervisor());
+    ASSERT_GT(supervised.reused, 0u);
+
+    core::MissionResult bare = core::runMission(heavySpec());
+    ServedResult pipelined = encoder.finish(bare);
+    ServedResult oneShot = marshalResult(bare);
+    EXPECT_EQ(encoder.reusedSamples(), 0u);
+    EXPECT_TRUE(pipelined.trajectoryRecords == oneShot.trajectoryRecords);
+    EXPECT_EQ(pipelined.trajectoryHash, oneShot.trajectoryHash);
+    EXPECT_EQ(pipelined.payloadHash, oneShot.payloadHash);
+    EXPECT_EQ(pipelined.payloadHash, 0xf9db173143998d4eULL);
+}
+
+TEST(ServeEncoder, KeepsOnlyThePrefixTheTrajectoryHolds)
+{
+    // Chunk lists of another mission: the thread drops them when a
+    // list no longer leads with them, and finish() refuses any the
+    // final trajectory does not hold bit for bit.
+    core::MissionSpec other = heavySpec();
+    other.initialYawDeg = 10.0;
+    core::MissionResult x, y;
+    std::vector<std::vector<core::TrajectoryChunk>> xs =
+        postedLists(other, &x);
+    std::vector<std::vector<core::TrajectoryChunk>> ys =
+        postedLists(heavySpec(), &y);
+    ASSERT_FALSE(xs.empty());
+    ASSERT_FALSE(ys.empty());
+    const std::vector<core::TrajectorySample> &x0 = *xs.back()[0];
+    ASSERT_NE(std::memcmp(x0.data(), y.trajectory.data(),
+                          x0.size() * sizeof(core::TrajectorySample)),
+              0)
+        << "the two missions start alike — test is vacuous";
+    const ServedResult oneShot = marshalResult(y);
+
+    EncoderThread encoder;
+    for (const auto &l : xs)
+        encoder.post(l);
+    for (const auto &l : ys)
+        encoder.post(l);
+    ServedResult s = encoder.finish(y);
+    EXPECT_EQ(encoder.reusedSamples(), sampleTotal(ys.back()));
+    EXPECT_TRUE(s.trajectoryRecords == oneShot.trajectoryRecords);
+    EXPECT_EQ(s.payloadHash, oneShot.payloadHash);
+
+    for (const auto &l : xs)
+        encoder.post(l);
+    s = encoder.finish(y);
+    EXPECT_EQ(encoder.reusedSamples(), 0u);
+    EXPECT_TRUE(s.trajectoryRecords == oneShot.trajectoryRecords);
+    EXPECT_EQ(s.trajectoryHash, oneShot.trajectoryHash);
+    EXPECT_EQ(s.payloadHash, oneShot.payloadHash);
+}
+
+namespace {
+
+/** Threads of this process. */
+size_t
+threadCount()
+{
+    size_t n = 0;
+    for ([[maybe_unused]] const auto &e :
+         std::filesystem::directory_iterator("/proc/self/task"))
+        ++n;
+    return n;
+}
+
+} // namespace
+
+TEST(ServeServer, ThreeWorkersEncodeWhileMissionsRun)
+{
+    // Three workers, each with its encoder thread taking the chunks of
+    // a heavy supervised mission while the mission runs: every served
+    // result is the one-shot encoding of the local run.
+    const size_t threads_before = threadCount();
+    {
+        ServerConfig cfg;
+        cfg.workers = 3;
+        MissionServer server(cfg);
+        server.start();
+        ServeClient client(server.port());
+        std::vector<uint64_t> ids;
+        for (uint64_t seed = 1; seed <= 3; ++seed) {
+            SubmitOutcome out = client.submit(heavySpec(seed));
+            ASSERT_TRUE(out.accepted) << out.detail;
+            ids.push_back(out.jobId);
+        }
+        for (uint64_t seed = 1; seed <= 3; ++seed) {
+            ServedResult r = client.waitResult(ids[seed - 1]);
+            ServedResult local =
+                marshalResult(core::runMission(heavySpec(seed)));
+            EXPECT_EQ(r.trajectoryHash, local.trajectoryHash);
+            EXPECT_EQ(servedHash(r), local.trajectoryHash);
+            EXPECT_EQ(encodeTrajectoryBinary(r.trajectory),
+                      local.trajectoryRecords);
+        }
+        server.stop();
+    }
+
+    // Stopping with missions running, in drain and in immediate mode,
+    // joins every worker and its encoder thread.
+    for (bool drain : {true, false}) {
+        SCOPED_TRACE(drain ? "drain" : "immediate");
+        ServerConfig cfg;
+        cfg.workers = 3;
+        cfg.perClientInFlight = 16;
+        MissionServer server(cfg);
+        server.start();
+        server.pauseWorkers();
+        ServeClient client(server.port());
+        constexpr uint64_t kJobs = 9;
+        for (uint64_t seed = 1; seed <= kJobs; ++seed) {
+            core::MissionSpec spec = heavySpec(seed);
+            spec.maxSimSeconds = 0.5;
+            ASSERT_TRUE(client.submit(spec).accepted);
+        }
+        server.resumeWorkers();
+        ASSERT_TRUE(eventually(server, [](const ServerStatsSnapshot &s) {
+            return s.running == 3;
+        }));
+        server.stop(drain);
+        ServerStatsSnapshot s = server.stats();
+        EXPECT_EQ(s.failed, 0u);
+        if (drain) {
+            EXPECT_EQ(s.completed, kJobs);
+        } else {
+            EXPECT_GE(s.completed, 3u);
+            EXPECT_EQ(s.completed + s.cancelled, kJobs);
+        }
+    }
+    EXPECT_EQ(threadCount(), threads_before)
+        << "a worker or encoder thread outlived its server";
 }
