@@ -75,6 +75,8 @@ struct Golden
     core::TransportKind transport = core::TransportKind::InProcess;
     double seconds = 10.0; ///< simulated mission length
     bool faults = false;   ///< inject kFaultMix on the synchronizer's end
+    int depth = 14;        ///< ResNet depth of the classifier
+    bool degraded = false; ///< classical-fallback controller enabled
 };
 
 /** The faulted rows' link: every fault kind fires, at rates the
@@ -121,6 +123,12 @@ constexpr bridge::FaultConfig kFaultMix{.enabled = true,
 // TCP at 1 M-cycle sync. The injector's operation clock advances on
 // every send() and recv() call, so these rows pin the number and order
 // of transport calls the lockstep loop makes, not just its packets.
+//
+// The degraded row flies golden B's dynamic runtime at 9 m/s with the
+// classical fallback enabled: near the walls even ResNet6 misses the
+// Equation 5 deadline, so the deadline-miss trigger hands control to
+// the fallback controller and back. The last four rows are golden A
+// with the other static classifier depths of the zoo.
 constexpr Golden kGolden[] = {
     {"tunnel", "A", RuntimeMode::Static, 3.0, 20.0, 1,
      0x2b24ad514f06c3cbULL, 1000, 0},
@@ -154,6 +162,21 @@ constexpr Golden kGolden[] = {
     {"tunnel", "A", RuntimeMode::Static, 3.0, 20.0, 1,
      0x3974ae862a717a19ULL, 2001, 0, "quadrotor",
      1000000, core::TransportKind::Tcp, 2, true},
+    {"tunnel", "B", RuntimeMode::Dynamic, 9.0, 20.0, 1,
+     0xb87e452b9afd931fULL, 1000, 8, "quadrotor",
+     10000000, core::TransportKind::InProcess, 10, false, 14, true},
+    {"tunnel", "A", RuntimeMode::Static, 3.0, 20.0, 1,
+     0xc7d61abacb9c48f4ULL, 1000, 0, "quadrotor",
+     10000000, core::TransportKind::InProcess, 10, false, 6},
+    {"tunnel", "A", RuntimeMode::Static, 3.0, 20.0, 1,
+     0xfdc8115f1fe607ffULL, 1000, 0, "quadrotor",
+     10000000, core::TransportKind::InProcess, 10, false, 11},
+    {"tunnel", "A", RuntimeMode::Static, 3.0, 20.0, 1,
+     0xa61749d572bebfedULL, 1000, 0, "quadrotor",
+     10000000, core::TransportKind::InProcess, 10, false, 18},
+    {"tunnel", "A", RuntimeMode::Static, 3.0, 20.0, 1,
+     0x12f929fdfa0352e5ULL, 1000, 0, "quadrotor",
+     10000000, core::TransportKind::InProcess, 10, false, 34},
 };
 
 const char *
@@ -171,6 +194,8 @@ runGolden(const Golden &g, bridge::FaultStats &faults)
                                            g.vehicle);
     spec.syncGranularity = g.sync;
     spec.maxSimSeconds = g.seconds;
+    spec.modelDepth = g.depth;
+    spec.degradedMode = g.degraded;
     if (g.faults)
         spec.faults = kFaultMix;
     core::CosimConfig cfg = spec.toConfig();
@@ -228,7 +253,9 @@ TEST(GoldenTrace, CanonicalTunnelMissions)
                      std::to_string(g.seconds) +
                      (g.transport == core::TransportKind::Tcp ? " tcp"
                                                               : "") +
-                     (g.faults ? " faults" : ""));
+                     (g.faults ? " faults" : "") + " depth " +
+                     std::to_string(g.depth) +
+                     (g.degraded ? " degraded" : ""));
         bridge::FaultStats fs;
         core::MissionResult r = runGolden(g, fs);
         std::string csv = core::trajectoryCsvString(r);
@@ -265,6 +292,13 @@ TEST(GoldenTrace, CanonicalTunnelMissions)
             EXPECT_GT(fs.reordered, 0u);
             EXPECT_GT(fs.delayed, 0u);
             EXPECT_FALSE(r.transportError) << r.transportErrorMessage;
+        }
+
+        // The degraded row pins the classical fallback only if the
+        // mission really flew part of it on that controller.
+        if (g.degraded) {
+            EXPECT_FALSE(r.degradedIntervals.empty())
+                << "degraded row never entered the fallback";
         }
 
         // Coarse goldens first: when these differ the drift is
