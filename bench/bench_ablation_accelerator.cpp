@@ -88,13 +88,9 @@ main()
         gemmini::GemminiConfig g;
         g.meshRows = g.meshCols = mesh;
 
-        core::MissionSpec spec;
-        spec.world = "s-shape";
-        spec.socName = "A";
-        spec.modelDepth = 34;
-        spec.velocity = 9.0;
-        spec.maxSimSeconds = 60.0;
-        core::CosimConfig cfg = spec.toConfig();
+        core::CosimConfig cfg =
+            core::parseMissionSpec("world=s-shape depth=34 velocity=9")
+                .toConfig();
         cfg.app.gemmini = g;
         core::CoSimulation sim(cfg);
         core::MissionResult r = sim.run();

@@ -26,14 +26,8 @@ main()
                 "mission", "coll", "rx-pkts", "dropped", "infer");
 
     for (size_t rx_bytes : {1024u, 2048u, 4096u, 65536u}) {
-        core::MissionSpec spec;
-        spec.world = "tunnel";
-        spec.socName = "A";
-        spec.modelDepth = 14;
-        spec.velocity = 3.0;
-        spec.maxSimSeconds = 20.0;
-
-        core::CosimConfig cfg = spec.toConfig();
+        core::CosimConfig cfg =
+            core::parseMissionSpec("sim-seconds=20").toConfig();
         cfg.bridgeCfg.rxFifoBytes = rx_bytes;
 
         core::CoSimulation sim(cfg);

@@ -48,12 +48,8 @@ main(int argc, char **argv)
     const std::vector<const char *> socs = {"A", "B"};
     std::vector<SocRow> rows = core::parallelIndexed<SocRow>(
         socs.size(), cli.jobs, [&socs](size_t i) {
-            core::MissionSpec spec;
-            spec.world = "tunnel";
+            core::MissionSpec spec = core::parseMissionSpec("sim-seconds=40");
             spec.socName = socs[i];
-            spec.modelDepth = 14;
-            spec.velocity = 3.0;
-            spec.maxSimSeconds = 40.0;
 
             SocRow row;
             row.dnn = core::runMission(spec);

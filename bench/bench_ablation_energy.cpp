@@ -35,12 +35,10 @@ main(int argc, char **argv)
     std::vector<core::MissionSpec> specs;
     for (const char *soc_name : {"A", "B"}) {
         for (int depth : dnn::resnetZoo()) {
-            core::MissionSpec spec;
-            spec.world = "s-shape";
+            core::MissionSpec spec =
+                core::parseMissionSpec("world=s-shape velocity=9");
             spec.socName = soc_name;
             spec.modelDepth = depth;
-            spec.velocity = 9.0;
-            spec.maxSimSeconds = 60.0;
             specs.push_back(spec);
         }
     }

@@ -68,10 +68,6 @@ core::MissionSpec
 baseSpec(double max_sim_seconds)
 {
     core::MissionSpec spec;
-    spec.world = "tunnel";
-    spec.socName = "A";
-    spec.modelDepth = 14;
-    spec.velocity = 3.0;
     spec.maxSimSeconds = max_sim_seconds;
     return spec;
 }

@@ -26,14 +26,8 @@ main()
                 "mission", "coll", "infer[ms]", "activity");
 
     for (double share : {0.0, 0.2, 0.33, 0.5, 0.67}) {
-        core::MissionSpec spec;
-        spec.world = "s-shape";
-        spec.socName = "A";
-        spec.modelDepth = 14;
-        spec.velocity = 9.0;
-        spec.maxSimSeconds = 60.0;
-
-        core::CosimConfig cfg = spec.toConfig();
+        core::CosimConfig cfg =
+            core::parseMissionSpec("world=s-shape velocity=9").toConfig();
         if (share > 0.0) {
             cfg.background.enabled = true;
             cfg.background.fgQuantum = 100'000;

@@ -39,12 +39,8 @@ main(int argc, char **argv)
     for (const char *cfg : {"A", "B", "C"}) {
         for (double yaw : {-20.0, 0.0, 20.0}) {
             core::MissionSpec spec;
-            spec.world = "tunnel";
             spec.socName = cfg;
-            spec.modelDepth = 14;
-            spec.velocity = 3.0;
             spec.initialYawDeg = yaw;
-            spec.maxSimSeconds = 60.0;
             specs.push_back(spec);
         }
     }

@@ -41,12 +41,9 @@ main(int argc, char **argv)
 
     std::vector<core::MissionSpec> specs;
     for (int depth : dnn::resnetZoo()) {
-        core::MissionSpec spec;
-        spec.world = "s-shape";
-        spec.socName = "A";
+        core::MissionSpec spec =
+            core::parseMissionSpec("world=s-shape velocity=9");
         spec.modelDepth = depth;
-        spec.velocity = 9.0;
-        spec.maxSimSeconds = 60.0;
         specs.push_back(spec);
     }
 

@@ -41,12 +41,8 @@ main(int argc, char **argv)
 
     std::vector<core::MissionSpec> specs;
     for (double v : {6.0, 9.0, 12.0}) {
-        core::MissionSpec spec;
-        spec.world = "s-shape";
-        spec.socName = "A";
-        spec.modelDepth = 14;
+        core::MissionSpec spec = core::parseMissionSpec("world=s-shape");
         spec.velocity = v;
-        spec.maxSimSeconds = 60.0;
         specs.push_back(spec);
     }
 

@@ -60,14 +60,11 @@ main(int argc, char **argv)
     std::vector<core::MissionSpec> specs;
     for (const Case &c : cases) {
         for (uint64_t seed : kSeeds) {
-            core::MissionSpec spec;
-            spec.world = "s-shape";
-            spec.socName = "A";
+            core::MissionSpec spec = core::parseMissionSpec("world=s-shape");
             spec.mode = c.mode;
             spec.modelDepth = c.depth;
             spec.velocity = kVelocity;
             spec.seed = seed;
-            spec.maxSimSeconds = 60.0;
             specs.push_back(spec);
         }
     }

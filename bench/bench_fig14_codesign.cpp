@@ -43,13 +43,11 @@ main(int argc, char **argv)
     for (const char *cfg : kConfigs) {
         for (int depth : dnn::resnetZoo()) {
             for (uint64_t seed : kSeeds) {
-                core::MissionSpec spec;
-                spec.world = "s-shape";
+                core::MissionSpec spec =
+                    core::parseMissionSpec("world=s-shape velocity=9");
                 spec.socName = cfg;
                 spec.modelDepth = depth;
-                spec.velocity = 9.0;
                 spec.seed = seed;
-                spec.maxSimSeconds = 60.0;
                 specs.push_back(spec);
             }
         }

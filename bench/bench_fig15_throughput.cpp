@@ -48,13 +48,8 @@ main()
     std::printf("  %-14s %-18s %-14s %-10s\n", "granularity",
                 "sim-rate[MHz]", "wall[s]", "mission");
     for (Cycles g : core::granularitySweep()) {
-        core::MissionSpec spec;
-        spec.world = "tunnel";
-        spec.socName = "A";
-        spec.modelDepth = 14;
-        spec.velocity = 3.0;
+        core::MissionSpec spec = core::parseMissionSpec("sim-seconds=40");
         spec.syncGranularity = g;
-        spec.maxSimSeconds = 40.0;
 
         core::MissionResult r = core::runMission(spec);
         std::printf("  %-14s %-18.0f %-14.3f %-10s\n",

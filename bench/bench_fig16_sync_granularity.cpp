@@ -47,14 +47,8 @@ main(int argc, char **argv)
 
     std::vector<core::MissionSpec> specs;
     for (Cycles g : core::granularitySweep()) {
-        core::MissionSpec spec;
-        spec.world = "tunnel";
-        spec.socName = "A";
-        spec.modelDepth = 14;
-        spec.velocity = 3.0;
-        spec.initialYawDeg = 20.0;
+        core::MissionSpec spec = core::parseMissionSpec("yaw=20");
         spec.syncGranularity = g;
-        spec.maxSimSeconds = 60.0;
         specs.push_back(spec);
     }
 

@@ -72,12 +72,7 @@ constexpr double kSimSeconds = 2.0;
 core::MissionSpec
 benchSpec(uint64_t seed)
 {
-    core::MissionSpec spec;
-    spec.world = "tunnel";
-    spec.socName = "A";
-    spec.modelDepth = 14;
-    spec.velocity = 3.0;
-    spec.initialYawDeg = 20.0;
+    core::MissionSpec spec = core::parseMissionSpec("yaw=20");
     spec.seed = seed;
     spec.maxSimSeconds = kSimSeconds;
     return spec;

@@ -99,7 +99,8 @@ run_preset default build
 # "read discipline"). Counts, unlike timings, do not move with host
 # noise, so the bounds are tight.
 echo "==== [default] TCP read discipline (recv calls per period) ===="
-build/examples/mission_runner --soc A --sync 1 --tcp --stats --quiet |
+build/examples/mission_runner --soc A --sync-granularity 1000000 --tcp \
+    --stats --quiet |
     awk '$1 == "tcp.recvCallsPerPeriod" { per = $2 }
          $1 == "tcp.emptyReads" { empty = $2 }
          END {
@@ -107,6 +108,23 @@ build/examples/mission_runner --soc A --sync 1 --tcp --stats --quiet |
              if (per == "" || empty == "" || per + 0 > 2.01 || empty + 0 > 1)
                  exit 1
          }'
+
+# Spec-flag rejection (default preset only, no daemon): a depth outside
+# the ResNet zoo, a number with trailing characters and a misspelled
+# key must each exit 2 before a mission runs or a daemon is dialed
+# (port 1 has no listener, so a dial would exit 1 instead).
+echo "==== [default] CLIs reject bad mission specs (exit 2) ===="
+expect_exit2() {
+    local rc=0
+    "$@" > /dev/null 2>&1 || rc=$?
+    if [ "$rc" -ne 2 ]; then
+        echo "expected exit 2, got $rc: $*"
+        exit 1
+    fi
+}
+expect_exit2 build/examples/mission_runner --depth 7
+expect_exit2 build/examples/mission_runner --velocity 3x
+expect_exit2 build/src/serve/rose_client --port 1 submit --velocty 3
 
 # glibc picks its libm variants at load time (ifunc); masking AVX2,
 # FMA and AVX-512 makes it fall back to the non-FMA ones, which return

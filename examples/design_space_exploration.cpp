@@ -58,7 +58,6 @@ main(int argc, char **argv)
             spec.socName = soc_name;
             spec.modelDepth = depth;
             spec.velocity = velocity;
-            spec.maxSimSeconds = 60.0;
             specs.push_back(spec);
         }
     }

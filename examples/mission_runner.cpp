@@ -6,17 +6,18 @@
  * CSV logs (UAV dynamics, sensing requests, control targets).
  *
  * Usage:
- *   mission_runner [--world tunnel|s-shape] [--vehicle quadrotor|rover]
- *                  [--soc A|B|C] [--model 6|11|14|18|34]
- *                  [--velocity V] [--yaw0 DEG] [--sync MCYCLES]
- *                  [--dynamic] [--tcp] [--seed N] [--max-seconds S]
- *                  [--csv PATH] [--quiet]
+ *   mission_runner [mission spec flags] [--tcp] [--csv PATH]
+ *                  [--trace PATH.json] [--stats] [--quiet]
+ *
+ * The mission spec flags are the fields of the MissionSpec text form
+ * (core/experiment.hh), `--key value` for each `key=value`; --help
+ * lists them. A bad flag or value exits 2 before any mission runs.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
+#include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "core/experiment.hh"
@@ -26,14 +27,11 @@ namespace {
 void
 usage(const char *argv0)
 {
-    std::fprintf(
-        stderr,
-        "usage: %s [--world tunnel|s-shape] [--vehicle quadrotor|rover]\n"
-        "          [--soc A|B|C] [--model 6|11|14|18|34] [--velocity V]\n"
-        "          [--yaw0 DEG] [--sync MCYCLES] [--dynamic] [--tcp]\n"
-        "          [--seed N] [--max-seconds S] [--csv PATH]\n"
-        "          [--trace PATH.json] [--stats] [--quiet]\n",
-        argv0);
+    std::fprintf(stderr,
+                 "usage: %s [mission spec flags] [--tcp] [--csv PATH]\n"
+                 "          [--trace PATH.json] [--stats] [--quiet]\n"
+                 "mission spec flags:\n%s",
+                 argv0, rose::core::missionSpecUsage().c_str());
 }
 
 } // namespace
@@ -49,71 +47,57 @@ main(int argc, char **argv)
     bool stats = false;
     std::string csv_path;
     std::string trace_path;
+    core::CosimConfig cfg;
+    std::unique_ptr<core::CoSimulation> sim;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        auto need = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s requires a value\n", flag);
-                std::exit(2);
+    try {
+        for (int i = 1; i < argc; ++i) {
+            std::string a = argv[i];
+            auto need = [&]() -> const char * {
+                if (i + 1 >= argc)
+                    throw std::invalid_argument(a + " requires a value");
+                return argv[++i];
+            };
+            if (core::consumeMissionSpecFlag(spec, argc, argv, i)) {
+                continue;
+            } else if (a == "--tcp") {
+                use_tcp = true;
+            } else if (a == "--csv") {
+                csv_path = need();
+            } else if (a == "--trace") {
+                trace_path = need();
+            } else if (a == "--stats") {
+                stats = true;
+            } else if (a == "--quiet") {
+                quiet = true;
+            } else if (a == "--help" || a == "-h") {
+                usage(argv[0]);
+                return 0;
+            } else {
+                throw std::invalid_argument("unknown flag: " + a);
             }
-            return argv[++i];
-        };
-        if (a == "--world") {
-            spec.world = need("--world");
-        } else if (a == "--vehicle") {
-            spec.vehicle = need("--vehicle");
-        } else if (a == "--soc") {
-            spec.socName = need("--soc");
-        } else if (a == "--model") {
-            spec.modelDepth = std::atoi(need("--model"));
-        } else if (a == "--velocity") {
-            spec.velocity = std::atof(need("--velocity"));
-        } else if (a == "--yaw0") {
-            spec.initialYawDeg = std::atof(need("--yaw0"));
-        } else if (a == "--sync") {
-            spec.syncGranularity =
-                Cycles(std::atoll(need("--sync"))) * kMegaCycles;
-        } else if (a == "--dynamic") {
-            spec.mode = runtime::RuntimeMode::Dynamic;
-        } else if (a == "--tcp") {
-            use_tcp = true;
-        } else if (a == "--seed") {
-            spec.seed = uint64_t(std::atoll(need("--seed")));
-        } else if (a == "--max-seconds") {
-            spec.maxSimSeconds = std::atof(need("--max-seconds"));
-        } else if (a == "--csv") {
-            csv_path = need("--csv");
-        } else if (a == "--trace") {
-            trace_path = need("--trace");
-        } else if (a == "--stats") {
-            stats = true;
-        } else if (a == "--quiet") {
-            quiet = true;
-        } else if (a == "--help" || a == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else {
-            std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
-            usage(argv[0]);
-            return 2;
         }
+        core::validateMissionSpec(spec);
+        // Names resolve here: an unknown world, vehicle or SoC throws.
+        cfg = spec.toConfig();
+        if (use_tcp)
+            cfg.transport = core::TransportKind::Tcp;
+        sim = std::make_unique<core::CoSimulation>(cfg);
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+        usage(argv[0]);
+        return 2;
     }
-
-    core::CosimConfig cfg = spec.toConfig();
-    if (use_tcp)
-        cfg.transport = core::TransportKind::Tcp;
 
     if (!quiet) {
         std::printf("rose-runner: %s  transport=%s\n",
                     spec.label().c_str(), use_tcp ? "tcp" : "in-proc");
     }
 
-    core::CoSimulation sim(cfg);
     soc::ActionTrace trace;
     if (!trace_path.empty())
-        sim.socSim().setTrace(&trace);
-    core::MissionResult r = sim.run();
+        sim->socSim().setTrace(&trace);
+    core::MissionResult r = sim->run();
 
     if (!csv_path.empty())
         core::writeTrajectoryCsv(csv_path, r);
@@ -138,6 +122,6 @@ main(int argc, char **argv)
             std::printf("trajectory csv: %s\n", csv_path.c_str());
     }
     if (stats)
-        sim.printSummary(std::cout);
+        sim->printSummary(std::cout);
     return r.completed() ? 0 : 1;
 }

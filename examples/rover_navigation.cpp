@@ -21,13 +21,12 @@ main(int argc, char **argv)
 {
     using namespace rose;
 
-    core::MissionSpec spec;
-    spec.world = argc > 1 ? argv[1] : "s-shape";
-    spec.vehicle = "rover";
-    spec.socName = "A";
-    spec.modelDepth = 14;
-    spec.velocity = argc > 2 ? std::atof(argv[2]) : 6.0;
-    spec.maxSimSeconds = 90.0;
+    core::MissionSpec spec = core::parseMissionSpec(
+        "world=s-shape vehicle=rover velocity=6 sim-seconds=90");
+    if (argc > 1)
+        spec.world = argv[1];
+    if (argc > 2)
+        spec.velocity = std::atof(argv[2]);
 
     std::printf("RoSE rover navigation: %s @ %.1f m/s, ResNet14 on "
                 "config A\n\n",

@@ -5,24 +5,20 @@
 
 namespace rose::bridge {
 
-namespace {
-
-void
-validate(const FaultConfig &cfg)
+const char *
+faultConfigError(const FaultConfig &cfg)
 {
     auto in01 = [](double p) { return p >= 0.0 && p <= 1.0; };
-    rose_assert(in01(cfg.dropProb) && in01(cfg.corruptProb) &&
-                    in01(cfg.reorderProb) && in01(cfg.delayProb),
-                "fault probabilities must be in [0, 1]");
-    rose_assert(cfg.dropProb + cfg.corruptProb + cfg.reorderProb +
-                        cfg.delayProb <=
-                    1.0 + 1e-12,
-                "fault probabilities must sum to at most 1");
-    rose_assert(cfg.delayOpsMin <= cfg.delayOpsMax,
-                "delayOpsMin must not exceed delayOpsMax");
+    if (!in01(cfg.dropProb) || !in01(cfg.corruptProb) ||
+        !in01(cfg.reorderProb) || !in01(cfg.delayProb))
+        return "fault probabilities must be in [0, 1]";
+    if (cfg.dropProb + cfg.corruptProb + cfg.reorderProb + cfg.delayProb >
+        1.0 + 1e-12)
+        return "fault probabilities must sum to at most 1";
+    if (cfg.delayOpsMin > cfg.delayOpsMax)
+        return "fault delay-min must not exceed delay-max";
+    return nullptr;
 }
-
-} // namespace
 
 FaultInjectTransport::FaultInjectTransport(
     std::unique_ptr<Transport> inner, const FaultConfig &cfg)
@@ -30,14 +26,14 @@ FaultInjectTransport::FaultInjectTransport(
       rng_(cfg.seed)
 {
     rose_assert(inner_ != nullptr, "null inner transport");
-    validate(cfg_);
+    rose_assert(!faultConfigError(cfg_), faultConfigError(cfg_));
 }
 
 FaultInjectTransport::FaultInjectTransport(Transport &inner,
                                            const FaultConfig &cfg)
     : inner_(&inner), cfg_(cfg), rng_(cfg.seed)
 {
-    validate(cfg_);
+    rose_assert(!faultConfigError(cfg_), faultConfigError(cfg_));
 }
 
 FaultInjectTransport::~FaultInjectTransport()

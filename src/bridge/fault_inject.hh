@@ -59,7 +59,17 @@ struct FaultConfig
     bool protectSyncPackets = true;
 
     uint64_t seed = 0xfa017;
+
+    bool operator==(const FaultConfig &) const = default;
 };
+
+/**
+ * Why @p cfg cannot drive a FaultInjectTransport, or nullptr when it
+ * can: each probability in [0, 1], their sum at most 1, and
+ * delayOpsMin <= delayOpsMax. The decorator asserts it; mission-spec
+ * validation (core::validateMissionSpec) reports it.
+ */
+const char *faultConfigError(const FaultConfig &cfg);
 
 /** What the decorator did to the traffic. */
 struct FaultStats

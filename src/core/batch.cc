@@ -1,6 +1,5 @@
 #include "batch.hh"
 
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -76,18 +75,6 @@ batchUsage(const char *argv0, const char *positionals, int status)
     std::exit(status);
 }
 
-/** Whole-string non-negative decimal, or -1 if @p text is not one. */
-int
-parseJobs(const char *text)
-{
-    const char *end = text + std::strlen(text);
-    int value = -1;
-    auto [ptr, ec] = std::from_chars(text, end, value);
-    if (ec != std::errc() || ptr != end || value < 0)
-        return -1;
-    return value;
-}
-
 } // namespace
 
 BatchCli
@@ -107,8 +94,7 @@ parseBatchCli(int &argc, char **argv, const char *positionals)
             return argv[++i];
         };
         auto setJobs = [&](const char *text) {
-            cli.jobs = parseJobs(text);
-            if (cli.jobs < 0)
+            if (!parseNumber(text, cli.jobs) || cli.jobs < 0)
                 reject("--jobs needs a non-negative integer, got", text);
         };
         if (std::strcmp(arg, "--help") == 0 ||

@@ -9,6 +9,7 @@
 #ifndef ROSE_CORE_EXPERIMENT_HH
 #define ROSE_CORE_EXPERIMENT_HH
 
+#include <charconv>
 #include <string>
 #include <string_view>
 
@@ -43,7 +44,65 @@ struct MissionSpec
 
     /** One-line description for table rows/logs. */
     std::string label() const;
+
+    bool operator==(const MissionSpec &) const = default;
 };
+
+/**
+ * Strict number parse: true only when all of @p text is one number of
+ * type T (std::from_chars syntax: no sign on unsigned types, no
+ * leading space, no trailing characters). @p out is set only then.
+ */
+template <class T>
+bool
+parseNumber(std::string_view text, T &out)
+{
+    T v{};
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (text.empty() || ec != std::errc() || ptr != end)
+        return false;
+    out = v;
+    return true;
+}
+
+/*
+ * The text form of a MissionSpec: whitespace-separated `key=value`
+ * tokens over one field table (experiment.cc), e.g.
+ * "soc=B mode=dynamic velocity=6 yaw=20 sim-seconds=10". The CLIs read
+ * the same keys as `--key value` flags. The functions below throw
+ * std::invalid_argument naming what they reject.
+ */
+
+/** The tokens of the fields where @p spec differs from MissionSpec{},
+ *  in table order; doubles print in shortest round-trip form. */
+std::string formatMissionSpec(const MissionSpec &spec);
+
+/** Apply the tokens of @p text onto @p base, then validate. Rejects an
+ *  unknown key, a value that is not wholly one value of its field's
+ *  type, and a spec validateMissionSpec rejects. */
+MissionSpec parseMissionSpec(std::string_view text, MissionSpec base = {});
+
+/**
+ * The range rules every admitted spec meets: depth in the ResNet zoo,
+ * finite non-negative velocity, finite yaw, sim-seconds in (0, 3600],
+ * positive sync granularity and a valid fault config
+ * (bridge::faultConfigError). Names (world, vehicle, soc) are checked
+ * where they are resolved, by toConfig() and the co-simulation.
+ */
+void validateMissionSpec(const MissionSpec &spec);
+
+/**
+ * When argv[i] is `--<key>` for a field of the text form, set that
+ * field from argv[i + 1], advance @p i past the value and return true;
+ * otherwise return false.
+ */
+bool consumeMissionSpecFlag(MissionSpec &spec, int argc, char **argv,
+                            int &i);
+
+/** Usage text for the spec flags: one `--key VALUES (default D)` line
+ *  per field. */
+std::string missionSpecUsage();
 
 /** Run one mission to completion/timeout. */
 MissionResult runMission(const MissionSpec &spec);

@@ -328,15 +328,14 @@ decodeSubmitRequest(const Message &m)
     requireType(m, MsgType::SubmitMission);
     PayloadReader r(m.payload);
     uint8_t version = r.u8();
-    // Version 1 predates the idempotency key; still accepted (the
-    // journal replays v1-era records through this same decoder).
-    if (version < 1 || version > kSpecCodecVersion)
+    // Only the current version: journalFingerprint() pins it, so no
+    // journal holds an older record, and no client sends one.
+    if (version != kSpecCodecVersion)
         throw ProtocolError(detail::concat(
             "unsupported mission-spec codec version ",
             unsigned(version)));
     SubmitRequest req;
-    if (version >= 2)
-        req.idempotencyKey = r.str(kMaxIdempotencyKeyBytes);
+    req.idempotencyKey = r.str(kMaxIdempotencyKeyBytes);
     core::MissionSpec &spec = req.spec;
     spec.world = r.str(kMaxStringBytes);
     spec.vehicle = r.str(kMaxStringBytes);
@@ -364,12 +363,6 @@ decodeSubmitRequest(const Message &m)
     f.protectSyncPackets = r.u8() != 0;
     f.seed = r.u64();
     return req;
-}
-
-core::MissionSpec
-decodeSubmitMission(const Message &m)
-{
-    return decodeSubmitRequest(m).spec;
 }
 
 Message

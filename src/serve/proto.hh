@@ -96,7 +96,8 @@ constexpr uint8_t kServeProtocolVersion = 5;
 /**
  * Version byte leading the SubmitMission payload (and the journal's
  * copy of it). Version 2 added the idempotency-key string between
- * the version byte and the spec fields.
+ * the version byte and the spec fields; the decoder refuses any other
+ * version.
  */
 constexpr uint8_t kSpecCodecVersion = 2;
 
@@ -603,8 +604,6 @@ struct SubmitRequest
 Message encodeSubmitMission(const core::MissionSpec &spec,
                             const std::string &idempotency_key = "");
 SubmitRequest decodeSubmitRequest(const Message &m);
-/** Spec-only view of decodeSubmitRequest (key discarded). */
-core::MissionSpec decodeSubmitMission(const Message &m);
 
 Message encodeQueryStatus(uint64_t job_id);
 uint64_t decodeQueryStatus(const Message &m);

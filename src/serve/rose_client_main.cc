@@ -10,20 +10,23 @@
  *   rose_client --port N verify JOB [spec flags]
  *   rose_client --port N stats
  *   rose_client --port N shutdown [--no-drain]
- *   rose_client --port N smoke [--clients 4] [--missions 8]
- *   rose_client --port N stream-smoke [--sim-seconds T]
- *                                     [--sync-granularity N]
- *                                     [--min-bytes B]
+ *   rose_client --port N smoke [--clients 4] [--missions 8] [spec flags]
+ *   rose_client --port N stream-smoke [--min-bytes B] [spec flags]
+ *
+ * The spec flags are the fields of the MissionSpec text form
+ * (core/experiment.hh), `--key value` for each `key=value`; --help
+ * lists them. Every command checks all of its arguments before it
+ * dials the daemon: an unknown flag, a malformed value or a spec that
+ * core::validateMissionSpec rejects exits 2 with usage.
  *
  * `submit --wait` and `fetch` print server-pushed progress events
  * (simulated seconds so far) to stderr while the mission runs, and
  * exit 1 (printing the journaled failureReason) when the mission
  * terminal state is Failed. `fetch --csv PATH` writes the canonical
- * trajectory CSV rendered from the fetched samples; an unknown fetch
- * flag, or `--csv` without a path, exits 2 with usage. `--idem-key`
- * makes the submission safe
- * to retry across daemon restarts (the resubmit lands on the same
- * job); `--job-file` writes the bare job id for scripts. `verify`
+ * trajectory CSV rendered from the fetched samples. `--idem-key`
+ * makes the submission safe to retry across daemon restarts (the
+ * resubmit lands on the same job); `--job-file` writes the bare job
+ * id for scripts. `verify`
  * fetches a finished job AND runs the same spec locally, exiting 0
  * only when the two trajectory FNV-1a hashes are bit-identical —
  * the crash-recovery chaos check in CI is built on it. The global
@@ -32,7 +35,8 @@
  *
  * `smoke` is the end-to-end acceptance check used by CI: it fans out
  * concurrent clients (core::parallelIndexed), submits the canonical
- * golden missions, and verifies that every served trajectory hashes
+ * golden missions (the spec flags apply to each; the SoC cycles
+ * through A, B and C), and verifies that every served trajectory hashes
  * bit-identically (FNV-1a) to the same spec run locally through
  * runMission(). Exit 0 only when every mission matches.
  *
@@ -73,18 +77,15 @@ usage(const char *argv0)
         "usage: %s --port N [--host H] [--timeout MS] [--reconnect] "
         "COMMAND ...\n"
         "commands:\n"
-        "  submit [--world W --vehicle V --soc S --depth D --velocity"
-        " X\n"
-        "          --yaw DEG --seed N --sim-seconds T --dynamic\n"
-        "          --degraded] [--wait] [--idem-key K] [--job-file P]\n"
+        "  submit [spec flags] [--wait] [--idem-key K] [--job-file P]\n"
         "  status JOB | fetch JOB [--csv PATH] | cancel JOB\n"
         "  verify JOB [spec flags]   (fetch + local re-run, compare "
         "hashes)\n"
         "  stats | shutdown [--no-drain]\n"
-        "  smoke [--clients N] [--missions N] [--sim-seconds T]\n"
-        "  stream-smoke [--sim-seconds T] [--sync-granularity N]\n"
-        "               [--min-bytes B]\n",
-        argv0);
+        "  smoke [--clients N] [--missions N] [spec flags]\n"
+        "  stream-smoke [--min-bytes B] [spec flags]\n"
+        "spec flags:\n%s",
+        argv0, core::missionSpecUsage().c_str());
 }
 
 /** Progress-to-stderr handler for interactive commands. */
@@ -126,58 +127,16 @@ printResult(uint64_t job_id, const serve::ServedResult &r)
                 servedHash(r));
 }
 
-/** Consume one mission-spec flag at argv[i]; true when recognized. */
-bool
-parseSpecFlag(core::MissionSpec &spec, int argc, char **argv, int &i)
-{
-    std::string arg = argv[i];
-    if (arg == "--world" && i + 1 < argc)
-        spec.world = argv[++i];
-    else if (arg == "--vehicle" && i + 1 < argc)
-        spec.vehicle = argv[++i];
-    else if (arg == "--soc" && i + 1 < argc)
-        spec.socName = argv[++i];
-    else if (arg == "--depth" && i + 1 < argc)
-        spec.modelDepth = std::atoi(argv[++i]);
-    else if (arg == "--velocity" && i + 1 < argc)
-        spec.velocity = std::atof(argv[++i]);
-    else if (arg == "--yaw" && i + 1 < argc)
-        spec.initialYawDeg = std::atof(argv[++i]);
-    else if (arg == "--seed" && i + 1 < argc)
-        spec.seed = uint64_t(std::atoll(argv[++i]));
-    else if (arg == "--sim-seconds" && i + 1 < argc)
-        spec.maxSimSeconds = std::atof(argv[++i]);
-    else if (arg == "--sync-granularity" && i + 1 < argc)
-        spec.syncGranularity = uint64_t(std::atoll(argv[++i]));
-    else if (arg == "--dynamic")
-        spec.mode = runtime::RuntimeMode::Dynamic;
-    else if (arg == "--degraded")
-        spec.degradedMode = true;
-    else
-        return false;
-    return true;
-}
-
-/** The golden-trace canonical mission, SoC config varying. */
-core::MissionSpec
-canonicalSpec(const std::string &soc, double sim_seconds)
-{
-    core::MissionSpec spec;
-    spec.world = "tunnel";
-    spec.socName = soc;
-    spec.modelDepth = 14;
-    spec.velocity = 3.0;
-    spec.initialYawDeg = 20.0;
-    spec.seed = 1;
-    spec.maxSimSeconds = sim_seconds;
-    return spec;
-}
-
 int
 runSmoke(const std::string &host, uint16_t port, int timeout_ms,
-         int clients, int missions, double sim_seconds)
+         int clients, int missions, const core::MissionSpec &base)
 {
     static const char *kSocs[] = {"A", "B", "C"};
+    auto specFor = [&](const char *soc) {
+        core::MissionSpec spec = base;
+        spec.socName = soc;
+        return spec;
+    };
 
     // Local reference hashes, one runMission per distinct spec.
     std::printf("smoke: computing local reference hashes...\n");
@@ -186,8 +145,7 @@ runSmoke(const std::string &host, uint16_t port, int timeout_ms,
         const char *soc = kSocs[m % 3];
         if (localHash.count(soc))
             continue;
-        core::MissionResult r =
-            core::runMission(canonicalSpec(soc, sim_seconds));
+        core::MissionResult r = core::runMission(specFor(soc));
         localHash[soc] = fnv1a(core::trajectoryCsvString(r));
     }
 
@@ -211,8 +169,7 @@ runSmoke(const std::string &host, uint16_t port, int timeout_ms,
                                 0xb0ffULL + ci * 977 + uint64_t(m));
                 serve::SubmitOutcome out;
                 for (int attempt = 0; attempt < 8; ++attempt) {
-                    out = client.submit(
-                        canonicalSpec(soc, sim_seconds));
+                    out = client.submit(specFor(soc));
                     if (out.accepted ||
                         out.reason != serve::RejectReason::QueueFull)
                         break;
@@ -276,11 +233,8 @@ runSmoke(const std::string &host, uint16_t port, int timeout_ms,
 
 int
 runStreamSmoke(const std::string &host, uint16_t port, int timeout_ms,
-               double sim_seconds, uint64_t sync_granularity,
-               size_t min_bytes)
+               const core::MissionSpec &spec, size_t min_bytes)
 {
-    core::MissionSpec spec = canonicalSpec("A", sim_seconds);
-    spec.syncGranularity = sync_granularity;
 
     std::printf("stream-smoke: local reference run...\n");
     core::MissionResult local = core::runMission(spec);
@@ -330,6 +284,88 @@ runStreamSmoke(const std::string &host, uint16_t port, int timeout_ms,
     return 0;
 }
 
+/** One command line, checked in full before anything is dialed. */
+struct Command
+{
+    std::string name;
+    uint64_t job = 0;
+    core::MissionSpec spec;
+    bool wait = false;
+    bool drain = true;
+    std::string idemKey, jobFile, csvPath;
+    int clients = 4, missions = 8;
+    size_t minBytes = 8 * 1024 * 1024;
+};
+
+/** The value after flag argv[i]; advances @p i past it. */
+const char *
+flagValue(int argc, char **argv, int &i)
+{
+    if (i + 1 >= argc)
+        throw std::invalid_argument(std::string(argv[i]) +
+                                    " requires a value");
+    return argv[++i];
+}
+
+/** A whole-token number of at least @p min for flag argv[i]. */
+template <class T>
+void
+flagNumber(int argc, char **argv, int &i, T &out, T min)
+{
+    const char *flag = argv[i];
+    if (!core::parseNumber(flagValue(argc, argv, i), out) || out < min)
+        throw std::invalid_argument(std::string("bad value for ") + flag +
+                                    ": '" + argv[i] + "'");
+}
+
+/** Parse the command at argv[i] and its arguments; throws
+ *  std::invalid_argument on anything it does not take. */
+Command
+parseCommand(int argc, char **argv, int i)
+{
+    Command c;
+    const std::string n = c.name = argv[i++];
+    if (n == "smoke")
+        c.spec = core::parseMissionSpec("yaw=20 sim-seconds=10");
+    else if (n == "stream-smoke")
+        c.spec = core::parseMissionSpec(
+            "yaw=20 sync-granularity=20000 sim-seconds=2.2");
+    const bool takesSpec =
+        n == "submit" || n == "verify" || n == "smoke" || n == "stream-smoke";
+    const bool takesJob =
+        n == "status" || n == "fetch" || n == "cancel" || n == "verify";
+    if (!takesSpec && !takesJob && n != "stats" && n != "shutdown")
+        throw std::invalid_argument("unknown command: " + n);
+    if (takesJob && (i >= argc || !core::parseNumber(argv[i++], c.job)))
+        throw std::invalid_argument(n + " requires a job id");
+    for (; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (takesSpec && core::consumeMissionSpecFlag(c.spec, argc, argv, i))
+            continue;
+        if (n == "submit" && arg == "--wait")
+            c.wait = true;
+        else if (n == "submit" && arg == "--idem-key")
+            c.idemKey = flagValue(argc, argv, i);
+        else if (n == "submit" && arg == "--job-file")
+            c.jobFile = flagValue(argc, argv, i);
+        else if (n == "fetch" && arg == "--csv")
+            c.csvPath = flagValue(argc, argv, i);
+        else if (n == "shutdown" && arg == "--no-drain")
+            c.drain = false;
+        else if (n == "smoke" && arg == "--clients")
+            flagNumber(argc, argv, i, c.clients, 1);
+        else if (n == "smoke" && arg == "--missions")
+            flagNumber(argc, argv, i, c.missions, 1);
+        else if (n == "stream-smoke" && arg == "--min-bytes")
+            flagNumber(argc, argv, i, c.minBytes, size_t(0));
+        else
+            throw std::invalid_argument(n + ": unexpected argument " + arg);
+    }
+    if (takesSpec)
+        core::validateMissionSpec(c.spec);
+    return c;
+}
+
 } // namespace
 
 int
@@ -339,79 +375,44 @@ main(int argc, char **argv)
     uint16_t port = 0;
     int timeout_ms = 120000;
     bool reconnect = false;
+    Command c;
 
-    int i = 1;
-    for (; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--port" && i + 1 < argc)
-            port = uint16_t(std::atoi(argv[++i]));
-        else if (arg == "--host" && i + 1 < argc)
-            host = argv[++i];
-        else if (arg == "--timeout" && i + 1 < argc)
-            timeout_ms = std::atoi(argv[++i]);
-        else if (arg == "--reconnect")
-            reconnect = true;
-        else if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else
-            break;
-    }
-    if (i >= argc || port == 0) {
+    try {
+        int i = 1;
+        for (; i < argc; ++i) {
+            std::string arg = argv[i];
+            if (arg == "--port")
+                flagNumber(argc, argv, i, port, uint16_t(1));
+            else if (arg == "--host")
+                host = flagValue(argc, argv, i);
+            else if (arg == "--timeout")
+                flagNumber(argc, argv, i, timeout_ms, 1);
+            else if (arg == "--reconnect")
+                reconnect = true;
+            else if (arg == "--help" || arg == "-h") {
+                usage(argv[0]);
+                return 0;
+            } else
+                break;
+        }
+        if (i >= argc || port == 0)
+            throw std::invalid_argument("--port N and a command are "
+                                        "required");
+        c = parseCommand(argc, argv, i);
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
         usage(argv[0]);
         return 2;
     }
-    std::string cmd = argv[i++];
+    const std::string &cmd = c.name;
 
     try {
-        if (cmd == "smoke") {
-            int clients = 4, missions = 8;
-            double sim_seconds = 10.0;
-            for (; i < argc; ++i) {
-                std::string arg = argv[i];
-                if (arg == "--clients" && i + 1 < argc)
-                    clients = std::atoi(argv[++i]);
-                else if (arg == "--missions" && i + 1 < argc)
-                    missions = std::atoi(argv[++i]);
-                else if (arg == "--sim-seconds" && i + 1 < argc)
-                    sim_seconds = std::atof(argv[++i]);
-            }
-            return runSmoke(host, port, timeout_ms, clients, missions,
-                            sim_seconds);
-        }
-
-        if (cmd == "stream-smoke") {
-            double sim_seconds = 2.2;
-            uint64_t sync_granularity = 20000;
-            size_t min_bytes = 8 * 1024 * 1024;
-            for (; i < argc; ++i) {
-                std::string arg = argv[i];
-                if (arg == "--sim-seconds" && i + 1 < argc)
-                    sim_seconds = std::atof(argv[++i]);
-                else if (arg == "--sync-granularity" && i + 1 < argc)
-                    sync_granularity =
-                        uint64_t(std::atoll(argv[++i]));
-                else if (arg == "--min-bytes" && i + 1 < argc)
-                    min_bytes = size_t(std::atoll(argv[++i]));
-            }
-            return runStreamSmoke(host, port, timeout_ms, sim_seconds,
-                                  sync_granularity, min_bytes);
-        }
-
-        // fetch's flags (after the job id) are checked before dialing,
-        // so a typo exits 2 whether or not a daemon is listening.
-        std::string csvPath;
-        for (int k = i + 1; cmd == "fetch" && k < argc; ++k) {
-            std::string arg = argv[k];
-            if (arg == "--csv" && k + 1 < argc) {
-                csvPath = argv[++k];
-                continue;
-            }
-            std::fprintf(stderr, "fetch: unexpected argument %s\n",
-                         arg.c_str());
-            usage(argv[0]);
-            return 2;
-        }
+        if (cmd == "smoke")
+            return runSmoke(host, port, timeout_ms, c.clients, c.missions,
+                            c.spec);
+        if (cmd == "stream-smoke")
+            return runStreamSmoke(host, port, timeout_ms, c.spec,
+                                  c.minBytes);
 
         serve::ServeClient client(port, host, timeout_ms);
         client.onProgress(printProgress);
@@ -419,21 +420,7 @@ main(int argc, char **argv)
             client.enableReconnect();
 
         if (cmd == "submit") {
-            core::MissionSpec spec;
-            bool wait = false;
-            std::string idemKey, jobFile;
-            for (; i < argc; ++i) {
-                if (parseSpecFlag(spec, argc, argv, i))
-                    continue;
-                std::string arg = argv[i];
-                if (arg == "--wait")
-                    wait = true;
-                else if (arg == "--idem-key" && i + 1 < argc)
-                    idemKey = argv[++i];
-                else if (arg == "--job-file" && i + 1 < argc)
-                    jobFile = argv[++i];
-            }
-            serve::SubmitOutcome out = client.submit(spec, idemKey);
+            serve::SubmitOutcome out = client.submit(c.spec, c.idemKey);
             if (!out.accepted) {
                 std::fprintf(stderr, "rejected (%s): %s\n",
                              serve::rejectReasonName(out.reason),
@@ -443,17 +430,17 @@ main(int argc, char **argv)
             std::printf("accepted: job %" PRIu64
                         " (queue position %u)\n",
                         out.jobId, out.queuePosition);
-            if (!jobFile.empty()) {
-                std::FILE *f = std::fopen(jobFile.c_str(), "w");
+            if (!c.jobFile.empty()) {
+                std::FILE *f = std::fopen(c.jobFile.c_str(), "w");
                 if (!f) {
                     std::fprintf(stderr, "cannot write %s\n",
-                                 jobFile.c_str());
+                                 c.jobFile.c_str());
                     return 1;
                 }
                 std::fprintf(f, "%" PRIu64 "\n", out.jobId);
                 std::fclose(f);
             }
-            if (wait) {
+            if (c.wait) {
                 serve::JobState state = serve::JobState::Unknown;
                 serve::ServedResult r =
                     client.waitResult(out.jobId, timeout_ms, 10, &state);
@@ -469,15 +456,8 @@ main(int argc, char **argv)
             return 0;
         }
 
+        const uint64_t job = c.job;
         if (cmd == "verify") {
-            if (i >= argc) {
-                std::fprintf(stderr, "verify requires a job id\n");
-                return 2;
-            }
-            uint64_t job = uint64_t(std::atoll(argv[i++]));
-            core::MissionSpec spec;
-            for (; i < argc; ++i)
-                parseSpecFlag(spec, argc, argv, i);
             serve::JobState state = serve::JobState::Unknown;
             serve::ServedResult r =
                 client.waitResult(job, timeout_ms, 10, &state);
@@ -488,7 +468,7 @@ main(int argc, char **argv)
                 return 1;
             }
             uint64_t served = servedHash(r);
-            core::MissionResult local = core::runMission(spec);
+            core::MissionResult local = core::runMission(c.spec);
             uint64_t expect = fnv1a(core::trajectoryCsvString(local));
             std::printf("verify: job %" PRIu64 " served "
                         "0x%016" PRIx64 " local 0x%016" PRIx64 "\n",
@@ -505,12 +485,6 @@ main(int argc, char **argv)
         }
 
         if (cmd == "status" || cmd == "fetch" || cmd == "cancel") {
-            if (i >= argc) {
-                std::fprintf(stderr, "%s requires a job id\n",
-                             cmd.c_str());
-                return 2;
-            }
-            uint64_t job = uint64_t(std::atoll(argv[i++]));
             if (cmd == "status") {
                 serve::StatusInfo s = client.status(job);
                 std::printf("job %" PRIu64 ": %s (queue_pos=%u "
@@ -521,13 +495,13 @@ main(int argc, char **argv)
                 return 0;
             }
             if (cmd == "cancel") {
-                serve::CancelInfo c = client.cancel(job);
+                serve::CancelInfo info = client.cancel(job);
                 static const char *kOutcomes[] = {
                     "?", "dequeued", "too_late", "already_done",
                     "unknown_job"};
-                std::printf("job %" PRIu64 ": %s\n", c.jobId,
-                            kOutcomes[uint8_t(c.outcome)]);
-                return c.outcome ==
+                std::printf("job %" PRIu64 ": %s\n", info.jobId,
+                            kOutcomes[uint8_t(info.outcome)]);
+                return info.outcome ==
                                serve::CancelOutcome::UnknownJob
                            ? 1
                            : 0;
@@ -536,11 +510,11 @@ main(int argc, char **argv)
             serve::ServedResult r =
                 client.waitResult(job, timeout_ms, 10, &state);
             printResult(job, r);
-            if (!csvPath.empty()) {
-                std::FILE *f = std::fopen(csvPath.c_str(), "wb");
+            if (!c.csvPath.empty()) {
+                std::FILE *f = std::fopen(c.csvPath.c_str(), "wb");
                 if (!f) {
                     std::fprintf(stderr, "cannot write %s\n",
-                                 csvPath.c_str());
+                                 c.csvPath.c_str());
                     return 1;
                 }
                 std::string csv = core::trajectoryCsvString(r.trajectory);
@@ -582,20 +556,11 @@ main(int argc, char **argv)
             return 0;
         }
 
-        if (cmd == "shutdown") {
-            bool drain = true;
-            for (; i < argc; ++i)
-                if (std::string(argv[i]) == "--no-drain")
-                    drain = false;
-            client.shutdownServer(drain);
-            std::printf("shutdown requested (%s)\n",
-                        drain ? "drain" : "immediate");
-            return 0;
-        }
-
-        std::fprintf(stderr, "unknown command: %s\n", cmd.c_str());
-        usage(argv[0]);
-        return 2;
+        // parseCommand admitted no other command: shutdown.
+        client.shutdownServer(c.drain);
+        std::printf("shutdown requested (%s)\n",
+                    c.drain ? "drain" : "immediate");
+        return 0;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "rose_client: %s\n", e.what());
         return 1;

@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -37,6 +36,18 @@ msBetween(std::chrono::steady_clock::time_point a,
           std::chrono::steady_clock::time_point b)
 {
     return std::chrono::duration<double, std::milli>(b - a).count();
+}
+
+/** A Failed job's result: no trajectory, so both hashes are FNV-1a of
+ *  zero bytes. */
+ServedResult
+failedResult(std::string reason)
+{
+    ServedResult r;
+    r.status = uint8_t(core::MissionStatus::Crashed);
+    r.failureReason = std::move(reason);
+    r.trajectoryHash = r.payloadHash = fnv1a(std::string_view{});
+    return r;
 }
 
 } // namespace
@@ -127,6 +138,19 @@ MissionServer::MissionServer(const ServerConfig &cfg)
             idemToJob_[rj.idempotencyKey] = id;
         nextJobId_ = std::max(nextJobId_, id + 1);
         counters_.journalReplayedJobs++;
+        // A journal from before admission validated every spec may
+        // hold one the engine would abort on: each replay fails it
+        // instead of taking a worker (and the daemon) down.
+        if (!rj.terminal) {
+            try {
+                core::validateMissionSpec(job.spec);
+            } catch (const std::invalid_argument &e) {
+                rj.terminal = true;
+                rj.state = JobState::Failed;
+                rj.result = failedResult(
+                    std::string("invalid mission spec: ") + e.what());
+            }
+        }
         if (rj.terminal) {
             job.state = rj.state;
             job.queueWaitMs = rj.result.queueWaitMs;
@@ -393,11 +417,7 @@ MissionServer::workerLoop(size_t)
         } catch (const std::exception &e) {
             encoder.discard();
             threw = true;
-            served.status = uint8_t(core::MissionStatus::Crashed);
-            served.failureReason = e.what();
-            // No trajectory: both hashes are FNV-1a of zero bytes.
-            served.trajectoryHash = served.payloadHash =
-                fnv1a(std::string_view{});
+            served = failedResult(e.what());
         }
         double service_ms = msBetween(started, Clock::now());
         served.queueWaitMs = queue_wait_ms;
@@ -805,23 +825,15 @@ MissionServer::handleSubmit(Connection &conn, const Message &req)
     core::MissionSpec &spec = sreq.spec;
 
     // Cheap semantic validation up front: a spec that cannot run
-    // should cost an admission decision, not a worker slot. Mission
-    // *length* is deliberately not validated: a trajectory of any
-    // size streams in bounded chunks.
-    auto bad = [&](const std::string &why) {
+    // should cost an admission decision, not a worker slot (and a
+    // spec the engine would abort on must never reach one).
+    try {
+        core::validateMissionSpec(spec);
+    } catch (const std::invalid_argument &e) {
         std::lock_guard<std::mutex> lk(mu_);
         counters_.submitted++;
-        return encodeRejected({RejectReason::BadRequest, why});
-    };
-    if (spec.modelDepth < 1 || spec.modelDepth > 64)
-        return bad("modelDepth out of range [1,64]");
-    if (!std::isfinite(spec.velocity) || spec.velocity < 0.0)
-        return bad("velocity must be finite and non-negative");
-    if (!std::isfinite(spec.maxSimSeconds) ||
-        spec.maxSimSeconds <= 0.0 || spec.maxSimSeconds > 3600.0)
-        return bad("maxSimSeconds out of range (0,3600]");
-    if (spec.syncGranularity == 0)
-        return bad("syncGranularity must be positive");
+        return encodeRejected({RejectReason::BadRequest, e.what()});
+    }
 
     std::lock_guard<std::mutex> lk(mu_);
     counters_.submitted++;

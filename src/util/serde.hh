@@ -108,13 +108,16 @@ class StateWriter
     size_t size() const { return buf_.size(); }
 
   private:
+    // Resize, then store: GCC 12 misreads an inlined range insert
+    // into an empty vector as a write into a zero-byte region
+    // (-Wstringop-overflow).
     template <int N>
     void le(uint64_t v)
     {
-        uint8_t b[N];
+        const size_t at = buf_.size();
+        buf_.resize(at + N);
         for (int i = 0; i < N; ++i)
-            b[i] = uint8_t(v >> (8 * i));
-        buf_.insert(buf_.end(), b, b + N);
+            buf_[at + i] = uint8_t(v >> (8 * i));
     }
 
     std::vector<uint8_t> buf_;

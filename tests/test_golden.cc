@@ -1,238 +1,43 @@
 /**
  * @file
- * Golden-trace regression tests: the canonical tunnel mission on SoC
- * configs A, B, C from Table 2, once with the static ResNet14 runtime
- * and once with the Section 5.3 dynamic ResNet14/ResNet6 runtime, plus
- * the canonical mission on the s-shape and zigzag maps, a
- * straight-ahead (yaw 0) tunnel mission, a rover mission and two
- * missions under injected transport faults, with checked-in FNV-1a
- * hashes of their trajectory CSVs. Silent
- * physics/timing drift — a changed integrator constant, a reordered RNG
- * draw, an off-by-one sync period — fails here instead of quietly
- * corrupting every number in EXPERIMENTS.md.
+ * Golden-trace regression tests over the golden corpus
+ * (golden_corpus.hh): every row's trajectory CSV must hash to its
+ * checked-in FNV-1a value, and every in-process row must hash the same
+ * whichever layer runs it — runMission, a BatchRunner, an in-process
+ * rosed, or the supervisor resumed from a mid-mission checkpoint file
+ * (RSLCPP's determinism-first argument applied to our layers).
  *
- * When a change *intentionally* alters simulation behavior, regenerate
- * the goldens: run this binary with ROSE_REGEN_GOLDEN=1 and paste the
- * printed table over kGolden below (the test fails in regen mode so CI
- * can never pass on unpinned values). The trajectory CSV format itself
- * is part of the hashed surface (see core::trajectoryCsvString).
+ * Regenerate the rows with ROSE_REGEN_GOLDEN=1 (see golden_corpus.hh).
  */
 
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/batch.hh"
+#include "core/checkpoint.hh"
 #include "core/cosim.hh"
 #include "core/experiment.hh"
+#include "core/supervisor.hh"
+#include "golden_corpus.hh"
 #include "runtime/control_app.hh"
+#include "serve/client.hh"
+#include "serve/server.hh"
 #include "util/hash.hh"
 
 using namespace rose;
+using test::GoldenRow;
+using test::kGoldenCorpus;
 
 namespace {
 
-using runtime::RuntimeMode;
-
-/** The canonical mission: tunnel, ResNet14 @ 3 m/s, +20 degree initial
- *  heading (exercises the correction transient), seed 1, 10 simulated
- *  seconds. The SoC config, the runtime mode, the velocity, the map,
- *  the initial heading, the seed and the vehicle vary per row. */
-core::MissionSpec
-canonicalSpec(const std::string &socName,
-              RuntimeMode mode = RuntimeMode::Static,
-              double velocity = 3.0, const std::string &world = "tunnel",
-              double yawDeg = 20.0, uint64_t seed = 1,
-              const std::string &vehicle = "quadrotor")
+uint64_t
+trajectoryHash(const std::vector<core::TrajectorySample> &trajectory)
 {
-    core::MissionSpec spec;
-    spec.world = world;
-    spec.vehicle = vehicle;
-    spec.socName = socName;
-    spec.mode = mode;
-    spec.modelDepth = 14;
-    spec.velocity = velocity;
-    spec.initialYawDeg = yawDeg;
-    spec.seed = seed;
-    spec.maxSimSeconds = 10.0;
-    return spec;
-}
-
-struct Golden
-{
-    const char *world;
-    const char *socName;
-    RuntimeMode mode;
-    double velocity;
-    double yaw;    ///< initial heading [deg]
-    uint64_t seed;
-    uint64_t trajectoryHash; ///< fnv1a(trajectoryCsvString(result))
-    size_t trajectorySamples;
-    uint64_t collisions;
-    const char *vehicle = "quadrotor";
-    Cycles sync = 10 * kMegaCycles; ///< cycles per sync period
-    core::TransportKind transport = core::TransportKind::InProcess;
-    double seconds = 10.0; ///< simulated mission length
-    bool faults = false;   ///< inject kFaultMix on the synchronizer's end
-    int depth = 14;        ///< ResNet depth of the classifier
-    bool degraded = false; ///< classical-fallback controller enabled
-};
-
-/** The faulted rows' link: every fault kind fires, at rates the
- *  sensor-retry timeout still flies the tunnel through. */
-constexpr bridge::FaultConfig kFaultMix{.enabled = true,
-                                        .dropProb = 0.05,
-                                        .corruptProb = 0.02,
-                                        .reorderProb = 0.05,
-                                        .delayProb = 0.05,
-                                        .seed = 2021};
-
-// Regenerate with ROSE_REGEN_GOLDEN=1 (see file header).
-//
-// The dynamic rows leave 3 m/s where the Equation 5 deadline never
-// forces a switch: at 3 m/s A and B always fit ResNet14 and C never
-// does. 6 m/s makes A and B fall back to ResNet6 near the walls; C's
-// CPU-only ResNet14 fits the budget only at walking pace.
-//
-// The s-shape row is the only one whose corridor bends, so it is the
-// one that pins the raycaster against a non-constant centerline.
-//
-// The yaw-0 row flies straight down the tunnel, where the heading
-// state stays near zero for the whole mission and the CSV prints the
-// last bits of values like yaw = -5.7e-12. That makes it the row that
-// catches a compiler fusing a*b+c into an FMA under an FMA-capable
-// -march (the build pins -ffp-contract=off for exactly this reason).
-//
-// The zigzag row pins the raycaster against a piecewise-linear
-// centerline with rounded corners (it passes the x = 15 m corner), and
-// so the zigzag world's slope bound end to end. The rover row pins the
-// pose estimator at the rover's 0.8 m camera mast instead of the
-// quadrotor's 1.5 m cruise altitude.
-//
-// The last two rows leave the 10 M-cycle sync. The first runs golden A
-// at 1 M-cycle sync over loopback TCP: ten times the periods, each a
-// real socket round trip, with the same rendered images. The second is
-// golden A for 0.2 s at 20 k-cycle sync: 10,000 samples, most of them
-// before the first command arrives, so the CSV is dense with zero
-// command cells and tiny lateral offsets — the cells the formatter's
-// fast path and its fallbacks must both get right.
-//
-// The two faulted rows run golden A for 2 s with every kind of injected
-// fault (kFaultMix): in-process at the default sync, and over loopback
-// TCP at 1 M-cycle sync. The injector's operation clock advances on
-// every send() and recv() call, so these rows pin the number and order
-// of transport calls the lockstep loop makes, not just its packets.
-//
-// The degraded row flies golden B's dynamic runtime at 9 m/s with the
-// classical fallback enabled: near the walls even ResNet6 misses the
-// Equation 5 deadline, so the deadline-miss trigger hands control to
-// the fallback controller and back. The last four rows are golden A
-// with the other static classifier depths of the zoo.
-constexpr Golden kGolden[] = {
-    {"tunnel", "A", RuntimeMode::Static, 3.0, 20.0, 1,
-     0x2b24ad514f06c3cbULL, 1000, 0},
-    {"tunnel", "B", RuntimeMode::Static, 3.0, 20.0, 1,
-     0x02771540364e358fULL, 1000, 0},
-    {"tunnel", "C", RuntimeMode::Static, 3.0, 20.0, 1,
-     0x0e337585f9a29f6aULL, 1000, 27},
-    {"tunnel", "A", RuntimeMode::Dynamic, 6.0, 20.0, 1,
-     0x1fbdc1290899c590ULL, 911, 0},
-    {"tunnel", "B", RuntimeMode::Dynamic, 6.0, 20.0, 1,
-     0x363ece69e58dc178ULL, 970, 0},
-    {"tunnel", "C", RuntimeMode::Dynamic, 0.3, 20.0, 1,
-     0x9cc8dbbd0aa604b7ULL, 1000, 1},
-    {"s-shape", "A", RuntimeMode::Static, 3.0, 20.0, 1,
-     0x6f0fd34ac7ad97b9ULL, 1000, 0},
-    {"tunnel", "A", RuntimeMode::Static, 3.0, 0.0, 2,
-     0x5cef5ccc941df9abULL, 1000, 0},
-    {"zigzag", "A", RuntimeMode::Static, 3.0, 20.0, 1,
-     0xa7be05975ffafcc3ULL, 1000, 0},
-    {"tunnel", "A", RuntimeMode::Static, 3.0, 20.0, 1,
-     0xe61ec6e9f8e9c160ULL, 1000, 0, "rover"},
-    {"tunnel", "A", RuntimeMode::Static, 3.0, 20.0, 1,
-     0x037fb031e79ae46bULL, 10001, 0, "quadrotor",
-     1000000, core::TransportKind::Tcp},
-    {"tunnel", "A", RuntimeMode::Static, 3.0, 20.0, 1,
-     0xdd1cdc85dbc18acfULL, 10000, 0, "quadrotor",
-     20000, core::TransportKind::InProcess, 0.2},
-    {"tunnel", "A", RuntimeMode::Static, 3.0, 20.0, 1,
-     0xf406280d13073940ULL, 200, 0, "quadrotor",
-     10000000, core::TransportKind::InProcess, 2, true},
-    {"tunnel", "A", RuntimeMode::Static, 3.0, 20.0, 1,
-     0x3974ae862a717a19ULL, 2001, 0, "quadrotor",
-     1000000, core::TransportKind::Tcp, 2, true},
-    {"tunnel", "B", RuntimeMode::Dynamic, 9.0, 20.0, 1,
-     0xb87e452b9afd931fULL, 1000, 8, "quadrotor",
-     10000000, core::TransportKind::InProcess, 10, false, 14, true},
-    {"tunnel", "A", RuntimeMode::Static, 3.0, 20.0, 1,
-     0xc7d61abacb9c48f4ULL, 1000, 0, "quadrotor",
-     10000000, core::TransportKind::InProcess, 10, false, 6},
-    {"tunnel", "A", RuntimeMode::Static, 3.0, 20.0, 1,
-     0xfdc8115f1fe607ffULL, 1000, 0, "quadrotor",
-     10000000, core::TransportKind::InProcess, 10, false, 11},
-    {"tunnel", "A", RuntimeMode::Static, 3.0, 20.0, 1,
-     0xa61749d572bebfedULL, 1000, 0, "quadrotor",
-     10000000, core::TransportKind::InProcess, 10, false, 18},
-    {"tunnel", "A", RuntimeMode::Static, 3.0, 20.0, 1,
-     0x12f929fdfa0352e5ULL, 1000, 0, "quadrotor",
-     10000000, core::TransportKind::InProcess, 10, false, 34},
-};
-
-const char *
-modeName(RuntimeMode mode)
-{
-    return mode == RuntimeMode::Dynamic ? "Dynamic" : "Static";
-}
-
-/** Run one row; a faulted row also reports what its injector did. */
-core::MissionResult
-runGolden(const Golden &g, bridge::FaultStats &faults)
-{
-    core::MissionSpec spec = canonicalSpec(g.socName, g.mode, g.velocity,
-                                           g.world, g.yaw, g.seed,
-                                           g.vehicle);
-    spec.syncGranularity = g.sync;
-    spec.maxSimSeconds = g.seconds;
-    spec.modelDepth = g.depth;
-    spec.degradedMode = g.degraded;
-    if (g.faults)
-        spec.faults = kFaultMix;
-    core::CosimConfig cfg = spec.toConfig();
-    cfg.transport = g.transport;
-    core::CoSimulation sim(cfg);
-    core::MissionResult r = sim.run();
-    if (sim.faultStats())
-        faults = *sim.faultStats();
-    return r;
-}
-
-/** The regen table's trailing fields, printed only while they differ
- *  from their defaults. */
-std::string
-regenTail(const Golden &g)
-{
-    const Golden d{};
-    const bool tail = g.sync != d.sync || g.transport != d.transport ||
-                      g.seconds != d.seconds || g.faults != d.faults;
-    if (!tail && std::string(g.vehicle) == d.vehicle)
-        return "";
-    std::string s = ", \"" + std::string(g.vehicle) + "\"";
-    if (!tail)
-        return s;
-    char buf[160];
-    std::snprintf(buf, sizeof(buf), ",\n     %llu, core::TransportKind::%s",
-                  (unsigned long long)g.sync,
-                  g.transport == core::TransportKind::Tcp ? "Tcp"
-                                                          : "InProcess");
-    s += buf;
-    if (g.seconds != d.seconds || g.faults != d.faults) {
-        std::snprintf(buf, sizeof(buf), ", %g", g.seconds);
-        s += buf;
-    }
-    if (g.faults != d.faults)
-        s += ", true";
-    return s;
+    return fnv1a(core::trajectoryCsvString(trajectory));
 }
 
 } // namespace
@@ -241,52 +46,46 @@ TEST(GoldenTrace, CanonicalTunnelMissions)
 {
     const bool regen = std::getenv("ROSE_REGEN_GOLDEN") != nullptr;
     if (regen)
-        std::printf("// Regenerated goldens — paste over kGolden:\n");
+        std::printf("// Regenerated rows — paste over kGoldenCorpus:\n");
 
-    for (const Golden &g : kGolden) {
-        SCOPED_TRACE(std::string(g.vehicle) + " " + g.world +
-                     " config " + g.socName +
-                     " " + modeName(g.mode) + " yaw " +
-                     std::to_string(g.yaw) + " seed " +
-                     std::to_string(g.seed) + " sync " +
-                     std::to_string(g.sync) + " seconds " +
-                     std::to_string(g.seconds) +
-                     (g.transport == core::TransportKind::Tcp ? " tcp"
-                                                              : "") +
-                     (g.faults ? " faults" : "") + " depth " +
-                     std::to_string(g.depth) +
-                     (g.degraded ? " degraded" : ""));
-        bridge::FaultStats fs;
-        core::MissionResult r = runGolden(g, fs);
-        std::string csv = core::trajectoryCsvString(r);
-        uint64_t hash = fnv1a(csv);
+    for (const GoldenRow &g : kGoldenCorpus) {
+        SCOPED_TRACE(g.spec);
+        const core::MissionSpec spec = core::parseMissionSpec(g.spec);
+        EXPECT_EQ(core::formatMissionSpec(spec), g.spec)
+            << "row is not in the canonical text form";
+        core::CosimConfig cfg = spec.toConfig();
+        cfg.transport = g.transport;
+        core::CoSimulation sim(cfg);
+        core::MissionResult r = sim.run();
+        uint64_t hash = trajectoryHash(r.trajectory);
 
         if (regen) {
-            std::string tail = regenTail(g);
-            std::printf("    {\"%s\", \"%s\", RuntimeMode::%s, %.1f, "
-                        "%.1f, %llu,\n     0x%016llxULL, %zu, %llu%s},\n",
-                        g.world, g.socName, modeName(g.mode), g.velocity,
-                        g.yaw, (unsigned long long)g.seed,
+            std::printf("    {\"%s\", %s,\n     0x%016llxULL, %zu, %llu},\n",
+                        g.spec,
+                        g.transport == core::TransportKind::Tcp ? "kTcp"
+                                                                : "kInProc",
                         (unsigned long long)hash, r.trajectory.size(),
-                        (unsigned long long)r.collisions, tail.c_str());
+                        (unsigned long long)r.collisions);
             continue;
         }
 
         // A dynamic row only pins the runtime switch if the mission
         // really ran both the big and the small model.
-        if (g.mode == RuntimeMode::Dynamic) {
+        if (spec.mode == runtime::RuntimeMode::Dynamic) {
             bool saw_big = false, saw_small = false;
             for (const runtime::InferenceRecord &rec : r.inferenceLog) {
-                saw_big |= rec.modelDepth == 14;
+                saw_big |= rec.modelDepth == spec.modelDepth;
                 saw_small |= rec.modelDepth == 6;
             }
-            EXPECT_TRUE(saw_big) << "dynamic row never ran ResNet14";
+            EXPECT_TRUE(saw_big) << "dynamic row never ran its big model";
             EXPECT_TRUE(saw_small) << "dynamic row never ran ResNet6";
         }
 
         // A faulted row pins the fault paths only if each of them ran,
         // and the mission survived them.
-        if (g.faults) {
+        if (spec.faults.enabled) {
+            ASSERT_NE(sim.faultStats(), nullptr);
+            const bridge::FaultStats &fs = *sim.faultStats();
             EXPECT_GT(fs.dropped, 0u);
             EXPECT_GT(fs.corrupted, 0u);
             EXPECT_GT(fs.reordered, 0u);
@@ -296,20 +95,20 @@ TEST(GoldenTrace, CanonicalTunnelMissions)
 
         // The degraded row pins the classical fallback only if the
         // mission really flew part of it on that controller.
-        if (g.degraded) {
+        if (spec.degradedMode) {
             EXPECT_FALSE(r.degradedIntervals.empty())
                 << "degraded row never entered the fallback";
         }
 
         // Coarse goldens first: when these differ the drift is
         // behavioral (physics/control), not just numeric formatting.
-        EXPECT_EQ(r.trajectory.size(), g.trajectorySamples);
+        EXPECT_EQ(r.trajectory.size(), g.samples);
         EXPECT_EQ(r.collisions, g.collisions);
 
         char actual[32];
         std::snprintf(actual, sizeof(actual), "0x%016llx",
                       (unsigned long long)hash);
-        EXPECT_EQ(hash, g.trajectoryHash)
+        EXPECT_EQ(hash, g.hash)
             << "trajectory CSV hash drifted (actual " << actual
             << "); if the change is intentional, regenerate with "
                "ROSE_REGEN_GOLDEN=1";
@@ -317,6 +116,75 @@ TEST(GoldenTrace, CanonicalTunnelMissions)
 
     if (regen)
         FAIL() << "ROSE_REGEN_GOLDEN set: goldens printed, not checked";
+}
+
+TEST(GoldenTrace, InProcessRowsHashEqualFourWays)
+{
+    // Every in-process row. The TCP rows run only in
+    // CanonicalTunnelMissions: the transport is not a MissionSpec
+    // field, so a batch and rosed run every spec in-process, and a
+    // TCP link cannot be checkpointed.
+    std::vector<const GoldenRow *> rows;
+    std::vector<core::MissionSpec> specs;
+    for (const GoldenRow &g : kGoldenCorpus) {
+        if (g.transport == core::TransportKind::InProcess) {
+            rows.push_back(&g);
+            specs.push_back(core::parseMissionSpec(g.spec));
+        }
+    }
+
+    // Batch, three workers.
+    std::vector<core::MissionResult> batch =
+        core::BatchRunner(core::BatchOptions{3}).run(specs);
+
+    // rosed in this process, three workers, every row in flight.
+    serve::ServerConfig scfg;
+    scfg.workers = 3;
+    scfg.maxQueueDepth = specs.size();
+    scfg.perClientInFlight = uint32_t(specs.size());
+    serve::MissionServer server(scfg);
+    server.start();
+    serve::ServeClient client(server.port());
+    std::vector<uint64_t> jobs;
+    for (const core::MissionSpec &spec : specs) {
+        serve::SubmitOutcome out = client.submit(spec);
+        ASSERT_TRUE(out.accepted) << out.detail;
+        jobs.push_back(out.jobId);
+    }
+
+    const std::string ckpt = ::testing::TempDir() + "golden_mid.ckpt";
+    for (size_t i = 0; i < rows.size(); ++i) {
+        const GoldenRow &g = *rows[i];
+        SCOPED_TRACE(g.spec);
+        const core::CosimConfig cfg = specs[i].toConfig();
+
+        EXPECT_EQ(trajectoryHash(core::runMission(specs[i]).trajectory),
+                  g.hash)
+            << "runMission";
+        EXPECT_EQ(trajectoryHash(batch[i].trajectory), g.hash)
+            << "BatchRunner";
+        EXPECT_EQ(trajectoryHash(client.waitResult(jobs[i]).trajectory),
+                  g.hash)
+            << "rosed";
+
+        // A checkpoint file written halfway through the mission, and a
+        // supervisor that resumes from it instead of starting cold.
+        {
+            core::CoSimulation sim(cfg);
+            while (sim.environment().simTime() < cfg.maxSimSeconds / 2)
+                sim.stepPeriod();
+            core::writeCheckpointFile(ckpt, sim.checkpoint());
+        }
+        core::SupervisorConfig sup;
+        sup.resumeFromPath = ckpt;
+        core::MissionSupervisor resumed(cfg, sup);
+        core::MissionResult r = resumed.run();
+        EXPECT_EQ(resumed.stats().diskResumes, 1u);
+        EXPECT_EQ(trajectoryHash(r.trajectory), g.hash)
+            << "supervisor resumed at mid-mission";
+    }
+    std::remove(ckpt.c_str());
+    server.stop();
 }
 
 TEST(GoldenTrace, HashPrimitivesAreStable)
@@ -332,9 +200,8 @@ TEST(GoldenTrace, CsvStringMatchesFileOutput)
 {
     // The hashed string form and the file writer must never diverge —
     // the goldens guard the same bytes the bench CSVs contain.
-    core::MissionSpec spec = canonicalSpec("A");
-    spec.maxSimSeconds = 2.0;
-    core::MissionResult r = core::runMission(spec);
+    core::MissionResult r =
+        core::runMission(core::parseMissionSpec("yaw=20 sim-seconds=2"));
 
     std::string path = ::testing::TempDir() + "golden_traj.csv";
     core::writeTrajectoryCsv(path, r);

@@ -137,51 +137,111 @@ eventually(MissionServer &server, Pred pred, int timeout_ms = 10000)
 
 TEST(ServeProto, SpecCodecRoundTripsEveryField)
 {
-    core::MissionSpec spec;
-    spec.world = "s-shape";
-    spec.vehicle = "rover";
-    spec.socName = "C";
-    spec.modelDepth = 26;
-    spec.velocity = 7.25;
-    spec.initialYawDeg = -15.5;
-    spec.syncGranularity = 12345678;
-    spec.mode = runtime::RuntimeMode::Dynamic;
-    spec.seed = 0xdeadbeefcafeULL;
-    spec.maxSimSeconds = 42.5;
-    spec.degradedMode = true;
-    spec.faults.enabled = true;
-    spec.faults.dropProb = 0.125;
-    spec.faults.corruptProb = 0.0625;
-    spec.faults.reorderProb = 0.5;
-    spec.faults.delayProb = 0.25;
-    spec.faults.delayOpsMin = 3;
-    spec.faults.delayOpsMax = 17;
-    spec.faults.protectSyncPackets = false;
-    spec.faults.seed = 0x1234;
+    // Every field differs from its default, so the canonical text form
+    // names all of them and a field the codec dropped would show.
+    const std::string line =
+        "world=s-shape vehicle=rover soc=C depth=34 velocity=7.25 "
+        "yaw=-15.5 sync-granularity=12345678 mode=dynamic "
+        "seed=244837814107902 sim-seconds=42.5 degraded=1 "
+        "fault.enabled=1 fault.drop=0.125 fault.corrupt=0.0625 "
+        "fault.reorder=0.5 fault.delay=0.25 fault.delay-min=3 "
+        "fault.delay-max=17 fault.protect-sync=0 fault.seed=4660";
+    core::MissionSpec spec = core::parseMissionSpec(line);
+    ASSERT_EQ(core::formatMissionSpec(spec), line);
+    EXPECT_EQ(decodeSubmitRequest(encodeSubmitMission(spec)).spec, spec);
+}
 
-    core::MissionSpec back =
-        decodeSubmitMission(encodeSubmitMission(spec));
-    EXPECT_EQ(back.world, spec.world);
-    EXPECT_EQ(back.vehicle, spec.vehicle);
-    EXPECT_EQ(back.socName, spec.socName);
-    EXPECT_EQ(back.modelDepth, spec.modelDepth);
-    EXPECT_EQ(back.velocity, spec.velocity);
-    EXPECT_EQ(back.initialYawDeg, spec.initialYawDeg);
-    EXPECT_EQ(back.syncGranularity, spec.syncGranularity);
-    EXPECT_EQ(back.mode, spec.mode);
-    EXPECT_EQ(back.seed, spec.seed);
-    EXPECT_EQ(back.maxSimSeconds, spec.maxSimSeconds);
-    EXPECT_EQ(back.degradedMode, spec.degradedMode);
-    EXPECT_EQ(back.faults.enabled, spec.faults.enabled);
-    EXPECT_EQ(back.faults.dropProb, spec.faults.dropProb);
-    EXPECT_EQ(back.faults.corruptProb, spec.faults.corruptProb);
-    EXPECT_EQ(back.faults.reorderProb, spec.faults.reorderProb);
-    EXPECT_EQ(back.faults.delayProb, spec.faults.delayProb);
-    EXPECT_EQ(back.faults.delayOpsMin, spec.faults.delayOpsMin);
-    EXPECT_EQ(back.faults.delayOpsMax, spec.faults.delayOpsMax);
-    EXPECT_EQ(back.faults.protectSyncPackets,
-              spec.faults.protectSyncPackets);
-    EXPECT_EQ(back.faults.seed, spec.faults.seed);
+TEST(ServeProto, SpecCodecRefusesVersionOne)
+{
+    // A genuine v1 payload: version byte 1 and no idempotency key.
+    Message m = encodeSubmitMission(quickSpec());
+    ASSERT_EQ(m.payload[0], kSpecCodecVersion);
+    m.payload.erase(m.payload.begin() + 1, m.payload.begin() + 5);
+    m.payload[0] = 1;
+    try {
+        decodeSubmitRequest(m);
+        FAIL() << "a v1 submit payload decoded";
+    } catch (const ProtocolError &e) {
+        EXPECT_NE(std::string(e.what()).find("codec version 1"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(SpecText, SeededSpecsRoundTripThroughTextAndWire)
+{
+    static const char *kWorlds[] = {"tunnel", "s-shape", "zigzag"};
+    static const char *kVehicles[] = {"quadrotor", "rover"};
+    static const char *kSocs[] = {"A", "B", "C"};
+    static const int kDepths[] = {6, 11, 14, 18, 34};
+    Rng rng(0x5bec7e57);
+    // Half the draws keep a field's default, so the text form's
+    // omit-the-default rule is exercised as much as its printing.
+    auto pick = [&](auto &field, auto value) {
+        if (rng.bernoulli(0.5))
+            field = value;
+    };
+    for (int trial = 0; trial < 500; ++trial) {
+        core::MissionSpec s;
+        pick(s.world, kWorlds[rng.uniformInt(3)]);
+        pick(s.vehicle, kVehicles[rng.uniformInt(2)]);
+        pick(s.socName, kSocs[rng.uniformInt(3)]);
+        pick(s.modelDepth, kDepths[rng.uniformInt(5)]);
+        pick(s.velocity, rng.uniform(0.0, 20.0));
+        pick(s.initialYawDeg, rng.uniform(-180.0, 180.0));
+        pick(s.syncGranularity, 1 + rng.uniformInt(100'000'000));
+        pick(s.mode, runtime::RuntimeMode::Dynamic);
+        pick(s.seed, rng.next());
+        pick(s.maxSimSeconds, rng.uniform(1e-3, 3600.0));
+        pick(s.degradedMode, true);
+        bridge::FaultConfig &f = s.faults;
+        pick(f.enabled, true);
+        pick(f.dropProb, rng.uniform(0.0, 0.25));
+        pick(f.corruptProb, rng.uniform(0.0, 0.25));
+        pick(f.reorderProb, rng.uniform(0.0, 0.25));
+        pick(f.delayProb, rng.uniform(0.0, 0.25));
+        pick(f.delayOpsMin, rng.uniformInt(8));
+        pick(f.delayOpsMax, 8 + rng.uniformInt(8));
+        pick(f.protectSyncPackets, false);
+        pick(f.seed, rng.next());
+
+        const std::string line = core::formatMissionSpec(s);
+        SCOPED_TRACE(line);
+        EXPECT_EQ(core::parseMissionSpec(line), s);
+        EXPECT_EQ(decodeSubmitRequest(encodeSubmitMission(s)).spec, s);
+    }
+    EXPECT_EQ(core::formatMissionSpec(core::MissionSpec{}), "");
+}
+
+TEST(SpecText, RejectsEachRule)
+{
+    const char *kBad[] = {
+        // unknown key, and a token with no '='
+        "velocty=3", "depth", "=3",
+        // a number that does not use the whole token
+        "velocity=3x", "velocity=", "depth=14.0", "seed=-1",
+        "sync-granularity=1e6", "sim-seconds= 2",
+        // an enum or flag outside its values
+        "mode=fast", "degraded=yes", "world=",
+        // the range rules
+        "depth=7", "depth=0", "velocity=-1", "velocity=inf",
+        "yaw=nan", "sim-seconds=0", "sim-seconds=3600.5",
+        "sync-granularity=0",
+        // the fault rule (bridge::faultConfigError)
+        "fault.drop=2", "fault.corrupt=-0.1",
+        "fault.drop=0.6 fault.delay=0.6",
+        "fault.delay-min=9 fault.delay-max=8",
+    };
+    for (const char *line : kBad) {
+        SCOPED_TRACE(line);
+        EXPECT_THROW(core::parseMissionSpec(line), std::invalid_argument);
+    }
+    // Tokens apply in order onto the base, and the last one wins.
+    core::MissionSpec s =
+        core::parseMissionSpec(" soc=B\tvelocity=6 \n soc=C ", quickSpec());
+    EXPECT_EQ(s.socName, "C");
+    EXPECT_EQ(s.velocity, 6.0);
+    EXPECT_EQ(s.maxSimSeconds, quickSpec().maxSimSeconds);
 }
 
 TEST(ServeProto, ReplyCodecsRoundTrip)
@@ -902,7 +962,7 @@ TEST(ServeProto, MalformedPayloadsThrowNotCrash)
     // Truncated SubmitMission payload.
     Message m = encodeSubmitMission(core::MissionSpec{});
     m.payload.resize(m.payload.size() / 2);
-    EXPECT_THROW(decodeSubmitMission(m), ProtocolError);
+    EXPECT_THROW(decodeSubmitRequest(m), ProtocolError);
 
     // Wrong type for a decoder.
     EXPECT_THROW(decodeQueryStatus(encodeServerStats()),
@@ -1017,8 +1077,6 @@ TEST(ServeProto, SeededDamageToEveryDecoderThrowsOnlyProtocolError)
     const Case cases[] = {
         {"SubmitRequest", encodeSubmitMission(spec, "retry-key-1"),
          [](const Message &m) { decodeSubmitRequest(m); }},
-        {"SubmitMission", encodeSubmitMission(spec),
-         [](const Message &m) { decodeSubmitMission(m); }},
         {"QueryStatus", encodeQueryStatus(77),
          [](const Message &m) { decodeQueryStatus(m); }},
         {"FetchResult", encodeFetchResult(80, 2 * kTrajectoryBinaryRecordBytes),
@@ -1442,6 +1500,38 @@ TEST(ServeServer, BadSpecsAreRejectedNotExecuted)
     EXPECT_EQ(out.reason, RejectReason::BadRequest);
 
     EXPECT_EQ(server.stats().accepted, 0u);
+    server.stop();
+}
+
+TEST(ServeServer, SpecsTheEngineWouldAbortOnAreRejected)
+{
+    // A ResNet depth outside the zoo makes the model builder call
+    // rose_fatal, and an out-of-range fault probability trips the
+    // injector's assertion: admission must refuse both, and the daemon
+    // must keep serving.
+    ServerConfig cfg;
+    cfg.workers = 1;
+    MissionServer server(cfg);
+    server.start();
+    ServeClient client(server.port());
+
+    core::MissionSpec depth7 = quickSpec(), drop2 = quickSpec();
+    depth7.modelDepth = 7;
+    drop2.faults.enabled = true;
+    drop2.faults.dropProb = 2.0;
+    for (const auto &[bad, why] : {std::pair{depth7, "zoo"},
+                                   std::pair{drop2, "fault"}}) {
+        SCOPED_TRACE(why);
+        SubmitOutcome out = client.submit(bad);
+        ASSERT_FALSE(out.accepted);
+        EXPECT_EQ(out.reason, RejectReason::BadRequest);
+        EXPECT_NE(out.detail.find(why), std::string::npos) << out.detail;
+    }
+
+    SubmitOutcome ok = client.submit(quickSpec());
+    ASSERT_TRUE(ok.accepted) << ok.detail;
+    EXPECT_EQ(servedHash(client.waitResult(ok.jobId)),
+              localTrajectoryHash(quickSpec()));
     server.stop();
 }
 
@@ -2361,6 +2451,58 @@ TEST(ServeDurability, InterruptedSubmissionRequeuesAndRuns)
     EXPECT_EQ(server.stats().warmRestoredJobs, 0u); // no checkpoint
     client.waitResult(2);
     server.stop();
+}
+
+TEST(ServeDurability, InvalidReplayedSpecFailsInsteadOfRunning)
+{
+    // A journal written without admission's checks holds Submit
+    // records no worker may run. Replay turns each into a Failed job
+    // with the reason and runs the valid one; the restarted daemon
+    // finds the failures terminal and serves their reasons.
+    std::string dir = serveScratchDir("invalid_replay");
+    core::MissionSpec depth7 = quickSpec(), drop2 = quickSpec();
+    depth7.modelDepth = 7;
+    drop2.faults.enabled = true;
+    drop2.faults.dropProb = 2.0;
+    {
+        JobJournal j(dir, journalFingerprint(true));
+        j.appendSubmit(1, "", depth7);
+        j.appendSubmit(2, "", drop2);
+        j.appendSubmit(3, "", quickSpec(3));
+    }
+
+    for (int incarnation = 0; incarnation < 2; ++incarnation) {
+        SCOPED_TRACE(incarnation);
+        ServerConfig cfg;
+        cfg.workers = 1;
+        cfg.journalDir = dir;
+        MissionServer server(cfg);
+        server.start();
+        ServeClient client(server.port());
+        if (incarnation == 0) {
+            EXPECT_EQ(client.status(1).state, JobState::Failed);
+            EXPECT_EQ(client.status(2).state, JobState::Failed);
+            // Fetching acks and releases job 3.
+            EXPECT_EQ(servedHash(client.waitResult(3)),
+                      localTrajectoryHash(quickSpec(3)));
+            server.stop();
+            continue;
+        }
+        EXPECT_EQ(server.stats().journalReplayedJobs, 2u);
+        for (auto [job, why] : {std::pair{uint64_t(1), "zoo"},
+                                std::pair{uint64_t(2), "fault"}}) {
+            JobState state = JobState::Unknown;
+            ServedResult r = client.waitResult(job, 30000, 10, &state);
+            EXPECT_EQ(state, JobState::Failed);
+            EXPECT_NE(r.failureReason.find("invalid mission spec"),
+                      std::string::npos)
+                << r.failureReason;
+            EXPECT_NE(r.failureReason.find(why), std::string::npos)
+                << r.failureReason;
+        }
+        server.stop();
+    }
+    std::filesystem::remove_all(dir);
 }
 
 TEST(ServeDurability, WarmRestoreResumesFromPersistedCheckpoint)
