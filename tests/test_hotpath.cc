@@ -1061,11 +1061,19 @@ cameraState(const env::Camera &cam)
     return w.data();
 }
 
+/** The wire byte of a reference float pixel: the bridge's 8-bit
+ *  quantization as it was while the render produced floats. */
+uint8_t
+wireByte(float v)
+{
+    return static_cast<uint8_t>(clampd(double(v), 0.0, 1.0) * 255.0 + 0.5);
+}
+
 /**
  * Render seeded in-corridor poses in every world, split evenly over
  * four camera configurations, with the production camera and the
- * frozen reference, requiring bit-identical float pixels and
- * serialized camera state after every frame. @p scale multiplies the
+ * frozen reference, requiring bit-identical float pixels, wire bytes
+ * and serialized camera state after every frame. @p scale multiplies the
  * per-world frame counts (~5.6k frames at scale 1). Zigzag gets few
  * frames: its centerline is integrated per call, which makes one of
  * its renders ~40x a tunnel render.
@@ -1114,6 +1122,13 @@ expectRenderMatchesReference(int scale)
                 ASSERT_EQ(got.height, cfg.height);
                 ASSERT_TRUE(bitIdentical(got.pixels, expect.pixels))
                     << "frame " << i;
+                // The wire bytes: the ImageResp payload after its
+                // width/height header.
+                bridge::Packet p = bridge::encodeImageResp(got);
+                ASSERT_EQ(p.payload.size(), 4 + expect.pixels.size());
+                for (size_t k = 0; k < expect.pixels.size(); ++k)
+                    ASSERT_EQ(p.payload[4 + k], wireByte(expect.pixels[k]))
+                        << "frame " << i << " pixel " << k;
                 if (i == 0)
                     buffer = got.pixels.data();
                 ASSERT_EQ(got.pixels.data(), buffer)
