@@ -68,17 +68,19 @@ void operator delete[](void *p, size_t) noexcept { std::free(p); }
 static void
 BM_PacketImageRoundTrip(benchmark::State &state)
 {
-    env::Image img(64, 48);
-    for (size_t i = 0; i < img.pixels.size(); ++i)
-        img.pixels[i] = float(i % 251) / 251.0f;
+    std::vector<uint8_t> pixels(64 * 48);
+    for (size_t i = 0; i < pixels.size(); ++i)
+        pixels[i] = uint8_t(i % 251);
     env::Image out;
     for (auto _ : state) {
-        bridge::Packet p = bridge::encodeImageResp(img);
+        bridge::Packet p = bridge::encodeImageResp(64, 48);
+        std::memcpy(bridge::imageRespPixels(p), pixels.data(),
+                    pixels.size());
         bridge::decodeImageRespInto(p, out);
         benchmark::DoNotOptimize(out.pixels.data());
     }
     state.SetBytesProcessed(int64_t(state.iterations()) *
-                            int64_t(img.byteSize()));
+                            int64_t(pixels.size()));
 }
 BENCHMARK(BM_PacketImageRoundTrip);
 
@@ -119,7 +121,8 @@ BM_ClassifierInference(benchmark::State &state)
     d.setPose({10, 0.3, 1.5}, Quat::fromEuler(0, 0, 0.1));
     env::Camera cam(env::CameraConfig{}, Rng(1));
     env::Image img;
-    cam.renderInto(w, d.position(), d.attitude(), img);
+    bridge::decodeImageRespInto(
+        bridge::renderImageResp(cam, w, d.position(), d.attitude()), img);
     dnn::Model m = dnn::makeResNet(14);
     dnn::Classifier cls(m, Rng(2));
     for (auto _ : state) {
@@ -136,10 +139,10 @@ BM_CameraRenderInto(benchmark::State &state)
     env::Drone d;
     d.setPose({10, 0.3, 1.5}, Quat::fromEuler(0, 0, 0.1));
     env::Camera cam(env::CameraConfig{}, Rng(1));
-    env::Image img;
+    std::vector<uint8_t> pixels(64 * 48);
     for (auto _ : state) {
-        cam.renderInto(w, d.position(), d.attitude(), img);
-        benchmark::DoNotOptimize(img.pixels.data());
+        cam.renderInto(w, d.position(), d.attitude(), pixels.data());
+        benchmark::DoNotOptimize(pixels.data());
     }
 }
 BENCHMARK(BM_CameraRenderInto);
@@ -152,7 +155,8 @@ BM_PoseEstimateScratch(benchmark::State &state)
     d.setPose({10, 0.3, 1.5}, Quat::fromEuler(0, 0, 0.1));
     env::Camera cam(env::CameraConfig{}, Rng(1));
     env::Image img;
-    cam.renderInto(w, d.position(), d.attitude(), img);
+    bridge::decodeImageRespInto(
+        bridge::renderImageResp(cam, w, d.position(), d.attitude()), img);
     dnn::EstimatorConfig cfg;
     dnn::PoseScratch scratch;
     for (auto _ : state) {
@@ -359,21 +363,24 @@ int
 run(const std::string &jsonPath, const std::string &baselinePath,
     const std::string &writeBaselinePath)
 {
-    // One mission frame: the synchronizer renders the camera image and
-    // encodes it for the bridge; the control app decodes it and runs
-    // the pose estimator behind Classifier::infer. Its DNN latency is
-    // a memoized schedule lookup, so no forward pass runs here.
+    // One mission frame: the synchronizer renders the camera image
+    // straight into the bridge's ImageResp; the control app decodes it
+    // and runs the pose estimator behind Classifier::infer. Its DNN
+    // latency is a memoized schedule lookup, so no forward pass runs
+    // here.
     env::TunnelWorld world;
     env::Drone drone;
     drone.setPose({10, 0.3, 1.5}, Quat::fromEuler(0, 0, 0.1));
     env::Camera cam(env::CameraConfig{}, Rng(1));
     dnn::EstimatorConfig ecfg;
 
-    env::Image img, rx;
+    env::Image rx;
     dnn::PoseScratch scratch;
     auto hotFrame = [&] {
-        cam.renderInto(world, drone.position(), drone.attitude(), img);
-        bridge::decodeImageRespInto(bridge::encodeImageResp(img), rx);
+        bridge::decodeImageRespInto(
+            bridge::renderImageResp(cam, world, drone.position(),
+                                    drone.attitude()),
+            rx);
         dnn::PoseEstimate est = dnn::estimatePose(rx, ecfg, scratch);
         benchmark::DoNotOptimize(est.headingRad);
     };
@@ -389,15 +396,15 @@ run(const std::string &jsonPath, const std::string &baselinePath,
         hotNs = std::min(hotNs, (nowNs() - s) / 20);
     }
 
-    // Heap allocations of the steady-state frame: render, decode and
-    // pose reuse their buffers; the encoded image packet is built
+    // Heap allocations of the steady-state frame: decode and pose
+    // reuse their buffers; the image packet the render fills is built
     // fresh every frame, as the synchronizer builds it.
     uint64_t allocsBefore = g_allocCount.load();
     for (int i = 0; i < 10; ++i)
         hotFrame();
     uint64_t allocsPerTenFrames = g_allocCount.load() - allocsBefore;
 
-    std::printf("per-frame E2E (render + image codec + pose):\n"
+    std::printf("per-frame E2E (render + image decode + pose):\n"
                 "  hotpath %8.0f ns/frame  (%llu allocs per 10 steady "
                 "frames)\n",
                 hotNs, (unsigned long long)allocsPerTenFrames);
@@ -405,11 +412,14 @@ run(const std::string &jsonPath, const std::string &baselinePath,
     // Per-stage breakdown of the hot frame. Stages are timed in
     // isolation, so their sum can differ slightly from the E2E number
     // above.
+    bridge::Packet frame = bridge::renderImageResp(
+        cam, world, drone.position(), drone.attitude());
     double renderNs = timeKernel([&] {
-        cam.renderInto(world, drone.position(), drone.attitude(), img);
+        cam.renderInto(world, drone.position(), drone.attitude(),
+                       bridge::imageRespPixels(frame));
     });
     double decodeNs = timeKernel([&] {
-        bridge::decodeImageRespInto(bridge::encodeImageResp(img), rx);
+        bridge::decodeImageRespInto(frame, rx);
         benchmark::DoNotOptimize(rx.pixels.data());
     });
     double poseNs = timeKernel([&] {
@@ -418,8 +428,8 @@ run(const std::string &jsonPath, const std::string &baselinePath,
     });
 
     std::printf("\nhot-frame stage breakdown:\n"
-                "  render  %8.0f ns\n"
-                "  decode  %8.0f ns (image encode + decode)\n"
+                "  render  %8.0f ns (8-bit frame into its packet)\n"
+                "  decode  %8.0f ns (image decode)\n"
                 "  pose    %8.0f ns\n",
                 renderNs, decodeNs, poseNs);
 

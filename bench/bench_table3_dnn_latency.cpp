@@ -16,6 +16,7 @@
 
 #include <cstdio>
 
+#include "bridge/packet.hh"
 #include "dnn/classifier.hh"
 #include "dnn/engine.hh"
 #include "env/sensors.hh"
@@ -42,7 +43,10 @@ validationAccuracy(const rose::dnn::Model &model, int samples)
         double psi = rng.uniform(-0.35, 0.35);
         double x = rng.uniform(5.0, 45.0);
         drone.setPose({x, y, 1.5}, Quat::fromEuler(0, 0, psi));
-        cam.renderInto(world, drone.position(), drone.attitude(), img);
+        bridge::decodeImageRespInto(
+            bridge::renderImageResp(cam, world, drone.position(),
+                                    drone.attitude()),
+            img);
         dnn::ClassifierOutput out = cls.infer(img);
 
         int true_ang = psi > ec.headingClassRad

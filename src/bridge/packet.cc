@@ -152,21 +152,34 @@ encodeImageReq()
 }
 
 Packet
-encodeImageResp(const env::Image &img)
+encodeImageResp(int width, int height)
 {
     // One allocation: the header goes into the reserved payload, and
-    // the pixels are quantized straight into its tail.
+    // the pixels are rendered straight into its tail.
+    const size_t pixels = size_t(width) * size_t(height);
     StateWriter w;
-    w.reserve(4 + img.pixels.size());
-    w.u16(static_cast<uint16_t>(img.width));
-    w.u16(static_cast<uint16_t>(img.height));
+    w.reserve(4 + pixels);
+    w.u16(static_cast<uint16_t>(width));
+    w.u16(static_cast<uint16_t>(height));
     Packet p{PacketType::ImageResp, w.take()};
-    p.payload.resize(4 + img.pixels.size());
-    uint8_t *dst = p.payload.data() + 4;
-    for (float v : img.pixels) {
-        double c = clampd(double(v), 0.0, 1.0);
-        *dst++ = static_cast<uint8_t>(c * 255.0 + 0.5);
-    }
+    p.payload.resize(4 + pixels);
+    return p;
+}
+
+uint8_t *
+imageRespPixels(Packet &p)
+{
+    rose_assert(p.type == PacketType::ImageResp && p.payload.size() >= 4,
+                "expected an ImageResp");
+    return p.payload.data() + 4;
+}
+
+Packet
+renderImageResp(env::Camera &cam, const env::World &world,
+                const Vec3 &position, const Quat &attitude)
+{
+    Packet p = encodeImageResp(cam.config().width, cam.config().height);
+    cam.renderInto(world, position, attitude, imageRespPixels(p));
     return p;
 }
 

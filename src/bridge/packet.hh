@@ -132,8 +132,17 @@ Packet encodeImuResp(const env::ImuSample &s);
 env::ImuSample decodeImuResp(const Packet &p);
 
 Packet encodeImageReq();
-/** Image payload is quantized to 8 bits per pixel for transport. */
-Packet encodeImageResp(const env::Image &img);
+/**
+ * An ImageResp for a @p width x @p height frame: the u16 dimensions,
+ * then one 8-bit pixel per byte, row-major, left zero for the camera
+ * to render into at imageRespPixels().
+ */
+Packet encodeImageResp(int width, int height);
+/** The row-major pixel bytes of an ImageResp made by encodeImageResp. */
+uint8_t *imageRespPixels(Packet &p);
+/** The ImageResp of @p cam's view from a pose, rendered in place. */
+Packet renderImageResp(env::Camera &cam, const env::World &world,
+                       const Vec3 &position, const Quat &attitude);
 /**
  * Decode into a caller-reused image (no steady-state allocation).
  * Throws PayloadError, leaving @p img untouched, when the header is

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "bridge/packet.hh"
 #include "util/logging.hh"
 
 namespace rose::dnn {
@@ -59,7 +60,12 @@ generateDataset(const env::World &world, const DatasetConfig &cfg)
         drone.setPose({x, world.centerY(x) + y, th.camAltitude},
                       Quat::fromEuler(0, 0,
                                       world.tangentAngle(x) + psi));
-        cam.renderInto(world, drone.position(), drone.attitude(), img);
+        // The classifier sees frames as missions deliver them: the
+        // bridge's 8-bit image, decoded.
+        bridge::decodeImageRespInto(
+            bridge::renderImageResp(cam, world, drone.position(),
+                                    drone.attitude()),
+            img);
 
         Example ex;
         ex.features = extractFeatures(img);

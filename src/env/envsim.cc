@@ -123,19 +123,11 @@ EnvSim::getImu()
     return imu_->sample(vehicle_->sensorFrame(), time_);
 }
 
-Image
-EnvSim::getImage()
-{
-    Image img;
-    getImageInto(img);
-    return img;
-}
-
 void
-EnvSim::getImageInto(Image &out)
+EnvSim::renderImage(uint8_t *pixels)
 {
     SensorFrame f = vehicle_->sensorFrame();
-    camera_->renderInto(*world_, f.position, f.attitude, out);
+    camera_->renderInto(*world_, f.position, f.attitude, pixels);
 }
 
 double

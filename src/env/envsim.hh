@@ -108,9 +108,10 @@ class EnvSim
 
     // --- Sensor API --------------------------------------------------
     ImuSample getImu();
-    Image getImage();
-    /** Render into a caller-reused buffer (no steady-state allocation). */
-    void getImageInto(Image &out);
+    /** Render the camera frame as 8-bit row-major pixels (the
+     *  ImageResp payload; see Camera::renderInto). */
+    void renderImage(uint8_t *pixels);
+    const CameraConfig &cameraConfig() const { return camera_->config(); }
     double getDepth();
     const CollisionInfo &collisionInfo() const { return collision_; }
 

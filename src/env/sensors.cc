@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/detmath.hh"
 #include "util/serde.hh"
 
 namespace rose::env {
@@ -55,13 +54,6 @@ noise(double g, double stddev)
     return float(0.0 + stddev * g);
 }
 
-bool
-noiseIfBracketed(double g, double stddev, float &out)
-{
-    out = noise(g - kGaussianBracket, stddev);
-    return out == noise(g + kGaussianBracket, stddev);
-}
-
 float
 wall(double s, double base, double amp)
 {
@@ -70,16 +62,38 @@ wall(double s, double base, double amp)
     return float(base * (1.0 + amp * (tex - 0.5)));
 }
 
-bool
-wallIfBracketed(double s, double base, double amp, float &out)
+uint8_t
+byte(float shade, float noise)
 {
-    // frac() is monotone only between integers: both ends must share
-    // the floor as well as the float.
-    double lo = s - kSinBracket;
-    double hi = s + kSinBracket;
-    out = wall(lo, base, amp);
-    return std::floor(lo * 43758.5453) == std::floor(hi * 43758.5453) &&
-           out == wall(hi, base, amp);
+    return static_cast<uint8_t>(
+        clampd(double(shade + noise), 0.0, 1.0) * 255.0 + 0.5);
+}
+
+// The margins bound |t' - t|, where t = v·255 + 0.5 is the exact
+// chain's value (v the clamped float pixel) and t' the binary32
+// estimate byteIfDecided() forms. In pixel units, before the ×255:
+// the noise floats differ by |σ|·(the Gaussian's bracket) plus five
+// binary32 roundings of a term up to |σ|·9 (|g| < 8.6), under
+// 2^-18·|σ|; the two shade + noise sums round by 2^-24 of a value up
+// to 1 + 9|σ| each, folded into the same terms; t' itself rounds twice
+// by at most 2^-24·256. kByteSlack covers the constant part (~2^-14)
+// with 2x to spare.
+float
+noiseMargin(double stddev)
+{
+    constexpr double kByteSlack = 0x1p-13;
+    return float(kByteSlack +
+                 255.0 * std::abs(stddev) * (kGaussianBracket + 0x1p-18));
+}
+
+float
+wallMargin(double base, double amp)
+{
+    // |Δshade| <= |base·amp|·|Δtex| while the hash keeps its floor,
+    // plus one float rounding of each shade (and the double
+    // roundings before it): 2^-22 of the largest shade.
+    return float(255.0 * (std::abs(base * amp) * kHashBracket +
+                          0x1p-22 * std::abs(base) * (1.0 + std::abs(amp))));
 }
 
 } // namespace pixel
@@ -95,11 +109,141 @@ textureArg(double x, double z, int side)
     return x * 2.7 + z * 1.3 + side * 17.0;
 }
 
-/** Box-Muller pairs transformed per batch: 256 bytes of stack per
- *  array. */
-constexpr int kNoisePairs = 32;
+/** Box-Muller pairs per noise batch: one column of the 64x48 mission
+ *  camera, whose pairs never straddle columns. */
+constexpr int kNoisePairs = 24;
+/** Noise values per batch. */
+constexpr int kNoiseLanes = 2 * kNoisePairs;
 /** Wall-band rows per texture batch. */
 constexpr int kWallRows = 16;
+/** A margin no estimate meets: the row takes the exact path. */
+constexpr float kExactOnly = 2.f;
+
+/**
+ * A frame's Gaussian draws, in gaussian()'s order, handed out one
+ * column chunk at a time as binary32 lanes. The incoming spare comes
+ * first, then uniform pairs drawn as gaussian() draws them (u1 with
+ * its rejection, then u2) and transformed by detmath's binary32
+ * kernels, then the frame's last pair through gaussian() itself: its
+ * sine part stays behind as the spare that checkpoints serialize
+ * (live when one draw is left, stale when two are), so it must be the
+ * libm value. exact() gives any lane's libm value. A column with an
+ * odd number of draws leaves its last pair's sine half to the next
+ * chunk, in lane 1.
+ */
+class FrameNoise
+{
+  public:
+    FrameNoise(Rng &rng, int draws) : rng_(rng)
+    {
+        if (draws > 0 && rng_.hasSpare()) {
+            carry_ = 1;
+            pendExact_ = true;
+            pendSin_ = rng_.gaussian();
+            --draws;
+        }
+        fastLeft_ = std::max(0, (draws + 1) / 2 - 1);
+        lastUsesBoth_ = draws > 0 && draws % 2 == 0;
+    }
+
+    /** Lane of the next draw: 1 when a pair's sine half carries. */
+    int offset() const { return carry_; }
+
+    /** Draw the next @p n values into lanes [offset(), offset() + n);
+     *  offset() + n <= kNoiseLanes. */
+    void draw(int n);
+
+    const float *lanes() const { return g_; }
+
+    /** The libm value of lane @p j of the last draw(). */
+    double
+    exact(int j) const
+    {
+        const int slot = j >> 1;
+        const bool sinHalf = j & 1;
+        if (slot == 0 && carryExact_)
+            return carrySin_;
+        if (slot == lastSlot_)
+            return sinHalf ? lastSin_ : lastCos_;
+        double s;
+        double c = Rng::boxMuller(u1_[slot], u2_[slot], s);
+        return sinHalf ? s : c;
+    }
+
+  private:
+    Rng &rng_;
+    int fastLeft_ = 0;          ///< pairs left for the fast kernels
+    bool lastUsesBoth_ = false; ///< the last pair feeds two pixels
+    int carry_ = 0;
+    // The pair whose sine half carries into the next draw().
+    int pendSlot_ = -1; ///< its slot, or -1 for the incoming spare
+    bool pendExact_ = false;
+    double pendSin_ = 0.0;
+    // This draw's gaussian() values: the carried one, in slot 0...
+    bool carryExact_ = false;
+    double carrySin_ = 0.0;
+    // ...and the frame's last pair.
+    int lastSlot_ = -1;
+    double lastCos_ = 0.0, lastSin_ = 0.0;
+    double u1_[kNoisePairs], u2_[kNoisePairs];
+    /** One lane past kNoiseLanes, so a chunk starting at lane 1 still
+     *  reads whole batches. */
+    float g_[kNoiseLanes + 1] = {};
+};
+
+void
+FrameNoise::draw(int n)
+{
+    carryExact_ = false;
+    if (carry_) {
+        u1_[0] = pendSlot_ >= 0 ? u1_[pendSlot_] : 0.5;
+        u2_[0] = pendSlot_ >= 0 ? u2_[pendSlot_] : 0.0;
+        carryExact_ = pendExact_;
+        carrySin_ = pendSin_;
+    }
+    const int pairs = (carry_ + n + 1) / 2;
+    lastSlot_ = -1;
+    for (int k = carry_; k < pairs; ++k) {
+        if (fastLeft_ > 0) {
+            rng_.boxMullerUniforms(u1_[k], u2_[k]);
+            --fastLeft_;
+            continue;
+        }
+        lastSlot_ = k;
+        lastCos_ = rng_.gaussian();
+        lastSin_ = lastUsesBoth_ ? rng_.gaussian() : 0.0;
+        u1_[k] = 0.5; // placeholder lanes, overwritten below
+        u2_[k] = 0.0;
+    }
+    for (int k = pairs; k < kNoisePairs; ++k) {
+        u1_[k] = 0.5; // padding lanes, never read back
+        u2_[k] = 0.0;
+    }
+    // Fixed-count loops without calls, so GCC runs them lane-parallel
+    // at the baseline ISA. The sqrt sits in its own scalar loop: its
+    // errno branch would keep a loop scalar.
+    float r[kNoisePairs], s[kNoisePairs], c[kNoisePairs];
+    for (int k = 0; k < kNoisePairs; ++k)
+        r[k] = -2.0f * detmath::log32(u1_[k]);
+    for (int k = 0; k < kNoisePairs; ++k)
+        r[k] = std::sqrt(r[k]);
+    for (int k = 0; k < kNoisePairs; ++k)
+        detmath::sincos2pi32(u2_[k], s[k], c[k]);
+    for (int k = 0; k < kNoisePairs; ++k) {
+        g_[2 * k] = r[k] * c[k];
+        g_[2 * k + 1] = r[k] * s[k];
+    }
+    if (carryExact_)
+        g_[1] = float(carrySin_);
+    if (lastSlot_ >= 0) {
+        g_[2 * lastSlot_] = float(lastCos_);
+        g_[2 * lastSlot_ + 1] = float(lastSin_);
+    }
+    carry_ = (carry_ + n) & 1;
+    pendSlot_ = pairs - 1;
+    pendExact_ = pendSlot_ == lastSlot_;
+    pendSin_ = lastSin_;
+}
 
 } // namespace
 
@@ -122,85 +266,9 @@ Camera::ensureDirections(double focal)
 }
 
 void
-Camera::drawNoise(float *px)
-{
-    const int H = cfg_.height;
-    const size_t W = size_t(cfg_.width);
-    const double sd = cfg_.noiseStd;
-    // Draw i lands in column i / H, row i % H.
-    int row = 0;
-    size_t col = 0;
-    auto put = [&](float v) {
-        px[size_t(row) * W + col] = v;
-        if (++row == H) {
-            row = 0;
-            ++col;
-        }
-    };
-
-    int left = int(W) * H;
-    if (left > 0 && rng_.hasSpare()) {
-        put(pixel::noise(rng_.gaussian(), sd));
-        --left;
-    }
-    // Every pair but the frame's last goes through the fast kernels.
-    const int fastPairs = std::max(0, (left + 1) / 2 - 1);
-    for (int p = 0; p < fastPairs; p += kNoisePairs) {
-        const int n = std::min(kNoisePairs, fastPairs - p);
-        double u1[kNoisePairs], u2[kNoisePairs];
-        double gc[kNoisePairs], gs[kNoisePairs];
-        for (int k = 0; k < n; ++k)
-            rng_.boxMullerUniforms(u1[k], u2[k]);
-        for (int k = n; k < kNoisePairs; ++k) {
-            u1[k] = 0.5; // padding lanes, never read back
-            u2[k] = 0.0;
-        }
-        // Fixed-count loops without calls, so GCC runs them two lanes
-        // wide at the baseline ISA. The sqrt sits in its own scalar
-        // loop: its errno branch would keep a loop scalar.
-        double r[kNoisePairs];
-        for (int k = 0; k < kNoisePairs; ++k)
-            r[k] = -2.0 * detmath::log(u1[k]);
-        for (int k = 0; k < kNoisePairs; ++k)
-            r[k] = std::sqrt(r[k]);
-        for (int k = 0; k < kNoisePairs; ++k) {
-            double s, c;
-            detmath::sincos2pi(u2[k], s, c);
-            gc[k] = r[k] * c;
-            gs[k] = r[k] * s;
-        }
-        for (int k = 0; k < n; ++k) {
-            float a, b;
-            if (!pixel::noiseIfBracketed(gc[k], sd, a) ||
-                !pixel::noiseIfBracketed(gs[k], sd, b)) {
-                double sinPart;
-                a = pixel::noise(Rng::boxMuller(u1[k], u2[k], sinPart),
-                                 sd);
-                b = pixel::noise(sinPart, sd);
-            }
-            put(a);
-            put(b);
-        }
-    }
-    left -= 2 * fastPairs;
-    // The last pair goes through gaussian() itself: its sine part stays
-    // behind as the spare that checkpoints serialize (live when one
-    // draw is left, stale when two are), so it must be the libm value.
-    if (left > 0)
-        put(pixel::noise(rng_.gaussian(), sd));
-    if (left > 1)
-        put(pixel::noise(rng_.gaussian(), sd));
-}
-
-void
 Camera::renderInto(const World &world, const Vec3 &position,
-                   const Quat &attitude, Image &img)
+                   const Quat &attitude, uint8_t *out)
 {
-    img.width = cfg_.width;
-    img.height = cfg_.height;
-    img.pixels.resize(size_t(cfg_.width) * cfg_.height);
-    // Noise first, into the image itself; the shade pass adds to it.
-    drawNoise(img.pixels.data());
     double yaw = attitude.yaw();
     double hfov = deg2rad(cfg_.horizontalFovDeg);
     // Pinhole focal length in pixels (same for both axes).
@@ -208,8 +276,12 @@ Camera::renderInto(const World &world, const Vec3 &position,
     ensureDirections(focal);
     double cam_z = position.z;
     double wall_h = world.wallHeight();
+    const int W = cfg_.width;
     const int H = cfg_.height;
     const double mid = H / 2.0 - 0.5;
+    const double sd = cfg_.noiseStd;
+    const float sdf = float(sd);
+    const float noiseMargin = pixel::noiseMargin(sd);
 
     // The floor brightness at row r is column-independent: hoist the
     // divide chain out of the pixel loop into one per-frame table,
@@ -222,9 +294,16 @@ Camera::renderInto(const World &world, const Vec3 &position,
     }
     // Horizon split of the open-corridor view: r < mid for integer r.
     const int horizon = std::clamp(int(std::ceil(mid)), 0, H);
-    colShade_.resize(size_t(H));
+    // Padded so the byte loop reads whole noise batches, and so a wall
+    // batch may run past the band (its extra rows are overwritten by
+    // the floor or never read back).
+    colShade_.resize(size_t(H) + kNoiseLanes);
+    colMargin_.resize(size_t(H) + kNoiseLanes);
+    float *shade = colShade_.data();
+    float *margin = colMargin_.data();
 
-    for (int c = 0; c < cfg_.width; ++c) {
+    FrameNoise noise(rng_, W * H);
+    for (int c = 0; c < W; ++c) {
         double az = yaw + colAlpha_[size_t(c)];
         RayHit hit = world.raycast(position, az);
 
@@ -240,61 +319,94 @@ Camera::renderInto(const World &world, const Vec3 &position,
         // r < ceil(top_row) and r > bot_row iff r >= floor(bot_row)+1.
         // The floor test is subordinate to the sky test, so the floor
         // band cannot start above the sky band's end.
-        float *shade = colShade_.data();
+        int wall_begin = 0, wall_end = 0;
+        double shade_base = 0.0, span = 1.0, tex_u = 0.0;
+        const double amp = cfg_.textureAmplitude;
+        // The texture argument of wall row r.
+        auto wallArg = [&](int r) {
+            double frac = (bot_row - r) / span;
+            return textureArg(tex_u, frac * wall_h, hit.side);
+        };
         if (!hit.hit) {
             // Open end of the corridor: horizon split.
             for (int r = 0; r < horizon; ++r)
                 shade[r] = 0.85f;
             for (int r = horizon; r < H; ++r)
                 shade[r] = 0.15f;
+            for (int r = 0; r < H; ++r)
+                margin[r] = noiseMargin;
         } else {
             // Clamp in double before the int conversion: row edges can
             // be far outside [0, H) for extreme poses.
-            int sky_end =
+            wall_begin =
                 int(std::clamp(std::ceil(top_row), 0.0, double(H)));
-            int floor_begin = std::max(
-                sky_end,
+            wall_end = std::max(
+                wall_begin,
                 int(std::clamp(std::floor(bot_row) + 1.0, 0.0,
                                double(H))));
 
-            double shade_base =
-                0.25 + 0.6 / (1.0 + 0.12 * hit.distance);
-            double span = std::max(1.0, bot_row - top_row);
-            double tex_u = hit.point.x + hit.point.y;
-            const double amp = cfg_.textureAmplitude;
+            shade_base = 0.25 + 0.6 / (1.0 + 0.12 * hit.distance);
+            span = std::max(1.0, bot_row - top_row);
+            tex_u = hit.point.x + hit.point.y;
+            const float wallMargin =
+                noiseMargin + pixel::wallMargin(shade_base, amp);
 
-            for (int r = 0; r < sky_end; ++r)
+            for (int r = 0; r < wall_begin; ++r) {
                 shade[r] = 0.85f; // sky above the wall
+                margin[r] = noiseMargin;
+            }
             // Wall: distance shading plus texture jitter keyed on the
-            // hit position and row height, one batch of sines per
-            // column.
-            for (int r0 = sky_end; r0 < floor_begin; r0 += kWallRows) {
-                const int n = std::min(kWallRows, floor_begin - r0);
-                // Whole batches (rows past the band are computed and
-                // dropped), so the loops vectorize at -O2.
+            // hit position and row height, from detmath's sine, one
+            // batch per 16 rows. Whole batches (rows past the band are
+            // computed and overwritten), so the loops vectorize at -O2.
+            // A row the fast sine cannot decide takes the exact path.
+            for (int r0 = wall_begin; r0 < wall_end; r0 += kWallRows) {
                 double u[kWallRows], sn[kWallRows];
-                for (int k = 0; k < kWallRows; ++k) {
-                    double frac = (bot_row - (r0 + k)) / span;
-                    u[k] = textureArg(tex_u, frac * wall_h, hit.side);
-                }
+                float sh[kWallRows], mg[kWallRows];
+                for (int k = 0; k < kWallRows; ++k)
+                    u[k] = wallArg(r0 + k);
                 for (int k = 0; k < kWallRows; ++k)
                     sn[k] = detmath::sin(u[k]);
-                for (int k = 0; k < n; ++k) {
-                    float v;
-                    if (!(std::abs(u[k]) <= detmath::kSinDomain) ||
-                        !pixel::wallIfBracketed(sn[k], shade_base, amp,
-                                                v))
-                        v = pixel::wall(std::sin(u[k]), shade_base, amp);
-                    shade[r0 + k] = v;
+                for (int k = 0; k < kWallRows; ++k) {
+                    bool fast = pixel::wallIfFast(u[k], sn[k], shade_base,
+                                                  amp, sh[k]);
+                    mg[k] = fast ? wallMargin : kExactOnly;
                 }
+                std::copy(sh, sh + kWallRows, shade + r0);
+                std::copy(mg, mg + kWallRows, margin + r0);
             }
-            for (int r = floor_begin; r < H; ++r)
+            for (int r = wall_end; r < H; ++r) {
                 shade[r] = floorShade_[size_t(r)];
+                margin[r] = noiseMargin;
+            }
         }
 
-        for (int r = 0; r < H; ++r) {
-            float &px = img.at(r, c);
-            px = float(clampd(shade[r] + px, 0.0, 1.0));
+        // Noise and bytes, one batch of draws per chunk of rows.
+        for (int r0 = 0; r0 < H;) {
+            const int lane0 = noise.offset();
+            const int n = std::min(H - r0, kNoiseLanes - lane0);
+            noise.draw(n);
+            const float *g = noise.lanes() + lane0;
+            int32_t b[kNoiseLanes];
+            for (int k = 0; k < kNoiseLanes; ++k)
+                b[k] = pixel::byteIfDecided(shade[r0 + k], sdf, g[k],
+                                            margin[r0 + k]);
+            for (int k = 0; k < n; ++k) {
+                const int r = r0 + k;
+                uint8_t px = uint8_t(b[k]);
+                if (b[k] < 0) {
+                    float exactShade =
+                        r >= wall_begin && r < wall_end
+                            ? pixel::wall(std::sin(wallArg(r)),
+                                          shade_base, amp)
+                            : shade[r];
+                    px = pixel::byte(
+                        exactShade,
+                        pixel::noise(noise.exact(lane0 + k), sd));
+                }
+                out[size_t(r) * W + c] = px;
+            }
+            r0 += n;
         }
     }
 }

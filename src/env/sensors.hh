@@ -16,12 +16,15 @@
 #ifndef ROSE_ENV_SENSORS_HH
 #define ROSE_ENV_SENSORS_HH
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "env/drone.hh"
 #include "env/vehicle.hh"
 #include "env/world.hh"
+#include "util/detmath.hh"
 #include "util/geometry.hh"
 #include "util/rng.hh"
 
@@ -38,7 +41,10 @@ struct ImuSample
     double timestamp = 0.0;
 };
 
-/** Grayscale float image, row-major, values in [0, 1]. */
+/**
+ * Grayscale float image, row-major, values in [0, 1]: the form the
+ * control app decodes the camera's 8-bit wire frame into.
+ */
 struct Image
 {
     int width = 0;
@@ -52,9 +58,6 @@ struct Image
     { return pixels[size_t(row) * width + col]; }
     float at(int row, int col) const
     { return pixels[size_t(row) * width + col]; }
-
-    /** Serialized byte size when quantized to 8 bits for transport. */
-    size_t byteSize() const { return pixels.size(); }
 };
 
 /** Noise/bias configuration for the IMU model. */
@@ -103,30 +106,96 @@ struct CameraConfig
 };
 
 /**
- * The camera's two per-pixel float chains, and their bracket checks
- * (DESIGN.md §5e). Each chain is a monotone sequence of correctly
- * rounded operations, so when it yields the same float at both ends of
- * a bracket around a fast transcendental value, it yields that float
- * at the libm value inside the bracket too. The *IfBracketed forms
- * return false when the ends differ; the render then recomputes the
- * pixel with libm.
+ * The camera's per-pixel chains (DESIGN.md §5e). A wire byte is
+ * byte(shade, noise(g, σ)): the float shade (sky, floor, or the wall's
+ * texture-jittered shade at a sine s), plus the noise float of a
+ * Gaussian g, clamped to [0, 1] and quantized as
+ * uint8(v·255 + 0.5). The byte is a monotone function of g, and of s
+ * while ⌊s·43758.5453⌋ stays fixed, so a fast g or s within a known
+ * distance of libm's decides the byte whenever the binary32 estimate
+ * byteIfDecided() forms lies farther than a margin from a byte
+ * boundary. The render recomputes every other pixel with libm.
  */
 namespace pixel {
 
-/** Half-width around a fast Box-Muller value: ~290x its measured
- *  worst-case distance from the libm value. */
-inline constexpr double kGaussianBracket = 0x1p-40;
-/** Half-width around a fast texture sine: 128x its worst-case error. */
-inline constexpr double kSinBracket = 0x1p-46;
+/** Bound on |fast Box-Muller g - libm g| (detmath's binary32
+ *  kernels): ~76x its measured worst case. */
+inline constexpr double kGaussianBracket = 0x1p-14;
+/** Bound on |detmath::sin - std::sin| over the texture arguments:
+ *  ~67x its measured worst case. */
+inline constexpr double kSinBracket = 0x1p-31;
+/** Bound on how far a fast texture hash v = s·43758.5453 lies from
+ *  libm's: the sine's bracket scaled, plus v's own rounding. */
+inline constexpr double kHashBracket = 43758.5453 * kSinBracket + 0x1p-36;
 
 /** The noise float a Gaussian draw @p g adds to a pixel. */
 float noise(double g, double stddev);
-bool noiseIfBracketed(double g, double stddev, float &out);
 
 /** The wall shade at texture sine @p s: the distance shade @p base
  *  jittered by frac(s * 43758.5453), with amplitude @p amp. */
 float wall(double s, double base, double amp);
-bool wallIfBracketed(double s, double base, double amp, float &out);
+
+/** The wire byte of a pixel with float @p shade and @p noise. */
+uint8_t byte(float shade, float noise);
+
+/**
+ * Margin, in byte steps, a pixel needs when its noise comes from a
+ * fast Gaussian of standard deviation @p stddev: the Gaussian's bracket
+ * scaled by 255·|σ|, plus the rounding of both float chains.
+ */
+float noiseMargin(double stddev);
+
+/**
+ * Margin a wall pixel adds when its shade comes from a fast texture
+ * sine: the hash's bracket scaled by 255·|base·amp|, plus the shade's
+ * float rounding.
+ */
+float wallMargin(double base, double amp);
+
+/**
+ * The wall shade from a fast texture sine @p s of argument @p u, or
+ * false when it cannot stand in for libm's sine there: u is outside
+ * detmath's domain, or the hash v = s·43758.5453 lies within
+ * kHashBracket of an integer, where ⌊v⌋ may differ from libm's. Then
+ * @p shade is meaningless (NaN for a NaN sine). Branch-free, so a loop over it
+ * runs lane-parallel.
+ */
+inline bool
+wallIfFast(double u, double s, double base, double amp, float &shade)
+{
+    // frac(v) by rounding to the nearest integer (exact for |v| <
+    // 2^51; out-of-domain garbage fails the domain test): the value
+    // v - floor(v) has, with no int conversion or select for the
+    // compiler to turn into a branch.
+    double v = s * 43758.5453;
+    double r = (v + 0x1.8p52) - 0x1.8p52;
+    double tex = v - r + double(r > v); // [0,1]
+    shade = float(base * (1.0 + amp * (tex - 0.5)));
+    return (std::abs(u) <= detmath::kSinDomain) & (tex >= kHashBracket) &
+           (tex <= 1.0 - kHashBracket);
+}
+
+/**
+ * The byte of shade + sd·g estimated in binary32, or -1 when the
+ * estimate lies within @p margin of a byte boundary (or is NaN): then
+ * only the exact chain can decide it. Branch-free, so a loop over it
+ * runs lane-parallel.
+ */
+inline int32_t
+byteIfDecided(float shade, float sd, float g, float margin)
+{
+    float x = shade + sd * g;
+    // Clamp to [0, 1] on the bits, where the compiler keeps no branch:
+    // a set sign bit gives +0, and every pattern above 1.0 (+NaN
+    // included) gives 1.0, so t stays finite.
+    uint32_t b = std::bit_cast<uint32_t>(x);
+    b &= ~uint32_t(int32_t(b) >> 31);
+    b = b < 0x3f800000u ? b : 0x3f800000u;
+    float t = std::bit_cast<float>(b) * 255.f + 0.5f;
+    int32_t i = int32_t(t);
+    float f = t - float(i);
+    return (f >= margin) & (1.f - f >= margin) & (x == x) ? i : -1;
+}
 
 } // namespace pixel
 
@@ -135,7 +204,7 @@ bool wallIfBracketed(double s, double base, double amp, float &out);
  * (the walls are vertical, so a column shares one wall hit), then fills
  * each column with sky / wall / floor bands using a pinhole projection
  * of the wall's top and bottom edges, plus one Gaussian noise draw per
- * pixel in column-major order.
+ * pixel in column-major order. Its output is the bridge's 8-bit frame.
  */
 class Camera
 {
@@ -143,12 +212,13 @@ class Camera
     Camera(const CameraConfig &cfg, Rng rng);
 
     /**
-     * Render the view from a pose into a caller-reused image buffer:
-     * resized to the camera dimensions, every pixel overwritten, no
-     * steady-state allocation.
+     * Render the view from a pose as width x height row-major 8-bit
+     * pixels into @p pixels (the ImageResp payload): each byte is
+     * pixel::byte() of the libm-rendered float pixel. No steady-state
+     * allocation.
      */
     void renderInto(const World &world, const Vec3 &position,
-                    const Quat &attitude, Image &out);
+                    const Quat &attitude, uint8_t *pixels);
 
     const CameraConfig &config() const { return cfg_; }
 
@@ -159,10 +229,6 @@ class Camera
   private:
     /** Rebuild the per-column direction table when the key changes. */
     void ensureDirections(double focal);
-
-    /** Write the frame's noise floats into @p px (row-major), drawing
-     *  them in gaussian()'s column-major order. */
-    void drawNoise(float *px);
 
     CameraConfig cfg_;
     Rng rng_;
@@ -180,13 +246,15 @@ class Camera
      * Per-frame floor-shade table: the floor brightness at row r
      * depends only on (focal, cam_z, r), not on the column, so it is
      * computed once per frame with the exact per-pixel expression and
-     * looked up per column. Rebuilt every renderInto call (one divide
-     * per row instead of per floor pixel).
+     * looked up per column (one divide per row instead of per floor
+     * pixel).
      */
     std::vector<float> floorShade_;
-    /** Per-column shade staging buffer, added to the noise floats
-     *  drawNoise() left in the image. */
+    /** Per-column staging: each row's shade (fast on the wall) and
+     *  the margin its byte needs, padded past the last row so the
+     *  byte loop runs whole noise batches. */
     std::vector<float> colShade_;
+    std::vector<float> colMargin_;
 };
 
 /**

@@ -152,11 +152,14 @@ Synchronizer::servicePacket(const bridge::Packet &p)
         ++stats_.imuRequests;
         transport_.send(bridge::encodeImuResp(env_.getImu()));
         break;
-      case PacketType::ImageReq:
+      case PacketType::ImageReq: {
         ++stats_.imageRequests;
-        env_.getImageInto(imageScratch_);
-        transport_.send(bridge::encodeImageResp(imageScratch_));
+        const env::CameraConfig &cam = env_.cameraConfig();
+        bridge::Packet resp = bridge::encodeImageResp(cam.width, cam.height);
+        env_.renderImage(bridge::imageRespPixels(resp));
+        transport_.send(resp);
         break;
+      }
       case PacketType::DepthReq:
         ++stats_.depthRequests;
         transport_.send(bridge::encodeDepthResp(env_.getDepth()));

@@ -143,9 +143,6 @@ class Synchronizer
     env::EnvSim &env_;
     bridge::Transport &transport_;
     SyncConfig cfg_;
-    /** Reused camera-frame buffer for ImageReq servicing (pure scratch,
-     *  never checkpointed: rendering is repeated on demand). */
-    env::Image imageScratch_;
     SyncStats stats_;
     LastCommand lastCmd_;
     bool configured_ = false;

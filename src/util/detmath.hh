@@ -3,19 +3,22 @@
  * Deterministic, branch-free log and sine kernels for the camera's
  * noise and texture passes.
  *
- * Each function is the fdlibm algorithm (the freely distributable Sun
- * libm that FreeBSD's msun carries) written as plain fixed-order
- * double arithmetic and integer bit manipulation: no intrinsics, no
- * tables, no data-dependent branches. The result is a function of the
- * input bits alone under every -march (the build pins
- * -ffp-contract=off), and a loop over an array of inputs compiles to
- * straight-line code the vectorizer can run lane-parallel.
+ * Each function is an fdlibm-style algorithm (the freely distributable
+ * Sun libm that FreeBSD's msun carries) written as plain fixed-order
+ * arithmetic and integer bit manipulation: no intrinsics, no tables,
+ * no data-dependent branches. The result is a function of the input
+ * bits alone under every -march (the build pins -ffp-contract=off),
+ * and a loop over an array of inputs compiles to straight-line code
+ * the vectorizer can run lane-parallel. The Box-Muller kernels work in
+ * binary32, four lanes per SSE2 register, after an exact reduction in
+ * double.
  *
- * These are not drop-in replacements for libm: they can differ from
- * glibc in the last bit or two. The render keeps a fast value only
- * where a bracket proves the pixel it feeds is the one the libm value
- * gives (DESIGN.md §5e); tests/test_hotpath.cc checks the error bounds
- * that argument relies on.
+ * These are not drop-in replacements for libm: the texture sine is
+ * within ~2^-37 of it, the binary32 kernels within a few float ulps.
+ * The render keeps a fast value only where a margin proves the wire
+ * byte it feeds is the one the libm value gives (DESIGN.md §5e);
+ * tests/test_hotpath.cc checks the error bounds that argument relies
+ * on.
  */
 
 #ifndef ROSE_UTIL_DETMATH_HH
@@ -47,7 +50,20 @@ fromBits(uint64_t v)
     return std::bit_cast<double>(v);
 }
 
-/** sin(x + y) for |x| <= pi/4, y the tail of x (fdlibm k_sin). */
+inline uint32_t
+bits32(float v)
+{
+    return std::bit_cast<uint32_t>(v);
+}
+
+inline float
+fromBits32(uint32_t v)
+{
+    return std::bit_cast<float>(v);
+}
+
+/** sin(x + y) for |x| <= pi/4, y the tail of x: fdlibm k_sin without
+ *  its x^13 term, so degree 11 and within ~2^-37 of sin. */
 inline double
 sinKernel(double x, double y)
 {
@@ -56,15 +72,15 @@ sinKernel(double x, double y)
     constexpr double S3 = -0x1.a01a019c161d5p-13;
     constexpr double S4 = 0x1.71de357b1fe7dp-19;
     constexpr double S5 = -0x1.ae5e68a2b9cebp-26;
-    constexpr double S6 = 0x1.5d93a5acfd57cp-33;
     double z = x * x;
     double w = z * z;
-    double r = S2 + z * (S3 + z * S4) + z * w * (S5 + z * S6);
+    double r = S2 + z * (S3 + z * S4) + z * w * S5;
     double v = z * x;
     return x - ((z * (0.5 * y - v * r) - y) - v * S1);
 }
 
-/** cos(x + y) for |x| <= pi/4, y the tail of x (fdlibm k_cos). */
+/** cos(x + y) for |x| <= pi/4, y the tail of x: fdlibm k_cos without
+ *  its x^14 term, so degree 12. */
 inline double
 cosKernel(double x, double y)
 {
@@ -73,11 +89,9 @@ cosKernel(double x, double y)
     constexpr double C3 = 0x1.a01a019cb1590p-16;
     constexpr double C4 = -0x1.27e4f809c52adp-22;
     constexpr double C5 = 0x1.1ee9ebdb4b1c4p-29;
-    constexpr double C6 = -0x1.8fae9be8838d4p-37;
     double z = x * x;
     double w = z * z;
-    double r = z * (C1 + z * (C2 + z * C3)) +
-               w * w * (C4 + z * (C5 + z * C6));
+    double r = z * (C1 + z * (C2 + z * C3)) + w * w * (C4 + z * C5);
     double hz = 0.5 * z;
     double c = 1.0 - hz;
     return c + (((1.0 - c) - hz) + (z * r - x * y));
@@ -93,46 +107,54 @@ quadrant(double s, double c, uint64_t n)
     return fromBits(v ^ ((n & 2) << 62));
 }
 
+/** The binary32 form of quadrant(). */
+inline float
+quadrant(float s, float c, uint32_t n)
+{
+    uint32_t odd = 0 - (n & 1);
+    uint32_t v = (bits32(s) & ~odd) | (bits32(c) & odd);
+    return fromBits32(v ^ ((n & 2) << 30));
+}
+
 } // namespace detail
 
 /**
- * Natural log of a positive normal finite x (fdlibm e_log): x =
- * 2^k (1 + f) with sqrt(2)/2 <= 1 + f < sqrt(2), then a degree-14
- * odd polynomial in s = f / (2 + f). Error below 1 ulp.
+ * Natural log of a positive normal finite x, in binary32. The
+ * reduction x = 2^k (1 + f), sqrt(2)/2 <= 1 + f < sqrt(2), runs in
+ * double, where f is exact, so the result keeps its relative accuracy
+ * as x -> 1 (a binary32 x would round 1 - 2^-25 to 1 and lose all of
+ * log x). Then fdlibm's e_logf polynomial in s = f / (2 + f), in
+ * binary32: within a few float ulps of log x.
  */
-inline double
-log(double x)
+inline float
+log32(double x)
 {
     using namespace detail;
-    constexpr double kLn2Hi = 0x1.62e42fee00000p-1;
-    constexpr double kLn2Lo = 0x1.a39ef35793c76p-33;
-    constexpr double Lg1 = 0x1.5555555555593p-1;
-    constexpr double Lg2 = 0x1.999999997fa04p-2;
-    constexpr double Lg3 = 0x1.2492494229359p-2;
-    constexpr double Lg4 = 0x1.c71c51d8e78afp-3;
-    constexpr double Lg5 = 0x1.7466496cb03dep-3;
-    constexpr double Lg6 = 0x1.39a09d078c69fp-3;
-    constexpr double Lg7 = 0x1.2f112df3e5244p-3;
+    constexpr float kLn2Hi = 0x1.62e3p-1f;
+    constexpr float kLn2Lo = 0x1.2fefa2p-17f;
+    constexpr float Lg1 = 0xaaaaaap-24f;
+    constexpr float Lg2 = 0xccce13p-25f;
+    constexpr float Lg3 = 0x91e9eep-25f;
+    constexpr float Lg4 = 0xf89e26p-26f;
 
     uint64_t b = bits(x);
     uint64_t hx = (b >> 32) & 0x000fffff;
     // One when the mantissa is >= sqrt(2): halve it, bump the exponent.
     uint64_t i = (hx + 0x95f64) & 0x100000;
     uint64_t e = (b >> 52) + (i >> 20);
-    double f = fromBits(((hx | (i ^ 0x3ff00000)) << 32) |
-                        (b & 0xffffffff)) -
-               1.0;
+    float f = float(fromBits(((hx | (i ^ 0x3ff00000)) << 32) |
+                             (b & 0xffffffff)) -
+                    1.0);
     // The biased exponent as a double, exactly, without an int
     // conversion: 2^52 + e has e in its low mantissa bits.
-    double dk = (fromBits(0x4330000000000000ULL | e) - 0x1p52) - 1023.0;
+    float dk =
+        float((fromBits(0x4330000000000000ULL | e) - 0x1p52) - 1023.0);
 
-    double s = f / (2.0 + f);
-    double z = s * s;
-    double w = z * z;
-    double t1 = w * (Lg2 + w * (Lg4 + w * Lg6));
-    double t2 = z * (Lg1 + w * (Lg3 + w * (Lg5 + w * Lg7)));
-    double R = t2 + t1;
-    double hfsq = 0.5 * f * f;
+    float s = f / (2.0f + f);
+    float z = s * s;
+    float w = z * z;
+    float R = z * (Lg1 + w * Lg3) + w * (Lg2 + w * Lg4);
+    float hfsq = 0.5f * f * f;
     return dk * kLn2Hi - ((hfsq - (s * (hfsq + R) + dk * kLn2Lo)) - f);
 }
 
@@ -164,22 +186,31 @@ sin(double u)
 }
 
 /**
- * sin(2 pi u) and cos(2 pi u) for |u| < 2^48. The quadrant split is
- * exact on u itself: 4u = n + f with n the nearest integer and
- * |f| <= 1/2 are both exact, so only f * pi/2 rounds.
+ * sin(2 pi u) and cos(2 pi u) in binary32, for |u| < 2^48. The
+ * quadrant split is exact on u itself, in double: 4u = n + f with n the
+ * nearest integer and |f| <= 1/2 both exact. Then x = f * pi/2 rounds
+ * once to binary32, and the Cephes sinf/cosf polynomials (degrees 9
+ * and 8 on |x| <= pi/4) run in binary32.
  */
 inline void
-sincos2pi(double u, double &s, double &c)
+sincos2pi32(double u, float &s, float &c)
 {
     using namespace detail;
     constexpr double kPio2 = 0x1.921fb54442d18p+0;
+    constexpr float S1 = -1.6666654611e-1f;
+    constexpr float S2 = 8.3321608736e-3f;
+    constexpr float S3 = -1.9515295891e-4f;
+    constexpr float C1 = 4.166664568298827e-2f;
+    constexpr float C2 = -1.388731625493765e-3f;
+    constexpr float C3 = 2.443315711809948e-5f;
 
     double t = 4.0 * u;
     double big = t + kRoundInt;
-    double x = (t - (big - kRoundInt)) * kPio2;
-    double ks = sinKernel(x, 0.0);
-    double kc = cosKernel(x, 0.0);
-    uint64_t n = bits(big);
+    float x = float((t - (big - kRoundInt)) * kPio2);
+    float z = x * x;
+    float ks = x + x * z * (S1 + z * (S2 + z * S3));
+    float kc = 1.0f - 0.5f * z + z * z * (C1 + z * (C2 + z * C3));
+    uint32_t n = uint32_t(bits(big));
     s = quadrant(ks, kc, n);
     c = quadrant(ks, kc, n + 1);
 }

@@ -50,25 +50,37 @@ TEST(Packet, ImuRoundTrip)
     EXPECT_DOUBLE_EQ(r.timestamp, s.timestamp);
 }
 
+namespace {
+
+/** A @p w x @p h ImageResp whose pixel byte i is fill(i). */
+template <typename F>
+Packet
+imageResp(int w, int h, F fill)
+{
+    Packet p = encodeImageResp(w, h);
+    uint8_t *px = imageRespPixels(p);
+    for (size_t i = 0; i < size_t(w) * size_t(h); ++i)
+        px[i] = uint8_t(fill(i));
+    return p;
+}
+
+} // namespace
+
 TEST(Packet, ImageRoundTripQuantized)
 {
-    env::Image img(8, 4);
-    for (size_t i = 0; i < img.pixels.size(); ++i)
-        img.pixels[i] = float(i) / float(img.pixels.size());
+    Packet p = imageResp(8, 4, [](size_t i) { return i * 8; });
+    ASSERT_EQ(p.payload.size(), 4u + 32u);
     env::Image r;
-    decodeImageRespInto(encodeImageResp(img), r);
+    decodeImageRespInto(p, r);
     EXPECT_EQ(r.width, 8);
     EXPECT_EQ(r.height, 4);
-    for (size_t i = 0; i < img.pixels.size(); ++i)
-        EXPECT_NEAR(r.pixels[i], img.pixels[i], 1.0 / 255.0);
+    for (size_t i = 0; i < r.pixels.size(); ++i)
+        EXPECT_EQ(r.pixels[i], float(i * 8) / 255.0f);
 }
 
 TEST(Packet, ImageDecodeIntoMatchesAndReusesBuffer)
 {
-    env::Image img(8, 4);
-    for (size_t i = 0; i < img.pixels.size(); ++i)
-        img.pixels[i] = float(i) / float(img.pixels.size());
-    Packet p = encodeImageResp(img);
+    Packet p = imageResp(8, 4, [](size_t i) { return i * 8; });
     env::Image fresh;
     decodeImageRespInto(p, fresh);
     // A buffer that last held a different-size frame decodes the same.
@@ -190,10 +202,7 @@ TEST(TcpTransport, LoopbackRoundTrip)
     EXPECT_EQ(p.type, PacketType::ImageReq);
 
     // And the reverse direction with a large payload (camera frame).
-    env::Image img(64, 48);
-    for (size_t i = 0; i < img.pixels.size(); ++i)
-        img.pixels[i] = 0.5f;
-    server->send(encodeImageResp(img));
+    server->send(imageResp(64, 48, [](size_t) { return 128; }));
     spins = 0;
     while (!client->recv(p) && spins++ < 10000) {}
     env::Image r;
@@ -338,11 +347,9 @@ TEST(TcpTransportReads, FrameLargerThanOneReadArrivesWhole)
 {
     RawPeer peer;
     ASSERT_NE(peer.end, nullptr);
-    env::Image img(200, 200);
-    for (size_t i = 0; i < img.pixels.size(); ++i)
-        img.pixels[i] = float(i % 251) / 250.0f;
     std::vector<uint8_t> wire;
-    serializePacket(encodeImageResp(img), wire);
+    serializePacket(imageResp(200, 200, [](size_t i) { return i % 251; }),
+                    wire);
     ASSERT_GT(wire.size(), 2 * kReadBytes);
     peer.write(wire);
     ASSERT_TRUE(peer.end->waitReadable(1000));
@@ -353,9 +360,9 @@ TEST(TcpTransportReads, FrameLargerThanOneReadArrivesWhole)
     ASSERT_TRUE(peer.end->recv(p));
     env::Image back;
     decodeImageRespInto(p, back);
-    ASSERT_EQ(back.pixels.size(), img.pixels.size());
-    for (size_t i = 0; i < img.pixels.size(); i += 997)
-        EXPECT_NEAR(back.pixels[i], img.pixels[i], 1.0 / 255.0) << i;
+    ASSERT_EQ(back.pixels.size(), 200u * 200u);
+    for (size_t i = 0; i < back.pixels.size(); i += 997)
+        EXPECT_EQ(back.pixels[i], float(i % 251) / 255.0f) << i;
     EXPECT_EQ(peer.end->syscalls().recvs, wire.size() / kReadBytes + 1);
     EXPECT_EQ(peer.end->syscalls().emptyRecvs, 0u);
 }
@@ -568,9 +575,7 @@ TEST(TargetDriver, RoundTripThroughBridge)
     EXPECT_EQ(p.type, PacketType::ImageReq);
 
     // Host -> SoC.
-    env::Image img(16, 12);
-    img.pixels.assign(img.pixels.size(), 0.25f);
-    h.hostEnd->send(encodeImageResp(img));
+    h.hostEnd->send(imageResp(16, 12, [](size_t) { return 64; }));
     h.bridge.hostService();
 
     EXPECT_EQ(drv.rxCount(), 1u);
@@ -699,13 +704,12 @@ TEST(Framing, FrameBufferDrainsSplitStream)
     // Serialize every packet type back to back, feed the bytes to a
     // FrameBuffer in awkward 7-byte slices, and verify each frame
     // round-trips in order.
-    env::Image img(8, 4);
-    img.pixels.assign(img.pixels.size(), 0.5f);
     std::vector<Packet> sent = {
         encodeSyncGrant(17),         encodeSyncDone(17),
         encodeCfgStepSize(1000),     encodeImuReq(),
         encodeImuResp({}),           encodeImageReq(),
-        encodeImageResp(img),        encodeDepthReq(),
+        imageResp(8, 4, [](size_t) { return 128; }),
+        encodeDepthReq(),
         encodeDepthResp(4.25),       encodeVelocityCmd({1, 2, 3}),
     };
     std::vector<uint8_t> wire;

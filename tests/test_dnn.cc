@@ -10,6 +10,7 @@
 
 #include <cmath>
 
+#include "decoded_frame.hh"
 #include "dnn/classifier.hh"
 #include "dnn/engine.hh"
 #include "dnn/layers.hh"
@@ -302,7 +303,8 @@ measureAccuracy(int depth, int samples)
         double psi = rng.uniform(-0.35, 0.35);
         double x = rng.uniform(5.0, 45.0);
         drone.setPose({x, y, 1.5}, Quat::fromEuler(0, 0, psi));
-        cam.renderInto(world, drone.position(), drone.attitude(), img);
+        test::renderDecoded(cam, world, drone.position(), drone.attitude(),
+                            img);
         ClassifierOutput out = cls.infer(img);
         int ta = psi > ec.headingClassRad ? 0
                  : psi < -ec.headingClassRad ? 2 : 1;
@@ -331,7 +333,8 @@ TEST(Classifier, PoseEstimateAccurate)
         double psi = rng.uniform(-0.3, 0.3);
         drone.setPose({rng.uniform(5, 45), y, 1.5},
                       Quat::fromEuler(0, 0, psi));
-        cam.renderInto(world, drone.position(), drone.attitude(), img);
+        test::renderDecoded(cam, world, drone.position(), drone.attitude(),
+                            img);
         PoseEstimate est = estimatePose(img, {}, scratch);
         ASSERT_TRUE(est.valid);
         se_h += (est.headingRad - psi) * (est.headingRad - psi);
@@ -349,7 +352,7 @@ TEST(Classifier, ProbabilitiesNormalized)
     drone.setPose({10, 0.5, 1.5}, Quat::fromEuler(0, 0, 0.1));
     Classifier cls(makeResNet(14), Rng(19));
     env::Image img;
-    cam.renderInto(world, drone.position(), drone.attitude(), img);
+    test::renderDecoded(cam, world, drone.position(), drone.attitude(), img);
     ClassifierOutput out = cls.infer(img);
     ASSERT_TRUE(out.valid);
     double sa = out.angular.probs[0] + out.angular.probs[1] +
@@ -370,13 +373,13 @@ TEST(Classifier, CorrectClassOnClearPoses)
     // Strongly yawed left, centered: angular head must say left.
     drone.setPose({10, 0.0, 1.5}, Quat::fromEuler(0, 0, 0.35));
     env::Image img;
-    cam.renderInto(world, drone.position(), drone.attitude(), img);
+    test::renderDecoded(cam, world, drone.position(), drone.attitude(), img);
     ClassifierOutput out = cls.infer(img);
     EXPECT_EQ(out.angular.argmax(), 0);
 
     // Strongly offset right, straight: lateral head must say right.
     drone.setPose({10, -1.1, 1.5}, Quat{});
-    cam.renderInto(world, drone.position(), drone.attitude(), img);
+    test::renderDecoded(cam, world, drone.position(), drone.attitude(), img);
     out = cls.infer(img);
     EXPECT_EQ(out.lateral.argmax(), 2);
 }
@@ -390,7 +393,7 @@ TEST(Classifier, ConfidenceGrowsWithCapacity)
     env::Drone drone;
     drone.setPose({10, 0.0, 1.5}, Quat::fromEuler(0, 0, 0.3));
     env::Image img;
-    cam.renderInto(world, drone.position(), drone.attitude(), img);
+    test::renderDecoded(cam, world, drone.position(), drone.attitude(), img);
 
     double margin6 = 0.0, margin34 = 0.0;
     const int reps = 50;

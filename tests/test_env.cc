@@ -8,12 +8,28 @@
 
 #include <cmath>
 
+#include "bridge/packet.hh"
 #include "env/envsim.hh"
 #include "env/sensors.hh"
 #include "env/world.hh"
 
 using namespace rose;
 using namespace rose::env;
+
+namespace {
+
+/** The camera's frame as the control app sees it: the bridge's 8-bit
+ *  image, decoded. */
+Image
+render(Camera &cam, const World &w, const Drone &d)
+{
+    Image img;
+    bridge::decodeImageRespInto(
+        bridge::renderImageResp(cam, w, d.position(), d.attitude()), img);
+    return img;
+}
+
+} // namespace
 
 // ----------------------------------------------------------------- World
 
@@ -268,8 +284,11 @@ TEST(Camera, ImageDimensionsAndRange)
     Drone d;
     d.setPose({5, 0, 1.5}, Quat{});
     Camera cam(CameraConfig{}, Rng(7));
+    bridge::Packet p =
+        bridge::renderImageResp(cam, w, d.position(), d.attitude());
+    EXPECT_EQ(p.payload.size(), 4 + size_t(64) * 48);
     Image img;
-    cam.renderInto(w, d.position(), d.attitude(), img);
+    bridge::decodeImageRespInto(p, img);
     EXPECT_EQ(img.width, 64);
     EXPECT_EQ(img.height, 48);
     ASSERT_EQ(img.pixels.size(), size_t(64) * 48);
@@ -289,8 +308,7 @@ TEST(Camera, OffsetSkewsBrightness)
 
     Drone d;
     d.setPose({5, 1.0, 1.5}, Quat{}); // near left wall
-    Image img;
-    cam.renderInto(w, d.position(), d.attitude(), img);
+    Image img = render(cam, w, d);
 
     auto col_mean = [&](int c) {
         double s = 0;
@@ -311,10 +329,9 @@ TEST(Camera, DeterministicGivenSeed)
     d.setPose({5, 0.3, 1.5}, Quat::fromEuler(0, 0, 0.1));
     Camera a(CameraConfig{}, Rng(11));
     Camera b(CameraConfig{}, Rng(11));
-    Image ia, ib;
-    a.renderInto(w, d.position(), d.attitude(), ia);
-    b.renderInto(w, d.position(), d.attitude(), ib);
-    EXPECT_EQ(ia.pixels, ib.pixels);
+    EXPECT_EQ(
+        bridge::renderImageResp(a, w, d.position(), d.attitude()).payload,
+        bridge::renderImageResp(b, w, d.position(), d.attitude()).payload);
 }
 
 TEST(Depth, ReadsForwardDistance)
@@ -502,9 +519,8 @@ TEST(Obstacles, CameraRendersPillar)
     d.setPose({10, 0, 1.5}, Quat{});
     Camera cam_a(CameraConfig{}, Rng(73));
     Camera cam_b(CameraConfig{}, Rng(73));
-    Image a, b;
-    cam_a.renderInto(clear_world, d.position(), d.attitude(), a);
-    cam_b.renderInto(blocked, d.position(), d.attitude(), b);
+    Image a = render(cam_a, clear_world, d);
+    Image b = render(cam_b, blocked, d);
     int mid = a.width / 2;
     double diff = 0.0;
     for (int r = 0; r < a.height; ++r)

@@ -155,10 +155,11 @@ samplePackets(Rng &rng)
                 rng.uniform(-5, 5)};
     imu.timestamp = rng.uniform(0, 1e4);
 
-    env::Image img(int(4 + rng.uniformInt(29)),
-                   int(4 + rng.uniformInt(29)));
-    for (float &px : img.pixels)
-        px = float(rng.uniform());
+    Packet img = encodeImageResp(int(4 + rng.uniformInt(29)),
+                                 int(4 + rng.uniformInt(29)));
+    uint8_t *px = imageRespPixels(img);
+    for (size_t i = 4; i < img.payload.size(); ++i)
+        *px++ = uint8_t(rng.next());
 
     VelocityCmdPayload cmd;
     cmd.forward = rng.uniform(-10, 10);
@@ -172,7 +173,7 @@ samplePackets(Rng &rng)
         encodeImuReq(),
         encodeImuResp(imu),
         encodeImageReq(),
-        encodeImageResp(img),
+        img,
         encodeDepthReq(),
         encodeDepthResp(rng.uniform(0, 100)),
         encodeVelocityCmd(cmd),
@@ -284,16 +285,16 @@ TEST(FramingFuzz, TypedCodecsRoundTripThroughTheWire)
     imu.gyro = {-0.125, 0.75, 2.0};
     imu.timestamp = 123.456;
 
-    env::Image img(8, 6);
-    for (size_t i = 0; i < img.pixels.size(); ++i)
-        img.pixels[i] = float(i) / float(img.pixels.size());
+    Packet img = encodeImageResp(8, 6);
+    for (size_t i = 0; i < 48; ++i)
+        imageRespPixels(img)[i] = uint8_t(i * 5);
 
     VelocityCmdPayload cmd{3.5, -1.25, 0.5};
 
     std::vector<uint8_t> stream;
     serializePacket(encodeSyncGrant(0x1234'5678'9abc'def0ULL), stream);
     serializePacket(encodeImuResp(imu), stream);
-    serializePacket(encodeImageResp(img), stream);
+    serializePacket(img, stream);
     serializePacket(encodeDepthResp(42.5), stream);
     serializePacket(encodeVelocityCmd(cmd), stream);
 
@@ -313,12 +314,10 @@ TEST(FramingFuzz, TypedCodecsRoundTripThroughTheWire)
 
     env::Image img2;
     decodeImageRespInto(got[2], img2);
-    ASSERT_EQ(img2.width, img.width);
-    ASSERT_EQ(img2.height, img.height);
-    // Transport quantizes to 8 bits; values match to 1/255.
-    for (size_t i = 0; i < img.pixels.size(); ++i)
-        EXPECT_NEAR(img2.pixels[i], img.pixels[i], 1.0f / 255.0f)
-            << "pixel " << i;
+    ASSERT_EQ(img2.width, 8);
+    ASSERT_EQ(img2.height, 6);
+    for (size_t i = 0; i < img2.pixels.size(); ++i)
+        EXPECT_EQ(img2.pixels[i], float(i * 5) / 255.0f) << "pixel " << i;
 
     EXPECT_EQ(decodeDepthResp(got[3]), 42.5);
 
@@ -431,30 +430,35 @@ dequantize(uint8_t b)
 
 TEST(FramingFuzz, ImageCodecMatchesPerPixelExpressions)
 {
+    // The camera's byte for a float pixel is the bridge's quantizer,
+    // special values included.
     const float specials[] = {
         -1.0f, -0.0f, 0.0f, 0.5f / 255.0f, 0.5f, 1.0f, 1.5f,
         std::numeric_limits<float>::infinity(),
         -std::numeric_limits<float>::infinity(),
         std::numeric_limits<float>::denorm_min()};
+    for (float v : specials)
+        EXPECT_EQ(env::pixel::byte(v, 0.0f), quantize(v)) << v;
     env::Image out;
     for (uint64_t seed = 0; seed < 200; ++seed) {
         SCOPED_TRACE("seed " + std::to_string(seed));
         Rng rng(0x1a6e'0000 + seed);
-        env::Image img(int(rng.uniformInt(70)), int(rng.uniformInt(70)));
-        for (float &v : img.pixels) {
-            v = rng.bernoulli(0.1)
-                    ? specials[rng.uniformInt(std::size(specials))]
-                    : float(rng.uniform(-0.2, 1.2));
+        const int w = int(rng.uniformInt(70));
+        const int h = int(rng.uniformInt(70));
+        Packet p = encodeImageResp(w, h);
+        ASSERT_EQ(p.payload.size(), 4 + size_t(w) * h);
+        uint8_t *px = imageRespPixels(p);
+        for (int i = 0; i < w * h; ++i) {
+            float v = rng.bernoulli(0.1)
+                          ? specials[rng.uniformInt(std::size(specials))]
+                          : float(rng.uniform(-0.2, 1.2));
+            px[i] = env::pixel::byte(v, 0.0f);
+            ASSERT_EQ(px[i], quantize(v)) << "pixel " << i << " = " << v;
         }
-        Packet p = encodeImageResp(img);
-        ASSERT_EQ(p.payload.size(), 4 + img.pixels.size());
-        for (size_t i = 0; i < img.pixels.size(); ++i)
-            ASSERT_EQ(p.payload[4 + i], quantize(img.pixels[i]))
-                << "pixel " << i << " = " << img.pixels[i];
 
         decodeImageRespInto(p, out);
-        ASSERT_EQ(out.width, img.width);
-        ASSERT_EQ(out.height, img.height);
+        ASSERT_EQ(out.width, w);
+        ASSERT_EQ(out.height, h);
         for (size_t i = 0; i < out.pixels.size(); ++i) {
             float want = dequantize(p.payload[4 + i]);
             ASSERT_EQ(std::memcmp(&out.pixels[i], &want, sizeof(float)),

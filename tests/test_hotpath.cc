@@ -17,12 +17,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <new>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "decoded_frame.hh"
 #include "bridge/packet.hh"
 #include "dnn/classifier.hh"
 #include "dnn/engine.hh"
@@ -82,16 +84,6 @@ constexpr bool kUnderSanitizer = false;
 constexpr bool kUnderSanitizer = false;
 #endif
 
-template <typename VecA, typename VecB>
-bool
-bitIdentical(const VecA &a, const VecB &b)
-{
-    return a.size() == b.size() &&
-           (a.empty() ||
-            std::memcmp(a.data(), b.data(),
-                        a.size() * sizeof(float)) == 0);
-}
-
 } // namespace
 
 // ----------------------------------------------------- shared artifacts
@@ -130,7 +122,8 @@ TEST(HotpathPose, ScratchOverloadBitIdentical)
     for (int frame = 0; frame < 8; ++frame) {
         drone.setPose({rng.uniform(5, 45), rng.uniform(-1, 1), 1.5},
                       Quat::fromEuler(0, 0, rng.uniform(-0.3, 0.3)));
-        cam.renderInto(world, drone.position(), drone.attitude(), img);
+        test::renderDecoded(cam, world, drone.position(), drone.attitude(),
+                            img);
         PoseScratch freshScratch;
         PoseEstimate fresh = estimatePose(img, cfg, freshScratch);
         PoseEstimate cached = estimatePose(img, cfg, scratch);
@@ -153,16 +146,22 @@ TEST(HotpathPose, ScratchSteadyStateZeroAllocation)
     env::Camera cam(env::CameraConfig{}, Rng(31));
     env::Drone drone;
     drone.setPose({10, 0.2, 1.5}, Quat::fromEuler(0, 0, 0.1));
+    // The frame is rendered into one reused ImageResp and decoded into
+    // one reused image, as the synchronizer and the app do.
+    bridge::Packet frame = bridge::renderImageResp(
+        cam, world, drone.position(), drone.attitude());
     env::Image img;
-    cam.renderInto(world, drone.position(), drone.attitude(), img);
+    bridge::decodeImageRespInto(frame, img);
 
     EstimatorConfig cfg;
     PoseScratch scratch;
     estimatePose(img, cfg, scratch); // sizes the cache + scratch
-    // The render and the pose estimate of a steady-state frame.
+    // The render, decode and pose estimate of a steady-state frame.
     uint64_t before = g_allocCount.load();
     for (int i = 0; i < 5; ++i) {
-        cam.renderInto(world, drone.position(), drone.attitude(), img);
+        cam.renderInto(world, drone.position(), drone.attitude(),
+                       bridge::imageRespPixels(frame));
+        bridge::decodeImageRespInto(frame, img);
         estimatePose(img, cfg, scratch);
     }
     EXPECT_EQ(g_allocCount.load() - before, 0u);
@@ -175,7 +174,7 @@ TEST(HotpathPose, ScratchRebuildsOnConfigChange)
     env::Drone drone;
     drone.setPose({12, -0.4, 1.5}, Quat::fromEuler(0, 0, -0.15));
     env::Image img;
-    cam.renderInto(world, drone.position(), drone.attitude(), img);
+    test::renderDecoded(cam, world, drone.position(), drone.attitude(), img);
 
     PoseScratch scratch;
     EstimatorConfig cfg;
@@ -536,7 +535,7 @@ TEST(HotpathOracle, PoseMatchesSequentialSsdReference)
 {
     // 500 seeded poses across the three worlds (with pillars), each
     // image checked column by column against the sequential-SSD
-    // reference, as rendered and after the bridge's u8 round trip.
+    // reference, as the bridge delivers it (8-bit, decoded).
     // Zigzag gets fewer: its centerline is integrated per call, which
     // makes one render ~100x a tunnel render.
     const int kImagesPerWorld[] = {220, 220, 60};
@@ -555,16 +554,11 @@ TEST(HotpathOracle, PoseMatchesSequentialSsdReference)
                        rng.uniform(-0.9, 0.9) * world->halfWidth(x);
             double yaw =
                 world->tangentAngle(x) + rng.uniform(-0.7, 0.7);
-            env::Image img;
-            cam.renderInto(*world, Vec3{x, y, rng.uniform(0.8, 2.5)},
-                           Quat::fromEuler(0, 0, yaw), img);
-            expectPoseMatchesReference(
-                img, cfg, scratch,
-                std::string(name) + " image " + std::to_string(i));
             // Missions feed the estimator the bridge's 8-bit decode of
             // the frame, whose pixels are multiples of 1/255.
-            bridge::decodeImageRespInto(bridge::encodeImageResp(img),
-                                        decoded);
+            test::renderDecoded(cam, *world,
+                                Vec3{x, y, rng.uniform(0.8, 2.5)},
+                                Quat::fromEuler(0, 0, yaw), decoded);
             expectPoseMatchesReference(
                 decoded, cfg, scratch,
                 std::string(name) + " u8 image " + std::to_string(i));
@@ -602,8 +596,8 @@ TEST(HotpathOracle, PoseMatchesReferenceOnSyntheticImages)
     env::Camera small(env::CameraConfig{40, 30}, Rng(9));
     env::TunnelWorld tunnel;
     env::Image img;
-    small.renderInto(tunnel, Vec3{10, 0.3, 1.5},
-                     Quat::fromEuler(0, 0, 0.2), img);
+    test::renderDecoded(small, tunnel, Vec3{10, 0.3, 1.5},
+                        Quat::fromEuler(0, 0, 0.2), img);
     expectPoseMatchesReference(img, cfg, scratch, "40x30");
 }
 
@@ -876,10 +870,11 @@ TEST(HotpathOracle, RaycastMatchesVirtualMarchReference)
 // transcendental in it was a libm call: the column-major fused
 // raycast/shade/noise loop, the std::sin texture hash and the scalar
 // Box-Muller Gaussian with its spare carried across columns and
-// frames. The noise stream is a copy of xoshiro256** that loads and
-// stores the camera's serialized state, so the production camera must
-// match it in every float pixel and in every checkpointed state byte
-// (the stale Box-Muller spare included).
+// frames, writing float pixels. The noise stream is a copy of
+// xoshiro256** that loads and stores the camera's serialized state, so
+// the production camera must match it in every wire byte (the float
+// pixel quantized as the bridge did) and in every checkpointed state
+// byte (the stale Box-Muller spare included).
 
 namespace ref {
 
@@ -1072,11 +1067,11 @@ wireByte(float v)
 /**
  * Render seeded in-corridor poses in every world, split evenly over
  * four camera configurations, with the production camera and the
- * frozen reference, requiring bit-identical float pixels, wire bytes
- * and serialized camera state after every frame. @p scale multiplies the
- * per-world frame counts (~5.6k frames at scale 1). Zigzag gets few
- * frames: its centerline is integrated per call, which makes one of
- * its renders ~40x a tunnel render.
+ * frozen reference, requiring equal wire bytes and serialized camera
+ * state after every frame. @p scale multiplies the per-world frame
+ * counts (~5.6k frames at scale 1). Zigzag gets few frames: its
+ * centerline is integrated per call, which makes one of its renders
+ * ~40x a tunnel render.
  */
 void
 expectRenderMatchesReference(int scale)
@@ -1106,8 +1101,8 @@ expectRenderMatchesReference(int scale)
             StateReader in(state);
             want.rng.restore(in);
 
-            env::Image got, expect;
-            const float *buffer = nullptr;
+            std::vector<uint8_t> got(size_t(cfg.width) * cfg.height);
+            env::Image expect;
             for (int i = 0; i < n / int(std::size(cfgs)); ++i) {
                 double x = rng.uniform(0.5, world->length() - 0.5);
                 double y = world->centerY(x) +
@@ -1116,23 +1111,12 @@ expectRenderMatchesReference(int scale)
                     world->tangentAngle(x) + rng.uniform(-0.7, 0.7);
                 Vec3 pos{x, y, rng.uniform(0.8, 2.5)};
                 Quat att = Quat::fromEuler(0, 0, yaw);
-                cam.renderInto(*world, pos, att, got);
+                cam.renderInto(*world, pos, att, got.data());
                 want.renderInto(*world, pos, att, expect);
-                ASSERT_EQ(got.width, cfg.width);
-                ASSERT_EQ(got.height, cfg.height);
-                ASSERT_TRUE(bitIdentical(got.pixels, expect.pixels))
-                    << "frame " << i;
-                // The wire bytes: the ImageResp payload after its
-                // width/height header.
-                bridge::Packet p = bridge::encodeImageResp(got);
-                ASSERT_EQ(p.payload.size(), 4 + expect.pixels.size());
-                for (size_t k = 0; k < expect.pixels.size(); ++k)
-                    ASSERT_EQ(p.payload[4 + k], wireByte(expect.pixels[k]))
+                ASSERT_EQ(expect.pixels.size(), got.size());
+                for (size_t k = 0; k < got.size(); ++k)
+                    ASSERT_EQ(got[k], wireByte(expect.pixels[k]))
                         << "frame " << i << " pixel " << k;
-                if (i == 0)
-                    buffer = got.pixels.data();
-                ASSERT_EQ(got.pixels.data(), buffer)
-                    << "image buffer was reallocated";
                 StateWriter w;
                 want.rng.save(w);
                 ASSERT_EQ(cameraState(cam), w.data()) << "frame " << i;
@@ -1157,44 +1141,118 @@ TEST(HotpathOracle, DISABLED_RenderMatchesLibmReferenceLong)
 
 // ------------------------------------------------ detmath and brackets
 //
-// The render keeps a fast transcendental value only when a bracket
-// around it decides the pixel (DESIGN.md §5e). That is sound while the
-// libm value lies inside the bracket: the property tests measure the
-// fast kernels against libm over 10^7 seeded inputs in the render's
-// ranges and require 64x headroom. The bracket tests construct the
-// values where the decision is close, the rounding boundaries of the
-// pixel chains and the floor crossings of the texture hash, and
-// require the exact path there.
+// The render keeps a fast value only when the byte it feeds lies
+// farther than a margin from a byte boundary (DESIGN.md §5e). That is
+// sound while the libm value lies inside the kernels' brackets: the
+// property tests measure the fast kernels against libm over 10^7
+// seeded inputs in the render's ranges and require 64x headroom. The
+// bracket tests check that decided bytes hold across the brackets,
+// and construct the values where the decision is close (byte
+// boundaries, floor crossings of the texture hash, arguments outside
+// the sine's domain), requiring the exact path there.
 
-TEST(Detmath, BoxMullerWithinBracketOverSeededDraws)
+namespace {
+
+/** The Box-Muller pair of the render's binary32 lanes (FrameNoise in
+ *  env/sensors.cc runs the same operations, split into loops). */
+void
+fastBoxMuller(double u1, double u2, float &gc, float &gs)
+{
+    float r = std::sqrt(-2.0f * detmath::log32(u1));
+    float s, c;
+    detmath::sincos2pi32(u2, s, c);
+    gc = r * c;
+    gs = r * s;
+}
+
+double
+boxMullerError(double u1, double u2)
+{
+    float gc, gs;
+    fastBoxMuller(u1, u2, gc, gs);
+    double sinPart;
+    double cosPart = Rng::boxMuller(u1, u2, sinPart);
+    return std::max(std::abs(gc - cosPart), std::abs(gs - sinPart));
+}
+
+/** u1 values within 2^-24 of 1, where a binary32 u1 would lose log u1. */
+double
+nearOne(Rng &rng)
+{
+    return 1.0 - double(1 + rng.uniformInt(1ULL << 29)) * 0x1p-53;
+}
+
+} // namespace
+
+TEST(Detmath, BoxMuller32WithinBracketOverSeededDraws)
 {
     // 5x10^6 uniform pairs drawn as the camera draws them, so 10^7
-    // Gaussian values, plus the extremes of u1 and the quadrant edges
-    // of u2.
-    auto worstError = [](double u1, double u2) {
-        double r = std::sqrt(-2.0 * detmath::log(u1));
-        double s, c;
-        detmath::sincos2pi(u2, s, c);
-        double sinPart;
-        double cosPart = Rng::boxMuller(u1, u2, sinPart);
-        return std::max(std::abs(r * c - cosPart),
-                        std::abs(r * s - sinPart));
-    };
+    // Gaussian values, then 10^5 pairs with u1 within 2^-24 of 1, the
+    // extremes of u1 and the quadrant edges of u2.
     double worst = 0.0;
     Rng rng(0xde7);
     for (int i = 0; i < 5000000; ++i) {
         double u1, u2;
         rng.boxMullerUniforms(u1, u2);
-        worst = std::max(worst, worstError(u1, u2));
+        worst = std::max(worst, boxMullerError(u1, u2));
     }
+    for (int i = 0; i < 100000; ++i)
+        worst = std::max(worst, boxMullerError(nearOne(rng), rng.uniform()));
     const double ulp = 0x1p-53; // the uniform grid
-    for (double u1 : {ulp, 2 * ulp, 0.5, 1.0 - ulp}) {
+    for (double u1 : {ulp, 2 * ulp, 0.5, 1.0 - 0x1p-24, 1.0 - ulp}) {
         for (double u2 : {0.0, ulp, 0.125, 0.25 - ulp, 0.25, 0.375, 0.5,
                           0.625, 0.75, 0.875 + ulp, 1.0 - ulp}) {
-            worst = std::max(worst, worstError(u1, u2));
+            worst = std::max(worst, boxMullerError(u1, u2));
         }
     }
     EXPECT_LE(worst, env::pixel::kGaussianBracket / 64) << worst;
+}
+
+TEST(Detmath, Log32KeepsRelativeAccuracyToOne)
+{
+    // 10^7 inputs: half drawn as the camera draws u1, half within 2^-24
+    // of 1, where log u1 ~ u1 - 1 must keep its relative accuracy
+    // (the reduction runs in double).
+    double worst = 0.0;
+    auto check = [&](double x) {
+        double want = std::log(x);
+        worst = std::max(worst,
+                         std::abs(detmath::log32(x) - want) / std::abs(want));
+    };
+    Rng rng(0x109);
+    for (int i = 0; i < 5000000; ++i) {
+        double u1, u2;
+        rng.boxMullerUniforms(u1, u2);
+        check(u1);
+        check(nearOne(rng));
+    }
+    // A few binary32 ulps.
+    EXPECT_LE(worst, 0x1p-21) << worst;
+}
+
+TEST(Detmath, Sincos2pi32WithinBoundOverSeededDraws)
+{
+    // 5x10^6 draws of u2, each giving a sine and a cosine, plus the
+    // quadrant edges.
+    double worst = 0.0;
+    auto check = [&](double u) {
+        float s, c;
+        detmath::sincos2pi32(u, s, c);
+        double theta = 2.0 * 3.14159265358979323846 * u;
+        worst = std::max({worst, std::abs(s - std::sin(theta)),
+                          std::abs(c - std::cos(theta))});
+    };
+    Rng rng(0x5c2);
+    for (int i = 0; i < 5000000; ++i)
+        check(rng.uniform());
+    for (int k = 0; k <= 8; ++k) {
+        double u = k * 0.125;
+        check(std::nextafter(u, -1.0));
+        check(u);
+        check(std::nextafter(u, 2.0));
+    }
+    // A few binary32 ulps of a value up to 1.
+    EXPECT_LE(worst, 0x1p-21) << worst;
 }
 
 TEST(Detmath, SinWithinBracketOverTextureArguments)
@@ -1230,7 +1288,7 @@ template <typename F>
 std::pair<double, double>
 changePoint(F f, double lo, double hi)
 {
-    const float at = f(lo);
+    const auto at = f(lo);
     while (std::nextafter(lo, hi) != hi) {
         double mid = lo + 0.5 * (hi - lo);
         (f(mid) == at ? lo : hi) = mid;
@@ -1238,89 +1296,323 @@ changePoint(F f, double lo, double hi)
     return {lo, hi};
 }
 
+/** Just inside a bracket's half-width @p e. */
+double
+inside(double e)
+{
+    return e * (1.0 - 0x1p-20);
+}
+
+/** The exact chain's byte at Gaussian @p g on a flat shade. */
+uint8_t
+exactByte(float shade, double g, double sd)
+{
+    return env::pixel::byte(shade, env::pixel::noise(g, sd));
+}
+
 } // namespace
 
-TEST(RenderBracket, NoiseTakesExactPathAtRoundingBoundaries)
+TEST(RenderBracket, DecidedBytesHoldAcrossTheGaussianBracket)
 {
+    // A byte byteIfDecided() keeps must be the exact chain's byte for
+    // every libm Gaussian the fast one can stand for: both ends of the
+    // bracket, since the byte is monotone in g. Sky, floor and open
+    // shades, noise from 0 to 0.5.
     using env::pixel::kGaussianBracket;
-    for (double sd : {0.01, 0.05, 0.5}) {
-        auto noise = [sd](double g) { return env::pixel::noise(g, sd); };
-        Rng rng(0xb0 + uint64_t(sd * 100));
-        for (int i = 0; i < 500; ++i) {
-            double g = rng.uniform(-5.0, 5.0);
-            // The next float's preimage lies past the next boundary.
-            float f = noise(g);
-            double hi = double(std::nextafter(f, g < 0 ? -1.f : 1.f)) / sd;
-            ASSERT_NE(noise(hi), f);
-            auto [a, b] = changePoint(noise, g, hi);
-            SCOPED_TRACE("sd " + std::to_string(sd) + " g " +
-                         std::to_string(g));
-            float out;
-            for (double x : {a, b, a - kGaussianBracket / 2,
-                             b + kGaussianBracket / 2})
-                EXPECT_FALSE(env::pixel::noiseIfBracketed(x, sd, out));
-            // Far from any boundary the fast value decides the float.
-            double centre = double(f) / sd;
-            if (noise(centre) == f) {
-                ASSERT_TRUE(env::pixel::noiseIfBracketed(centre, sd, out));
-                EXPECT_EQ(out, f);
+    Rng rng(0xb7e);
+    int decided = 0;
+    for (double sd : {0.0, 0.01, 0.05, 0.2, 0.5}) {
+        const float m = env::pixel::noiseMargin(sd);
+        for (int i = 0; i < 200000; ++i) {
+            float shade = i % 3 == 0   ? 0.85f
+                          : i % 3 == 1 ? 0.15f
+                                       : float(rng.uniform(0.1, 0.35));
+            float g = float(rng.uniform(-6.0, 6.0));
+            int32_t b = env::pixel::byteIfDecided(shade, float(sd), g, m);
+            if (b < 0)
+                continue;
+            ++decided;
+            for (double e : {-inside(kGaussianBracket),
+                             inside(kGaussianBracket)})
+                ASSERT_EQ(b, exactByte(shade, g + e, sd))
+                    << "sd " << sd << " shade " << shade << " g " << g;
+        }
+    }
+    EXPECT_GT(decided, 990000);
+}
+
+TEST(RenderBracket, BytesNearABoundaryTakeTheExactPath)
+{
+    // Gaussians where the exact byte changes, on sky, floor and open
+    // shades: the fast estimate there, and anywhere the bracket
+    // reaches the boundary, is undecided. Far from any boundary the
+    // estimate decides the exact byte.
+    using env::pixel::kGaussianBracket;
+    Rng rng(0xb0);
+    int decided = 0;
+    for (double sd : {0.01, 0.05, 0.2}) {
+        const float m = env::pixel::noiseMargin(sd);
+        for (float shade : {0.85f, 0.15f, 0.1732f}) {
+            auto chain = [&](double g) { return exactByte(shade, g, sd); };
+            for (int i = 0; i < 200; ++i) {
+                double g = rng.uniform(-3.0, 3.0);
+                double hi = g + 1.5 / (255.0 * sd);
+                if (chain(g) == chain(hi))
+                    continue; // clamped at 0 or 255
+                auto [a, b] = changePoint(chain, g, hi);
+                SCOPED_TRACE("sd " + std::to_string(sd) + " g " +
+                             std::to_string(a));
+                for (double x : {a, b, a - inside(kGaussianBracket),
+                                 b + inside(kGaussianBracket)})
+                    EXPECT_LT(env::pixel::byteIfDecided(shade, float(sd),
+                                                        float(x), m),
+                              0);
+                // Half a byte step away the estimate decides.
+                double far = a + 0.5 / (255.0 * sd);
+                int32_t got = env::pixel::byteIfDecided(
+                    shade, float(sd), float(far), m);
+                ASSERT_GE(got, 0);
+                EXPECT_EQ(got, chain(far));
+                ++decided;
             }
         }
     }
+    EXPECT_GT(decided, 1000);
+}
+
+TEST(RenderBracket, NoiselessWallBytesNearABoundaryTakeTheExactPath)
+{
+    // sigma = 0: the byte is the wall shade's alone. Texture sines
+    // where it changes byte, as a fast sine and at the edges of its
+    // bracket, are undecided; between boundaries they decide.
+    using env::pixel::kSinBracket;
+    const float m0 = env::pixel::noiseMargin(0.0);
+    Rng rng(0x5a0);
+    int decided = 0;
+    for (int i = 0; i < 400; ++i) {
+        double base = rng.uniform(0.25, 0.85);
+        double amp = rng.bernoulli(0.5) ? 0.15 : -0.3;
+        const float m = m0 + env::pixel::wallMargin(base, amp);
+        auto chain = [&](double s) {
+            return env::pixel::byte(env::pixel::wall(s, base, amp), 0.f);
+        };
+        double s = rng.uniform(-0.99, 0.99);
+        // One hash cell: the byte steps a few times inside it.
+        double cell = std::floor(s * 43758.5453);
+        double lo = (cell + 0.01) / 43758.5453;
+        double hi = (cell + 0.99) / 43758.5453;
+        if (lo > hi)
+            std::swap(lo, hi);
+        if (chain(lo) == chain(hi))
+            continue;
+        auto [a, b] = changePoint(chain, lo, hi);
+        SCOPED_TRACE("s " + std::to_string(a));
+        for (double x : {a, b, a - inside(kSinBracket),
+                         b + inside(kSinBracket)}) {
+            float shade;
+            ASSERT_TRUE(env::pixel::wallIfFast(1.0, x, base, amp, shade));
+            EXPECT_LT(env::pixel::byteIfDecided(shade, 0.f, 0.f, m), 0);
+        }
+        double mid = lo + 0.5 * (a - lo);
+        float shade;
+        ASSERT_TRUE(env::pixel::wallIfFast(1.0, mid, base, amp, shade));
+        int32_t got = env::pixel::byteIfDecided(shade, 0.f, 0.f, m);
+        // mid's distance from the boundary, in byte steps.
+        double steps = (a - mid) * 43758.5453 * 255.0 * std::abs(base * amp);
+        if (steps > 2 * m) {
+            ASSERT_GE(got, 0);
+            EXPECT_EQ(got, chain(mid));
+            ++decided;
+        }
+    }
+    EXPECT_GT(decided, 100);
+}
+
+TEST(RenderBracket, DecidedWallBytesHoldAcrossBothBrackets)
+{
+    // A wall byte kept from a fast sine and a fast Gaussian must be
+    // the exact chain's byte at every corner of the two brackets: the
+    // byte is monotone in each while the hash keeps its floor, which
+    // wallIfFast() guarantees.
+    using env::pixel::kGaussianBracket;
+    using env::pixel::kSinBracket;
+    Rng rng(0x3a11);
+    int decided = 0;
+    for (int i = 0; i < 400000; ++i) {
+        double sd = i % 2 ? 0.01 : 0.05;
+        double base = rng.uniform(0.25, 0.85);
+        double amp = i % 3 == 0 ? -0.3 : 0.15;
+        double u = rng.uniform(-300.0, 300.0);
+        double s = detmath::sin(u);
+        float shade;
+        if (!env::pixel::wallIfFast(u, s, base, amp, shade))
+            continue;
+        float g = float(rng.uniform(-4.0, 4.0));
+        const float m = env::pixel::noiseMargin(sd) +
+                        env::pixel::wallMargin(base, amp);
+        int32_t b = env::pixel::byteIfDecided(shade, float(sd), g, m);
+        if (b < 0)
+            continue;
+        ++decided;
+        for (double es : {-inside(kSinBracket), inside(kSinBracket)}) {
+            float exactShade = env::pixel::wall(s + es, base, amp);
+            for (double eg : {-inside(kGaussianBracket),
+                              inside(kGaussianBracket)})
+                ASSERT_EQ(b, env::pixel::byte(exactShade,
+                                              env::pixel::noise(g + eg, sd)))
+                    << "u " << u << " base " << base << " g " << g;
+        }
+    }
+    EXPECT_GT(decided, 390000);
 }
 
 TEST(RenderBracket, WallShadeTakesExactPathAtFloorCrossings)
 {
+    // Where the hash crosses an integer the shade jumps, so no fast
+    // sine within the bracket of the crossing may stand in for libm's.
     using env::pixel::kSinBracket;
     const double base = 0.6, amp = 0.15;
-    auto cell = [](double s) { return float(std::floor(s * 43758.5453)); };
+    auto cell = [](double s) { return std::floor(s * 43758.5453); };
     for (double k : {-43758.0, -20000.0, -1.0, 0.0, 1.0, 777.0, 43758.0}) {
         SCOPED_TRACE("crossing " + std::to_string(k));
         double s = k / 43758.5453;
         auto [a, b] = changePoint(cell, s - 1e-9, s + 1e-9);
         ASSERT_NE(cell(a), cell(b));
-        float out;
-        for (double x : {a, b, a - kSinBracket / 2, b + kSinBracket / 2})
-            EXPECT_FALSE(env::pixel::wallIfBracketed(x, base, amp, out));
+        float shade;
+        for (double x : {a, b, a - inside(kSinBracket),
+                         b + inside(kSinBracket)})
+            EXPECT_FALSE(env::pixel::wallIfFast(1.0, x, base, amp, shade));
         // With no texture the shade is flat across the crossing, but
         // the floor check alone still sends it down the exact path.
-        EXPECT_EQ(env::pixel::wall(a, base, 0.0),
-                  env::pixel::wall(b, base, 0.0));
-        EXPECT_FALSE(env::pixel::wallIfBracketed(a, base, 0.0, out));
+        EXPECT_FALSE(env::pixel::wallIfFast(1.0, a, base, 0.0, shade));
+        // Away from the crossing the fast sine stands.
+        EXPECT_TRUE(env::pixel::wallIfFast(1.0, s + 1e-5, base, amp, shade));
     }
 }
 
-TEST(RenderBracket, WallShadeTakesExactPathAtRoundingBoundaries)
+TEST(RenderBracket, WallShadeTakesExactPathOutsideTheSineDomain)
 {
-    using env::pixel::kSinBracket;
-    Rng rng(0x7e);
-    int decided = 0;
-    for (int i = 0; i < 500; ++i) {
-        double base = rng.uniform(0.25, 0.85);
-        double amp = rng.bernoulli(0.5) ? 0.15 : -0.3;
-        auto wall = [&](double s) {
-            return env::pixel::wall(s, base, amp);
-        };
-        double s = rng.uniform(-1.0, 1.0);
-        // ~1e-10 spans several float steps of the shade but almost
-        // never a floor crossing (one per 2.3e-5).
-        double hi = s + 1e-10;
-        if (std::floor(s * 43758.5453) != std::floor(hi * 43758.5453))
-            continue;
-        ASSERT_NE(wall(s), wall(hi));
-        auto [a, b] = changePoint(wall, s, hi);
-        SCOPED_TRACE("s " + std::to_string(s));
-        float out;
-        for (double x : {a, b, a - kSinBracket / 2, b + kSinBracket / 2})
-            EXPECT_FALSE(env::pixel::wallIfBracketed(x, base, amp, out));
-        // Midway between two boundaries the fast value decides.
-        double c = changePoint(wall, b, hi).first;
-        double mid = b + 0.5 * (c - b);
-        if (c - b > 4 * kSinBracket) {
-            ASSERT_TRUE(env::pixel::wallIfBracketed(mid, base, amp, out));
-            EXPECT_EQ(out, wall(mid));
-            ++decided;
+    float shade;
+    const double s = 0.123; // a hash far from any crossing
+    for (double u : {detmath::kSinDomain, -detmath::kSinDomain})
+        EXPECT_TRUE(env::pixel::wallIfFast(u, s, 0.6, 0.15, shade));
+    for (double u : {std::nextafter(detmath::kSinDomain, 1e300),
+                     -0x1p21, 1e300, std::nan("")})
+        EXPECT_FALSE(env::pixel::wallIfFast(u, s, 0.6, 0.15, shade));
+    // Garbage sines outside the domain are never fast.
+    for (double garbage : {1e300, -2.0, std::nan("")})
+        EXPECT_FALSE(env::pixel::wallIfFast(1e300, garbage, 0.6, 0.15,
+                                            shade));
+}
+
+TEST(RenderBracket, NonFiniteEstimatesStayDefined)
+{
+    // A NaN shade (a NaN sine) is undecided; infinite and huge sums
+    // clamp to the ends of the byte range before the int conversion.
+    const float m = env::pixel::noiseMargin(0.01);
+    const float inf = std::numeric_limits<float>::infinity();
+    EXPECT_LT(env::pixel::byteIfDecided(std::nanf(""), 0.01f, 0.f, m), 0);
+    EXPECT_LT(env::pixel::byteIfDecided(0.5f, 0.01f, std::nanf(""), m), 0);
+    EXPECT_EQ(env::pixel::byteIfDecided(inf, 0.01f, 0.f, m), 255);
+    EXPECT_EQ(env::pixel::byteIfDecided(-inf, 0.01f, 0.f, m), 0);
+    EXPECT_EQ(env::pixel::byteIfDecided(0.5f, 1e30f, 1.f, m), 255);
+    EXPECT_EQ(env::pixel::byteIfDecided(0.5f, 1e30f, -1.f, m), 0);
+    EXPECT_EQ(env::pixel::byteIfDecided(-0.f, 0.f, 0.f, m), 0);
+}
+
+namespace {
+
+/** A camera whose next raw draw is @p x: xoshiro256**'s output is
+ *  rotl(s1 * 5, 7) * 9, so s1 follows from it (5 and 9 are odd). */
+std::vector<uint8_t>
+stateWithNextDraw(uint64_t x, const std::vector<uint8_t> &base)
+{
+    auto inverse = [](uint64_t a) {
+        uint64_t v = a; // Newton's iteration for the inverse mod 2^64
+        for (int i = 0; i < 6; ++i)
+            v *= 2 - a * v;
+        return v;
+    };
+    uint64_t t = x * inverse(9);
+    uint64_t s1 = ((t >> 7) | (t << 57)) * inverse(5);
+    StateReader in(base);
+    StateWriter out;
+    uint64_t s0 = in.u64();
+    in.u64();
+    out.u64(s0);
+    out.u64(s1);
+    out.u64(in.u64());
+    out.u64(in.u64());
+    out.boolean(in.boolean());
+    out.f64(in.f64());
+    return out.data();
+}
+
+/** Render one frame from @p state with the production camera and the
+ *  frozen reference; both bytes and end states must agree. */
+void
+expectFrameMatchesReference(const env::CameraConfig &cfg,
+                            const std::vector<uint8_t> &state,
+                            const env::World &world, const Vec3 &pos,
+                            const Quat &att)
+{
+    env::Camera cam(cfg, Rng(1));
+    StateReader in(state);
+    cam.restoreState(in);
+    ref::Camera want{cfg, {}};
+    StateReader in2(state);
+    want.rng.restore(in2);
+    std::vector<uint8_t> got(size_t(cfg.width) * cfg.height);
+    env::Image expect;
+    cam.renderInto(world, pos, att, got.data());
+    want.renderInto(world, pos, att, expect);
+    for (size_t k = 0; k < got.size(); ++k)
+        ASSERT_EQ(got[k], wireByte(expect.pixels[k])) << "pixel " << k;
+    StateWriter w;
+    want.rng.save(w);
+    EXPECT_EQ(cameraState(cam), w.data());
+}
+
+} // namespace
+
+TEST(RenderBracket, FramesWithU1NearOneMatchTheReference)
+{
+    // The frame's first pair draws u1 within 2^-24 of 1 (and at 1 -
+    // 2^-53), where r = sqrt(-2 log u1) is tiny and a binary32 u1
+    // would have lost it. Its two pixels must still be libm's bytes,
+    // on every noise level the oracle runs and one far above it.
+    env::TunnelWorld tunnel;
+    for (double sd : {0.0, 0.01, 0.05, 0.5}) {
+        env::CameraConfig cfg{64, 48, 90.0, sd, 0.15};
+        for (uint64_t k : {1ULL, 7ULL, 1ULL << 20, (1ULL << 29) - 1}) {
+            SCOPED_TRACE("sd " + std::to_string(sd) + " k " +
+                         std::to_string(k));
+            // uniform() = (x >> 11) * 2^-53 = 1 - k * 2^-53.
+            uint64_t x = ((1ULL << 53) - k) << 11;
+            env::Camera seed(cfg, Rng(0x1e1 + k));
+            std::vector<uint8_t> state =
+                stateWithNextDraw(x, cameraState(seed));
+            expectFrameMatchesReference(cfg, state, tunnel,
+                                        Vec3{10, 0.3, 1.5},
+                                        Quat::fromEuler(0, 0, 0.2));
         }
     }
-    EXPECT_GT(decided, 100);
+}
+
+TEST(RenderBracket, FramesOutsideTheSineDomainMatchTheReference)
+{
+    // Far down a tunnel the texture arguments exceed 2^20: every wall
+    // row takes the exact path, and the frame is still libm's, with
+    // and without noise.
+    env::TunnelWorld tunnel;
+    for (double sd : {0.0, 0.01}) {
+        env::CameraConfig cfg{64, 48, 90.0, sd, 0.15};
+        env::Camera seed(cfg, Rng(0xfa2));
+        for (double x : {400000.0, 3.0e6}) {
+            SCOPED_TRACE("x " + std::to_string(x));
+            expectFrameMatchesReference(cfg, cameraState(seed), tunnel,
+                                        Vec3{x, 0.9, 1.5},
+                                        Quat::fromEuler(0, 0, 0.6));
+        }
+    }
 }

@@ -146,7 +146,6 @@ struct AppHarness
     env::TunnelWorld world;
     env::Camera cam{env::CameraConfig{}, Rng(61)};
     env::Drone drone;
-    env::Image frame;
 
     explicit AppHarness(AppConfig cfg = {},
                         soc::SocConfig scfg = soc::configA())
@@ -172,9 +171,8 @@ struct AppHarness
         while (hostEnd->recv(p)) {
             switch (p.type) {
               case bridge::PacketType::ImageReq:
-                cam.renderInto(world, drone.position(), drone.attitude(),
-                               frame);
-                hostEnd->send(bridge::encodeImageResp(frame));
+                hostEnd->send(bridge::renderImageResp(
+                    cam, world, drone.position(), drone.attitude()));
                 break;
               case bridge::PacketType::DepthReq:
                 hostEnd->send(bridge::encodeDepthResp(depth));
@@ -243,9 +241,9 @@ TEST(ControlApp, StaticModeNeverRequestsDepth)
             if (p.type == bridge::PacketType::DepthReq)
                 saw_depth = true;
             if (p.type == bridge::PacketType::ImageReq) {
-                h.cam.renderInto(h.world, h.drone.position(),
-                                 h.drone.attitude(), h.frame);
-                h.hostEnd->send(bridge::encodeImageResp(h.frame));
+                h.hostEnd->send(bridge::renderImageResp(
+                    h.cam, h.world, h.drone.position(),
+                    h.drone.attitude()));
             }
         }
     }

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "decoded_frame.hh"
 #include "dnn/train.hh"
 
 using namespace rose;
@@ -156,7 +157,7 @@ TEST(Training, InferOnImagesEndToEnd)
     env::Drone drone;
     drone.setPose({10, 1.0, 1.5}, Quat{});
     env::Image img;
-    cam.renderInto(world, drone.position(), drone.attitude(), img);
+    test::renderDecoded(cam, world, drone.position(), drone.attitude(), img);
     ClassifierOutput out = model.infer(img);
     ASSERT_TRUE(out.valid);
     EXPECT_EQ(out.lateral.argmax(), 0); // offset left

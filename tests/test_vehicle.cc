@@ -9,6 +9,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "bridge/packet.hh"
 #include "env/envsim.hh"
 #include "env/vehicle.hh"
 
@@ -206,7 +207,11 @@ TEST(EnvSimRover, SensorsSampleFromMastHeight)
     cfg.vehicleName = "rover";
     cfg.turbulenceForceStd = 0.0;
     EnvSim sim(cfg);
-    Image img = sim.getImage();
+    bridge::Packet p =
+        bridge::encodeImageResp(cfg.camera.width, cfg.camera.height);
+    sim.renderImage(bridge::imageRespPixels(p));
+    Image img;
+    bridge::decodeImageRespInto(p, img);
     EXPECT_EQ(img.width, cfg.camera.width);
     // IMU at rest on the ground reads +g.
     ImuSample s = sim.getImu();
