@@ -32,17 +32,29 @@ main(int argc, char **argv)
 
     core::BatchCli cli =
         core::parseBatchCli(argc, argv, "[world] [velocity]");
-    std::string world = argc > 1 ? argv[1] : "s-shape";
-    double velocity = argc > 2 ? std::atof(argv[2]) : 9.0;
-
-    // Every slot of the sweep flies the same world: reject a bad name
-    // once here instead of failing all of them.
+    // The positionals are text-form values, each one whole token.
+    // Every slot of the sweep flies the same world and velocity:
+    // reject a bad one once here instead of failing all of them.
+    core::MissionSpec base = core::parseMissionSpec("world=s-shape velocity=9");
     try {
-        env::makeWorld(world);
+        if (argc > 3)
+            throw std::invalid_argument("too many arguments");
+        const char *keys[] = {"world", "velocity"};
+        for (int i = 1; i < argc; ++i) {
+            std::string value = argv[i];
+            if (value.empty() ||
+                value.find_first_of(" \t\n") != std::string::npos)
+                throw std::invalid_argument("bad value '" + value + "'");
+            base = core::parseMissionSpec(
+                std::string(keys[i - 1]) + "=" + value, base);
+        }
+        env::makeWorld(base.world);
     } catch (const std::invalid_argument &e) {
         std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
         return 2;
     }
+    const std::string &world = base.world;
+    const double velocity = base.velocity;
 
     std::printf("RoSE design-space exploration: %s @ %.1f m/s\n\n",
                 world.c_str(), velocity);

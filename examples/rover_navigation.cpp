@@ -11,10 +11,11 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 #include "core/experiment.hh"
+#include "env/world.hh"
 
 int
 main(int argc, char **argv)
@@ -23,10 +24,26 @@ main(int argc, char **argv)
 
     core::MissionSpec spec = core::parseMissionSpec(
         "world=s-shape vehicle=rover velocity=6 sim-seconds=90");
-    if (argc > 1)
-        spec.world = argv[1];
-    if (argc > 2)
-        spec.velocity = std::atof(argv[2]);
+    // The positionals are text-form values: a world name and a
+    // velocity that must each be one whole token.
+    try {
+        if (argc > 3)
+            throw std::invalid_argument("too many arguments");
+        const char *keys[] = {"world", "velocity"};
+        for (int i = 1; i < argc; ++i) {
+            std::string value = argv[i];
+            if (value.empty() ||
+                value.find_first_of(" \t\n") != std::string::npos)
+                throw std::invalid_argument("bad value '" + value + "'");
+            spec = core::parseMissionSpec(
+                std::string(keys[i - 1]) + "=" + value, spec);
+        }
+        env::makeWorld(spec.world);
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "%s: %s\nusage: %s [world] [velocity]\n",
+                     argv[0], e.what(), argv[0]);
+        return 2;
+    }
 
     std::printf("RoSE rover navigation: %s @ %.1f m/s, ResNet14 on "
                 "config A\n\n",

@@ -18,12 +18,14 @@
  */
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
 
+#include "core/experiment.hh"
 #include "serve/server.hh"
 #include "util/logging.hh"
 
@@ -32,6 +34,9 @@ using namespace rose;
 namespace {
 
 volatile std::sig_atomic_t g_signalled = 0;
+
+/** Bound on --jobs: each worker is an OS thread. */
+constexpr int kMaxWorkers = 1024;
 
 void
 onSignal(int)
@@ -45,12 +50,13 @@ usage(const char *argv0)
     std::fprintf(
         stderr,
         "usage: %s [options]\n"
-        "  --port N         listen port on 127.0.0.1 (0 = ephemeral; "
-        "default 0)\n"
-        "  --jobs N         mission worker threads (default 2)\n"
-        "  --queue-depth N  bounded job queue; excess submissions are\n"
-        "                   rejected queue_full (default 16)\n"
-        "  --client-cap N   per-connection unfinished-job cap "
+        "  --port N         listen port on 127.0.0.1, 0-65535 (0 = "
+        "ephemeral;\n"
+        "                   default 0)\n"
+        "  --jobs N         mission worker threads, 1-%d (default 2)\n"
+        "  --queue-depth N  bounded job queue, >= 1; excess submissions\n"
+        "                   are rejected queue_full (default 16)\n"
+        "  --client-cap N   per-connection unfinished-job cap, >= 1 "
         "(default 8)\n"
         "  --no-supervise   run missions bare (no checkpoint/retry)\n"
         "  --journal DIR    crash-safe serving: write-ahead job\n"
@@ -59,7 +65,28 @@ usage(const char *argv0)
         "  --journal-fsync  fsync every journal append (power-loss\n"
         "                   durability; slower)\n"
         "  --port-file P    write the bound port to file P\n",
-        argv0);
+        argv0, kMaxWorkers);
+}
+
+/**
+ * The value of a numeric flag: all of @p text one whole number in
+ * [lo, hi] (core::parseNumber), or exit 2 before anything binds.
+ */
+template <class T>
+T
+flagNumber(const char *argv0, const char *flag, const char *text, T lo,
+           T hi)
+{
+    T v{};
+    if (!core::parseNumber(text, v) || v < lo || v > hi) {
+        std::fprintf(stderr, "%s needs a whole number in [%llu, %llu], "
+                             "got '%s'\n",
+                     flag, (unsigned long long)lo, (unsigned long long)hi,
+                     text);
+        usage(argv0);
+        std::exit(2);
+    }
+    return v;
 }
 
 } // namespace
@@ -80,14 +107,19 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--port") {
-            cfg.port = uint16_t(std::atoi(next("--port")));
+            cfg.port = flagNumber<uint16_t>(argv[0], "--port",
+                                            next("--port"), 0, 65535);
         } else if (arg == "--jobs" || arg == "-j") {
-            cfg.workers = std::atoi(next("--jobs"));
+            cfg.workers = flagNumber(argv[0], "--jobs", next("--jobs"), 1,
+                                     kMaxWorkers);
         } else if (arg == "--queue-depth") {
-            cfg.maxQueueDepth = size_t(std::atol(next("--queue-depth")));
+            cfg.maxQueueDepth =
+                flagNumber<size_t>(argv[0], "--queue-depth",
+                                   next("--queue-depth"), 1, SIZE_MAX);
         } else if (arg == "--client-cap") {
             cfg.perClientInFlight =
-                uint32_t(std::atoi(next("--client-cap")));
+                flagNumber<uint32_t>(argv[0], "--client-cap",
+                                     next("--client-cap"), 1, UINT32_MAX);
         } else if (arg == "--no-supervise") {
             cfg.supervise = false;
         } else if (arg == "--journal") {

@@ -22,8 +22,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 
 #include "core/cosim.hh"
+#include "core/experiment.hh"
 
 namespace rose::test {
 
@@ -129,6 +134,23 @@ inline constexpr GoldenRow kGoldenCorpus[] = {
     {"depth=34 yaw=20 sim-seconds=10", kInProc,
      0x12f929fdfa0352e5ULL, 1000, 0},
 };
+
+/** Golden A, B and C: the canonical mission on each of Table 2's SoC
+ *  configs, the corpus's first three rows. */
+inline constexpr std::span<const GoldenRow> kCanonicalRows{kGoldenCorpus, 3};
+
+/** The spec of golden A, B or C by SoC name, parsed from its row. */
+inline core::MissionSpec
+goldenSpec(std::string_view soc)
+{
+    for (const GoldenRow &row : kCanonicalRows) {
+        core::MissionSpec spec = core::parseMissionSpec(row.spec);
+        if (spec.socName == soc)
+            return spec;
+    }
+    throw std::invalid_argument("no golden row for SoC " +
+                                std::string(soc));
+}
 
 } // namespace rose::test
 

@@ -23,6 +23,7 @@
 #include "core/supervisor.hh"
 #include "env/envsim.hh"
 #include "env/vehicle.hh"
+#include "golden_corpus.hh"
 #include "util/hash.hh"
 #include "util/rng.hh"
 #include "util/serde.hh"
@@ -141,38 +142,6 @@ TEST(CheckpointRing, EvictsOldestAtCapacity)
 
 namespace {
 
-/** The canonical golden mission (mirrors tests/test_golden.cc). */
-core::MissionSpec
-canonicalSpec(const std::string &soc_name)
-{
-    core::MissionSpec spec;
-    spec.world = "tunnel";
-    spec.socName = soc_name;
-    spec.modelDepth = 14;
-    spec.velocity = 3.0;
-    spec.initialYawDeg = 20.0;
-    spec.seed = 1;
-    spec.maxSimSeconds = 10.0;
-    return spec;
-}
-
-struct Golden
-{
-    const char *socName;
-    uint64_t trajectoryHash;
-    size_t trajectorySamples;
-    uint64_t collisions;
-};
-
-// Keep in sync with tests/test_golden.cc (regenerate there with
-// ROSE_REGEN_GOLDEN=1). Resume-from-checkpoint must land on these
-// exact hashes — that is the bit-identity contract.
-constexpr Golden kGolden[] = {
-    {"A", 0x2b24ad514f06c3cbULL, 1000, 0},
-    {"B", 0x02771540364e358fULL, 1000, 0},
-    {"C", 0x0e337585f9a29f6aULL, 1000, 27},
-};
-
 /** The snapshot as format v1 holds it: samples inline, no chunks. */
 Checkpoint
 asV1(const Checkpoint &ck)
@@ -195,7 +164,7 @@ TEST(Checkpoint, CaptureIsSideEffectFree)
 {
     // Taking a checkpoint must not perturb the simulation: two
     // interleaved captures of the same instant are byte-identical.
-    CosimConfig cfg = canonicalSpec("A").toConfig();
+    CosimConfig cfg = test::goldenSpec("A").toConfig();
     cfg.maxSimSeconds = 2.0;
     CoSimulation sim(cfg);
     for (int i = 0; i < 25; ++i)
@@ -241,7 +210,7 @@ constexpr uint64_t kPinnedStateHash = 0x591237f0fa93b91fULL;
 
 TEST(Checkpoint, StateBytesArePinned)
 {
-    CoSimulation sim(canonicalSpec("A").toConfig());
+    CoSimulation sim(test::goldenSpec("A").toConfig());
     for (uint64_t i = 0; i < kPinnedPeriods; ++i)
         sim.stepPeriod();
     const std::vector<uint8_t> v1 = materializeV1State(sim.checkpoint());
@@ -258,7 +227,7 @@ TEST(Checkpoint, CosimSectionDecodesFieldByField)
     // The Cosim section is the leading one: u64 period counter, the
     // metric accumulators, then u32 sample count and (in v1) 11
     // little-endian fields per sample in declaration order.
-    CoSimulation sim(canonicalSpec("A").toConfig());
+    CoSimulation sim(test::goldenSpec("A").toConfig());
     for (int i = 0; i < 120; ++i)
         sim.stepPeriod();
     const std::vector<uint8_t> v1 = materializeV1State(sim.checkpoint());
@@ -297,7 +266,7 @@ TEST(Checkpoint, CosimSectionDecodesFieldByField)
 
 TEST(Checkpoint, RestoreRoundTripsToIdenticalState)
 {
-    CosimConfig cfg = canonicalSpec("A").toConfig();
+    CosimConfig cfg = test::goldenSpec("A").toConfig();
     CoSimulation sim(cfg);
     for (int i = 0; i < 50; ++i)
         sim.stepPeriod();
@@ -319,9 +288,9 @@ TEST(Checkpoint, ResumeMatchesGoldenTraces)
     // fresh co-simulation, finish — and land on the same checked-in
     // FNV-1a trajectory hash as the uninterrupted golden run, for all
     // three Table 2 configs.
-    for (const Golden &g : kGolden) {
-        SCOPED_TRACE(std::string("config ") + g.socName);
-        CosimConfig cfg = canonicalSpec(g.socName).toConfig();
+    for (const test::GoldenRow &g : test::kCanonicalRows) {
+        SCOPED_TRACE(g.spec);
+        CosimConfig cfg = core::parseMissionSpec(g.spec).toConfig();
 
         CoSimulation first(cfg);
         while (first.environment().simTime() < 5.0)
@@ -332,22 +301,22 @@ TEST(Checkpoint, ResumeMatchesGoldenTraces)
         resumed.restore(ck);
         MissionResult r = resumed.run();
 
-        EXPECT_EQ(r.trajectory.size(), g.trajectorySamples);
+        EXPECT_EQ(r.trajectory.size(), g.samples);
         EXPECT_EQ(r.collisions, g.collisions);
-        EXPECT_EQ(fnv1a(core::trajectoryCsvString(r)), g.trajectoryHash)
+        EXPECT_EQ(fnv1a(core::trajectoryCsvString(r)), g.hash)
             << "resumed trajectory diverged from the golden trace";
     }
 }
 
 TEST(Checkpoint, RefusesForeignConfig)
 {
-    CosimConfig cfg = canonicalSpec("A").toConfig();
+    CosimConfig cfg = test::goldenSpec("A").toConfig();
     CoSimulation sim(cfg);
     for (int i = 0; i < 10; ++i)
         sim.stepPeriod();
     Checkpoint ck = sim.checkpoint();
 
-    CosimConfig other = canonicalSpec("B").toConfig();
+    CosimConfig other = test::goldenSpec("B").toConfig();
     CoSimulation sim2(other);
     EXPECT_THROW(sim2.restore(ck), CheckpointError);
 
@@ -368,7 +337,7 @@ TEST(Checkpoint, FingerprintIgnoresResilienceKnobs)
 {
     // The supervisor mutates faults / transport / time limits between
     // capture and restore; the fingerprint must not change with them.
-    CosimConfig cfg = canonicalSpec("A").toConfig();
+    CosimConfig cfg = test::goldenSpec("A").toConfig();
     uint64_t base = configFingerprint(cfg);
 
     CosimConfig tweaked = cfg;
@@ -387,7 +356,7 @@ TEST(Checkpoint, FingerprintIgnoresResilienceKnobs)
 
 TEST(Checkpoint, TcpTransportIsNotCheckpointable)
 {
-    CosimConfig cfg = canonicalSpec("A").toConfig();
+    CosimConfig cfg = test::goldenSpec("A").toConfig();
     cfg.transport = TransportKind::Tcp;
     CoSimulation sim(cfg);
     EXPECT_FALSE(sim.checkpointable());
@@ -398,7 +367,7 @@ TEST(Checkpoint, FaultInjectorStateIsCaptured)
 {
     // A faulty run checkpoints the injector (its RNG position and
     // held packets); restore + resume must replay identically.
-    core::MissionSpec spec = canonicalSpec("A");
+    core::MissionSpec spec = test::goldenSpec("A");
     spec.maxSimSeconds = 4.0;
     spec.faults.enabled = true;
     spec.faults.dropProb = 0.05;
@@ -424,7 +393,7 @@ TEST(Checkpoint, FaultInjectorStateIsCaptured)
 
 TEST(CheckpointFile, RoundTripsAndValidates)
 {
-    CosimConfig cfg = canonicalSpec("A").toConfig();
+    CosimConfig cfg = test::goldenSpec("A").toConfig();
     CoSimulation sim(cfg);
     for (int i = 0; i < 20; ++i)
         sim.stepPeriod();
@@ -448,7 +417,7 @@ TEST(CheckpointFile, RoundTripsAndValidates)
 
 TEST(CheckpointFile, DetectsCorruptionAndTruncation)
 {
-    CosimConfig cfg = canonicalSpec("A").toConfig();
+    CosimConfig cfg = test::goldenSpec("A").toConfig();
     CoSimulation sim(cfg);
     for (int i = 0; i < 5; ++i)
         sim.stepPeriod();
@@ -509,7 +478,7 @@ TEST(CheckpointFile, DetectsCorruptionAndTruncation)
 
 TEST(CheckpointFile, SeededDamageThrowsCheckpointError)
 {
-    CosimConfig cfg = canonicalSpec("A").toConfig();
+    CosimConfig cfg = test::goldenSpec("A").toConfig();
     CoSimulation sim(cfg);
     for (int i = 0; i < 20; ++i)
         sim.stepPeriod();
@@ -561,7 +530,7 @@ TEST(Checkpoint, TruncatedStateIsRefused)
     // Every cut of a valid blob must be refused: inside a section by
     // the section and field bounds (SerdeError), at a section
     // boundary by the missing-section check (CheckpointError).
-    CosimConfig cfg = canonicalSpec("A").toConfig();
+    CosimConfig cfg = test::goldenSpec("A").toConfig();
     CoSimulation sim(cfg);
     for (int i = 0; i < 30; ++i)
         sim.stepPeriod();
@@ -604,7 +573,7 @@ TEST(Checkpoint, SnapshotSizeStaysFlatAsTrajectoryGrows)
 {
     // A snapshot shares the trajectory's sealed chunks instead of
     // copying samples, so its blob does not grow with the trajectory.
-    CoSimulation sim(canonicalSpec("A").toConfig());
+    CoSimulation sim(test::goldenSpec("A").toConfig());
     for (int i = 0; i < 100; ++i)
         sim.stepPeriod();
     const size_t early_samples = sim.collectResult().trajectory.size();
@@ -629,7 +598,7 @@ TEST(Checkpoint, SnapshotOutlivesItsSimulation)
 {
     // The chunks a snapshot holds stay valid after the simulation that
     // sealed them is gone (the supervisor's rebuild-then-restore path).
-    CosimConfig cfg = canonicalSpec("A").toConfig();
+    CosimConfig cfg = test::goldenSpec("A").toConfig();
     Checkpoint ck;
     {
         auto first = std::make_unique<CoSimulation>(cfg);
@@ -644,15 +613,15 @@ TEST(Checkpoint, SnapshotOutlivesItsSimulation)
     CoSimulation resumed(cfg);
     resumed.restore(ck);
     MissionResult r = resumed.run();
-    EXPECT_EQ(r.trajectory.size(), kGolden[0].trajectorySamples);
-    EXPECT_EQ(trajectoryHash(r), kGolden[0].trajectoryHash);
+    EXPECT_EQ(r.trajectory.size(), test::kCanonicalRows[0].samples);
+    EXPECT_EQ(trajectoryHash(r), test::kCanonicalRows[0].hash);
 }
 
 TEST(Checkpoint, OldestRingEntryRestoresAfterLaterSnapshots)
 {
     // Later snapshots seal more chunks in the same simulation; rewinding
     // to the oldest one must drop them and resume onto the golden hash.
-    CosimConfig cfg = canonicalSpec("A").toConfig();
+    CosimConfig cfg = test::goldenSpec("A").toConfig();
     CoSimulation sim(cfg);
     CheckpointRing ring(3);
     for (double t : {2.0, 4.0, 6.0}) {
@@ -667,13 +636,13 @@ TEST(Checkpoint, OldestRingEntryRestoresAfterLaterSnapshots)
     sim.restore(ring.oldest());
     EXPECT_EQ(sim.periods(), oldest_period);
     MissionResult r = sim.run();
-    EXPECT_EQ(r.trajectory.size(), kGolden[0].trajectorySamples);
-    EXPECT_EQ(trajectoryHash(r), kGolden[0].trajectoryHash);
+    EXPECT_EQ(r.trajectory.size(), test::kCanonicalRows[0].samples);
+    EXPECT_EQ(trajectoryHash(r), test::kCanonicalRows[0].hash);
 }
 
 TEST(Checkpoint, ChunkTotalMustMatchSectionCount)
 {
-    CosimConfig cfg = canonicalSpec("A").toConfig();
+    CosimConfig cfg = test::goldenSpec("A").toConfig();
     CoSimulation sim(cfg);
     for (int i = 0; i < 40; ++i)
         sim.stepPeriod();
@@ -708,7 +677,7 @@ TEST(CheckpointFile, InMemorySnapshotRoundTripsThroughDisk)
 {
     // A chunked snapshot written to disk reads back with its samples
     // inline and resumes onto the golden hash.
-    CosimConfig cfg = canonicalSpec("A").toConfig();
+    CosimConfig cfg = test::goldenSpec("A").toConfig();
     CoSimulation sim(cfg);
     while (sim.environment().simTime() < 2.5)
         sim.stepPeriod();
@@ -723,7 +692,7 @@ TEST(CheckpointFile, InMemorySnapshotRoundTripsThroughDisk)
     resumed.restore(readCheckpointFile(path));
     std::remove(path.c_str());
     MissionResult r = resumed.run();
-    EXPECT_EQ(trajectoryHash(r), kGolden[0].trajectoryHash);
+    EXPECT_EQ(trajectoryHash(r), test::kCanonicalRows[0].hash);
     EXPECT_EQ(trajectoryHash(r), trajectoryHash(sim.run()));
 }
 
@@ -731,7 +700,7 @@ TEST(CheckpointFile, RefusesVersion1Files)
 {
     // A v1 file left period, simTime and the fingerprint outside its
     // hash. Readers refuse it and name the version.
-    CoSimulation sim(canonicalSpec("A").toConfig());
+    CoSimulation sim(test::goldenSpec("A").toConfig());
     for (int i = 0; i < 10; ++i)
         sim.stepPeriod();
     const Checkpoint ck = sim.checkpoint();

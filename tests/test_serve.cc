@@ -39,6 +39,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -64,6 +65,7 @@
 #include "core/experiment.hh"
 #include "core/supervisor.hh"
 #include "format_probes.hh"
+#include "golden_corpus.hh"
 #include "serve/client.hh"
 #include "serve/encoder_thread.hh"
 #include "serve/journal.hh"
@@ -77,17 +79,12 @@ using namespace rose::serve;
 
 namespace {
 
-/** The golden canonical mission (mirrors test_golden.cc). */
+/** The golden canonical mission (the corpus row of golden A, B or C),
+ *  flown for @p sim_seconds. */
 core::MissionSpec
 canonicalSpec(const std::string &soc, double sim_seconds = 10.0)
 {
-    core::MissionSpec spec;
-    spec.world = "tunnel";
-    spec.socName = soc;
-    spec.modelDepth = 14;
-    spec.velocity = 3.0;
-    spec.initialYawDeg = 20.0;
-    spec.seed = 1;
+    core::MissionSpec spec = test::goldenSpec(soc);
     spec.maxSimSeconds = sim_seconds;
     return spec;
 }
@@ -3045,4 +3042,28 @@ TEST(ServeServer, ThreeWorkersEncodeWhileMissionsRun)
     }
     EXPECT_EQ(threadCount(), threads_before)
         << "a worker or encoder thread outlived its server";
+}
+
+// ------------------------------------------------------ rosed's flags
+
+TEST(Rosed, MalformedNumericFlagsExitTwoBeforeBinding)
+{
+    // A value that is not wholly one number in range ends the daemon
+    // with status 2 before it binds (atoi once ran `--jobs 2x` with two
+    // workers). Should a value slip through, the unwritable port file
+    // makes the daemon exit 1 instead of serving forever.
+    const char *bad[] = {
+        "--jobs 2x",        "--jobs 0",          "--jobs -1",
+        "-j ''",            "--port abc",        "--port 70000",
+        "--port -1",        "--port ' 80'",      "--queue-depth 5q",
+        "--queue-depth 0",  "--client-cap 0",    "--client-cap 1.5",
+    };
+    for (const char *flags : bad) {
+        std::string cmd = std::string(ROSED_PATH) + " " + flags +
+                          " --port-file /nonexistent/rosed.port"
+                          " > /dev/null 2>&1";
+        int rc = std::system(cmd.c_str());
+        ASSERT_TRUE(WIFEXITED(rc)) << flags;
+        EXPECT_EQ(WEXITSTATUS(rc), 2) << flags;
+    }
 }

@@ -18,27 +18,13 @@
 #include "core/cosim.hh"
 #include "core/experiment.hh"
 #include "core/supervisor.hh"
+#include "golden_corpus.hh"
 #include "util/hash.hh"
 
 using namespace rose;
 using namespace rose::core;
 
 namespace {
-
-/** The golden canonical mission (mirrors tests/test_golden.cc). */
-core::MissionSpec
-canonicalSpec(const std::string &soc_name)
-{
-    core::MissionSpec spec;
-    spec.world = "tunnel";
-    spec.socName = soc_name;
-    spec.modelDepth = 14;
-    spec.velocity = 3.0;
-    spec.initialYawDeg = 20.0;
-    spec.seed = 1;
-    spec.maxSimSeconds = 10.0;
-    return spec;
-}
 
 /**
  * A fault profile hostile enough to abort an unsupervised mission:
@@ -60,7 +46,7 @@ hostileFaults()
 
 TEST(Supervisor, RecoversMissionThatAbortsUnsupervised)
 {
-    core::MissionSpec spec = canonicalSpec("A");
+    core::MissionSpec spec = test::goldenSpec("A");
     spec.maxSimSeconds = 6.0;
     spec.faults = hostileFaults();
     CosimConfig cfg = spec.toConfig();
@@ -94,7 +80,7 @@ TEST(Supervisor, RecoversMissionThatAbortsUnsupervised)
 
 TEST(Supervisor, DisablePolicyFinishesFirstRetry)
 {
-    core::MissionSpec spec = canonicalSpec("A");
+    core::MissionSpec spec = test::goldenSpec("A");
     spec.maxSimSeconds = 6.0;
     spec.faults = hostileFaults();
     CosimConfig cfg = spec.toConfig();
@@ -119,7 +105,7 @@ TEST(Supervisor, CleanRunMatchesGoldenTrace)
     // bit-invisible on a mission that never trips a watchdog.
     constexpr uint64_t kGoldenA = 0x2b24ad514f06c3cbULL;
 
-    CosimConfig cfg = canonicalSpec("A").toConfig();
+    CosimConfig cfg = test::goldenSpec("A").toConfig();
     SupervisorConfig sup;
     sup.checkpointPeriods = 100;
     MissionSupervisor supervisor(cfg, sup);
@@ -136,7 +122,7 @@ TEST(Supervisor, PositionBoundWatchdogTripsAndExhausts)
     // A bound tighter than the corridor: flight deterministically
     // exceeds it, every restore replays into the same wall, and the
     // supervisor gives up with a diagnosis instead of looping forever.
-    CosimConfig cfg = canonicalSpec("A").toConfig();
+    CosimConfig cfg = test::goldenSpec("A").toConfig();
     SupervisorConfig sup;
     sup.checkpointPeriods = 50;
     sup.maxRetries = 2;
@@ -154,7 +140,7 @@ TEST(Supervisor, PositionBoundWatchdogTripsAndExhausts)
 
 TEST(Supervisor, WallClockBudgetCutsMissionOff)
 {
-    CosimConfig cfg = canonicalSpec("A").toConfig();
+    CosimConfig cfg = test::goldenSpec("A").toConfig();
     cfg.maxSimSeconds = 60.0;
 
     // Size the budget from this host: the same mission, unbudgeted,
@@ -184,7 +170,7 @@ TEST(Supervisor, DiskResumeMatchesUninterruptedRun)
     const std::string path = "supervisor_test_resume.ckpt";
     std::remove(path.c_str());
 
-    CosimConfig cfg = canonicalSpec("A").toConfig();
+    CosimConfig cfg = test::goldenSpec("A").toConfig();
     {
         SupervisorConfig sup;
         sup.checkpointPeriods = 100;
@@ -224,7 +210,7 @@ TEST(Supervisor, CorruptResumeFileFallsBackToColdStart)
     SupervisorConfig sup;
     sup.checkpointPeriods = 100;
     sup.resumeFromPath = path;
-    MissionSupervisor supervisor(canonicalSpec("A").toConfig(), sup);
+    MissionSupervisor supervisor(test::goldenSpec("A").toConfig(), sup);
     MissionResult r = supervisor.run();
     EXPECT_EQ(supervisor.stats().diskResumes, 0u);
     EXPECT_EQ(fnv1a(core::trajectoryCsvString(r)), kGoldenA)
@@ -233,7 +219,7 @@ TEST(Supervisor, CorruptResumeFileFallsBackToColdStart)
 
     // A missing file is equally benign.
     sup.resumeFromPath = "no_such_checkpoint_anywhere.ckpt";
-    MissionSupervisor missing(canonicalSpec("A").toConfig(), sup);
+    MissionSupervisor missing(test::goldenSpec("A").toConfig(), sup);
     EXPECT_EQ(fnv1a(core::trajectoryCsvString(missing.run())),
               kGoldenA);
     EXPECT_EQ(missing.stats().diskResumes, 0u);
@@ -241,7 +227,7 @@ TEST(Supervisor, CorruptResumeFileFallsBackToColdStart)
 
 TEST(Supervisor, BadConfigurationIsNotRetried)
 {
-    CosimConfig cfg = canonicalSpec("A").toConfig();
+    CosimConfig cfg = test::goldenSpec("A").toConfig();
     cfg.env.worldName = "atlantis";
     MissionSupervisor supervisor(cfg, {});
     MissionResult r = supervisor.run();
@@ -259,7 +245,7 @@ TEST(DegradedMode, SensorStarvationTripsClassicalFallback)
     // Heavy loss on the data plane (sync control protected): sensor
     // retries exhaust and the app drops to the classical controller
     // instead of stalling mid-corridor.
-    core::MissionSpec spec = canonicalSpec("A");
+    core::MissionSpec spec = test::goldenSpec("A");
     spec.maxSimSeconds = 6.0;
     spec.degradedMode = true;
     spec.faults.enabled = true;
@@ -283,7 +269,7 @@ TEST(DegradedMode, SensorStarvationTripsClassicalFallback)
 
 TEST(DegradedMode, DisabledByDefaultKeepsRetrying)
 {
-    core::MissionSpec spec = canonicalSpec("A");
+    core::MissionSpec spec = test::goldenSpec("A");
     spec.maxSimSeconds = 3.0;
     spec.faults.enabled = true;
     spec.faults.dropProb = 0.35;
@@ -302,7 +288,7 @@ TEST(BatchIsolation, CrashingSlotDoesNotPoisonTheBatch)
     // return results for every slot.
     std::vector<core::MissionSpec> specs;
     for (int i = 0; i < 3; ++i) {
-        core::MissionSpec s = canonicalSpec("A");
+        core::MissionSpec s = test::goldenSpec("A");
         s.maxSimSeconds = 1.0;
         s.seed = uint64_t(i + 1);
         specs.push_back(s);
@@ -334,14 +320,14 @@ TEST(BatchIsolation, MidMissionCrashStillReportsOtherSlots)
     // Slot 0 crashes *mid-mission* (unprotected sync traffic under
     // loss), not at construction; slot 1 is clean.
     std::vector<core::MissionSpec> specs;
-    core::MissionSpec faulty = canonicalSpec("A");
+    core::MissionSpec faulty = test::goldenSpec("A");
     faulty.maxSimSeconds = 6.0;
     faulty.faults.enabled = true;
     faulty.faults.protectSyncPackets = false;
     faulty.faults.dropProb = 0.002;
     specs.push_back(faulty);
 
-    core::MissionSpec clean = canonicalSpec("A");
+    core::MissionSpec clean = test::goldenSpec("A");
     clean.maxSimSeconds = 1.0;
     specs.push_back(clean);
 
