@@ -38,10 +38,10 @@ run_preset() {
     "$builddir/tests/test_supervisor" \
         --gtest_filter='BatchIsolation.*:Supervisor.RecoversMissionThatAbortsUnsupervised'
 
-    # Mission-frame caches: renderInto and the pose scratch stay
-    # bit-identical to the allocating paths, the pose estimator runs
-    # allocation-free in steady state, and weights and schedules are
-    # memoized. The allocation-counting assertions skip themselves
+    # Mission-frame caches: the byte render matches its libm oracle,
+    # the pose scratch stays bit-identical to the fresh path, render,
+    # decode and pose run allocation-free in steady state, and weights
+    # and schedules are memoized. The allocation-counting assertions skip themselves
     # under the sanitizer preset.
     echo "==== [$preset] mission-frame caches (bit-identity + zero-alloc) ===="
     "$builddir/tests/test_hotpath"
@@ -111,8 +111,8 @@ build/examples/mission_runner --soc A --sync-granularity 1000000 --tcp \
 
 # Spec-flag rejection (default preset only, no daemon): a depth outside
 # the ResNet zoo, a number with trailing characters and a misspelled
-# key must each exit 2 before a mission runs or a daemon is dialed
-# (port 1 has no listener, so a dial would exit 1 instead).
+# key must each exit 2 before a mission runs, a daemon is dialed (port
+# 1 has no listener, so a dial would exit 1 instead) or rosed binds.
 echo "==== [default] CLIs reject bad mission specs (exit 2) ===="
 expect_exit2() {
     local rc=0
@@ -125,6 +125,11 @@ expect_exit2() {
 expect_exit2 build/examples/mission_runner --depth 7
 expect_exit2 build/examples/mission_runner --velocity 3x
 expect_exit2 build/src/serve/rose_client --port 1 submit --velocty 3
+# rosed's own numeric flags exit 2 before it binds, and the rover
+# example's positional velocity is a text-form value too.
+expect_exit2 build/src/serve/rosed --jobs 2x
+expect_exit2 build/src/serve/rosed --port abc
+expect_exit2 build/examples/rover_navigation tunnel 3x
 
 # glibc picks its libm variants at load time (ifunc); masking AVX2,
 # FMA and AVX-512 makes it fall back to the non-FMA ones, which return
@@ -151,10 +156,12 @@ ctest --preset tsan
 # what keeps a*b+c unfused), and the CSV cell formatter's exact fast
 # path must still match its printf("%.6g")/strtod oracles there: its
 # exactness argument needs a*10^k and s - trunc(s) to stay unfused.
-# The preset builds and runs only test_golden, test_batch, test_util
-# and test_serve. A host without the ISA cannot run the binaries, so
-# the step says why it skips instead.
-echo "==== [x86-64-v3] configure + build + test (golden, batch, util, serve) ===="
+# test_hotpath pins the byte render's binary32 lanes, eight to a
+# register here, to its libm oracle and its kernels to their bounds.
+# The preset builds and runs only test_golden, test_batch, test_util,
+# test_serve and test_hotpath. A host without the ISA cannot run the
+# binaries, so the step says why it skips instead.
+echo "==== [x86-64-v3] configure + build + test (golden, batch, util, serve, hotpath) ===="
 missing=""
 for flag in avx2 fma bmi2 movbe; do
     grep -qw "$flag" /proc/cpuinfo 2>/dev/null || missing="$missing $flag"
@@ -168,8 +175,9 @@ else
 fi
 
 # Perf smoke (default preset only): re-measure one mission frame —
-# render, image codec and pose, end to end and per stage — and fail on
-# a >2x latency regression against the recorded baseline. The report
+# the 8-bit render, image decode and pose, end to end and per stage —
+# and fail on a >2x latency regression against the recorded baseline.
+# The report
 # goes under build/, so a CI run leaves the tracked BENCH_hotpath.json
 # (a deliberate refresh) alone.
 # Refresh the baseline with:

@@ -1580,11 +1580,15 @@ TEST(RenderBracket, FramesWithU1NearOneMatchTheReference)
     // The frame's first pair draws u1 within 2^-24 of 1 (and at 1 -
     // 2^-53), where r = sqrt(-2 log u1) is tiny and a binary32 u1
     // would have lost it. Its two pixels must still be libm's bytes,
-    // on every noise level the oracle runs and one far above it.
+    // on every noise level the oracle runs and one far above it, 48
+    // states each: at sigma = 2 a binary32 u1 would misplace several.
     env::TunnelWorld tunnel;
-    for (double sd : {0.0, 0.01, 0.05, 0.5}) {
+    Rng pick(0x1e2);
+    for (double sd : {0.0, 0.01, 0.05, 2.0}) {
         env::CameraConfig cfg{64, 48, 90.0, sd, 0.15};
-        for (uint64_t k : {1ULL, 7ULL, 1ULL << 20, (1ULL << 29) - 1}) {
+        for (int n = 0; n < 48; ++n) {
+            uint64_t k = n < 2 ? 1 + 6 * n
+                               : 1 + pick.uniformInt(1ULL << 29);
             SCOPED_TRACE("sd " + std::to_string(sd) + " k " +
                          std::to_string(k));
             // uniform() = (x >> 11) * 2^-53 = 1 - k * 2^-53.
@@ -1592,23 +1596,26 @@ TEST(RenderBracket, FramesWithU1NearOneMatchTheReference)
             env::Camera seed(cfg, Rng(0x1e1 + k));
             std::vector<uint8_t> state =
                 stateWithNextDraw(x, cameraState(seed));
-            expectFrameMatchesReference(cfg, state, tunnel,
-                                        Vec3{10, 0.3, 1.5},
-                                        Quat::fromEuler(0, 0, 0.2));
+            // Yawed toward the near left wall, so column 0's top rows
+            // are wall, with a texture that changes with x.
+            expectFrameMatchesReference(
+                cfg, state, tunnel, Vec3{pick.uniform(5, 45), 1.2, 1.5},
+                Quat::fromEuler(0, 0, 1.0));
         }
     }
 }
 
 TEST(RenderBracket, FramesOutsideTheSineDomainMatchTheReference)
 {
-    // Far down a tunnel the texture arguments exceed 2^20: every wall
-    // row takes the exact path, and the frame is still libm's, with
-    // and without noise.
+    // Far down a tunnel the texture arguments exceed 2^20, up to where
+    // detmath's reduction returns garbage: every wall row takes the
+    // exact path, and the frame is still libm's, with and without
+    // noise.
     env::TunnelWorld tunnel;
     for (double sd : {0.0, 0.01}) {
         env::CameraConfig cfg{64, 48, 90.0, sd, 0.15};
         env::Camera seed(cfg, Rng(0xfa2));
-        for (double x : {400000.0, 3.0e6}) {
+        for (double x : {400000.0, 3.0e6, 1.0e9, 1.0e12}) {
             SCOPED_TRACE("x " + std::to_string(x));
             expectFrameMatchesReference(cfg, cameraState(seed), tunnel,
                                         Vec3{x, 0.9, 1.5},
