@@ -137,9 +137,10 @@ class FrameNoise
     FrameNoise(Rng &rng, int draws) : rng_(rng)
     {
         if (draws > 0 && rng_.hasSpare()) {
+            // The spare stands as the sine half of a previous draw's
+            // last pair, a gaussian() one in no slot.
             carry_ = 1;
-            pendExact_ = true;
-            pendSin_ = rng_.gaussian();
+            lastSin_ = rng_.gaussian();
             --draws;
         }
         fastLeft_ = std::max(0, (draws + 1) / 2 - 1);
@@ -175,14 +176,11 @@ class FrameNoise
     int fastLeft_ = 0;          ///< pairs left for the fast kernels
     bool lastUsesBoth_ = false; ///< the last pair feeds two pixels
     int carry_ = 0;
-    // The pair whose sine half carries into the next draw().
-    int pendSlot_ = -1; ///< its slot, or -1 for the incoming spare
-    bool pendExact_ = false;
-    double pendSin_ = 0.0;
+    int pairs_ = 0; ///< slots the last draw() used
     // This draw's gaussian() values: the carried one, in slot 0...
     bool carryExact_ = false;
     double carrySin_ = 0.0;
-    // ...and the frame's last pair.
+    // ...and the frame's last pair, in slot lastSlot_ (or none, -1).
     int lastSlot_ = -1;
     double lastCos_ = 0.0, lastSin_ = 0.0;
     double u1_[kNoisePairs], u2_[kNoisePairs];
@@ -196,10 +194,12 @@ FrameNoise::draw(int n)
 {
     carryExact_ = false;
     if (carry_) {
-        u1_[0] = pendSlot_ >= 0 ? u1_[pendSlot_] : 0.5;
-        u2_[0] = pendSlot_ >= 0 ? u2_[pendSlot_] : 0.0;
-        carryExact_ = pendExact_;
-        carrySin_ = pendSin_;
+        // The previous draw's last slot moves to slot 0.
+        const int from = pairs_ - 1;
+        u1_[0] = from >= 0 ? u1_[from] : 0.5;
+        u2_[0] = from >= 0 ? u2_[from] : 0.0;
+        carryExact_ = from == lastSlot_;
+        carrySin_ = lastSin_;
     }
     const int pairs = (carry_ + n + 1) / 2;
     lastSlot_ = -1;
@@ -240,9 +240,7 @@ FrameNoise::draw(int n)
         g_[2 * lastSlot_ + 1] = float(lastSin_);
     }
     carry_ = (carry_ + n) & 1;
-    pendSlot_ = pairs - 1;
-    pendExact_ = pendSlot_ == lastSlot_;
-    pendSin_ = lastSin_;
+    pairs_ = pairs;
 }
 
 } // namespace
@@ -362,6 +360,9 @@ Camera::renderInto(const World &world, const Vec3 &position,
             // A row the fast sine cannot decide takes the exact path.
             for (int r0 = wall_begin; r0 < wall_end; r0 += kWallRows) {
                 double u[kWallRows], sn[kWallRows];
+                // Staged on the stack: stores through two float
+                // pointers would need an alias check the -O2
+                // vectorizer does not make.
                 float sh[kWallRows], mg[kWallRows];
                 for (int k = 0; k < kWallRows; ++k)
                     u[k] = wallArg(r0 + k);
