@@ -157,16 +157,15 @@ float wallMargin(double base, double amp);
  * false when it cannot stand in for libm's sine there: u is outside
  * detmath's domain, or the hash v = s·43758.5453 lies within
  * kHashBracket of an integer, where ⌊v⌋ may differ from libm's. Then
- * @p shade is meaningless (NaN for a NaN sine). Branch-free, so a loop over it
- * runs lane-parallel.
+ * @p shade is meaningless (NaN for a NaN sine). Branch-free, so a loop
+ * over it runs lane-parallel.
  */
 inline bool
 wallIfFast(double u, double s, double base, double amp, float &shade)
 {
-    // frac(v) by rounding to the nearest integer (exact for |v| <
-    // 2^51; out-of-domain garbage fails the domain test): the value
-    // v - floor(v) has, with no int conversion or select for the
-    // compiler to turn into a branch.
+    // v - floor(v), bit for bit for |v| < 2^51 (out-of-domain garbage
+    // fails the domain test anyway), from v's nearest integer: no int
+    // conversion, and no select the compiler would turn into a branch.
     double v = s * 43758.5453;
     double r = (v + 0x1.8p52) - 0x1.8p52;
     double tex = v - r + double(r > v); // [0,1]
