@@ -135,6 +135,20 @@ inline constexpr GoldenRow kGoldenCorpus[] = {
      0x12f929fdfa0352e5ULL, 1000, 0},
 };
 
+/*
+ * Two missions the spec cannot express, each golden A with one thing
+ * changed in code: the vision-aided MPC companion app in place of the
+ * DNN controller (core::runMpcMission), and a 50 % multitenant
+ * background tenant (CosimConfig::background). The MPC hash covers
+ * missionTime, the collision count and every MpcRecord as text rows
+ * (test_golden states the layout); the background hash is the
+ * trajectory's,
+ * also reached by a supervisor resumed from a mid-mission checkpoint,
+ * so the checkpoint's Background section is pinned with it.
+ */
+inline constexpr uint64_t kMpcGoldenAHash = 0x8e875241959409bbULL;
+inline constexpr uint64_t kBackgroundGoldenAHash = 0x8ce6f44fe768faa5ULL;
+
 /** Golden A, B and C: the canonical mission on each of Table 2's SoC
  *  configs, the corpus's first three rows. */
 inline constexpr std::span<const GoldenRow> kCanonicalRows{kGoldenCorpus, 3};

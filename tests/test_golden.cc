@@ -26,6 +26,7 @@
 #include "runtime/control_app.hh"
 #include "serve/client.hh"
 #include "serve/server.hh"
+#include "util/csv.hh"
 #include "util/hash.hh"
 
 using namespace rose;
@@ -185,6 +186,69 @@ TEST(GoldenTrace, InProcessRowsHashEqualFourWays)
     }
     std::remove(ckpt.c_str());
     server.stop();
+}
+
+TEST(GoldenTrace, MpcMissionOnGoldenA)
+{
+    // A text row of missionTime and collisions, then one per record:
+    // request and command cycle, solver iterations, cost, offset and
+    // heading estimates, and the command's three components. Doubles
+    // print as the trajectory CSV prints its cells (6 significant
+    // digits): like the trajectory goldens, the rows then hold under
+    // either glibc libm variant, whose last bits differ here.
+    core::MpcMissionResult r = core::runMpcMission(test::goldenSpec("A"));
+    ASSERT_FALSE(r.log.empty());
+    std::string rows;
+    auto cell = [&rows](double v) {
+        char buf[kCsvCellMaxChars];
+        rows.append(buf, formatCsvCell(buf, v));
+        rows += ',';
+    };
+    cell(r.missionTime);
+    rows += std::to_string(r.collisions) + "\n";
+    for (const runtime::MpcRecord &rec : r.log) {
+        rows += std::to_string(rec.requestCycle) + ',' +
+                std::to_string(rec.commandCycle) + ',' +
+                std::to_string(rec.solverIterations) + ',';
+        for (double v : {rec.cost, rec.offsetEstimate, rec.headingEstimate,
+                         rec.command.forward, rec.command.lateral,
+                         rec.command.yawRate})
+            cell(v);
+        rows.back() = '\n';
+    }
+    const uint64_t hash = fnv1a(rows);
+    EXPECT_EQ(hash, test::kMpcGoldenAHash)
+        << std::hex << "actual 0x" << hash;
+}
+
+TEST(GoldenTrace, BackgroundTenantOnGoldenA)
+{
+    core::CosimConfig cfg = test::goldenSpec("A").toConfig();
+    cfg.background.enabled = true;
+    core::CoSimulation sim(cfg);
+    const uint64_t hash = trajectoryHash(sim.run().trajectory);
+    EXPECT_EQ(hash, test::kBackgroundGoldenAHash)
+        << std::hex << "actual 0x" << hash;
+    EXPECT_NE(hash, kGoldenCorpus[0].hash)
+        << "the tenant left golden A's trajectory unchanged";
+
+    // Resumed from a mid-mission checkpoint file, Background section
+    // included.
+    const std::string ckpt = ::testing::TempDir() + "golden_bg.ckpt";
+    {
+        core::CoSimulation half(cfg);
+        while (half.environment().simTime() < cfg.maxSimSeconds / 2)
+            half.stepPeriod();
+        core::writeCheckpointFile(ckpt, half.checkpoint());
+    }
+    core::SupervisorConfig sup;
+    sup.resumeFromPath = ckpt;
+    core::MissionSupervisor resumed(cfg, sup);
+    core::MissionResult r = resumed.run();
+    std::remove(ckpt.c_str());
+    EXPECT_EQ(resumed.stats().diskResumes, 1u);
+    EXPECT_EQ(trajectoryHash(r.trajectory), test::kBackgroundGoldenAHash)
+        << "supervisor resumed at mid-mission";
 }
 
 TEST(GoldenTrace, HashPrimitivesAreStable)
