@@ -303,11 +303,12 @@ BENCHMARK(BM_CosimPeriod)->Arg(10)->Arg(100);
 // executes — camera render, the bridge's image encode/decode, and pose
 // estimation — on the cached, buffer-reusing paths missions run, end
 // to end and each stage on its own; counts the heap allocations of a
-// steady-state frame; emits BENCH_hotpath.json.
-// With --baseline FILE it fails (exit 1) when any tracked latency
+// steady-state frame; emits BENCH_hotpath.json. Every latency is the
+// median of 9 repetitions, reported with their interquartile range.
+// With --baseline FILE it fails (exit 1) when any tracked median
 // regresses by more than 2x against the recorded values — the CI
 // perf-smoke gate. --write-baseline FILE records the current machine's
-// numbers.
+// medians.
 
 namespace hotpath {
 
@@ -320,25 +321,50 @@ nowNs()
                       .count());
 }
 
-/** Best-of-reps wall time of one call, in ns: best-of filters the
- *  interference of other load on shared machines. */
+/** A latency's repetitions: median and quartiles [ns]. */
+struct Spread
+{
+    double median = 0.0;
+    double q1 = 0.0;
+    double q3 = 0.0;
+
+    double iqr() const { return q3 - q1; }
+};
+
+/** Median and quartiles of @p v, interpolating between ranks. */
+Spread
+spreadOf(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    auto at = [&v](double q) {
+        double pos = q * double(v.size() - 1);
+        size_t lo = size_t(pos);
+        size_t hi = std::min(lo + 1, v.size() - 1);
+        return v[lo] + (pos - double(lo)) * (v[hi] - v[lo]);
+    };
+    return {at(0.5), at(0.25), at(0.75)};
+}
+
+/** Wall time of one call over @p reps repetitions of about @p targetNs
+ *  each: one draw moves with other load on a shared machine, the
+ *  median of the repetitions far less. */
 template <typename F>
-double
-timeKernel(F &&fn, double targetNs = 3e7, int reps = 5)
+Spread
+timeKernel(F &&fn, double targetNs = 3e7, int reps = 9)
 {
     fn(); // warm caches / first-touch
     double t0 = nowNs();
     fn();
     double once = std::max(nowNs() - t0, 50.0);
     int iters = std::max(1, int(targetNs / once));
-    double best = 1e300;
+    std::vector<double> perCall;
     for (int r = 0; r < reps; ++r) {
         double s = nowNs();
         for (int i = 0; i < iters; ++i)
             fn();
-        best = std::min(best, (nowNs() - s) / iters);
+        perCall.push_back((nowNs() - s) / iters);
     }
-    return best;
+    return spreadOf(std::move(perCall));
 }
 
 std::map<std::string, double>
@@ -385,16 +411,7 @@ run(const std::string &jsonPath, const std::string &baselinePath,
         benchmark::DoNotOptimize(est.headingRad);
     };
 
-    // Best of 9 reps of 20 frames: the best rep filters the
-    // interference of other load on shared machines.
-    hotFrame();
-    double hotNs = 1e300;
-    for (int rep = 0; rep < 9; ++rep) {
-        double s = nowNs();
-        for (int i = 0; i < 20; ++i)
-            hotFrame();
-        hotNs = std::min(hotNs, (nowNs() - s) / 20);
-    }
+    Spread hot = timeKernel(hotFrame);
 
     // Heap allocations of the steady-state frame: decode and pose
     // reuse their buffers; the image packet the render fills is built
@@ -404,61 +421,71 @@ run(const std::string &jsonPath, const std::string &baselinePath,
         hotFrame();
     uint64_t allocsPerTenFrames = g_allocCount.load() - allocsBefore;
 
-    std::printf("per-frame E2E (render + image decode + pose):\n"
-                "  hotpath %8.0f ns/frame  (%llu allocs per 10 steady "
-                "frames)\n",
-                hotNs, (unsigned long long)allocsPerTenFrames);
+    std::printf("per-frame E2E (render + image decode + pose), median "
+                "and IQR of 9 repetitions:\n"
+                "  hotpath %8.0f ns/frame  IQR %6.0f ns  (%llu allocs per "
+                "10 steady frames)\n",
+                hot.median, hot.iqr(),
+                (unsigned long long)allocsPerTenFrames);
 
     // Per-stage breakdown of the hot frame. Stages are timed in
     // isolation, so their sum can differ slightly from the E2E number
     // above.
     bridge::Packet frame = bridge::renderImageResp(
         cam, world, drone.position(), drone.attitude());
-    double renderNs = timeKernel([&] {
+    Spread render = timeKernel([&] {
         cam.renderInto(world, drone.position(), drone.attitude(),
                        bridge::imageRespPixels(frame));
     });
-    double decodeNs = timeKernel([&] {
+    Spread decode = timeKernel([&] {
         bridge::decodeImageRespInto(frame, rx);
         benchmark::DoNotOptimize(rx.pixels.data());
     });
-    double poseNs = timeKernel([&] {
+    Spread pose = timeKernel([&] {
         dnn::PoseEstimate est = dnn::estimatePose(rx, ecfg, scratch);
         benchmark::DoNotOptimize(est.headingRad);
     });
 
-    std::printf("\nhot-frame stage breakdown:\n"
-                "  render  %8.0f ns (8-bit frame into its packet)\n"
-                "  decode  %8.0f ns (image decode)\n"
-                "  pose    %8.0f ns\n",
-                renderNs, decodeNs, poseNs);
+    std::printf("\nhot-frame stage breakdown (median, IQR):\n"
+                "  render  %8.0f ns  IQR %6.0f ns (8-bit frame into its "
+                "packet)\n"
+                "  decode  %8.0f ns  IQR %6.0f ns (image decode)\n"
+                "  pose    %8.0f ns  IQR %6.0f ns\n",
+                render.median, render.iqr(), decode.median, decode.iqr(),
+                pose.median, pose.iqr());
 
     // ---- JSON report ----
     if (!jsonPath.empty()) {
         std::ofstream js(jsonPath);
         js << "{\n  \"report\": \"hotpath\",\n";
-        js << "  \"frame_hotpath_ns\": " << hotNs << ",\n";
+        js << "  \"statistic\": \"median of 9 repetitions; *_iqr_ns = "
+              "q3 - q1\",\n";
+        js << "  \"frame_hotpath_ns\": " << hot.median << ",\n";
+        js << "  \"frame_hotpath_iqr_ns\": " << hot.iqr() << ",\n";
         js << "  \"frame_stages\": {\n";
-        js << "    \"render_ns\": " << renderNs << ",\n";
-        js << "    \"decode_ns\": " << decodeNs << ",\n";
-        js << "    \"pose_ns\": " << poseNs << "\n  },\n";
+        js << "    \"render_ns\": " << render.median << ",\n";
+        js << "    \"render_iqr_ns\": " << render.iqr() << ",\n";
+        js << "    \"decode_ns\": " << decode.median << ",\n";
+        js << "    \"decode_iqr_ns\": " << decode.iqr() << ",\n";
+        js << "    \"pose_ns\": " << pose.median << ",\n";
+        js << "    \"pose_iqr_ns\": " << pose.iqr() << "\n  },\n";
         js << "  \"steady_allocs_per_10_frames\": "
            << allocsPerTenFrames << "\n}\n";
         std::printf("wrote %s\n", jsonPath.c_str());
     }
 
-    // ---- baseline bookkeeping ----
+    // ---- baseline bookkeeping: medians ----
     std::map<std::string, double> current;
-    current["frame_hotpath_ns"] = hotNs;
-    current["frame_render_ns"] = renderNs;
-    current["frame_pose_ns"] = poseNs;
-    current["frame_decode_ns"] = decodeNs;
+    current["frame_hotpath_ns"] = hot.median;
+    current["frame_render_ns"] = render.median;
+    current["frame_pose_ns"] = pose.median;
+    current["frame_decode_ns"] = decode.median;
 
     if (!writeBaselinePath.empty()) {
         std::ofstream out(writeBaselinePath);
-        out << "# hot-path perf baseline: <metric> <ns>. Regenerate "
-               "with\n# bench_microbench --hotpath --write-baseline "
-               "<file>.\n";
+        out << "# hot-path perf baseline: <metric> <median ns>. "
+               "Regenerate with\n# bench_microbench --hotpath "
+               "--write-baseline <file>.\n";
         for (const auto &kv : current)
             out << kv.first << " " << kv.second << "\n";
         std::printf("wrote baseline %s\n", writeBaselinePath.c_str());
@@ -472,14 +499,14 @@ run(const std::string &jsonPath, const std::string &baselinePath,
             if (it == current.end())
                 continue; // metric no longer produced: not a regression
             if (it->second > 2.0 * kv.second) {
-                std::printf("PERF REGRESSION: %s = %.0f ns, baseline "
-                            "%.0f ns (>2x)\n",
+                std::printf("PERF REGRESSION: %s median = %.0f ns, "
+                            "baseline %.0f ns (>2x)\n",
                             kv.first.c_str(), it->second, kv.second);
                 ++failures;
             }
         }
         if (!failures)
-            std::printf("perf-smoke: all %zu tracked metrics within "
+            std::printf("perf-smoke: all %zu tracked medians within "
                         "2x of baseline\n",
                         base.size());
     }

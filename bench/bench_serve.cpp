@@ -214,7 +214,6 @@ runStreamCell(size_t chunk_bytes, int clients)
     cfg.maxQueueDepth = 32;
     cfg.perClientInFlight = 64;
     cfg.resultChunkBytes = chunk_bytes;
-    cfg.progressIntervalPeriods = 0; // measure the stream alone
     MissionServer server(cfg);
     server.start();
     uint16_t port = server.port();

@@ -126,9 +126,12 @@ expect_exit2 build/examples/mission_runner --depth 7
 expect_exit2 build/examples/mission_runner --velocity 3x
 expect_exit2 build/src/serve/rose_client --port 1 submit --velocty 3
 # rosed's own numeric flags exit 2 before it binds, and the rover
-# example's positional velocity is a text-form value too.
+# example's positional velocity is a text-form value too. Every rosed
+# job runs supervised, so the retired bare-run flag is an unknown
+# option.
 expect_exit2 build/src/serve/rosed --jobs 2x
 expect_exit2 build/src/serve/rosed --port abc
+expect_exit2 build/src/serve/rosed --no-supervise
 expect_exit2 build/examples/rover_navigation tunnel 3x
 
 # glibc picks its libm variants at load time (ifunc); masking AVX2,
@@ -176,10 +179,10 @@ fi
 
 # Perf smoke (default preset only): re-measure one mission frame —
 # the 8-bit render, image decode and pose, end to end and per stage —
-# and fail on a >2x latency regression against the recorded baseline.
-# The report
-# goes under build/, so a CI run leaves the tracked BENCH_hotpath.json
-# (a deliberate refresh) alone.
+# as the median of 9 repetitions, and fail when a median regresses
+# >2x against the recorded baseline's. The report (medians with their
+# IQRs) goes under build/, so a CI run leaves the tracked
+# BENCH_hotpath.json (a deliberate refresh) alone.
 # Refresh the baseline with:
 #   build/bench/bench_microbench --hotpath --write-baseline=ci/perf_baseline.txt
 echo "==== [default] perf-smoke (hot-path regression gate) ===="

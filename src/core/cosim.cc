@@ -107,10 +107,6 @@ CoSimulation::stepPeriod()
 
     if (periods_ % cfg_.samplePeriods == 0)
         sample();
-
-    if (cfg_.progressPeriods != 0 && cfg_.progressHook &&
-        periods_ % cfg_.progressPeriods == 0)
-        cfg_.progressHook(env_->simTime(), sampleCount());
 }
 
 void

@@ -15,7 +15,6 @@
 #define ROSE_CORE_COSIM_HH
 
 #include <array>
-#include <functional>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -79,19 +78,6 @@ struct CosimConfig
 
     /** Record one trajectory sample every N sync periods. */
     uint64_t samplePeriods = 1;
-
-    /**
-     * Progress observer: when set (and progressPeriods > 0), called
-     * every progressPeriods sync periods with the simulated time and
-     * the sample count so far. Purely observational — it does not
-     * influence execution, is not part of the config fingerprint
-     * (checkpoint.cc serializes selected fields only), and must not
-     * throw. rosed uses it to push Progress events to clients while
-     * their missions run.
-     */
-    uint64_t progressPeriods = 0;
-    std::function<void(double simTimeSeconds, uint64_t samples)>
-        progressHook;
 };
 
 /** One trajectory sample. */

@@ -46,10 +46,13 @@ MissionSupervisor::maybeCheckpoint()
         return;
     ring_.push(sim_->checkpoint());
     ++stats_.checkpointsTaken;
-    if (!sup_.checkpointPath.empty())
-        writeCheckpointFile(sup_.checkpointPath, ring_.latest());
-    if (sup_.snapshotObserver)
-        sup_.snapshotObserver(ring_.latest().trajectory);
+    if (!sup_.snapshotObserver)
+        return;
+    try {
+        sup_.snapshotObserver(ring_.latest());
+    } catch (const std::exception &e) {
+        throw CheckpointError(e.what());
+    }
 }
 
 bool

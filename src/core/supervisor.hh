@@ -10,7 +10,7 @@
  * hours already simulated). The supervisor instead:
  *
  *  - snapshots the full co-simulation every N sync periods into a
- *    small in-memory ring (optionally mirrored to disk);
+ *    small in-memory ring, and hands each snapshot to one observer;
  *  - watches for hangs (the PR-1 sync deadline turns a dead transport
  *    into an exception; a wall-clock budget backstops everything
  *    else) and divergence (non-finite physics state throws
@@ -70,10 +70,6 @@ struct SupervisorConfig
     /** Wall-clock budget for the whole supervised mission [s]; the
      *  mission is cut off (TimedOut) when exceeded; 0 disables. */
     double wallClockBudgetSeconds = 0.0;
-    /** When non-empty, the latest checkpoint is also persisted here
-     *  (overwritten in place) for post-mortem or cross-process
-     *  resume. */
-    std::string checkpointPath;
     /**
      * When non-empty, run() first tries to resume from this ROSECKPT
      * file (a previous incarnation's persisted snapshot — rosed's
@@ -85,13 +81,17 @@ struct SupervisorConfig
     std::string resumeFromPath;
     /**
      * When set, called on the supervising thread after each snapshot
-     * with the snapshot's sealed trajectory chunks, the trajectory so
-     * far in capture order. rosed hands them to its encoder thread.
-     * A later restore can abandon chunks passed here; the chunks
-     * themselves stay immutable.
+     * enters the ring: the one place anything outside the loop sees a
+     * running mission. The snapshot carries its period, simTime and
+     * sealed trajectory chunks (the trajectory so far, in capture
+     * order); rosed persists it for a journaled job, hands the chunks
+     * to its encoder thread and publishes progress from it. A later
+     * restore can abandon chunks passed here; the chunks themselves
+     * stay immutable. An observer that throws fails the mission as a
+     * failing checkpoint does: a CheckpointError with the exception's
+     * message, then a restore from the ring and a retry.
      */
-    std::function<void(const std::vector<TrajectoryChunk> &)>
-        snapshotObserver;
+    std::function<void(const Checkpoint &)> snapshotObserver;
 };
 
 /** One recovery-relevant event, for logs and tests. */

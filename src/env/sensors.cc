@@ -38,14 +38,6 @@ Imu::sample(const SensorFrame &frame, double time_s)
     return s;
 }
 
-ImuSample
-Imu::sample(const Drone &drone, double time_s)
-{
-    return sample(SensorFrame{drone.position(), drone.attitude(),
-                              drone.bodyRates(), drone.lastAccel()},
-                  time_s);
-}
-
 namespace pixel {
 
 float
@@ -420,12 +412,6 @@ DepthSensor::sample(const World &world, const Vec3 &position,
     double d = hit.hit ? hit.distance : maxRange_;
     d += rng_.gaussian(0.0, noiseStd_);
     return clampd(d, 0.0, maxRange_);
-}
-
-double
-DepthSensor::sample(const World &world, const Drone &drone)
-{
-    return sample(world, drone.position(), drone.attitude().yaw());
 }
 
 void

@@ -9,8 +9,8 @@
  * with distance shading, per-wall texture jitter, floor and sky bands),
  * carrying exactly the pose-relative-to-corridor information the
  * TrailNet-style classifiers consume. Sensors sample from a
- * SensorFrame so any vehicle model (quadrotor, rover) can carry them;
- * Drone-based convenience overloads are kept for tests.
+ * SensorFrame (or a position and heading) so any vehicle model
+ * (quadrotor, rover) can carry them.
  */
 
 #ifndef ROSE_ENV_SENSORS_HH
@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "env/drone.hh"
 #include "env/vehicle.hh"
 #include "env/world.hh"
 #include "util/detmath.hh"
@@ -78,9 +77,6 @@ class Imu
 
     /** Sample the IMU from a vehicle sensor frame. */
     ImuSample sample(const SensorFrame &frame, double time_s);
-
-    /** Convenience overload for bare Drone tests. */
-    ImuSample sample(const Drone &drone, double time_s);
 
     /** Serialize noise stream + per-run bias draws. */
     void saveState(StateWriter &w) const;
@@ -270,9 +266,6 @@ class DepthSensor
 
     double sample(const World &world, const Vec3 &position,
                   double heading_rad);
-
-    /** Convenience overload for bare Drone tests. */
-    double sample(const World &world, const Drone &drone);
 
     /** Serialize the range-noise stream. */
     void saveState(StateWriter &w) const { rng_.saveState(w); }

@@ -194,13 +194,15 @@ applyRecord(uint8_t type, const uint8_t *payload, size_t n,
 } // namespace
 
 uint64_t
-journalFingerprint(bool supervise)
+journalFingerprint()
 {
     StateWriter w;
     w.u32(JobJournal::kVersion);
     w.u8(kSpecCodecVersion);
     w.u32(core::Checkpoint::kVersion);
-    w.boolean(supervise);
+    // The slot of the retired execution-mode flag: every job was and
+    // is supervised, so fingerprints and journals stay as they were.
+    w.boolean(true);
     const std::vector<uint8_t> &b = w.data();
     return fnv1a(b.data(), b.size());
 }

@@ -107,11 +107,12 @@ struct JournalReplay
 
 /**
  * Fingerprint stored in the journal header: hashes the journal
- * format version, the spec codec version, the checkpoint format
- * version, and the execution mode, so a journal is only ever
- * replayed by a daemon that would interpret it identically.
+ * format version, the spec codec version and the checkpoint format
+ * version (and a constant true where an execution-mode flag once
+ * sat), so a journal is only ever replayed by a daemon that would
+ * interpret it identically.
  */
-uint64_t journalFingerprint(bool supervise);
+uint64_t journalFingerprint();
 
 /** The write-ahead job journal (see file comment for the format). */
 class JobJournal

@@ -247,18 +247,6 @@ TrajectoryEncoder::takeRecords()
     return out;
 }
 
-std::vector<uint8_t>
-encodeTrajectoryBinary(const std::vector<core::TrajectorySample> &t,
-                       uint64_t *csvHash)
-{
-    TrajectoryEncoder e;
-    e.reserve(t.size());
-    e.append(t.data(), t.size());
-    if (csvHash)
-        *csvHash = e.csvHash();
-    return e.takeRecords();
-}
-
 std::vector<core::TrajectorySample>
 decodeTrajectoryBinary(const uint8_t *data, size_t size)
 {

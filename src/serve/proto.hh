@@ -266,21 +266,6 @@ enum class TrajectoryEncoding : uint8_t
 constexpr size_t kTrajectoryBinaryRecordBytes = 44;
 
 /**
- * Encode samples as fixed-width binary records: TrajectoryEncoder
- * (below) over the whole trajectory as one run. When @p csvHash is
- * non-null it receives the FNV-1a of the canonical CSV
- * (core::trajectoryCsvString), chained row by row without building the
- * string.
- * @throws ProtocolError when a sample's collision count exceeds u32
- * (the record could no longer round-trip the CSV bit-for-bit). rosed
- * cannot admit such a mission: the count rises at most once per
- * physics substep, ~2.2e6 times in the 3600 s maxSimSeconds cap.
- */
-std::vector<uint8_t>
-encodeTrajectoryBinary(const std::vector<core::TrajectorySample> &t,
-                       uint64_t *csvHash = nullptr);
-
-/**
  * Decode fixed-width binary records.
  * @throws ProtocolError when @p size is not a whole number of records.
  */
@@ -378,7 +363,10 @@ class TrajectoryEncoder
     /**
      * Encode @p n samples after those already held.
      * @throws ProtocolError when a sample's collision count exceeds
-     * u32; the encoder then holds a partial run, so rewind it.
+     * u32 (the record could no longer round-trip the CSV); the encoder
+     * then holds a partial run, so rewind it. rosed cannot admit such
+     * a mission: the count rises at most once per physics substep,
+     * ~2.2e6 times in the 3600 s maxSimSeconds cap.
      */
     void append(const core::TrajectorySample *s, size_t n);
     Mark mark() const { return {records_.size(), csvHash_, payloadHash_}; }

@@ -58,7 +58,6 @@ usage(const char *argv0)
         "                   are rejected queue_full (default 16)\n"
         "  --client-cap N   per-connection unfinished-job cap, >= 1 "
         "(default 8)\n"
-        "  --no-supervise   run missions bare (no checkpoint/retry)\n"
         "  --journal DIR    crash-safe serving: write-ahead job\n"
         "                   journal + per-job checkpoints in DIR;\n"
         "                   restart on the same DIR to recover\n"
@@ -120,8 +119,6 @@ main(int argc, char **argv)
             cfg.perClientInFlight =
                 flagNumber<uint32_t>(argv[0], "--client-cap",
                                      next("--client-cap"), 1, UINT32_MAX);
-        } else if (arg == "--no-supervise") {
-            cfg.supervise = false;
         } else if (arg == "--journal") {
             cfg.journalDir = next("--journal");
         } else if (arg == "--journal-fsync") {
@@ -150,10 +147,9 @@ main(int argc, char **argv)
         serve::MissionServer server(cfg);
         server.start();
         std::printf("rosed: listening on 127.0.0.1:%u "
-                    "(workers=%d queue=%zu client-cap=%u%s%s)\n",
+                    "(workers=%d queue=%zu client-cap=%u%s)\n",
                     unsigned(server.port()), cfg.workers,
                     cfg.maxQueueDepth, cfg.perClientInFlight,
-                    cfg.supervise ? ", supervised" : "",
                     cfg.journalDir.empty() ? "" : ", journaled");
         std::fflush(stdout);
         if (!portFile.empty()) {

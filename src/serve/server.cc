@@ -116,7 +116,7 @@ MissionServer::MissionServer(const ServerConfig &cfg)
     // a warm restore from their persisted checkpoint. Runs before
     // any thread exists, so mu_ conventions are trivially met.
     journal_ = std::make_unique<JobJournal>(
-        cfg_.journalDir, journalFingerprint(cfg_.supervise),
+        cfg_.journalDir, journalFingerprint(),
         cfg_.journalFsync);
     JournalReplay rep = journal_->takeReplay();
     // High-water mark across every journaled submit (released ones
@@ -337,7 +337,7 @@ MissionServer::workerLoop(size_t)
             runningJobs_++;
         }
 
-        // Execute outside the lock. The supervisor path gives served
+        // Execute outside the lock. The supervisor gives served
         // missions checkpoint/restore + fault retry + degraded-mode
         // recovery; an unperturbed supervised run is bit-identical to
         // runMission(), which is what makes served results hash equal
@@ -349,70 +349,61 @@ MissionServer::workerLoop(size_t)
         bool threw = false;
         bool warm_restored = false;
         try {
-            core::MissionResult result;
             core::CosimConfig ccfg = spec.toConfig();
             const double max_sim = ccfg.maxSimSeconds;
             // Sync periods the mission runs if it flies to max_sim.
             const double expected_periods =
                 max_sim * ccfg.sync.clocks.socClockHz /
                 double(std::max<uint64_t>(1, spec.syncGranularity));
-            if (cfg_.progressIntervalPeriods > 0) {
-                ccfg.progressPeriods = cfg_.progressIntervalPeriods;
-                ccfg.progressHook =
-                    [this, job_id, max_sim](double sim_t,
-                                            uint64_t samples) {
-                        std::lock_guard<std::mutex> lk(mu_);
-                        ProgressEvent &p = pendingProgress_[job_id];
-                        p.jobId = job_id;
-                        p.simTimeSeconds = sim_t;
-                        p.maxSimSeconds = max_sim;
-                        p.samples = samples;
-                    };
+            core::SupervisorConfig sc = cfg_.supervisor;
+            // Each checkpoint shares the trajectory's sealed chunks
+            // but serializes the rest of the state afresh, so a fixed
+            // cadence costs one such serialization per cadence
+            // periods; cap the checkpoint count so a fine-grained
+            // mission pays for a bounded number.
+            if (sc.checkpointPeriods > 0) {
+                uint64_t floor_cadence =
+                    uint64_t(expected_periods /
+                             double(cfg_.supervisorCheckpointCap)) +
+                    1;
+                if (sc.checkpointPeriods < floor_cadence)
+                    sc.checkpointPeriods = floor_cadence;
             }
-            if (cfg_.supervise) {
-                core::SupervisorConfig sc = cfg_.supervisor;
-                // Each checkpoint shares the trajectory's sealed chunks
-                // but serializes the rest of the state afresh, so a
-                // fixed cadence costs one such serialization per
-                // cadence periods; cap the checkpoint count so a
-                // fine-grained mission pays for a bounded number.
-                if (cfg_.supervisorCheckpointCap > 0 &&
-                    sc.checkpointPeriods > 0) {
-                    uint64_t floor_cadence =
-                        uint64_t(expected_periods /
-                                 double(cfg_.supervisorCheckpointCap)) +
-                        1;
-                    if (sc.checkpointPeriods < floor_cadence)
-                        sc.checkpointPeriods = floor_cadence;
-                }
-                // Journaled jobs persist their checkpoint ring per
-                // job; a journal-replayed job warm-restores from the
-                // snapshot its previous incarnation left behind
-                // (supervisor falls back to a cold start on any
-                // problem — resume never fails a mission).
-                if (journal_) {
-                    sc.checkpointPath =
-                        journal_->checkpointPathFor(job_id);
-                    if (recovered)
-                        sc.resumeFromPath = sc.checkpointPath;
-                }
-                encoder.begin(
-                    size_t(expected_periods /
-                           double(std::max<uint64_t>(
-                               1, ccfg.samplePeriods))) +
-                    2);
-                sc.snapshotObserver =
-                    [&encoder](
-                        const std::vector<core::TrajectoryChunk> &c) {
-                        encoder.post(c);
-                    };
-                core::MissionSupervisor sup(ccfg, sc);
-                result = sup.run();
-                warm_restored = sup.stats().diskResumes > 0;
-            } else {
-                core::CoSimulation sim(ccfg);
-                result = sim.run();
+            // Journaled jobs persist their latest snapshot per job; a
+            // journal-replayed job warm-restores from the snapshot its
+            // previous incarnation left behind (the supervisor falls
+            // back to a cold start on any problem — resume never
+            // fails a mission).
+            std::string ckpt_path;
+            if (journal_) {
+                ckpt_path = journal_->checkpointPathFor(job_id);
+                if (recovered)
+                    sc.resumeFromPath = ckpt_path;
             }
+            encoder.begin(size_t(expected_periods /
+                                 double(std::max<uint64_t>(
+                                     1, ccfg.samplePeriods))) +
+                          2);
+            // The job's one outside view: each snapshot goes to disk
+            // (journaled jobs), to the encoder thread, and out as the
+            // job's latest progress.
+            sc.snapshotObserver = [&](const core::Checkpoint &ck) {
+                if (!ckpt_path.empty())
+                    core::writeCheckpointFile(ckpt_path, ck);
+                encoder.post(ck.trajectory);
+                uint64_t samples = 0;
+                for (const core::TrajectoryChunk &c : ck.trajectory)
+                    samples += c->size();
+                std::lock_guard<std::mutex> lk(mu_);
+                ProgressEvent &p = pendingProgress_[job_id];
+                p.jobId = job_id;
+                p.simTimeSeconds = ck.simTime;
+                p.maxSimSeconds = max_sim;
+                p.samples = samples;
+            };
+            core::MissionSupervisor sup(ccfg, sc);
+            core::MissionResult result = sup.run();
+            warm_restored = sup.stats().diskResumes > 0;
             served = encoder.finish(result);
         } catch (const std::exception &e) {
             encoder.discard();

@@ -32,16 +32,18 @@
  *    core::MissionSupervisor, so served missions inherit
  *    checkpoint/restore, fault retry, and degraded-mode behavior; a
  *    supervised run that never trips a watchdog is bit-identical to
- *    the unsupervised (and thus to the client's local) run. Workers
- *    publish coalesced progress (latest simulated time per running
- *    job); the IO thread drains that map once per poll tick into
+ *    the unsupervised (and thus to the client's local) run. The
+ *    supervisor's snapshot observer is the job's only outside view:
+ *    each snapshot is persisted (journaled jobs), posted to the
+ *    worker's encoder thread, and published as the job's latest
+ *    progress; the IO thread drains that map once per poll tick into
  *    Progress push frames on the owning connection.
  *
  *  - Encoder threads: one per worker, started and joined with it
- *    (serve/encoder_thread.hh). A supervised job posts each
- *    snapshot's sealed trajectory chunks to it, so most of the result
- *    records are encoded while the mission still runs; the worker
- *    encodes the rest at mission end, to the same bytes.
+ *    (serve/encoder_thread.hh). Each snapshot's sealed trajectory
+ *    chunks are posted to it, so most of the result records are
+ *    encoded while the mission still runs; the worker encodes the
+ *    rest at mission end, to the same bytes.
  *
  *  - The owner thread: constructs/starts/stops the server.
  *
@@ -62,7 +64,7 @@
  *
  * Durability (ServerConfig::journalDir): submissions, terminal
  * results, and releases are write-ahead journaled (serve/journal.hh)
- * and supervised jobs persist their checkpoint ring per job, so a
+ * and every job persists its latest snapshot, so a
  * SIGKILLed daemon restarted on the same directory replays its job
  * table, deduplicates resubmissions by idempotency key, warm-
  * restores interrupted missions, and serves their results with
@@ -104,22 +106,22 @@ struct ServerConfig
     size_t maxQueueDepth = 16;
     /** Per-connection cap on unfinished (queued + running) jobs. */
     uint32_t perClientInFlight = 8;
-    /** Execute jobs under MissionSupervisor (checkpoint/retry); off
-     *  runs bare runMission() (still deterministic, no recovery). */
-    bool supervise = true;
-    /** Supervisor knobs for supervised execution. */
+    /**
+     * Supervisor knobs: every job runs under MissionSupervisor
+     * (checkpoint/retry). rosed sets the snapshot observer itself;
+     * each snapshot is also the job's progress event.
+     */
     core::SupervisorConfig supervisor;
     /**
-     * Upper bound on checkpoints taken over one supervised mission:
-     * the effective snapshot cadence is raised to at least
-     * expectedPeriods / cap. A snapshot shares the trajectory's sealed
-     * chunks rather than copying samples, but it still serializes the
-     * rest of the state (about 14 KB, mostly the App section's cached
-     * image), so the cap bounds how many of those serializations a
-     * fine-grained mission pays for. 0 keeps
-     * supervisor.checkpointPeriods untouched.
+     * Upper bound on checkpoints taken over one mission: the effective
+     * snapshot cadence is raised to at least expectedPeriods / cap. A
+     * snapshot shares the trajectory's sealed chunks rather than
+     * copying samples, but it still serializes the rest of the state
+     * (about 14 KB, mostly the App section's cached image), so the cap
+     * bounds how many of those serializations a fine-grained mission
+     * pays for.
      */
-    uint32_t supervisorCheckpointCap = 64;
+    static constexpr uint32_t supervisorCheckpointCap = 64;
     /** IO-loop poll granularity [ms] (also shutdown latency bound). */
     int pollIntervalMs = 20;
     /**
@@ -132,7 +134,7 @@ struct ServerConfig
      */
     int sendTimeoutMs = 5000;
     /** Drop a connection whose unflushed reply backlog exceeds this. */
-    size_t maxTxBacklogBytes = 64 * 1024 * 1024;
+    static constexpr size_t maxTxBacklogBytes = 64 * 1024 * 1024;
     /** Result-stream slice size [bytes]; clamped to
      *  [kTrajectoryBinaryRecordBytes, kMaxResultChunkBytes] and
      *  rounded down to whole records, so every chunk boundary is a
@@ -147,14 +149,6 @@ struct ServerConfig
      * payload; this bounds the transient frame buffer only.)
      */
     size_t streamBacklogBytes = 1024 * 1024;
-    /**
-     * Worker-side progress cadence [sync periods]: each running
-     * mission publishes its simulated time every this many periods
-     * (coalesced to the latest per job; the IO thread pushes at most
-     * one Progress frame per job per poll tick). 0 disables
-     * progress events.
-     */
-    uint64_t progressIntervalPeriods = 200;
     /**
      * Terminal jobs retained for later FetchResult. A result is
      * released by the client's hash-verified AckResult (fetch itself
@@ -181,8 +175,8 @@ struct ServerConfig
      * When non-empty, serve crash-safely: a write-ahead job journal
      * (serve/journal.hh) lives in this directory, submissions are
      * journaled before admission, terminal results before they are
-     * published, and each supervised job persists its checkpoint
-     * ring to `<dir>/job-<id>.ckpt`. A restarted daemon pointed at
+     * published, and each job persists its latest snapshot to
+     * `<dir>/job-<id>.ckpt`. A restarted daemon pointed at
      * the same directory replays the journal: terminal results come
      * back fetchable bit-identically, unfinished jobs re-enter the
      * queue and warm-restore from their checkpoint. Empty disables

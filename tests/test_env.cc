@@ -29,6 +29,13 @@ render(Camera &cam, const World &w, const Drone &d)
     return img;
 }
 
+/** What a quadrotor's sensors read: its pose, rates and acceleration. */
+SensorFrame
+frameOf(const Drone &d)
+{
+    return {d.position(), d.attitude(), d.bodyRates(), d.lastAccel()};
+}
+
 } // namespace
 
 // ----------------------------------------------------------------- World
@@ -256,7 +263,7 @@ TEST(Imu, GravityAtRest)
     for (int i = 0; i < 1200; ++i)
         d.step(1.0 / 600.0);
     Imu imu(ImuConfig{}, Rng(3));
-    ImuSample s = imu.sample(d, 2.0);
+    ImuSample s = imu.sample(frameOf(d), 2.0);
     // At hover the specific force reads +g on body z.
     EXPECT_NEAR(s.accel.z, 9.81, 0.5);
     EXPECT_NEAR(s.accel.x, 0.0, 0.3);
@@ -274,7 +281,7 @@ TEST(Imu, GyroTracksBodyRates)
     for (int i = 0; i < 300; ++i)
         d.step(1.0 / 600.0);
     Imu imu(ImuConfig{}, Rng(5));
-    ImuSample s = imu.sample(d, 0.5);
+    ImuSample s = imu.sample(frameOf(d), 0.5);
     EXPECT_NEAR(s.gyro.z, d.bodyRates().z, 0.05);
 }
 
@@ -341,10 +348,10 @@ TEST(Depth, ReadsForwardDistance)
     // Heading 90 degrees left: wall 1.6 m away.
     d.setPose({10, 0, 1.5}, Quat::fromEuler(0, 0, kPi / 2));
     DepthSensor ds(30.0, 0.0, Rng(13));
-    EXPECT_NEAR(ds.sample(w, d), 1.6, 0.02);
+    EXPECT_NEAR(ds.sample(w, d.position(), d.attitude().yaw()), 1.6, 0.02);
     // Heading down the corridor: max range.
     d.setPose({10, 0, 1.5}, Quat{});
-    EXPECT_NEAR(ds.sample(w, d), 30.0, 0.01);
+    EXPECT_NEAR(ds.sample(w, d.position(), d.attitude().yaw()), 30.0, 0.01);
 }
 
 // ---------------------------------------------------------------- EnvSim
@@ -504,7 +511,7 @@ TEST(Obstacles, DepthSensorSeesPillar)
     Drone d;
     d.setPose({10, 0, 1.5}, Quat{});
     DepthSensor ds(30.0, 0.0, Rng(71));
-    EXPECT_NEAR(ds.sample(t, d), 4.5, 0.05);
+    EXPECT_NEAR(ds.sample(t, d.position(), d.attitude().yaw()), 4.5, 0.05);
 }
 
 TEST(Obstacles, CameraRendersPillar)

@@ -173,7 +173,7 @@ TEST(Backoff, ClampsDegenerateConfig)
 TEST(Journal, FreshDirectoryReplaysEmpty)
 {
     std::string dir = scratchDir("fresh");
-    JobJournal j(dir, journalFingerprint(true));
+    JobJournal j(dir, journalFingerprint());
     JournalReplay rep = j.takeReplay();
     EXPECT_TRUE(rep.jobs.empty());
     EXPECT_EQ(rep.recordsReplayed, 0u);
@@ -182,7 +182,7 @@ TEST(Journal, FreshDirectoryReplaysEmpty)
 
 TEST(Journal, RoundTripAcrossReopen)
 {
-    uint64_t fp = journalFingerprint(true);
+    uint64_t fp = journalFingerprint();
     std::string dir = scratchDir("roundtrip");
     {
         JobJournal j(dir, fp);
@@ -222,7 +222,7 @@ TEST(Journal, RoundTripAcrossReopen)
 
 TEST(Journal, CompactionDropsReleasedJobs)
 {
-    uint64_t fp = journalFingerprint(true);
+    uint64_t fp = journalFingerprint();
     std::string dir = scratchDir("compact");
     uint64_t before;
     {
@@ -240,7 +240,7 @@ TEST(Journal, CompactionDropsReleasedJobs)
 
 TEST(Journal, TruncatedTailRecoversPrefix)
 {
-    uint64_t fp = journalFingerprint(true);
+    uint64_t fp = journalFingerprint();
     std::vector<uint8_t> bytes = buildSampleJournal("torntail", fp);
     // Tear the last record: drop the trailing 5 bytes (inside the
     // record hash), exactly what a crash mid-append leaves.
@@ -260,7 +260,7 @@ TEST(Journal, TruncatedTailRecoversPrefix)
 
 TEST(Journal, TruncatedTailReopensCleanly)
 {
-    uint64_t fp = journalFingerprint(true);
+    uint64_t fp = journalFingerprint();
     std::string wal;
     std::vector<uint8_t> bytes =
         buildSampleJournal("tornreopen", fp, &wal);
@@ -281,7 +281,7 @@ TEST(Journal, TruncatedTailReopensCleanly)
 
 TEST(Journal, CorruptMidJournalRecordTruncatesFromThere)
 {
-    uint64_t fp = journalFingerprint(true);
+    uint64_t fp = journalFingerprint();
     std::vector<uint8_t> bytes = buildSampleJournal("midflip", fp);
 
     // Flip one byte inside the second record's payload. The header
@@ -308,16 +308,24 @@ TEST(Journal, CorruptMidJournalRecordTruncatesFromThere)
     EXPECT_FALSE(rep.jobs[0].terminal);
 }
 
+TEST(Journal, FingerprintIsPinned)
+{
+    // Every journal byte depends on it: the value the bare-run flag's
+    // true setting gave when rosed still had one, so journals written
+    // before the flag went replay unchanged.
+    EXPECT_EQ(journalFingerprint(), 0xd5419f42ce643efdULL);
+}
+
 TEST(Journal, FingerprintMismatchIsRejected)
 {
-    uint64_t fp = journalFingerprint(true);
+    uint64_t fp = journalFingerprint();
     std::string wal;
     buildSampleJournal("fpmismatch", fp, &wal);
     std::string dir = wal.substr(0, wal.rfind('/'));
-    // A daemon running a different execution mode must refuse to
-    // reinterpret this journal (supervise flips the fingerprint).
-    EXPECT_THROW(JobJournal(dir, journalFingerprint(false)),
-                 JournalError);
+    // A daemon with another fingerprint must refuse to reinterpret
+    // this journal: here the one a bare-run daemon used, which no
+    // daemon can open any more.
+    EXPECT_THROW(JobJournal(dir, 0xd5419e42ce643d4aULL), JournalError);
     // The right fingerprint still opens it (job 3 was released, so
     // two jobs survive).
     {
@@ -340,7 +348,7 @@ TEST(Journal, SeededDamageStopsAtLastIntactRecord)
     // header refuses (JournalError), a damaged record ends replay at
     // its own start, and a truncation keeps every whole record before
     // it — never a crash, never a record past the damage.
-    uint64_t fp = journalFingerprint(true);
+    uint64_t fp = journalFingerprint();
     const std::vector<uint8_t> clean = buildSampleJournal("fuzz", fp);
     const size_t header = 20;
     std::vector<size_t> bounds{header}; // record starts, then the end
@@ -399,13 +407,13 @@ TEST(Journal, GarbageFileIsRejected)
     ::mkdir(dir.c_str(), 0755);
     std::vector<uint8_t> junk(64, 0x5a);
     writeFile(dir + "/journal.wal", junk);
-    EXPECT_THROW(JobJournal(dir, journalFingerprint(true)),
+    EXPECT_THROW(JobJournal(dir, journalFingerprint()),
                  JournalError);
 }
 
 TEST(Journal, TornHeaderRecoversAsEmpty)
 {
-    uint64_t fp = journalFingerprint(true);
+    uint64_t fp = journalFingerprint();
     std::string wal;
     buildSampleJournal("tornheader", fp, &wal);
     std::string dir = wal.substr(0, wal.rfind('/'));
@@ -423,7 +431,7 @@ TEST(Journal, TornHeaderRecoversAsEmpty)
 
 TEST(Journal, CancelledTerminalReplaysAsTombstone)
 {
-    uint64_t fp = journalFingerprint(true);
+    uint64_t fp = journalFingerprint();
     std::string dir = scratchDir("cancelled");
     {
         JobJournal j(dir, fp);
@@ -440,7 +448,7 @@ TEST(Journal, CancelledTerminalReplaysAsTombstone)
 TEST(Journal, CheckpointPathsLiveInTheJournalDir)
 {
     std::string dir = scratchDir("ckptpath");
-    JobJournal j(dir, journalFingerprint(true));
+    JobJournal j(dir, journalFingerprint());
     EXPECT_EQ(j.checkpointPathFor(7), dir + "/job-7.ckpt");
     // removeCheckpoint of a nonexistent file is a harmless no-op.
     j.removeCheckpoint(7);

@@ -409,6 +409,20 @@ randomSamples(Rng &rng, size_t n)
     return v;
 }
 
+/** @p samples as binary records, encoded by the one record writer as
+ *  one run; @p csvHash, when given, receives the canonical CSV's
+ *  FNV-1a. */
+std::vector<uint8_t>
+encodeRecords(const std::vector<core::TrajectorySample> &samples,
+              uint64_t *csvHash = nullptr)
+{
+    TrajectoryEncoder e;
+    e.append(samples.data(), samples.size());
+    if (csvHash)
+        *csvHash = e.csvHash();
+    return e.takeRecords();
+}
+
 /** Slice @p payload into ResultChunk frames closed by @p end (whose
  *  chunkCount, payloadBytes and payloadHash are filled in here),
  *  exactly as the server's stream pump does. */
@@ -446,7 +460,7 @@ buildStream(uint64_t job_id,
     end.state = state;
     end.trajectoryHash = fnv1a(core::trajectoryCsvString(samples));
     end.result = scalars;
-    return sliceStream(encodeTrajectoryBinary(samples), chunk_bytes,
+    return sliceStream(encodeRecords(samples), chunk_bytes,
                        end);
 }
 
@@ -578,7 +592,7 @@ TEST(ServeProto, BinaryTrajectoryCodecPreservesCsvBytes)
         SCOPED_TRACE("round " + std::to_string(round));
         std::vector<core::TrajectorySample> samples =
             randomSamples(rng, rng.uniformInt(300));
-        std::vector<uint8_t> wire = encodeTrajectoryBinary(samples);
+        std::vector<uint8_t> wire = encodeRecords(samples);
         ASSERT_EQ(wire.size(),
                   samples.size() * kTrajectoryBinaryRecordBytes);
         std::vector<core::TrajectorySample> back =
@@ -594,14 +608,14 @@ TEST(ServeProto, BinaryTrajectoryCodecPreservesCsvBytes)
 
     // Truncated / misaligned binary payloads are rejected cleanly.
     std::vector<uint8_t> wire =
-        encodeTrajectoryBinary(randomSamples(rng, 3));
+        encodeRecords(randomSamples(rng, 3));
     EXPECT_THROW(decodeTrajectoryBinary(wire.data(), wire.size() - 1),
                  ProtocolError);
     // A collision count that cannot ride the u32 record field throws
     // at encode time instead of truncating silently.
     std::vector<core::TrajectorySample> overflow = randomSamples(rng, 1);
     overflow[0].collisions = uint64_t(UINT32_MAX) + 1;
-    EXPECT_THROW(encodeTrajectoryBinary(overflow), ProtocolError);
+    EXPECT_THROW(encodeRecords(overflow), ProtocolError);
 }
 
 TEST(ServeProto, MarshalledRecordsArePinned)
@@ -633,7 +647,7 @@ TEST(ServeProto, EncoderInPiecesEqualsOneShot)
         std::vector<core::TrajectorySample> samples =
             randomSamples(rng, rng.uniformInt(400));
         uint64_t csv = 0;
-        std::vector<uint8_t> whole = encodeTrajectoryBinary(samples, &csv);
+        std::vector<uint8_t> whole = encodeRecords(samples, &csv);
         EXPECT_EQ(csv, fnv1a(core::trajectoryCsvString(samples)));
 
         TrajectoryEncoder e;
@@ -673,7 +687,7 @@ TEST(ServeProto, AssemblerReassemblesMultiChunkStream)
         samples = randomSamples(rng, 200);
     }
     std::string csv = core::trajectoryCsvString(samples);
-    std::vector<uint8_t> records = encodeTrajectoryBinary(samples);
+    std::vector<uint8_t> records = encodeRecords(samples);
     ServedResult scalars = denseScalarResult();
     scalars.failureReason.clear();
     std::vector<Message> frames = buildStream(9, samples, 777, scalars);
@@ -736,7 +750,7 @@ TEST(ServeProto, AssemblerResumesAfterRewind)
         Rng rng(0x7e5e7);
         samples = randomSamples(rng, 150);
     }
-    std::vector<uint8_t> records = encodeTrajectoryBinary(samples);
+    std::vector<uint8_t> records = encodeRecords(samples);
     ResultEndData end;
     end.jobId = 12;
     end.result = denseScalarResult();
@@ -1109,7 +1123,7 @@ TEST(ServeProto, SeededDamageToEveryDecoderThrowsOnlyProtocolError)
     // The binary trajectory records travel inside ResultChunk bytes.
     Rng sampleRng(0x5a);
     Message records;
-    records.payload = encodeTrajectoryBinary(randomSamples(sampleRng, 3));
+    records.payload = encodeRecords(randomSamples(sampleRng, 3));
 
     auto expectOnlyProtocolError = [](const Case &c, const Message &m) {
         try {
@@ -1587,7 +1601,7 @@ TEST(ServeServer, ProgressEventsArriveWhileMissionRuns)
 {
     ServerConfig cfg;
     cfg.workers = 1;
-    cfg.progressIntervalPeriods = 10; // dense enough to observe
+    cfg.supervisor.checkpointPeriods = 10; // dense enough to observe
     // Progress is pushed once per IO-loop tick; tick every 1 ms so a
     // mission of a few tens of ms spans many ticks even on a loaded
     // host.
@@ -2212,7 +2226,7 @@ TEST(ServeDurability, AckProtocolVerifiesHashBeforeRelease)
         return s.completed == 1;
     }));
     std::vector<uint8_t> records =
-        encodeTrajectoryBinary(core::runMission(spec).trajectory);
+        encodeRecords(core::runMission(spec).trajectory);
     uint64_t hash = fnv1a(records.data(), records.size());
 
     RawConn raw(server.port());
@@ -2259,7 +2273,7 @@ TEST(ServeDurability, ResumeOffsetStreamsExactSuffix)
         return s.completed == 1;
     }));
     core::MissionResult local = core::runMission(spec);
-    std::vector<uint8_t> records = encodeTrajectoryBinary(local.trajectory);
+    std::vector<uint8_t> records = encodeRecords(local.trajectory);
     ASSERT_GT(records.size(), 3 * kTrajectoryBinaryRecordBytes);
 
     // A finished, un-acked job pins exactly its records and failure
@@ -2383,7 +2397,7 @@ TEST(ServeDurability, RestartReplaysResultsAndDedups)
     // ...the replayed job streams its journaled records and resumes
     // at a record boundary like any other...
     std::vector<uint8_t> records =
-        encodeTrajectoryBinary(core::runMission(spec).trajectory);
+        encodeRecords(core::runMission(spec).trajectory);
     uint64_t offset = records.size() / kTrajectoryBinaryRecordBytes / 2 *
                       kTrajectoryBinaryRecordBytes;
     RawConn raw(server.port());
@@ -2420,7 +2434,7 @@ TEST(ServeDurability, InterruptedSubmissionRequeuesAndRuns)
     std::string dir = serveScratchDir("requeue");
     core::MissionSpec spec = quickSpec(3);
     {
-        JobJournal j(dir, journalFingerprint(true));
+        JobJournal j(dir, journalFingerprint());
         j.appendSubmit(1, "interrupted-key", spec);
     }
 
@@ -2462,7 +2476,7 @@ TEST(ServeDurability, InvalidReplayedSpecFailsInsteadOfRunning)
     drop2.faults.enabled = true;
     drop2.faults.dropProb = 2.0;
     {
-        JobJournal j(dir, journalFingerprint(true));
+        JobJournal j(dir, journalFingerprint());
         j.appendSubmit(1, "", depth7);
         j.appendSubmit(2, "", drop2);
         j.appendSubmit(3, "", quickSpec(3));
@@ -2512,15 +2526,19 @@ TEST(ServeDurability, WarmRestoreResumesFromPersistedCheckpoint)
     core::MissionSpec spec = canonicalSpec("A", 3.0);
 
     // Persist a checkpoint exactly where rosed would have: run the
-    // mission under a supervisor writing to the job's checkpoint
-    // path. (The file keeps the latest pre-death snapshot; a real
-    // crash just stops the overwrites earlier.)
+    // mission under a supervisor whose observer writes each snapshot
+    // to the job's checkpoint path. (The file keeps the latest
+    // pre-death snapshot; a real crash just stops the overwrites
+    // earlier.)
     {
-        JobJournal j(dir, journalFingerprint(true));
+        JobJournal j(dir, journalFingerprint());
         j.appendSubmit(1, "warm-key", spec);
+        const std::string path = j.checkpointPathFor(1);
         core::SupervisorConfig sup;
         sup.checkpointPeriods = 40;
-        sup.checkpointPath = j.checkpointPathFor(1);
+        sup.snapshotObserver = [&path](const core::Checkpoint &ck) {
+            core::writeCheckpointFile(path, ck);
+        };
         core::MissionSupervisor supervisor(spec.toConfig(), sup);
         supervisor.run();
         ASSERT_GT(supervisor.stats().checkpointsTaken, 0u);
@@ -2549,7 +2567,7 @@ TEST(ServeDurability, CorruptCheckpointFallsBackToColdRun)
     std::string dir = serveScratchDir("coldfb");
     core::MissionSpec spec = quickSpec(5);
     {
-        JobJournal j(dir, journalFingerprint(true));
+        JobJournal j(dir, journalFingerprint());
         j.appendSubmit(1, "", spec);
         std::ofstream f(j.checkpointPathFor(1), std::ios::binary);
         f << "this is not a ROSECKPT file";
@@ -2714,6 +2732,15 @@ expectSameEncoding(const PipelinedRun &run)
     EXPECT_EQ(run.pipelined.payloadHash, run.oneShot.payloadHash);
 }
 
+size_t
+sampleTotal(const std::vector<core::TrajectoryChunk> &chunks)
+{
+    size_t n = 0;
+    for (const core::TrajectoryChunk &c : chunks)
+        n += c->size();
+    return n;
+}
+
 /** Run @p spec under @p sup with every snapshot posted to @p encoder,
  *  then finish it there and marshal it in one shot. */
 PipelinedRun
@@ -2721,14 +2748,11 @@ runPipelined(EncoderThread &encoder, const core::CosimConfig &cfg,
              core::SupervisorConfig sup)
 {
     PipelinedRun run;
-    sup.snapshotObserver =
-        [&](const std::vector<core::TrajectoryChunk> &chunks) {
-            encoder.post(chunks);
-            ++run.posts;
-            run.lastPostedSamples = 0;
-            for (const core::TrajectoryChunk &c : chunks)
-                run.lastPostedSamples += c->size();
-        };
+    sup.snapshotObserver = [&](const core::Checkpoint &ck) {
+        encoder.post(ck.trajectory);
+        ++run.posts;
+        run.lastPostedSamples = sampleTotal(ck.trajectory);
+    };
     core::MissionSupervisor supervisor(cfg, sup);
     run.result = supervisor.run();
     run.supervisor = supervisor.stats();
@@ -2777,21 +2801,11 @@ postedLists(const core::MissionSpec &spec, core::MissionResult *result)
 {
     std::vector<std::vector<core::TrajectoryChunk>> lists;
     core::SupervisorConfig sup = heavySupervisor();
-    sup.snapshotObserver =
-        [&](const std::vector<core::TrajectoryChunk> &chunks) {
-            lists.push_back(chunks);
-        };
+    sup.snapshotObserver = [&](const core::Checkpoint &ck) {
+        lists.push_back(ck.trajectory);
+    };
     *result = core::MissionSupervisor(spec.toConfig(), sup).run();
     return lists;
-}
-
-size_t
-sampleTotal(const std::vector<core::TrajectoryChunk> &chunks)
-{
-    size_t n = 0;
-    for (const core::TrajectoryChunk &c : chunks)
-        n += c->size();
-    return n;
 }
 
 } // namespace
@@ -2867,7 +2881,9 @@ TEST(ServeEncoder, JournalWarmResumeReusesTheResumedChunk)
     {
         core::SupervisorConfig sup = heavySupervisor();
         sup.checkpointPeriods = 4000; // the file ends mid-mission
-        sup.checkpointPath = path;
+        sup.snapshotObserver = [&path](const core::Checkpoint &ck) {
+            core::writeCheckpointFile(path, ck);
+        };
         core::MissionSupervisor first(spec.toConfig(), sup);
         first.run();
         ASSERT_EQ(first.stats().checkpointsTaken, 2u);
@@ -2904,24 +2920,23 @@ TEST(ServeEncoder, CrashedJobPublishesNothingFromTheEncoder)
     EXPECT_EQ(run.reused, 0u);
 }
 
-TEST(ServeEncoder, UnsupervisedJobEncodesAtTheEnd)
+TEST(ServeEncoder, JobEndingBeforeItsFirstSnapshotEncodesAtTheEnd)
 {
-    // A --no-supervise job posts nothing. Even right after a
-    // supervised run of the same spec, whose chunks hold exactly its
-    // samples, the encoder carries nothing over from that job.
+    // A job that ends before its first snapshot posts nothing. Even
+    // right after a run of the same spec, whose chunks hold exactly
+    // its samples, the encoder carries nothing over from that job.
     EncoderThread encoder;
-    PipelinedRun supervised = runPipelined(
-        encoder, heavySpec().toConfig(), heavySupervisor());
-    ASSERT_GT(supervised.reused, 0u);
+    PipelinedRun earlier = runPipelined(encoder, heavySpec().toConfig(),
+                                        heavySupervisor());
+    ASSERT_GT(earlier.reused, 0u);
 
-    core::MissionResult bare = core::runMission(heavySpec());
-    ServedResult pipelined = encoder.finish(bare);
-    ServedResult oneShot = marshalResult(bare);
-    EXPECT_EQ(encoder.reusedSamples(), 0u);
-    EXPECT_TRUE(pipelined.trajectoryRecords == oneShot.trajectoryRecords);
-    EXPECT_EQ(pipelined.trajectoryHash, oneShot.trajectoryHash);
-    EXPECT_EQ(pipelined.payloadHash, oneShot.payloadHash);
-    EXPECT_EQ(pipelined.payloadHash, 0xf9db173143998d4eULL);
+    core::SupervisorConfig sup;
+    sup.checkpointPeriods = 20000; // past the mission's 10,000 periods
+    PipelinedRun run = runPipelined(encoder, heavySpec().toConfig(), sup);
+    EXPECT_EQ(run.posts, 0u);
+    EXPECT_EQ(run.reused, 0u);
+    expectSameEncoding(run);
+    EXPECT_EQ(run.pipelined.payloadHash, 0xf9db173143998d4eULL);
 }
 
 TEST(ServeEncoder, KeepsOnlyThePrefixTheTrajectoryHolds)
@@ -3003,7 +3018,7 @@ TEST(ServeServer, ThreeWorkersEncodeWhileMissionsRun)
                 marshalResult(core::runMission(heavySpec(seed)));
             EXPECT_EQ(r.trajectoryHash, local.trajectoryHash);
             EXPECT_EQ(servedHash(r), local.trajectoryHash);
-            EXPECT_EQ(encodeTrajectoryBinary(r.trajectory),
+            EXPECT_EQ(encodeRecords(r.trajectory),
                       local.trajectoryRecords);
         }
         server.stop();

@@ -10,6 +10,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <stdexcept>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -174,7 +176,9 @@ TEST(Supervisor, DiskResumeMatchesUninterruptedRun)
     {
         SupervisorConfig sup;
         sup.checkpointPeriods = 100;
-        sup.checkpointPath = path;
+        sup.snapshotObserver = [&path](const Checkpoint &ck) {
+            writeCheckpointFile(path, ck);
+        };
         MissionSupervisor first(cfg, sup);
         MissionResult r = first.run();
         ASSERT_GT(first.stats().checkpointsTaken, 0u);
@@ -193,6 +197,91 @@ TEST(Supervisor, DiskResumeMatchesUninterruptedRun)
     EXPECT_EQ(fnv1a(core::trajectoryCsvString(r)), kGoldenA)
         << "disk-resumed trajectory diverged from the golden trace";
     std::remove(path.c_str());
+}
+
+namespace {
+
+/** A golden-A mission whose snapshot observer is @p observer. */
+struct ObservedRun
+{
+    MissionResult result;
+    SupervisorStats stats;
+};
+
+ObservedRun
+runObserved(std::function<void(const Checkpoint &)> observer)
+{
+    SupervisorConfig sup;
+    sup.checkpointPeriods = 100;
+    sup.snapshotObserver = std::move(observer);
+    MissionSupervisor supervisor(test::goldenSpec("A").toConfig(), sup);
+    ObservedRun run;
+    run.result = supervisor.run();
+    run.stats = supervisor.stats();
+    return run;
+}
+
+/** Two runs took the same recovery path. */
+void
+expectSameRecovery(const ObservedRun &a, const ObservedRun &b)
+{
+    EXPECT_EQ(a.result.status, b.result.status);
+    EXPECT_EQ(a.stats.checkpointsTaken, b.stats.checkpointsTaken);
+    EXPECT_EQ(a.stats.restores, b.stats.restores);
+    EXPECT_EQ(a.stats.coldRestarts, b.stats.coldRestarts);
+    EXPECT_EQ(a.stats.retriesUsed, b.stats.retriesUsed);
+    ASSERT_EQ(a.stats.events.size(), b.stats.events.size());
+    for (size_t i = 0; i < a.stats.events.size(); ++i)
+        EXPECT_EQ(a.stats.events[i].period, b.stats.events[i].period);
+    EXPECT_EQ(fnv1a(core::trajectoryCsvString(a.result)),
+              fnv1a(core::trajectoryCsvString(b.result)));
+}
+
+} // namespace
+
+TEST(Supervisor, ThrowingObserverFailsLikeAFailingDiskWrite)
+{
+    // The observer is where rosed writes a journaled job's checkpoint
+    // file, so any throw from it must take the path a failing disk
+    // write takes: a CheckpointError, a restore of the snapshot just
+    // taken, and a retry.
+    constexpr uint64_t kGoldenA = 0x2b24ad514f06c3cbULL;
+    const std::string bad = "no_such_dir/supervisor_test.ckpt";
+    const std::string good = "supervisor_test_observer.ckpt";
+
+    // Every snapshot fails: the retries run out and the mission
+    // crashes with the failure's message.
+    ObservedRun disk = runObserved([&](const Checkpoint &ck) {
+        writeCheckpointFile(bad, ck);
+    });
+    ObservedRun thrown = runObserved([](const Checkpoint &) {
+        throw std::runtime_error("observer down");
+    });
+    EXPECT_EQ(disk.result.status, MissionStatus::Crashed);
+    EXPECT_EQ(disk.stats.restores, 3u);
+    EXPECT_EQ(disk.result.failureReason.rfind("checkpoint error: ", 0), 0u)
+        << disk.result.failureReason;
+    EXPECT_EQ(thrown.result.failureReason,
+              "checkpoint error: observer down (after 3 recovery "
+              "attempts)");
+    expectSameRecovery(disk, thrown);
+
+    // Only the first snapshot fails: one restore, then the golden
+    // trajectory.
+    int calls = 0;
+    ObservedRun diskOnce = runObserved([&](const Checkpoint &ck) {
+        writeCheckpointFile(calls++ == 0 ? bad : good, ck);
+    });
+    calls = 0;
+    ObservedRun thrownOnce = runObserved([&](const Checkpoint &) {
+        if (calls++ == 0)
+            throw std::runtime_error("observer down");
+    });
+    std::remove(good.c_str());
+    EXPECT_NE(diskOnce.result.status, MissionStatus::Crashed);
+    EXPECT_EQ(diskOnce.stats.restores, 1u);
+    EXPECT_EQ(fnv1a(core::trajectoryCsvString(diskOnce.result)), kGoldenA);
+    expectSameRecovery(diskOnce, thrownOnce);
 }
 
 TEST(Supervisor, CorruptResumeFileFallsBackToColdStart)
