@@ -310,9 +310,9 @@ TEST(Journal, CorruptMidJournalRecordTruncatesFromThere)
 
 TEST(Journal, FingerprintIsPinned)
 {
-    // Every journal byte depends on it: the value the bare-run flag's
-    // true setting gave when rosed still had one, so journals written
-    // before the flag went replay unchanged.
+    // Every journal header carries it. This is the value supervised
+    // daemons wrote while rosed still had a bare-run flag, so their
+    // journals replay unchanged.
     EXPECT_EQ(journalFingerprint(), 0xd5419f42ce643efdULL);
 }
 

@@ -460,8 +460,7 @@ buildStream(uint64_t job_id,
     end.state = state;
     end.trajectoryHash = fnv1a(core::trajectoryCsvString(samples));
     end.result = scalars;
-    return sliceStream(encodeRecords(samples), chunk_bytes,
-                       end);
+    return sliceStream(encodeRecords(samples), chunk_bytes, end);
 }
 
 } // namespace
@@ -607,8 +606,7 @@ TEST(ServeProto, BinaryTrajectoryCodecPreservesCsvBytes)
     }
 
     // Truncated / misaligned binary payloads are rejected cleanly.
-    std::vector<uint8_t> wire =
-        encodeRecords(randomSamples(rng, 3));
+    std::vector<uint8_t> wire = encodeRecords(randomSamples(rng, 3));
     EXPECT_THROW(decodeTrajectoryBinary(wire.data(), wire.size() - 1),
                  ProtocolError);
     // A collision count that cannot ride the u32 record field throws
